@@ -1,0 +1,9 @@
+"""Puts the checkout's src/ and root on sys.path, so `pytest rtabench/tests`
+works without an installed rtakit."""
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
