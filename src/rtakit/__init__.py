@@ -35,8 +35,6 @@ from .geometry import (
     SetDef,
     box_distance,
     box_intersects,
-    contains,
-    distance,
     set_from_payload,
     update_relative,
 )
@@ -48,7 +46,6 @@ from .rta import (
     SimRta,
     compute_reach_boxes,
     forward_simulate,
-    rta_switch,
 )
 from .scenario import (
     AgentSpec,

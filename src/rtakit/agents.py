@@ -66,8 +66,7 @@ class AccParams:
 
     k1, k2 are the proportional safety-controller gains, a_max/v_max the
     acceleration and speed bounds, follow_distance the desired gap behind
-    the leader, collision_distance the unsafe-ball radius around it, and
-    leader_speed the leader's nominal constant speed.
+    the leader, and collision_distance the unsafe-ball radius around it.
     """
 
     k1: float = 1.0
@@ -76,7 +75,6 @@ class AccParams:
     v_max: float = 20.0
     follow_distance: float = 10.0
     collision_distance: float = 7.0
-    leader_speed: float = 1.0
 
     def __post_init__(self):
         for name in ("k1", "k2", "a_max", "v_max", "follow_distance"):
@@ -98,13 +96,14 @@ class AccAgent(AgentModel):
     """
 
     model_name = "acc"
+    params_type = AccParams
     state_dim = 2
     position_indices = (0,)
 
     def __init__(self, agent_id, params: AccParams | None = None,
                  leader_id: str | None = None, goal_fn=None):
         super().__init__(agent_id)
-        self.params = params or AccParams()
+        self.params = params or self.params_type()
         self.leader_id = leader_id
         self.goal_fn = goal_fn
 
@@ -192,6 +191,7 @@ class DubinsCarAgent(AgentModel):
     """
 
     model_name = "dubins_car"
+    params_type = DubinsCarParams
     state_dim = 4
     position_indices = (0, 1)
 
@@ -199,7 +199,7 @@ class DubinsCarAgent(AgentModel):
                  waypoints=None, leader_id: str | None = None,
                  formation_offset=None, goal_fn=None):
         super().__init__(agent_id)
-        self.params = params or DubinsCarParams()
+        self.params = params or self.params_type()
         self.waypoints = [[float(c) for c in w] for w in waypoints] if waypoints else None
         self.leader_id = leader_id
         self.formation_offset = (
@@ -310,19 +310,9 @@ class DubinsPlaneAgent(DubinsCarAgent):
     """
 
     model_name = "dubins_plane"
+    params_type = DubinsPlaneParams
     state_dim = 6
     position_indices = (0, 1, 2)
-
-    def __init__(self, agent_id, params: DubinsPlaneParams | None = None,
-                 waypoints=None, leader_id=None, formation_offset=None, goal_fn=None):
-        AgentModel.__init__(self, agent_id)
-        self.params = params or DubinsPlaneParams()
-        self.waypoints = [[float(c) for c in w] for w in waypoints] if waypoints else None
-        self.leader_id = leader_id
-        self.formation_offset = (
-            [float(c) for c in formation_offset] if formation_offset is not None else None
-        )
-        self.goal_fn = goal_fn
 
     def _gamma_target(self, mode, state, goal) -> float:
         if mode is Mode.SAFETY:

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
-from .config import ConfigError, parse_scenario_config
+from .config import parse_scenario_config
 from .evaluation import EvalError, ScenarioMetadata, build_report
-from .geometry import GeometryError
-from .scenario import ScenarioError, ScenarioRuntimeError, build_scenario, execute, snapshot
+from .scenario import build_scenario, execute, snapshot
 from .trace import ExecutionTrace, TraceSchemaError
 
 EXIT_OK = 0
@@ -33,6 +33,25 @@ def _timings_path(trace_path: Path) -> Path:
     return trace_path.with_name(trace_path.stem + ".timings.json")
 
 
+def _load_timings(path: Path) -> dict[str, list[float]]:
+    """The agent id -> decision durations map of a timings file."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise EvalError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("timings"), dict):
+        raise EvalError(f"{path}: expected an object with a 'timings' object")
+    for aid, durations in doc["timings"].items():
+        if not isinstance(durations, list) or not all(
+            isinstance(d, (int, float)) and not isinstance(d, bool)
+            and math.isfinite(d) and d >= 0
+            for d in durations
+        ):
+            raise EvalError(f"{path}: timings.{aid}: expected a list of finite, "
+                            f"nonnegative numbers")
+    return doc["timings"]
+
+
 def _run_once(config_path: Path):
     """Build fresh and execute; returns (trace, timings, exec_seconds)."""
     config = parse_scenario_config(config_path)
@@ -42,7 +61,7 @@ def _run_once(config_path: Path):
     elapsed = time.perf_counter() - start
     timings = {}
     for spec in scenario.config.agents:
-        if spec.rta is not None and spec.rta.collector is not None:
+        if spec.rta is not None:
             timings[spec.model.agent_id] = list(spec.rta.collector.durations)
     return trace, timings, elapsed
 
@@ -75,8 +94,7 @@ def cmd_eval(args) -> int:
     timings = {}
     timings_path = Path(args.timings) if args.timings else _timings_path(trace_path)
     if timings_path.exists():
-        doc = json.loads(timings_path.read_text())
-        timings = doc.get("timings", {})
+        timings = _load_timings(timings_path)
     metadata = ScenarioMetadata.from_trace(trace)
     outdir = Path(args.out)
     start = time.perf_counter()
@@ -138,13 +156,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, TraceSchemaError, GeometryError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScenarioRuntimeError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -13,41 +13,28 @@ Document layout (see schema/scenario.schema.json for the full contract):
                       "anchor": "leader", "offset": [5.0]},
                      ...]}
 
+"params" takes the fields of the model's params_type dataclass plus the
+wiring keys (leader_id, formation_offset, waypoints) its constructor takes.
 anchor/offset are optional; with them the set is re-resolved every step so
 its reference point sits at anchor position + offset.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
-from .agents import (
-    AccAgent,
-    AccParams,
-    DubinsCarAgent,
-    DubinsCarParams,
-    DubinsPlaneAgent,
-    DubinsPlaneParams,
-    Mode,
-)
+from .agents import AccAgent, DubinsCarAgent, DubinsPlaneAgent, Mode
 from .geometry import GeometryError, RelativeSetSpec, set_from_payload
 from .rta import ReachRta, RtaBinding, SimRta
 from .scenario import AgentSpec, ScenarioConfig, StaticSetSpec
 
-MODEL_NAMES = ("acc", "dubins_car", "dubins_plane")
+MODELS = {cls.model_name: cls for cls in (AccAgent, DubinsCarAgent, DubinsPlaneAgent)}
 
 DEFAULT_RTA_HORIZON = 1.0
 DEFAULT_BLOAT_RATE = 0.1
 
-_ACC_PARAM_KEYS = {
-    "k1", "k2", "a_max", "v_max", "follow_distance", "collision_distance",
-    "leader_speed",
-}
-_CAR_PARAM_KEYS = {
-    "k_heading", "k_speed", "v_max", "v_cruise", "v_safe", "capture_radius",
-    "nominal",
-}
-_PLANE_PARAM_KEYS = _CAR_PARAM_KEYS | {"k_gamma", "pitch_up", "gamma_max"}
+# "params" keys that wire the agent to others; the rest fill params_type.
 _WIRING_KEYS = {"leader_id", "formation_offset", "waypoints"}
 
 
@@ -73,43 +60,24 @@ def _build_agent(entry: dict, index: int) -> AgentSpec:
         raise ConfigError(f"{where}: expected an object")
     agent_id = _require(entry, "id", where)
     model_name = _require(entry, "model", where)
-    if model_name not in MODEL_NAMES:
+    cls = MODELS.get(model_name)
+    if cls is None:
         raise ConfigError(
-            f"{where}: unknown model {model_name!r}; expected one of {', '.join(MODEL_NAMES)}"
+            f"{where}: unknown model {model_name!r}; expected one of {', '.join(MODELS)}"
         )
-    raw = dict(entry.get("params", {}))
+    raw = entry.get("params", {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}.params: expected an object")
+    raw = dict(raw)
     wiring = {k: raw.pop(k) for k in list(raw) if k in _WIRING_KEYS}
-
-    if model_name == "acc":
-        allowed = _ACC_PARAM_KEYS
-    elif model_name == "dubins_car":
-        allowed = _CAR_PARAM_KEYS
-    else:
-        allowed = _PLANE_PARAM_KEYS
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls.params_type)}
     if unknown:
         raise ConfigError(
             f"{where}.params: unknown fields {sorted(unknown)} for model {model_name!r}"
         )
 
     try:
-        if model_name == "acc":
-            model = AccAgent(agent_id, AccParams(**raw),
-                             leader_id=wiring.get("leader_id"))
-        elif model_name == "dubins_car":
-            model = DubinsCarAgent(
-                agent_id, DubinsCarParams(**raw),
-                waypoints=wiring.get("waypoints"),
-                leader_id=wiring.get("leader_id"),
-                formation_offset=wiring.get("formation_offset"),
-            )
-        else:
-            model = DubinsPlaneAgent(
-                agent_id, DubinsPlaneParams(**raw),
-                waypoints=wiring.get("waypoints"),
-                leader_id=wiring.get("leader_id"),
-                formation_offset=wiring.get("formation_offset"),
-            )
+        model = cls(agent_id, cls.params_type(**raw), **wiring)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.params: {exc}") from exc
 
@@ -149,7 +117,7 @@ def _build_rta(entry, where: str) -> RtaBinding | None:
         logic = ReachRta(horizon=horizon, bloat_rate=rate)
     else:
         raise ConfigError(f"{where}.type: unknown RTA type {kind!r}; expected sim, reach, or none")
-    return RtaBinding(logic, collect=True)
+    return RtaBinding(logic)
 
 
 def _build_unsafe(entry: dict, index: int):

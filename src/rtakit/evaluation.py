@@ -82,13 +82,12 @@ class ScenarioMetadata:
     """Side information the trace file does not carry.
 
     collision_radius maps a target agent id to the radius used for
-    agent-vs-agent TTC; by default an agent anchoring a relative unsafe
-    ball inherits that ball's radius.
+    agent-vs-agent TTC (0 for agents it does not list); by default an agent
+    anchoring a relative unsafe ball inherits that ball's radius.
     """
 
     workspace_dim: int | None = None
     collision_radius: dict[str, float] = field(default_factory=dict)
-    default_collision_radius: float = 0.0
     rta_agents: tuple[str, ...] = ()
 
     @classmethod
@@ -339,9 +338,7 @@ def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
         if collision_radius is None:
             collision_radius = 0.0
             if metadata is not None:
-                collision_radius = metadata.collision_radius.get(
-                    target_id, metadata.default_collision_radius
-                )
+                collision_radius = metadata.collision_radius.get(target_id, 0.0)
         q = _position(trace, target_id, k, dim)
         w = _agent_velocity(trace, target_id, k, dim, models)
         return _ball_entry_time(pos - q, vel - w, collision_radius)

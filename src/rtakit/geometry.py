@@ -363,14 +363,6 @@ class RelativeSetSpec:
         )
 
 
-def contains(set_def: SetDef, point) -> bool:
-    return set_def.contains(point)
-
-
-def distance(set_def: SetDef, point) -> float:
-    return set_def.distance(point)
-
-
 def update_relative(spec: RelativeSetSpec, anchor_position) -> SetDef:
     """Resolve a relative set against the anchor's current position."""
     pos = _vector(anchor_position, "anchor position")

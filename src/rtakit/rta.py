@@ -1,8 +1,8 @@
 """Runtime-assurance decision modules.
 
-The binding wraps a user logic with wall-clock timing and optional data
-collection; the decision itself never depends on whether collection is
-enabled. Two reference logics ship with the package:
+The binding wraps a user logic, times every decision and records its
+duration and the observed trace in a Collector. Two reference logics ship
+with the package:
 
     SimRta    forward-simulates the untrusted controller over the prediction
               horizon and switches to SAFETY if the predicted ego state ever
@@ -64,19 +64,12 @@ class RtaLogic:
 
 
 class RtaBinding:
-    """Attaches a logic to an agent; times every decision and, when
-    collection is enabled, records the duration and the observed trace."""
+    """Attaches a logic to an agent; times every decision and records the
+    duration and the observed trace."""
 
-    def __init__(self, logic: RtaLogic, collect: bool = False):
+    def __init__(self, logic: RtaLogic):
         self.logic = logic
-        self.do_eval = bool(collect)
-        self.collector = Collector() if collect else None
-
-    def enable_collection(self) -> Collector:
-        if not self.do_eval:
-            self.do_eval = True
-            self.collector = Collector()
-        return self.collector
+        self.collector = Collector()
 
     def switch(self, trace: ExecutionTrace) -> Mode:
         start = time.perf_counter()
@@ -87,15 +80,9 @@ class RtaBinding:
                 f"RTA logic for agent {self.logic.ego_id!r} failed: {exc}"
             ) from exc
         duration = time.perf_counter() - start
-        if self.do_eval:
-            self.collector.collect_computation_time(duration)
-            self.collector.collect_trace(trace)
+        self.collector.collect_computation_time(duration)
+        self.collector.collect_trace(trace)
         return mode
-
-
-def rta_switch(binding: RtaBinding, trace: ExecutionTrace) -> Mode:
-    """Timed switch call; identical decision with collection on or off."""
-    return binding.switch(trace)
 
 
 def forward_simulate(trace: ExecutionTrace, scenario: Scenario, horizon: float,

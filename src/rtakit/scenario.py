@@ -62,7 +62,7 @@ class Scenario:
         self.horizon = float(config.horizon)
         self.workspace_dim = int(config.workspace_dim)
         self.agents_by_id = {spec.model.agent_id: spec for spec in config.agents}
-        self.unsafe_by_id = {_set_id(s): s for s in config.unsafe_sets}
+        self.unsafe_by_id = {s.set_id: s for s in config.unsafe_sets}
         self.n_steps = grid_steps(self.horizon, self.dt)
 
     def agent_ids(self) -> list[str]:
@@ -86,8 +86,8 @@ class Scenario:
             trace.append_state(spec.model.agent_id, 0.0, spec.init_state)
         states = {spec.model.agent_id: list(spec.init_state) for spec in self.config.agents}
         for uspec in self.config.unsafe_sets:
-            trace.add_unsafe_set(_set_id(uspec), _set_kind(uspec))
-            trace.append_unsafe(_set_id(uspec), 0.0, self._resolve(uspec, states))
+            trace.add_unsafe_set(uspec.set_id, uspec.base.kind)
+            trace.append_unsafe(uspec.set_id, 0.0, self._resolve(uspec, states))
         return trace
 
     def _resolve(self, uspec, states: dict) -> object:
@@ -116,15 +116,7 @@ class Scenario:
             trace.append_state(aid, t_next, state)
             trace.append_mode(aid, modes[aid])
         for uspec in self.config.unsafe_sets:
-            trace.append_unsafe(_set_id(uspec), t_next, self._resolve(uspec, next_states))
-
-
-def _set_id(uspec) -> str:
-    return uspec.set_id
-
-
-def _set_kind(uspec) -> str:
-    return uspec.base.kind
+            trace.append_unsafe(uspec.set_id, t_next, self._resolve(uspec, next_states))
 
 
 def grid_steps(horizon: float, dt: float) -> int:
@@ -168,7 +160,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     agent_ids = set(seen)
     for uspec in config.unsafe_sets:
-        sid = _set_id(uspec)
+        sid = uspec.set_id
         if sid in seen:
             if sid in agent_ids:
                 raise ScenarioError(f"unsafe set id {sid!r} collides with an agent id")

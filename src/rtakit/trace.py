@@ -145,9 +145,8 @@ class ExecutionTrace:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, validate: bool = True) -> "ExecutionTrace":
-        if validate:
-            validate_trace_dict(doc)
+    def from_dict(cls, doc: dict) -> "ExecutionTrace":
+        validate_trace_dict(doc)
         out = cls()
         for aid, entry in doc["agents"].items():
             out.agents[aid] = {
@@ -168,13 +167,13 @@ class ExecutionTrace:
         Path(path).write_text(self.to_json() + "\n")
 
     @classmethod
-    def load(cls, path, validate: bool = True) -> "ExecutionTrace":
+    def load(cls, path) -> "ExecutionTrace":
         text = Path(path).read_text()
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TraceSchemaError("<document>", f"not valid JSON: {exc}") from exc
-        return cls.from_dict(doc, validate=validate)
+        return cls.from_dict(doc)
 
 
 def _is_number(x) -> bool:

@@ -123,8 +123,8 @@ def acc_scenario_config(follower_init=(0.0, 1.0), leader_init=(5.0, 1.0),
     )
 
 
-def sim_rta_binding(horizon=1.0, collect=True) -> RtaBinding:
-    return RtaBinding(SimRta(horizon=horizon), collect=collect)
+def sim_rta_binding(horizon=1.0) -> RtaBinding:
+    return RtaBinding(SimRta(horizon=horizon))
 
 
 def random_acc_config(rng, horizon=2.0, rta: RtaBinding | None = None) -> ScenarioConfig:

@@ -1,4 +1,5 @@
 """Command-line round trips: run, eval, snapshot, exit codes."""
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from rtakit.cli import main
+from rtakit.config import MODELS, ConfigError, config_from_dict
 from rtakit import validate_trace_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -103,6 +105,48 @@ def test_run_dangling_anchor(tmp_path, capsys):
     assert "anchor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", [[1, 2], "ab"])
+def test_run_params_must_be_an_object(tmp_path, capsys, params):
+    doc = acc_doc()
+    doc["agents"][0]["params"] = params
+    code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    assert "agents[0].params: expected an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("waypoints", [[1.0]]), ("formation_offset", [1.0])])
+def test_run_rejects_wiring_the_model_does_not_take(tmp_path, capsys, key, value):
+    doc = acc_doc()
+    doc["agents"][0]["params"][key] = value
+    code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "agents[0].params" in err and key in err
+
+
+def _one_agent_doc(model, params):
+    dim = len(MODELS[model].position_indices)
+    return {"workspace_dim": dim, "time": {"dt": 0.1, "T": 1.0},
+            "agents": [{"id": "a", "model": model, "params": params,
+                        "init": [0.0] * MODELS[model].state_dim}]}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_model_params_are_its_dataclass_fields(model):
+    fields = dataclasses.fields(MODELS[model].params_type)
+    config = config_from_dict(_one_agent_doc(model, {f.name: f.default for f in fields}))
+    assert config.agents[0].model.params == MODELS[model].params_type()
+    with pytest.raises(ConfigError, match="unknown fields"):
+        config_from_dict(_one_agent_doc(model, {"not_a_field": 1.0}))
+
+
+def test_acc_leader_speed_is_rejected():
+    with pytest.raises(ConfigError, match="leader_speed"):
+        config_from_dict(_one_agent_doc("acc", {"leader_speed": 1.0}))
+
+
 def test_usage_error_exit_code():
     assert main(["run"]) == 1
     assert main([]) == 1
@@ -162,6 +206,28 @@ def test_eval_corrupt_trace_names_path(tmp_path, capsys):
     code = main(["eval", str(bad), "--out", str(tmp_path / "r")])
     assert code == 2
     assert "agents.follower.state_trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    "{}",
+    '{"timings": []}',
+    '{"timings": {"follower": 0.1}}',
+    '{"timings": {"follower": ["x"]}}',
+    '{"timings": {"follower": [true]}}',
+    '{"timings": {"follower": [-1.0]}}',
+    '{"timings": {"follower": [NaN]}}',
+    "not json",
+])
+def test_eval_rejects_malformed_timings_file(tmp_path, capsys, text):
+    out = tmp_path / "trace.json"
+    main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(out)])
+    bad = tmp_path / "bad.timings.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    code = main(["eval", str(out), "--out", str(tmp_path / "r"), "--timings", str(bad)])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_eval_missing_file(tmp_path):

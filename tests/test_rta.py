@@ -22,7 +22,6 @@ from rtakit import (
     compute_reach_boxes,
     execute,
     forward_simulate,
-    rta_switch,
 )
 from helpers import acc_scenario_config, random_acc_config, sim_rta_binding
 
@@ -60,25 +59,16 @@ def stationary_config(ego_pos, ball_center, radius, goal=None, horizon=2.0):
     )
 
 
-# -- rta_switch wrapper -------------------------------------------------------
+# -- RtaBinding.switch -------------------------------------------------------
 
 def test_switch_returns_mode_and_records_one_sample():
     scenario = built_acc()
     trace = scenario.initial_trace()
-    binding = RtaBinding(ConstantLogic(Mode.SAFETY, ego_id="follower"), collect=True)
+    binding = RtaBinding(ConstantLogic(Mode.SAFETY, ego_id="follower"))
     binding.logic.bind(scenario, "follower")
-    assert rta_switch(binding, trace) is Mode.SAFETY
+    assert binding.switch(trace) is Mode.SAFETY
     assert len(binding.collector.durations) == 1
     assert binding.collector.trace is trace
-
-
-def test_switch_without_collection_leaves_no_state():
-    scenario = built_acc()
-    trace = scenario.initial_trace()
-    binding = RtaBinding(ConstantLogic(Mode.SAFETY, ego_id="follower"), collect=False)
-    binding.logic.bind(scenario, "follower")
-    assert rta_switch(binding, trace) is Mode.SAFETY
-    assert binding.collector is None
 
 
 def test_switch_twice_same_trace_two_samples():
@@ -86,22 +76,23 @@ def test_switch_twice_same_trace_two_samples():
     trace = scenario.initial_trace()
     binding = sim_rta_binding()
     binding.logic.bind(scenario, "follower")
-    first = rta_switch(binding, trace)
-    second = rta_switch(binding, trace)
+    first = binding.switch(trace)
+    second = binding.switch(trace)
     assert first is second
     assert len(binding.collector.durations) == 2
 
 
 def test_switch_same_decision_with_collection_on_and_off():
+    # The timed, collecting switch decides exactly as the bare logic does.
     for k in range(0, 40, 7):
-        scenario_on = built_acc(rta=sim_rta_binding(collect=True))
-        trace = execute(scenario_on)
+        scenario = built_acc(rta=sim_rta_binding())
+        trace = execute(scenario)
         prefix = trace.prefix(k)
-        on = RtaBinding(SimRta(horizon=1.0), collect=True)
-        off = RtaBinding(SimRta(horizon=1.0), collect=False)
-        on.logic.bind(scenario_on, "follower")
-        off.logic.bind(scenario_on, "follower")
-        assert rta_switch(on, prefix) is rta_switch(off, prefix)
+        binding = RtaBinding(SimRta(horizon=1.0))
+        bare = SimRta(horizon=1.0)
+        binding.logic.bind(scenario, "follower")
+        bare.bind(scenario, "follower")
+        assert binding.switch(prefix) is bare.decide(prefix)
 
 
 def test_recorded_durations_nonnegative_finite():
@@ -117,7 +108,7 @@ def test_logic_failure_carries_ego_id():
     binding = RtaBinding(FailingLogic(ego_id="follower"))
     binding.logic.bind(scenario, "follower")
     with pytest.raises(RtaError, match="follower"):
-        rta_switch(binding, scenario.initial_trace())
+        binding.switch(scenario.initial_trace())
 
 
 # -- forward_simulate ----------------------------------------------------------
