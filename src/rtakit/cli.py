@@ -95,6 +95,8 @@ def cmd_eval(args) -> int:
     timings_path = Path(args.timings) if args.timings else _timings_path(trace_path)
     if timings_path.exists():
         timings = _load_timings(timings_path)
+    elif args.timings:
+        raise EvalError(f"timings file not found: {timings_path}")
     metadata = ScenarioMetadata.from_trace(trace)
     outdir = Path(args.out)
     start = time.perf_counter()

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .agents import Mode
 from .geometry import Ball, Hyperrectangle, PointSet, Polytope, RelativeSetSpec, SetDef
 from .trace import ExecutionTrace
 
@@ -107,32 +107,14 @@ class ScenarioMetadata:
 
     @classmethod
     def from_trace(cls, trace: ExecutionTrace) -> "ScenarioMetadata":
-        dim = None
-        for sid in trace.unsafe_ids():
-            dim = trace.unsafe_def(sid, 0).dim
-            break
-        return cls(workspace_dim=dim)
+        return cls(workspace_dim=_set_dim(trace))
 
 
-def _workspace_dim(trace, metadata: ScenarioMetadata | None) -> int:
-    if metadata is not None and metadata.workspace_dim is not None:
-        return metadata.workspace_dim
+def _set_dim(trace) -> int | None:
+    """The dimension of the first unsafe set, or None without sets."""
     for sid in trace.unsafe_ids():
         return trace.unsafe_def(sid, 0).dim
-    raise EvalError(
-        "workspace dimension is unknown: no unsafe sets to infer it from; "
-        "pass ScenarioMetadata(workspace_dim=...)"
-    )
-
-
-def _position(trace, agent_id: str, k: int, dim: int) -> np.ndarray:
-    state = trace.state(agent_id, k)
-    if len(state) < dim:
-        raise EvalError(
-            f"agent {agent_id!r} state has {len(state)} components, "
-            f"cannot project {dim} position components"
-        )
-    return np.asarray(state[:dim], dtype=float)
+    return None
 
 
 def _check_agent(trace, agent_id: str) -> None:
@@ -140,80 +122,128 @@ def _check_agent(trace, agent_id: str) -> None:
         raise EvalError(f"unknown agent id {agent_id!r}")
 
 
+def _per_sample(read):
+    """Memoise read(self, ident, k) in the reader, so each sample of each
+    agent or set is computed at most once."""
+
+    def get(self, ident: str, k: int):
+        key = (read, ident, k)
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = read(self, ident, k)
+        return value
+
+    return get
+
+
+class _Samples:
+    """A trace read by sample index k: positions, velocities, set
+    definitions and set velocities, each computed on first use."""
+
+    def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None = None,
+                 models: dict | None = None):
+        self.trace = trace
+        self.metadata = metadata
+        self.models = models or {}
+        self.ts = trace.timestamps()
+        self.agent_ids = trace.agent_ids()
+        self.set_ids = trace.unsafe_ids()
+        self._cache: dict = {}
+
+    @cached_property
+    def dim(self) -> int:
+        """Workspace dimension: the metadata's, else the first set's."""
+        dim = self.metadata.workspace_dim if self.metadata is not None else None
+        if dim is None:
+            dim = _set_dim(self.trace)
+        if dim is None:
+            raise EvalError(
+                "workspace dimension is unknown: no unsafe sets to infer it from; "
+                "pass ScenarioMetadata(workspace_dim=...)"
+            )
+        return dim
+
+    def check(self, agent_id: str, target_id: str) -> None:
+        _check_agent(self.trace, agent_id)
+        if target_id not in self.set_ids and target_id not in self.agent_ids:
+            raise EvalError(f"unknown target id {target_id!r}")
+
+    @_per_sample
+    def position(self, agent_id: str, k: int) -> np.ndarray:
+        state = self.trace.state(agent_id, k)
+        if len(state) < self.dim:
+            raise EvalError(
+                f"agent {agent_id!r} state has {len(state)} components, "
+                f"cannot project {self.dim} position components"
+            )
+        return np.asarray(state[: self.dim], dtype=float)
+
+    @_per_sample
+    def velocity(self, agent_id: str, k: int) -> np.ndarray:
+        """Model-declared workspace velocity when available, else a backward
+        finite difference of the recorded positions."""
+        model = self.models.get(agent_id)
+        if model is not None:
+            v = model.workspace_velocity(self.trace.state(agent_id, k))
+            if v is not None:
+                return np.asarray(v, dtype=float)
+        if len(self.ts) < 2:
+            return np.zeros(self.dim)
+        return self._backward_difference(self.position, agent_id, k)
+
+    @_per_sample
+    def set_def(self, set_id: str, k: int) -> SetDef:
+        return self.trace.unsafe_def(set_id, k)
+
+    @_per_sample
+    def set_reference(self, set_id: str, k: int) -> np.ndarray:
+        set_def = self.set_def(set_id, k)
+        if isinstance(set_def, PointSet):
+            return set_def.coords
+        if isinstance(set_def, Ball):
+            return set_def.center
+        if isinstance(set_def, Hyperrectangle):
+            return (set_def.lower + set_def.upper) / 2.0
+        # Polytope: recover the translation offset in the least-squares sense.
+        return np.linalg.lstsq(set_def.A, set_def.b, rcond=None)[0]
+
+    @_per_sample
+    def set_velocity(self, set_id: str, k: int) -> np.ndarray:
+        if len(self.ts) < 2:
+            return np.zeros(self.set_def(set_id, 0).dim)
+        return self._backward_difference(self.set_reference, set_id, k)
+
+    def _backward_difference(self, series, ident: str, k: int) -> np.ndarray:
+        """(x_j - x_{j-1}) / (t_j - t_{j-1}) with j = max(k, 1)."""
+        j = k if k > 0 else 1
+        dt = self.ts[j] - self.ts[j - 1]
+        return (series(ident, j) - series(ident, j - 1)) / dt
+
+
+def _distance_at(s: _Samples, agent_id: str, target_id: str, k: int) -> float:
+    pos = s.position(agent_id, k)
+    if target_id in s.set_ids:
+        return s.set_def(target_id, k).distance(pos)
+    return float(np.linalg.norm(pos - s.position(target_id, k)))
+
+
+def _distances(s: _Samples, agent_id: str, target_id: str) -> list[tuple[float, float]]:
+    return [(t, _distance_at(s, agent_id, target_id, k)) for k, t in enumerate(s.ts)]
+
+
 def distance_series(trace: ExecutionTrace, agent_id: str, target_id: str,
                     metadata: ScenarioMetadata | None = None) -> list[tuple[float, float]]:
     """Per-timestamp distance from an agent to an unsafe set or another agent."""
-    _check_agent(trace, agent_id)
-    dim = _workspace_dim(trace, metadata)
-    ts = trace.timestamps()
-    out = []
-    if target_id in trace.unsafe_ids():
-        for k, t in enumerate(ts):
-            set_def = trace.unsafe_def(target_id, k)
-            out.append((t, set_def.distance(_position(trace, agent_id, k, dim))))
-    elif target_id in trace.agent_ids():
-        for k, t in enumerate(ts):
-            p = _position(trace, agent_id, k, dim)
-            q = _position(trace, target_id, k, dim)
-            out.append((t, float(np.linalg.norm(p - q))))
-    else:
-        raise EvalError(f"unknown target id {target_id!r}")
-    return out
+    s = _Samples(trace, metadata)
+    s.check(agent_id, target_id)
+    return _distances(s, agent_id, target_id)
 
 
-def _grid_index(trace, t: float) -> int:
-    ts = trace.timestamps()
+def _grid_index(ts: list[float], t: float) -> int:
     for k, tk in enumerate(ts):
         if abs(tk - t) <= 1e-9:
             return k
     raise EvalError(f"t={t:g} is not on the trace's timestamp grid")
-
-
-def _grid_dt(trace) -> float:
-    ts = trace.timestamps()
-    if len(ts) < 2:
-        return 0.0
-    return ts[1] - ts[0]
-
-
-def _agent_velocity(trace, agent_id: str, k: int, dim: int,
-                    models: dict | None = None) -> np.ndarray:
-    """Model-declared workspace velocity when available, else a backward
-    finite difference of the recorded positions."""
-    if models and agent_id in models:
-        v = models[agent_id].workspace_velocity(trace.state(agent_id, k))
-        if v is not None:
-            return np.asarray(v, dtype=float)
-    ts = trace.timestamps()
-    if len(ts) < 2:
-        return np.zeros(dim)
-    j = k if k > 0 else 1
-    dt = ts[j] - ts[j - 1]
-    p1 = _position(trace, agent_id, j, dim)
-    p0 = _position(trace, agent_id, j - 1, dim)
-    return (p1 - p0) / dt
-
-
-def _set_reference(set_def: SetDef) -> np.ndarray:
-    if isinstance(set_def, PointSet):
-        return set_def.coords
-    if isinstance(set_def, Ball):
-        return set_def.center
-    if isinstance(set_def, Hyperrectangle):
-        return (set_def.lower + set_def.upper) / 2.0
-    # Polytope: recover the translation offset in the least-squares sense.
-    return np.linalg.lstsq(set_def.A, set_def.b, rcond=None)[0]
-
-
-def _set_velocity(trace, set_id: str, k: int) -> np.ndarray:
-    ts = trace.timestamps()
-    if len(ts) < 2:
-        return np.zeros(trace.unsafe_def(set_id, 0).dim)
-    j = k if k > 0 else 1
-    dt = ts[j] - ts[j - 1]
-    r1 = _set_reference(trace.unsafe_def(set_id, j))
-    r0 = _set_reference(trace.unsafe_def(set_id, j - 1))
-    return (r1 - r0) / dt
 
 
 def _ball_entry_time(rel_pos: np.ndarray, rel_vel: np.ndarray, radius: float) -> float:
@@ -288,78 +318,45 @@ def _linear_set_entry_time(set_def: SetDef, pos: np.ndarray, vel: np.ndarray) ->
     raise EvalError(f"unsupported set type {type(set_def).__name__}")
 
 
-def _scanned_entry_time(set_def: SetDef, pos: np.ndarray, vel: np.ndarray,
-                        threshold: float, dt: float, scan_horizon: float) -> float:
-    """First time distance(set, pos + vel*tau) <= threshold, scanned at dt/10
-    resolution and refined by bisection inside the bracketing interval."""
-    step = dt / 10.0 if dt > 0 else scan_horizon / 1000.0
-    gap = set_def.distance(pos) - threshold
-    if gap <= 0.0:
-        return 0.0
-    tau = 0.0
-    while tau < scan_horizon:
-        tau_next = tau + step
-        gap_next = set_def.distance(pos + vel * tau_next) - threshold
-        if gap_next <= 0.0:
-            lo, hi = tau, tau_next
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if set_def.distance(pos + vel * mid) - threshold <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        tau = tau_next
-    return math.inf
+def _ttc_at(s: _Samples, agent_id: str, target_id: str, k: int) -> float:
+    pos = s.position(agent_id, k)
+    vel = s.velocity(agent_id, k)
+    if target_id not in s.set_ids:
+        radius = 0.0
+        if s.metadata is not None:
+            radius = s.metadata.collision_radius.get(target_id, 0.0)
+        q = s.position(target_id, k)
+        w = s.velocity(target_id, k)
+        return _ball_entry_time(pos - q, vel - w, radius)
+    set_def = s.set_def(target_id, k)
+    rel_vel = vel - s.set_velocity(target_id, k)
+    if isinstance(set_def, Ball):
+        return _ball_entry_time(pos - set_def.center, rel_vel, set_def.radius)
+    if isinstance(set_def, PointSet):
+        return _ball_entry_time(pos - set_def.coords, rel_vel, 0.0)
+    return _linear_set_entry_time(set_def, pos, rel_vel)
+
+
+def _min_ttc(s: _Samples, agent_id: str, target_id: str) -> float:
+    return min((_ttc_at(s, agent_id, target_id, k) for k in range(len(s.ts))),
+               default=math.inf)
 
 
 def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
-        metadata: ScenarioMetadata | None = None, models: dict | None = None,
-        collision_radius: float | None = None,
-        scan_horizon: float | None = None) -> float:
+        metadata: ScenarioMetadata | None = None, models: dict | None = None) -> float:
     """Time to collision from grid time t under constant-velocity
     extrapolation of both parties. Returns math.inf when the courses never
     come within collision distance.
 
     Against unsafe sets, collision means entering the set (exact closed
     forms: quadratic for balls/points, time-interval intersection for
-    hyperrectangles/polytopes); a positive collision_radius against a
-    hyperrectangle or polytope falls back to a dt/10 scan with bisection.
-    Against agents, collision means the inter-position distance dropping to
-    the collision radius from the metadata (default 0).
+    hyperrectangles/polytopes). Against agents, collision means the
+    inter-position distance dropping to the collision radius from the
+    metadata (default 0).
     """
-    _check_agent(trace, agent_id)
-    dim = _workspace_dim(trace, metadata)
-    k = _grid_index(trace, t)
-    pos = _position(trace, agent_id, k, dim)
-    vel = _agent_velocity(trace, agent_id, k, dim, models)
-
-    if target_id in trace.agent_ids():
-        if collision_radius is None:
-            collision_radius = 0.0
-            if metadata is not None:
-                collision_radius = metadata.collision_radius.get(target_id, 0.0)
-        q = _position(trace, target_id, k, dim)
-        w = _agent_velocity(trace, target_id, k, dim, models)
-        return _ball_entry_time(pos - q, vel - w, collision_radius)
-
-    if target_id not in trace.unsafe_ids():
-        raise EvalError(f"unknown target id {target_id!r}")
-
-    set_def = trace.unsafe_def(target_id, k)
-    set_vel = _set_velocity(trace, target_id, k)
-    rel_vel = vel - set_vel
-    extra = collision_radius or 0.0
-    if isinstance(set_def, Ball):
-        return _ball_entry_time(pos - set_def.center, rel_vel, set_def.radius + extra)
-    if isinstance(set_def, PointSet):
-        return _ball_entry_time(pos - set_def.coords, rel_vel, extra)
-    if extra > 0.0:
-        if scan_horizon is None:
-            ts = trace.timestamps()
-            scan_horizon = max(ts[-1] - ts[0], 1.0) * 10.0
-        return _scanned_entry_time(set_def, pos, rel_vel, extra, _grid_dt(trace), scan_horizon)
-    return _linear_set_entry_time(set_def, pos, rel_vel)
+    s = _Samples(trace, metadata, models)
+    s.check(agent_id, target_id)
+    return _ttc_at(s, agent_id, target_id, _grid_index(s.ts, t))
 
 
 def controller_usage(trace: ExecutionTrace, agent_id: str) -> tuple[dict[str, float], int]:
@@ -490,27 +487,14 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
     or a saved timings file); agents without samples report "no data".
     """
     timings = timings or {}
-    ts = trace.timestamps()
+    samples = _Samples(trace, metadata, models)
+    ts = samples.ts
     agents = {}
-    for aid in trace.agent_ids():
+    for aid in samples.agent_ids:
         usage, switches = controller_usage(trace, aid)
-        set_d: dict[str, list] = {}
-        set_ttc: dict[str, float] = {}
-        for sid in trace.unsafe_ids():
-            series = distance_series(trace, aid, sid, metadata)
-            set_d[sid] = series
-            set_ttc[sid] = min(
-                (ttc(trace, aid, sid, t, metadata, models) for t in ts), default=math.inf
-            )
-        agent_d: dict[str, list] = {}
-        agent_ttc: dict[str, float] = {}
-        for other in trace.agent_ids():
-            if other == aid:
-                continue
-            agent_d[other] = distance_series(trace, aid, other, metadata)
-            agent_ttc[other] = min(
-                (ttc(trace, aid, other, t, metadata, models) for t in ts), default=math.inf
-            )
+        others = [other for other in samples.agent_ids if other != aid]
+        set_d = {sid: _distances(samples, aid, sid) for sid in samples.set_ids}
+        agent_d = {other: _distances(samples, aid, other) for other in others}
         agents[aid] = AgentReport(
             agent_id=aid,
             timing=computation_time_stats(timings.get(aid, [])),
@@ -520,8 +504,8 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
             agent_distances=agent_d,
             min_set_distance={k: min(v for _, v in s) for k, s in set_d.items()},
             min_agent_distance={k: min(v for _, v in s) for k, s in agent_d.items()},
-            min_set_ttc=set_ttc,
-            min_agent_ttc=agent_ttc,
+            min_set_ttc={sid: _min_ttc(samples, aid, sid) for sid in samples.set_ids},
+            min_agent_ttc={other: _min_ttc(samples, aid, other) for other in others},
             mode_series=[(ts[k], m.value) for k, m in enumerate(trace.mode_trace(aid))],
         )
     return EvalReport(

@@ -234,6 +234,17 @@ def test_eval_missing_file(tmp_path):
     assert main(["eval", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")]) == 2
 
 
+def test_eval_rejects_missing_explicit_timings_file(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    main(["run", "--config", str(CONFIGS / "acc_sim_rta.json"), "--out", str(out)])
+    missing = tmp_path / "nope.json"
+    capsys.readouterr()
+    code = main(["eval", str(out), "--out", str(tmp_path / "r"), "--timings", str(missing)])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_snapshot_prints_state(tmp_path, capsys):
     out = tmp_path / "trace.json"
     main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(out)])

@@ -1,16 +1,20 @@
 """Collection and metrics: timing stats, distances, TTC, usage, summary."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rtakit import (
     Collector,
+    ExecutionTrace,
     Mode,
     ScenarioMetadata,
     build_report,
     build_scenario,
     computation_time_stats,
+    config_from_dict,
     controller_usage,
     distance_series,
     execute,
@@ -21,6 +25,7 @@ from rtakit.evaluation import EvalError
 from helpers import acc_scenario_config, make_trace, sim_rta_binding
 
 META1 = ScenarioMetadata(workspace_dim=1)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def static_ball_trace(agent_rows, center, radius, extra_agents=None):
@@ -214,18 +219,6 @@ def test_ttc_moving_ball_relative_closure():
     assert got == pytest.approx((9.8 - 7.0) / 2.0, abs=1e-9)
 
 
-def test_ttc_rect_with_radius_uses_scan():
-    # collision = coming within 0.5 of the box; inflated entry at x = -0.5
-    trace = make_trace({"ego": [[0.0, -5.0, 0.0], [0.1, -4.9, 0.0]]})
-    trace.add_unsafe_set("box", "hyperrectangle")
-    for t in (0.0, 0.1):
-        trace.append_unsafe("box", t, [[0.0, -1.0], [1.0, 1.0]])
-    meta = ScenarioMetadata(workspace_dim=2)
-    got = ttc(trace, "ego", "box", 0.1, meta, collision_radius=0.5)
-    # scan at dt/10 brackets the crossing, bisection refines it
-    assert got == pytest.approx(4.4, abs=1e-6)
-
-
 def test_ttc_off_grid_time_rejected():
     trace = static_ball_trace([[0.0, 0.0, 1.0]], 10.0, 7.0)
     with pytest.raises(EvalError, match="grid"):
@@ -350,3 +343,54 @@ def test_workspace_dim_required_without_sets():
     trace = make_trace({"a": [[0.0, 0.0, 1.0]], "b": [[0.0, 3.0, 1.0]]})
     with pytest.raises(EvalError, match="workspace"):
         distance_series(trace, "a", "b", metadata=None)
+
+
+# -- report over a shipped scenario -------------------------------------------------
+
+@pytest.fixture(scope="module")
+def dubins_run():
+    config = config_from_dict(json.loads((CONFIGS / "dubins.json").read_text()))
+    scenario = build_scenario(config)
+    return scenario, execute(scenario)
+
+
+def test_report_reads_each_sample_once(dubins_run, monkeypatch):
+    _, trace = dubins_run
+    calls = {"unsafe_def": 0, "timestamps": 0}
+
+    def count(name):
+        original = getattr(ExecutionTrace, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(ExecutionTrace, name, counted)
+
+    count("unsafe_def")
+    count("timestamps")
+    build_report(trace)
+    assert calls["unsafe_def"] <= len(trace.unsafe_ids()) * (trace.n_samples() + 1)
+    assert calls["timestamps"] <= 2
+
+
+def test_report_minima_equal_public_metrics_over_grid(dubins_run):
+    scenario, trace = dubins_run
+    meta = ScenarioMetadata.from_scenario(scenario)
+    models = {aid: agent.model for aid, agent in scenario.agents_by_id.items()}
+    report = build_report(trace, meta, models=models)
+    ts = trace.timestamps()
+    for aid, r in report.agents.items():
+        others = [other for other in trace.agent_ids() if other != aid]
+        for targets, series, min_dist, min_ttc in (
+            (trace.unsafe_ids(), r.set_distances, r.min_set_distance, r.min_set_ttc),
+            (others, r.agent_distances, r.min_agent_distance, r.min_agent_ttc),
+        ):
+            assert list(series) == list(min_dist) == list(min_ttc) == targets
+            for target in targets:
+                want = distance_series(trace, aid, target, meta)
+                assert series[target] == want
+                assert min_dist[target] == min(v for _, v in want)
+                assert min_ttc[target] == min(
+                    ttc(trace, aid, target, t, meta, models) for t in ts
+                )
