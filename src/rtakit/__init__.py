@@ -44,7 +44,6 @@ from .rta import (
     RtaError,
     RtaLogic,
     SimRta,
-    compute_reach_boxes,
     forward_simulate,
 )
 from .scenario import (

@@ -59,6 +59,14 @@ class AgentModel:
         """Workspace velocity derivable from the state, if the model has one."""
         return None
 
+    def _leader_state(self, trace) -> list[float]:
+        """Last recorded state of the agent named by `leader_id`."""
+        if self.leader_id not in trace.agent_ids():
+            raise ValueError(
+                f"agent {self.agent_id!r}: leader {self.leader_id!r} missing from trace"
+            )
+        return trace.last_state(self.leader_id)[1]
+
 
 @dataclass(frozen=True)
 class AccParams:
@@ -112,11 +120,7 @@ class AccAgent(AgentModel):
             return list(self.goal_fn(trace))
         if self.leader_id is None:
             return None
-        if self.leader_id not in trace.agent_ids():
-            raise ValueError(
-                f"agent {self.agent_id!r}: leader {self.leader_id!r} missing from trace"
-            )
-        _, lead = trace.last_state(self.leader_id)
+        lead = self._leader_state(trace)
         return [lead[0] - self.params.follow_distance, lead[1]]
 
     def command(self, mode: Mode, state, trace) -> float:
@@ -185,9 +189,11 @@ class DubinsCarParams:
 class DubinsCarAgent(AgentModel):
     """Planar unicycle. State is [x, y, heading, speed].
 
-    UNTRUSTED tracks the goal at the cruise speed; SAFETY tracks it while
-    decelerating to the safe speed. Goals come from a waypoint list, a
-    leader (position + formation offset), or a custom callable.
+    UNTRUSTED steers toward the goal at the cruise speed and needs one.
+    SAFETY steers toward the goal, if there is one, while slowing to the
+    safe speed; without a goal it holds its heading. Goals come from a
+    waypoint list, a leader (position + formation offset), or a custom
+    callable.
     """
 
     model_name = "dubins_car"
@@ -211,13 +217,8 @@ class DubinsCarAgent(AgentModel):
         if self.goal_fn is not None:
             return list(self.goal_fn(trace))
         if self.leader_id is not None:
-            if self.leader_id not in trace.agent_ids():
-                raise ValueError(
-                    f"agent {self.agent_id!r}: leader {self.leader_id!r} missing from trace"
-                )
-            _, lead = trace.last_state(self.leader_id)
-            n = len(self.position_indices)
-            goal = [lead[i] for i in range(n)]
+            lead = self._leader_state(trace)
+            goal = [lead[i] for i in range(len(self.position_indices))]
             if self.formation_offset is not None:
                 goal = [g + o for g, o in zip(goal, self.formation_offset)]
             return goal
@@ -231,23 +232,23 @@ class DubinsCarAgent(AgentModel):
         # within capture_radius of it at any recorded sample.
         idx = 0
         n = len(self.position_indices)
+        last = len(self.waypoints) - 1
         for row in trace.agents[self.agent_id]["state_trace"]:
             pos = row[1:1 + n]
-            while idx < len(self.waypoints) - 1 and self._within_capture(pos, self.waypoints[idx]):
+            while idx < last and math.dist(pos, self.waypoints[idx]) <= self.params.capture_radius:
                 idx += 1
         return self.waypoints[idx]
 
-    def _within_capture(self, pos, wp) -> bool:
-        return math.dist(pos, wp) <= self.params.capture_radius
+    def _steering(self, mode, x, y, heading, speed, trace):
+        """Turn rate, target speed and the goal steered to (or None).
 
-    def _steering(self, mode, state, trace) -> tuple[float, float]:
-        """Turn rate and target speed for the given mode."""
-        x, y, heading, speed = (float(s) for s in state[:4])
-        omega = 0.0
+        Coasting NORMAL reads no goal. Only UNTRUSTED needs one: without a
+        goal, SAFETY and tracking NORMAL hold their heading.
+        """
         if mode is Mode.NORMAL:
             target = speed
             if self.params.nominal != "track":
-                return omega, target
+                return 0.0, target, None
         elif mode is Mode.SAFETY:
             target = self.params.v_safe
         elif mode is Mode.UNTRUSTED:
@@ -256,23 +257,27 @@ class DubinsCarAgent(AgentModel):
             raise ValueError(f"unknown mode {mode!r}")
         goal = self.goal_position(trace)
         if goal is None:
-            if mode is Mode.NORMAL:
-                return 0.0, target
-            raise ValueError(f"agent {self.agent_id!r} has no goal provider")
+            if mode is Mode.UNTRUSTED:
+                raise ValueError(f"agent {self.agent_id!r} has no goal provider")
+            return 0.0, target, None
         bearing = math.atan2(goal[1] - y, goal[0] - x)
-        omega = self.params.k_heading * wrap_angle(bearing - heading)
-        return omega, target
+        return self.params.k_heading * wrap_angle(bearing - heading), target, goal
 
-    def step(self, mode, state, dt, trace) -> list[float]:
-        dt = _check_dt(dt)
-        omega, v_target = self._steering(mode, state, trace)
-        x, y, heading, speed = (float(s) for s in state)
+    def _planar_step(self, x, y, heading, speed, omega, v_target, dt) -> list[float]:
+        """One Euler step of [x, y, heading, speed] under turn rate omega and
+        the proportional speed loop toward v_target."""
         accel = self.params.k_speed * (v_target - speed)
         x_next = x + speed * math.cos(heading) * dt
         y_next = y + speed * math.sin(heading) * dt
         heading_next = wrap_angle(heading + omega * dt)
         v_next = min(max(speed + accel * dt, 0.0), self.params.v_max)
         return [x_next, y_next, heading_next, v_next]
+
+    def step(self, mode, state, dt, trace) -> list[float]:
+        dt = _check_dt(dt)
+        x, y, heading, speed = (float(s) for s in state)
+        omega, v_target, _ = self._steering(mode, x, y, heading, speed, trace)
+        return self._planar_step(x, y, heading, speed, omega, v_target, dt)
 
     def workspace_velocity(self, state):
         heading, speed = float(state[2]), float(state[3])
@@ -301,12 +306,13 @@ class DubinsPlaneParams(DubinsCarParams):
 
 
 class DubinsPlaneAgent(DubinsCarAgent):
-    """Aircraft version of the unicycle: state [x, y, z, heading, gamma, speed].
+    """The car plus an altitude channel: state [x, y, z, heading, gamma, speed].
 
-    Horizontal motion follows the car kinematics; altitude integrates
-    z' = v sin(gamma). SAFETY overrides the flight-path target with the
-    fixed pitch-up value and decelerates to the safe speed, which is the
-    ground-collision-avoidance behaviour.
+    x, y, heading and speed follow the car's steering and kinematics, with
+    the goal's first two coordinates. Altitude integrates z' = v sin(gamma);
+    gamma tracks the climb angle to the goal, clamped to +-gamma_max, or the
+    fixed pitch-up value in SAFETY, which is the ground-collision-avoidance
+    behaviour. Without a goal gamma is held, as the heading is.
     """
 
     model_name = "dubins_plane"
@@ -314,12 +320,11 @@ class DubinsPlaneAgent(DubinsCarAgent):
     state_dim = 6
     position_indices = (0, 1, 2)
 
-    def _gamma_target(self, mode, state, goal) -> float:
+    def _gamma_target(self, mode, x, y, z, gamma, goal) -> float:
         if mode is Mode.SAFETY:
             return self.params.pitch_up
         if goal is None:
-            return float(state[4])
-        x, y, z = (float(s) for s in state[:3])
+            return gamma
         horizontal = math.hypot(goal[0] - x, goal[1] - y)
         raw = math.atan2(goal[2] - z, horizontal) if horizontal > 0 else 0.0
         return min(max(raw, -self.params.gamma_max), self.params.gamma_max)
@@ -327,31 +332,15 @@ class DubinsPlaneAgent(DubinsCarAgent):
     def step(self, mode, state, dt, trace) -> list[float]:
         dt = _check_dt(dt)
         x, y, z, heading, gamma, speed = (float(s) for s in state)
-        omega = 0.0
-        gamma_rate = 0.0
-        v_target = speed
-        if mode is not Mode.NORMAL or self.params.nominal == "track":
-            goal = self.goal_position(trace)
-            if goal is None and mode is Mode.UNTRUSTED:
-                # SAFETY needs no goal: pitch-up is fixed and heading is held
-                raise ValueError(f"agent {self.agent_id!r} has no goal provider")
-            if goal is not None:
-                bearing = math.atan2(goal[1] - y, goal[0] - x)
-                omega = self.params.k_heading * wrap_angle(bearing - heading)
-            if mode is Mode.SAFETY:
-                v_target = self.params.v_safe
-            elif mode is Mode.UNTRUSTED:
-                v_target = self.params.v_cruise
-            gamma_rate = self.params.k_gamma * wrap_angle(
-                self._gamma_target(mode, state, goal) - gamma
-            )
-        accel = self.params.k_speed * (v_target - speed)
-        x_next = x + speed * math.cos(heading) * dt
-        y_next = y + speed * math.sin(heading) * dt
+        omega, v_target, goal = self._steering(mode, x, y, heading, speed, trace)
+        x_next, y_next, heading_next, v_next = self._planar_step(
+            x, y, heading, speed, omega, v_target, dt
+        )
+        gamma_rate = self.params.k_gamma * wrap_angle(
+            self._gamma_target(mode, x, y, z, gamma, goal) - gamma
+        )
         z_next = z + speed * math.sin(gamma) * dt
-        heading_next = wrap_angle(heading + omega * dt)
         gamma_next = wrap_angle(gamma + gamma_rate * dt)
-        v_next = min(max(speed + accel * dt, 0.0), self.params.v_max)
         return [x_next, y_next, z_next, heading_next, gamma_next, v_next]
 
     def workspace_velocity(self, state):

@@ -14,7 +14,7 @@ from pathlib import Path
 from .config import parse_scenario_config
 from .evaluation import EvalError, ScenarioMetadata, build_report
 from .scenario import build_scenario, execute, snapshot
-from .trace import ExecutionTrace, TraceSchemaError
+from .trace import ExecutionTrace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,8 +88,6 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     trace_path = Path(args.trace)
-    if not trace_path.exists():
-        raise TraceSchemaError("<document>", f"trace file not found: {trace_path}")
     trace = ExecutionTrace.load(trace_path)
     timings = {}
     timings_path = Path(args.timings) if args.timings else _timings_path(trace_path)

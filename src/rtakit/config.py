@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 from .agents import AccAgent, DubinsCarAgent, DubinsPlaneAgent, Mode
@@ -49,9 +50,14 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _build_agent(entry: dict, index: int) -> AgentSpec:
@@ -82,10 +88,9 @@ def _build_agent(entry: dict, index: int) -> AgentSpec:
         raise ConfigError(f"{where}.params: {exc}") from exc
 
     init = _require(entry, "init", where)
-    if not isinstance(init, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in init
-    ):
+    if not isinstance(init, list):
         raise ConfigError(f"{where}.init: expected a list of numbers")
+    init_state = [_number(v, f"{where}.init[{i}]") for i, v in enumerate(init)]
 
     mode_name = entry.get("mode", "NORMAL")
     try:
@@ -95,7 +100,7 @@ def _build_agent(entry: dict, index: int) -> AgentSpec:
 
     return AgentSpec(
         model=model,
-        init_state=[float(v) for v in init],
+        init_state=init_state,
         init_mode=mode,
         rta=_build_rta(entry.get("rta"), f"{where}.rta"),
     )

@@ -131,8 +131,8 @@ class Ball(SetDef):
     def __init__(self, center, radius):
         self.center = _vector(center, "ball center")
         self.radius = float(radius)
-        if self.radius < 0:
-            raise GeometryError(f"ball radius must be >= 0, got {self.radius}")
+        if not 0 <= self.radius < math.inf:
+            raise GeometryError(f"ball radius must be finite and >= 0, got {self.radius}")
         self.dim = self.center.shape[0]
 
     def contains(self, point) -> bool:
@@ -388,7 +388,7 @@ def set_from_payload(kind: str, payload) -> SetDef:
             return Polytope(A, b, check_feasible=False)
     except GeometryError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GeometryError(f"malformed {kind} payload: {exc}") from exc
     raise GeometryError(
         f"unknown set type {kind!r}; expected one of {', '.join(SET_KINDS)}"

@@ -6,7 +6,7 @@ with the package:
 
     SimRta    forward-simulates the untrusted controller over the prediction
               horizon and switches to SAFETY if the predicted ego state ever
-              enters a guarded unsafe set.
+              enters an unsafe set of the scenario.
     ReachRta  same, but inflates the predicted positions into axis-aligned
               boxes (a bloat schedule nondecreasing in the step index) and
               switches on box/set intersection, which makes it conservative
@@ -30,13 +30,11 @@ class RtaError(RuntimeError):
 class RtaLogic:
     """Base decision module. Subclasses implement decide(trace) -> Mode."""
 
-    def __init__(self, ego_id: str | None = None, horizon: float = 1.0,
-                 unsafe_ids: list[str] | None = None):
+    def __init__(self, ego_id: str | None = None, horizon: float = 1.0):
         if horizon <= 0:
             raise ValueError(f"prediction horizon must be positive, got {horizon}")
         self.ego_id = ego_id
         self.horizon = float(horizon)
-        self.unsafe_ids = list(unsafe_ids) if unsafe_ids is not None else None
         self._scenario: Scenario | None = None
 
     def bind(self, scenario: Scenario, ego_id: str) -> None:
@@ -53,11 +51,6 @@ class RtaLogic:
         if self._scenario is None:
             raise RuntimeError("logic is not bound to a scenario yet")
         return self._scenario
-
-    def guarded_sets(self) -> list[str]:
-        if self.unsafe_ids is not None:
-            return self.unsafe_ids
-        return self.scenario.unsafe_ids()
 
     def decide(self, trace: ExecutionTrace) -> Mode:
         raise NotImplementedError
@@ -107,12 +100,12 @@ def forward_simulate(trace: ExecutionTrace, scenario: Scenario, horizon: float,
 
 class SimRta(RtaLogic):
     """Simulation-based switching: SAFETY iff the predicted ego position
-    enters any guarded unsafe set within the prediction horizon."""
+    enters any unsafe set of the scenario within the prediction horizon."""
 
     def decide(self, trace: ExecutionTrace) -> Mode:
         pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
         model = self.scenario.agents_by_id[self.ego_id].model
-        for set_id in self.guarded_sets():
+        for set_id in self.scenario.unsafe_ids():
             for k in range(pred.n_samples()):
                 set_def = pred.unsafe_def(set_id, k)
                 pos = model.position(pred.state(self.ego_id, k))
@@ -142,18 +135,9 @@ def boxes_from_prediction(pred: ExecutionTrace, model, ego_id: str,
     return boxes
 
 
-def compute_reach_boxes(trace: ExecutionTrace, scenario: Scenario, horizon: float,
-                        bloat, ego_id: str) -> list[Hyperrectangle]:
-    """Reachability over-approximation: one box per predicted step, centered
-    on the nominal forward-simulated state."""
-    pred = forward_simulate(trace, scenario, horizon, ego_id=ego_id)
-    model = scenario.agents_by_id[ego_id].model
-    return boxes_from_prediction(pred, model, ego_id, bloat)
-
-
 class ReachRta(RtaLogic):
-    """Reachability-based switching: SAFETY iff any reach box intersects a
-    guarded unsafe set at the same predicted step.
+    """Reachability-based switching: SAFETY iff any reach box intersects an
+    unsafe set of the scenario at the same predicted step.
 
     The default bloat schedule is bloat(k) = bloat_rate * k * dt; pass a
     callable `bloat` for anything else. With bloat identically zero the
@@ -161,8 +145,8 @@ class ReachRta(RtaLogic):
     """
 
     def __init__(self, ego_id=None, horizon: float = 1.0, bloat_rate: float = 0.1,
-                 bloat=None, unsafe_ids=None):
-        super().__init__(ego_id=ego_id, horizon=horizon, unsafe_ids=unsafe_ids)
+                 bloat=None):
+        super().__init__(ego_id=ego_id, horizon=horizon)
         if bloat is None and bloat_rate < 0:
             raise ValueError(f"bloat rate must be nonnegative, got {bloat_rate}")
         self.bloat_rate = float(bloat_rate)
@@ -177,7 +161,7 @@ class ReachRta(RtaLogic):
         pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
         model = self.scenario.agents_by_id[self.ego_id].model
         boxes = boxes_from_prediction(pred, model, self.ego_id, self.bloat)
-        for set_id in self.guarded_sets():
+        for set_id in self.scenario.unsafe_ids():
             for k, box in enumerate(boxes):
                 set_def = pred.unsafe_def(set_id, k)
                 if box_intersects(set_def, box.lower, box.upper):

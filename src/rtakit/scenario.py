@@ -238,7 +238,7 @@ def snapshot(trace: ExecutionTrace, t: float) -> SimState:
     ts = trace.timestamps()
     if not ts:
         raise ValueError("trace holds no samples")
-    if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
+    if not ts[0] - 1e-12 <= t <= ts[-1] + 1e-12:  # NaN fails this too
         raise ValueError(f"t={t:g} outside the recorded range [{ts[0]:g}, {ts[-1]:g}]")
     k = bisect_right(ts, t + 1e-12) - 1
     states = {aid: trace.state(aid, k) for aid in trace.agent_ids()}

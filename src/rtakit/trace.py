@@ -168,7 +168,10 @@ class ExecutionTrace:
 
     @classmethod
     def load(cls, path) -> "ExecutionTrace":
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except FileNotFoundError as exc:
+            raise TraceSchemaError("<document>", f"trace file not found: {path}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

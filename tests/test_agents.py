@@ -1,4 +1,5 @@
 """Agent models: controller selection, Euler updates, bounds, determinism."""
+import dataclasses
 import math
 
 import numpy as np
@@ -167,10 +168,29 @@ def test_car_waypoint_advances_after_capture():
     assert car.goal_position(captured) == [5.0, 0.0]
 
 
+def test_car_safety_without_goal_holds_heading_and_slows():
+    car = DubinsCarAgent("car", DubinsCarParams(v_safe=0.5))
+    state = [1.0, 2.0, 0.3, 2.0]
+    trace = make_trace({"car": [[0.0] + state]})
+    for _ in range(20):
+        nxt = car.step(Mode.SAFETY, state, 0.1, trace)
+        assert nxt[2] == pytest.approx(0.3, abs=1e-12)
+        assert 0.5 < nxt[3] < state[3]
+        state = nxt
+
+
+@pytest.mark.parametrize("model", [DubinsCarAgent, DubinsPlaneAgent])
+def test_untrusted_without_goal_raises(model):
+    agent = model("a")
+    state = [0.0] * model.state_dim
+    with pytest.raises(ValueError, match="no goal provider"):
+        agent.step(Mode.UNTRUSTED, state, 0.1, make_trace({"a": [[0.0] + state]}))
+
+
 # -- Dubins plane ------------------------------------------------------------------
 
-def plane_trace(state):
-    return make_trace({"plane": [[0.0] + list(state)]})
+def plane_trace(state, agent_id="plane"):
+    return make_trace({agent_id: [[0.0] + list(state)]})
 
 
 def test_plane_level_flight_keeps_altitude():
@@ -204,6 +224,30 @@ def test_plane_safety_needs_no_goal():
     state = [0.0, 0.0, 10.0, 0.0, -0.1, 2.0]
     got = plane.step(Mode.SAFETY, state, 0.1, plane_trace(state))
     assert got[4] > state[4]
+
+
+@pytest.mark.parametrize("nominal", ["coast", "track"])
+def test_plane_horizontal_step_is_the_car_step(nominal):
+    # the plane is the car plus an altitude channel: x, y, heading and speed
+    # follow the car's law on the goal's first two coordinates
+    rng = np.random.default_rng(31)
+    plane_params = DubinsPlaneParams(nominal=nominal)
+    car_params = DubinsCarParams(**{
+        f.name: getattr(plane_params, f.name) for f in dataclasses.fields(DubinsCarParams)
+    })
+    for _ in range(100):
+        goal = [float(c) for c in rng.uniform(-20, 20, size=3)]
+        plane = DubinsPlaneAgent("a", plane_params, waypoints=[goal])
+        car = DubinsCarAgent("a", car_params, waypoints=[goal[:2]])
+        x, y, heading = rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-4, 4)
+        speed = rng.uniform(0.0, plane_params.v_max)
+        z, gamma = rng.uniform(-5, 5), rng.uniform(-1, 1)
+        p_state = [x, y, z, heading, gamma, speed]
+        c_state = [x, y, heading, speed]
+        for mode in Mode:
+            p_next = plane.step(mode, p_state, 0.1, plane_trace(p_state, "a"))
+            c_next = car.step(mode, c_state, 0.1, make_trace({"a": [[0.0] + c_state]}))
+            assert [p_next[0], p_next[1], p_next[3], p_next[5]] == c_next
 
 
 # -- shared properties ---------------------------------------------------------

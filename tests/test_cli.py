@@ -147,6 +147,40 @@ def test_acc_leader_speed_is_rejected():
         config_from_dict(_one_agent_doc("acc", {"leader_speed": 1.0}))
 
 
+def _set_time_horizon(doc, value):
+    doc["time"]["T"] = value
+
+
+def _set_init(doc, value):
+    doc["agents"][0]["init"][1] = value
+
+
+def _set_rta_horizon(doc, value):
+    doc["agents"][0]["rta"]["horizon"] = value
+
+
+def _set_ball_radius(doc, value):
+    doc["unsafe_sets"][0]["definition"][1] = value
+
+
+@pytest.mark.parametrize("setter, where", [
+    (_set_time_horizon, "time.T"),
+    (_set_init, "agents[0].init[1]"),
+    (_set_rta_horizon, "agents[0].rta.horizon"),
+    (_set_ball_radius, "unsafe_sets[0].definition"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "int-past-float"])
+def test_run_rejects_nonfinite_numbers(tmp_path, capsys, setter, where, value):
+    doc = acc_doc()
+    setter(doc, value)
+    out = tmp_path / "t.json"
+    code = main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert main(["run"]) == 1
     assert main([]) == 1
@@ -270,6 +304,22 @@ def test_snapshot_out_of_range(tmp_path):
     out = tmp_path / "trace.json"
     main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(out)])
     assert main(["snapshot", str(out), "--time", "99.0"]) == 2
+
+
+def test_snapshot_rejects_nan_time(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["snapshot", str(out), "--time", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "outside the recorded range" in captured.err
+    assert captured.out == ""
+
+
+def test_snapshot_missing_file_is_a_validation_error(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main(["snapshot", str(missing), "--time", "0.0"]) == 2
+    assert f"trace file not found: {missing}" in capsys.readouterr().err
 
 
 def test_run_eval_fuzz_all_models(tmp_path):

@@ -197,6 +197,15 @@ def test_negative_radius_rejected():
         Ball([0.0], -1.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_nonfinite_radius_rejected(radius):
+    # a NaN radius would make contains() always false and distance() read 0
+    with pytest.raises(GeometryError, match="radius"):
+        Ball([0.0], radius)
+    with pytest.raises(GeometryError, match="radius"):
+        set_from_payload("ball", [[0.0], radius])
+
+
 def test_rect_inverted_corners_rejected():
     with pytest.raises(GeometryError):
         Hyperrectangle([1.0], [0.0])

@@ -19,10 +19,10 @@ from rtakit import (
     SimRta,
     StaticSetSpec,
     build_scenario,
-    compute_reach_boxes,
     execute,
     forward_simulate,
 )
+from rtakit.rta import boxes_from_prediction
 from helpers import acc_scenario_config, random_acc_config, sim_rta_binding
 
 
@@ -214,11 +214,15 @@ def test_sim_rta_inside_set_decides_safety_immediately():
 
 # -- reach boxes ------------------------------------------------------------------
 
+def reach_boxes(scenario, trace, horizon, bloat, ego_id):
+    pred = forward_simulate(trace, scenario, horizon, ego_id=ego_id)
+    model = scenario.agents_by_id[ego_id].model
+    return pred, boxes_from_prediction(pred, model, ego_id, bloat)
+
+
 def test_reach_boxes_zero_bloat_degenerate():
     scenario = built_acc()
-    trace = scenario.initial_trace()
-    boxes = compute_reach_boxes(trace, scenario, 1.0, lambda k: 0.0, "follower")
-    pred = forward_simulate(trace, scenario, 1.0, ego_id="follower")
+    pred, boxes = reach_boxes(scenario, scenario.initial_trace(), 1.0, lambda k: 0.0, "follower")
     assert len(boxes) == pred.n_samples()
     for k, box in enumerate(boxes):
         pos = pred.state("follower", k)[0]
@@ -233,9 +237,7 @@ def test_reach_boxes_linear_schedule_arithmetic():
     config.agents[0].model.goal_fn = lambda tr: tr.last_state("ego")[1]
     config.agents[0].init_state = [0.0, 1.0]
     scenario = build_scenario(config)
-    boxes = compute_reach_boxes(
-        scenario.initial_trace(), scenario, 0.2, lambda k: 0.1 * k, "ego"
-    )
+    _, boxes = reach_boxes(scenario, scenario.initial_trace(), 0.2, lambda k: 0.1 * k, "ego")
     assert boxes[1].lower.tolist() == [0.0]
     assert boxes[1].upper.tolist() == [pytest.approx(0.2)]
     assert boxes[2].lower.tolist() == [pytest.approx(0.0)]
@@ -247,8 +249,7 @@ def test_reach_boxes_contain_nominal_states():
     for _ in range(10):
         scenario = build_scenario(random_acc_config(rng))
         trace = scenario.initial_trace()
-        boxes = compute_reach_boxes(trace, scenario, 1.0, lambda k: 0.05 * k, "follower")
-        pred = forward_simulate(trace, scenario, 1.0, ego_id="follower")
+        pred, boxes = reach_boxes(scenario, trace, 1.0, lambda k: 0.05 * k, "follower")
         for k, box in enumerate(boxes):
             assert box.contains([pred.state("follower", k)[0]])
 
@@ -256,8 +257,8 @@ def test_reach_boxes_contain_nominal_states():
 def test_reach_boxes_reject_decreasing_schedule():
     scenario = built_acc()
     with pytest.raises(ValueError, match="nondecreasing"):
-        compute_reach_boxes(
-            scenario.initial_trace(), scenario, 1.0, lambda k: 1.0 / (k + 1.0), "follower"
+        reach_boxes(
+            scenario, scenario.initial_trace(), 1.0, lambda k: 1.0 / (k + 1.0), "follower"
         )
 
 

@@ -131,6 +131,11 @@ def test_load_rejects_bad_json(tmp_path):
         ExecutionTrace.load(path)
 
 
+def test_load_missing_file_is_a_schema_error(tmp_path):
+    with pytest.raises(TraceSchemaError, match="trace file not found"):
+        ExecutionTrace.load(tmp_path / "nope.json")
+
+
 def test_prefix_slices_states_and_modes():
     trace = make_trace(
         {"a": [[0.0, 0.0], [0.1, 1.0], [0.2, 2.0]]},
