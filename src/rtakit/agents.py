@@ -14,7 +14,7 @@ evaluated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -28,6 +28,20 @@ def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     w = (a + math.pi) % (2.0 * math.pi) - math.pi
     return math.pi if w == -math.pi else w
+
+
+def _check_finite(params) -> None:
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def _finite_floats(values, what: str) -> list[float]:
+    out = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{what} must be finite, got {out}")
+    return out
 
 
 def _check_dt(dt: float) -> float:
@@ -85,8 +99,9 @@ class AccParams:
     collision_distance: float = 7.0
 
     def __post_init__(self):
+        _check_finite(self)
         for name in ("k1", "k2", "a_max", "v_max", "follow_distance"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.collision_distance < self.follow_distance:
             raise ValueError(
@@ -174,13 +189,14 @@ class DubinsCarParams:
     nominal: str = "coast"
 
     def __post_init__(self):
-        if self.v_max <= 0:
+        _check_finite(self)
+        if not self.v_max > 0:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
         if not 0 < self.v_cruise <= self.v_max:
             raise ValueError(f"v_cruise must lie in (0, v_max], got {self.v_cruise}")
         if not 0 <= self.v_safe <= self.v_max:
             raise ValueError(f"v_safe must lie in [0, v_max], got {self.v_safe}")
-        if self.capture_radius <= 0:
+        if not self.capture_radius > 0:
             raise ValueError("capture_radius must be positive")
         if self.nominal not in ("coast", "track"):
             raise ValueError(f"nominal must be 'coast' or 'track', got {self.nominal!r}")
@@ -206,10 +222,13 @@ class DubinsCarAgent(AgentModel):
                  formation_offset=None, goal_fn=None):
         super().__init__(agent_id)
         self.params = params or self.params_type()
-        self.waypoints = [[float(c) for c in w] for w in waypoints] if waypoints else None
+        self.waypoints = (
+            [_finite_floats(w, "waypoint") for w in waypoints] if waypoints else None
+        )
         self.leader_id = leader_id
         self.formation_offset = (
-            [float(c) for c in formation_offset] if formation_offset is not None else None
+            _finite_floats(formation_offset, "formation_offset")
+            if formation_offset is not None else None
         )
         self.goal_fn = goal_fn
 
@@ -297,7 +316,7 @@ class DubinsPlaneParams(DubinsCarParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.k_gamma <= 0:
+        if not self.k_gamma > 0:
             raise ValueError("k_gamma must be positive")
         if not 0 < self.pitch_up <= math.pi / 2:
             raise ValueError(f"pitch_up must lie in (0, pi/2], got {self.pitch_up}")

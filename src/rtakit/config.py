@@ -15,6 +15,8 @@ Document layout (see schema/scenario.schema.json for the full contract):
 
 "params" takes the fields of the model's params_type dataclass plus the
 wiring keys (leader_id, formation_offset, waypoints) its constructor takes.
+Every numeric field and every formation_offset and waypoint coordinate must
+be a finite number.
 anchor/offset are optional; with them the set is re-resolved every step so
 its reference point sits at anchor position + offset.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from pathlib import Path
 
 from .agents import AccAgent, DubinsCarAgent, DubinsPlaneAgent, Mode
@@ -31,6 +34,12 @@ from .rta import ReachRta, RtaBinding, SimRta
 from .scenario import AgentSpec, ScenarioConfig, StaticSetSpec
 
 MODELS = {cls.model_name: cls for cls in (AccAgent, DubinsCarAgent, DubinsPlaneAgent)}
+
+# Each model's float params; a config must give them as finite numbers.
+_FLOAT_PARAMS = {
+    name: {k for k, t in typing.get_type_hints(cls.params_type).items() if t is float}
+    for name, cls in MODELS.items()
+}
 
 DEFAULT_RTA_HORIZON = 1.0
 DEFAULT_BLOAT_RATE = 0.1
@@ -60,6 +69,12 @@ def _number(value, where: str) -> float:
     raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
+def _numbers(value, where: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of numbers")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def _build_agent(entry: dict, index: int) -> AgentSpec:
     where = f"agents[{index}]"
     if not isinstance(entry, dict):
@@ -81,16 +96,26 @@ def _build_agent(entry: dict, index: int) -> AgentSpec:
         raise ConfigError(
             f"{where}.params: unknown fields {sorted(unknown)} for model {model_name!r}"
         )
+    raw = {k: _number(v, f"{where}.params.{k}") if k in _FLOAT_PARAMS[model_name] else v
+           for k, v in raw.items()}
+    if "formation_offset" in wiring:
+        wiring["formation_offset"] = _numbers(
+            wiring["formation_offset"], f"{where}.params.formation_offset"
+        )
+    if "waypoints" in wiring:
+        waypoints = wiring["waypoints"]
+        if not isinstance(waypoints, list):
+            raise ConfigError(f"{where}.params.waypoints: expected a list of points")
+        wiring["waypoints"] = [
+            _numbers(w, f"{where}.params.waypoints[{j}]") for j, w in enumerate(waypoints)
+        ]
 
     try:
         model = cls(agent_id, cls.params_type(**raw), **wiring)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.params: {exc}") from exc
 
-    init = _require(entry, "init", where)
-    if not isinstance(init, list):
-        raise ConfigError(f"{where}.init: expected a list of numbers")
-    init_state = [_number(v, f"{where}.init[{i}]") for i, v in enumerate(init)]
+    init_state = _numbers(_require(entry, "init", where), f"{where}.init")
 
     mode_name = entry.get("mode", "NORMAL")
     try:

@@ -11,6 +11,13 @@ distance queries, can be translated, and serializes to a compact payload:
 
 The payload layout is a wire contract shared with the trace format and must
 stay stable. Every operation here is a pure function of its inputs.
+
+Axis-aligned boxes (the reach boxes of ReachRta) are tested against every
+set kind by `box_intersects`. It is exact in closed form for point, ball and
+hyperrectangle. For a polytope it first tries two exact shortcuts (a row
+whose minimum over the box exceeds its offset; the box centre inside) and
+otherwise decides with a linear feasibility program. `box_distance` gives
+the box gap in closed form and has none for a polytope.
 """
 from __future__ import annotations
 
@@ -228,18 +235,21 @@ class Polytope(SetDef):
         if not np.all(np.isfinite(self.A)):
             raise GeometryError("constraint matrix must be finite")
         self.dim = self.A.shape[1]
-        self._row_sq = np.einsum("ij,ij->i", self.A, self.A)
         if check_feasible and not self._feasible():
             raise GeometryError("polytope is empty: Ax <= b has no solution")
 
-    def _feasible(self) -> bool:
+    def _feasible(self, bounds=None) -> bool:
+        """Whether some x with Ax <= b lies within the per-axis bounds
+        (default: unbounded), by a HiGHS linear feasibility program."""
         res = linprog(
             c=np.zeros(self.dim),
             A_ub=self.A,
             b_ub=self.b,
-            bounds=[(None, None)] * self.dim,
+            bounds=bounds if bounds is not None else [(None, None)] * self.dim,
             method="highs",
         )
+        if res.status not in (0, 2):  # neither feasible nor infeasible
+            raise GeometryError(f"polytope feasibility program failed: {res.message}")
         return res.status == 0
 
     def contains(self, point) -> bool:
@@ -290,18 +300,19 @@ class Polytope(SetDef):
 
     def _project_dykstra(self, p: np.ndarray) -> np.ndarray:
         m = self.A.shape[0]
+        row_sq = np.einsum("ij,ij->i", self.A, self.A)
         x = p.copy()
         corrections = np.zeros((m, self.dim))
         residual = np.inf
         for _ in range(PROJECTION_MAX_ITER):
             x_prev = x.copy()
             for i in range(m):
-                if self._row_sq[i] == 0.0:
+                if row_sq[i] == 0.0:
                     continue
                 z = x + corrections[i]
                 viol = float(self.A[i] @ z - self.b[i])
                 if viol > 0.0:
-                    x = z - (viol / self._row_sq[i]) * self.A[i]
+                    x = z - (viol / row_sq[i]) * self.A[i]
                 else:
                     x = z
                 corrections[i] = z - x
@@ -395,20 +406,18 @@ def set_from_payload(kind: str, payload) -> SetDef:
     )
 
 
-def box_distance(set_def: SetDef, lower, upper) -> float:
-    """Euclidean distance between a set and an axis-aligned box.
-
-    Zero means the two intersect. Closed forms exist for point, ball, and
-    hyperrectangle; for polytopes the minimum-distance pair is found by
-    alternating clamped projections between the two convex bodies.
-    """
+def _box_corners(set_def: SetDef, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     lo = _vector(lower, "box lower corner")
     hi = _vector(upper, "box upper corner")
-    if lo.shape[0] != set_def.dim or hi.shape[0] != set_def.dim:
-        raise DimensionMismatch(set_def.dim, lo.shape[0])
+    for corner in (lo, hi):
+        if corner.shape[0] != set_def.dim:
+            raise DimensionMismatch(set_def.dim, corner.shape[0])
     if np.any(lo > hi):
         raise GeometryError("box lower corner must not exceed upper corner")
+    return lo, hi
 
+
+def _box_gap(set_def: SetDef, lo: np.ndarray, hi: np.ndarray) -> float:
     if isinstance(set_def, PointSet):
         c = set_def.coords
         return float(np.linalg.norm(c - np.clip(c, lo, hi)))
@@ -419,26 +428,43 @@ def box_distance(set_def: SetDef, lower, upper) -> float:
         gaps = np.maximum(0.0, np.maximum(set_def.lower - hi, lo - set_def.upper))
         return float(np.linalg.norm(gaps))
     if isinstance(set_def, Polytope):
-        x = np.clip((lo + hi) / 2.0, lo, hi)
-        dist = np.inf
-        for _ in range(PROJECTION_MAX_ITER):
-            y = set_def.project(x)
-            x_next = np.clip(y, lo, hi)
-            dist = float(np.linalg.norm(y - x_next))
-            if np.linalg.norm(x_next - x) <= 1e-12 * (1.0 + np.linalg.norm(x_next)):
-                return dist
-            x = x_next
-        raise ProjectionError(PROJECTION_MAX_ITER, dist)
+        raise GeometryError("box_distance has no closed form for a polytope; "
+                            "use box_intersects")
     raise GeometryError(f"unsupported set type {type(set_def).__name__}")
 
 
-def box_intersects(set_def: SetDef, lower, upper) -> bool:
-    """Whether a set touches an axis-aligned box.
+def _polytope_meets_box(poly: Polytope, lo: np.ndarray, hi: np.ndarray) -> bool:
+    A, b = poly.A, poly.b
+    # A row whose minimum over the box exceeds its offset separates the two.
+    if np.any(np.sum(A * np.where(A > 0, lo, hi), axis=1) > b):
+        return False
+    if np.all(A @ ((lo + hi) / 2.0) <= b):
+        return True
+    return poly._feasible(list(zip(lo, hi)))
 
-    Exact for the closed-form set types; for polytopes the iterative
-    residual threshold 1e-9 decides.
+
+def box_distance(set_def: SetDef, lower, upper) -> float:
+    """Euclidean distance between a point, ball or hyperrectangle and an
+    axis-aligned box, in closed form. Zero means the two intersect.
+
+    A polytope has no closed form and raises GeometryError; test it with
+    `box_intersects`.
     """
-    d = box_distance(set_def, lower, upper)
+    lo, hi = _box_corners(set_def, lower, upper)
+    return _box_gap(set_def, lo, hi)
+
+
+def box_intersects(set_def: SetDef, lower, upper) -> bool:
+    """Whether a set touches the closed axis-aligned box [lower, upper].
+
+    Point, ball and hyperrectangle: the closed-form gap of `box_distance`
+    is exactly zero. Polytope {Ax <= b}: disjoint if some row's minimum over
+    the box, sum_i a_i * (lo_i if a_i > 0 else hi_i), exceeds b; touching if
+    the box centre satisfies Ax <= b; otherwise a linear feasibility program
+    (HiGHS) over Ax <= b with lo <= x <= hi decides, within the solver's
+    feasibility tolerance.
+    """
+    lo, hi = _box_corners(set_def, lower, upper)
     if isinstance(set_def, Polytope):
-        return d <= 1e-9
-    return d == 0.0
+        return _polytope_meets_box(set_def, lo, hi)
+    return _box_gap(set_def, lo, hi) == 0.0

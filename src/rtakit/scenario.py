@@ -8,8 +8,10 @@ ExecutionTrace on the exact grid t_k = k*dt, k = 0..floor(T/dt):
     then every agent steps, then relative unsafe sets are re-resolved
     against the new anchor states, then everything is appended.
 
-The engine is single-threaded and owns its trace during execution; distinct
-executions share nothing.
+The engine is single-threaded and owns its trace during execution. A static
+set's payload is built once per scenario and appended to every sample of
+every trace the scenario produces, so payloads in a trace must not be
+mutated; apart from them, distinct executions share nothing.
 """
 from __future__ import annotations
 
@@ -64,6 +66,11 @@ class Scenario:
         self.agents_by_id = {spec.model.agent_id: spec for spec in config.agents}
         self.unsafe_by_id = {s.set_id: s for s in config.unsafe_sets}
         self.n_steps = grid_steps(self.horizon, self.dt)
+        # A static set's payload never changes, so every sample shares one.
+        self._static_payloads = {
+            s.set_id: s.base.payload()
+            for s in config.unsafe_sets if not isinstance(s, RelativeSetSpec)
+        }
 
     def agent_ids(self) -> list[str]:
         return list(self.agents_by_id)
@@ -95,7 +102,7 @@ class Scenario:
             anchor_state = states[uspec.anchor_id]
             anchor_pos = self.position(uspec.anchor_id, anchor_state)
             return update_relative(uspec, anchor_pos).payload()
-        return uspec.base.payload()
+        return self._static_payloads[uspec.set_id]
 
     def advance(self, trace: ExecutionTrace, modes: dict[str, Mode], k: int) -> None:
         """One tick from sample k: step all agents against the pre-step

@@ -111,6 +111,30 @@ def test_acc_params_validation():
         AccParams(collision_distance=12.0, follow_distance=10.0)
 
 
+@pytest.mark.parametrize("params_type, name", [
+    (AccParams, "k1"),
+    (AccParams, "v_max"),
+    (DubinsCarParams, "k_heading"),
+    (DubinsCarParams, "k_speed"),
+    (DubinsCarParams, "v_max"),
+    (DubinsPlaneParams, "k_gamma"),
+    (DubinsPlaneParams, "capture_radius"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_params_rejected_naming_the_field(params_type, name, value):
+    with pytest.raises(ValueError, match=name):
+        params_type(**{name: value})
+
+
+@pytest.mark.parametrize("wiring", [
+    {"waypoints": [[math.nan, 5.0]]},
+    {"leader_id": "lead", "formation_offset": [0.0, math.inf]},
+])
+def test_car_nonfinite_wiring_rejected(wiring):
+    with pytest.raises(ValueError, match="finite"):
+        DubinsCarAgent("car", **wiring)
+
+
 # -- Dubins car ------------------------------------------------------------------
 
 def test_car_normal_straight_line():

@@ -181,6 +181,42 @@ def test_run_rejects_nonfinite_numbers(tmp_path, capsys, setter, where, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, params, where", [
+    ("dubins_car", {"k_heading": float("nan")}, "agents[0].params.k_heading"),
+    ("dubins_car", {"k_speed": float("inf")}, "agents[0].params.k_speed"),
+    ("dubins_car", {"v_max": float("nan")}, "agents[0].params.v_max"),
+    ("dubins_plane", {"k_gamma": float("nan")}, "agents[0].params.k_gamma"),
+    ("acc", {"follow_distance": float("nan")}, "agents[0].params.follow_distance"),
+    ("dubins_car", {"waypoints": [[float("nan"), 5.0]]}, "agents[0].params.waypoints[0][0]"),
+    ("dubins_car", {"waypoints": [[1.0, 1.0], [2.0, float("inf")]]},
+     "agents[0].params.waypoints[1][1]"),
+    ("dubins_car", {"leader_id": "a", "formation_offset": [0.0, float("nan")]},
+     "agents[0].params.formation_offset[1]"),
+])
+def test_run_rejects_nonfinite_model_params(tmp_path, capsys, model, params, where):
+    # NaN gains and waypoints used to run and end in a NaN state; a NaN
+    # v_max used to be reported as a bad v_cruise.
+    doc = _one_agent_doc(model, params)
+    out = tmp_path / "t.json"
+    code = main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"k_heading": "fast"}, "agents[0].params.k_heading: expected a finite number"),
+    ({"waypoints": [1.0, 2.0]}, "agents[0].params.waypoints[0]: expected a list"),
+    ({"waypoints": {"x": 1.0}}, "agents[0].params.waypoints: expected a list"),
+    ({"leader_id": "a", "formation_offset": 1.0},
+     "agents[0].params.formation_offset: expected a list"),
+])
+def test_malformed_model_params_name_the_field(params, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(_one_agent_doc("dubins_car", params))
+    assert message in str(err.value)
+
+
 def test_usage_error_exit_code():
     assert main(["run"]) == 1
     assert main([]) == 1

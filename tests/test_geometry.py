@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog, minimize
 
 from rtakit import (
     Ball,
@@ -266,13 +267,17 @@ def test_box_distance_degenerate_box_equals_point_distance():
     rng = np.random.default_rng(9)
     A, b = random_polytope(rng, 2, 5)
     sets = [Ball([0.0, 0.0], 1.0), Hyperrectangle([0.0, 0.0], [1.0, 1.0]),
-            PointSet([1.0, 1.0]), Polytope(A, b)]
+            PointSet([1.0, 1.0])]
     for s in sets:
         for _ in range(50):
             q = rng.uniform(-4.0, 4.0, size=2)
             want = s.distance(q)
             got = box_distance(s, q, q)
             assert got == pytest.approx(want, abs=1e-8)
+    poly = Polytope(A, b)
+    for _ in range(50):
+        q = rng.uniform(-4.0, 4.0, size=2)
+        assert box_intersects(poly, q, q) == poly.contains(q)
 
 
 def test_box_intersects_ball_touching():
@@ -288,6 +293,111 @@ def test_box_distance_rect_gap():
 
 
 def test_box_distance_halfspace():
+    # box_distance has no closed form for a polytope; box_intersects answers
     ground = Polytope([[0.0, 0.0, 1.0]], [0.0])
-    assert box_distance(ground, [0.0, 0.0, 2.0], [1.0, 1.0, 3.0]) == pytest.approx(2.0, abs=1e-9)
+    with pytest.raises(GeometryError, match="box_intersects"):
+        box_distance(ground, [0.0, 0.0, 2.0], [1.0, 1.0, 3.0])
+    assert not box_intersects(ground, [0.0, 0.0, 2.0], [1.0, 1.0, 3.0])
     assert box_intersects(ground, [0.0, 0.0, -1.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("query", [box_distance, box_intersects])
+def test_box_corner_dimension_error_names_the_wrong_corner(query):
+    ball = Ball([0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(DimensionMismatch) as err:
+        query(ball, [0.0, 0.0, 0.0], [1.0, 1.0])
+    assert (err.value.set_dim, err.value.point_dim) == (3, 2)
+    with pytest.raises(DimensionMismatch) as err:
+        query(ball, [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    assert (err.value.set_dim, err.value.point_dim) == (3, 4)
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([0.0, math.nan], [1.0, 1.0]),
+    ([0.0, 0.0], [1.0, math.inf]),
+    ([1.0, 0.0], [0.0, 1.0]),
+])
+def test_box_corners_must_be_finite_and_ordered(lower, upper):
+    for s in (Ball([0.0, 0.0], 1.0), UNIT_SQUARE):
+        with pytest.raises(GeometryError):
+            box_intersects(s, lower, upper)
+
+
+# -- exact polytope box test -----------------------------------------------------
+
+DIAMOND = Polytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [1.0] * 4)
+
+
+def test_polytope_box_disjoint_only_an_lp_can_show():
+    # No single row separates this box from |x| + |y| <= 1 and its centre is
+    # outside: only the feasibility program decides.
+    lo, hi = np.array([-0.2, 1.05]), np.array([0.2, 1.5])
+    row_minima = np.sum(DIAMOND.A * np.where(DIAMOND.A > 0, lo, hi), axis=1)
+    assert np.all(row_minima <= DIAMOND.b)
+    assert not DIAMOND.contains((lo + hi) / 2.0)
+    assert not box_intersects(DIAMOND, lo, hi)
+
+
+def test_polytope_box_touching_at_a_vertex_intersects():
+    # the box's bottom edge meets the diamond only at its vertex (0, 1)
+    assert box_intersects(DIAMOND, [-0.2, 1.0], [0.2, 1.5])
+
+
+def test_polytope_box_face_on_the_ground_plane_intersects():
+    ground = Polytope([[0.0, 0.0, 1.0]], [0.0])
+    assert box_intersects(ground, [-1.0, -1.0, 0.0], [1.0, 1.0, 2.0])
+    assert not box_intersects(ground, [-1.0, -1.0, 1e-6], [1.0, 1.0, 2.0])
+
+
+def _lp_meets_box(A, b, lo, hi):
+    """Reference: does {Ax <= b} meet the box? One LP, no shortcuts."""
+    res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
+                  bounds=list(zip(lo, hi)), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def test_polytope_box_test_agrees_with_lp_reference():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(300):
+        dim = int(rng.integers(1, 4))
+        A, b = random_polytope(rng, dim, int(rng.integers(1, 8)))
+        centre = rng.uniform(-4.0, 4.0, size=dim)
+        half = rng.uniform(0.0, 1.5, size=dim)
+        lo, hi = centre - half, centre + half
+        want = _lp_meets_box(A, b, lo, hi)
+        assert box_intersects(Polytope(A, b), lo, hi) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+# -- Dykstra projection (polytopes too large to enumerate) -------------------------
+
+def _slsqp_projection(A, b, p):
+    res = minimize(lambda x: 0.5 * np.sum((x - p) ** 2), p, jac=lambda x: x - p,
+                   constraints=[{"type": "ineq", "fun": lambda x: b - A @ x,
+                                 "jac": lambda x: -A}],
+                   method="SLSQP", options={"ftol": 1e-12, "maxiter": 500})
+    assert res.success, res.message
+    return res.x
+
+
+def test_dykstra_projection_matches_slsqp_reference():
+    rng = np.random.default_rng(17)
+    A, b = random_polytope(rng, 3, 40)
+    scale = rng.uniform(0.2, 5.0, size=(40, 1))  # rows of unequal norm
+    A, b = A * scale, b * scale[:, 0]
+    poly = Polytope(A, b)
+    assert not poly._enumerable()
+    checked = 0
+    while checked < 5:
+        q = rng.normal(scale=4.0, size=3)
+        if poly.contains(q):
+            continue
+        want = _slsqp_projection(A, b, q)
+        got = poly.project(q)
+        assert np.all(A @ got <= b + 1e-9)
+        assert got == pytest.approx(want, abs=1e-6)
+        assert poly.distance(q) == pytest.approx(np.linalg.norm(q - want), abs=1e-6)
+        checked += 1

@@ -136,6 +136,18 @@ def test_relative_ball_tracks_anchor_exactly():
         assert center[0] == leader_pos + 5.0  # same arithmetic, zero tolerance
 
 
+def test_static_set_payload_is_built_once(monkeypatch):
+    built = []
+    real_payload = Ball.payload
+    monkeypatch.setattr(Ball, "payload", lambda self: built.append(1) or real_payload(self))
+    config = single_agent_config(horizon=0.5)
+    config.unsafe_sets = [StaticSetSpec("wall", Ball([9.0], 1.0))]
+    trace = execute(build_scenario(config))
+    assert len(built) == 1
+    assert trace.n_samples() == 6
+    assert all(trace.unsafe_payload("wall", k) == [[9.0], 1.0] for k in range(6))
+
+
 def test_executed_trace_validates_against_schema():
     trace = execute(build_scenario(acc_scenario_config()))
     validate_trace_dict(trace.to_dict())
