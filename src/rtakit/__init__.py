@@ -20,7 +20,6 @@ from .evaluation import (
     computation_time_stats,
     controller_usage,
     distance_series,
-    summary,
     ttc,
 )
 from .geometry import (

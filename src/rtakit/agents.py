@@ -69,10 +69,6 @@ class AgentModel:
     def position(self, state) -> list[float]:
         return [float(state[i]) for i in self.position_indices]
 
-    def workspace_velocity(self, state) -> list[float] | None:
-        """Workspace velocity derivable from the state, if the model has one."""
-        return None
-
     def _leader_state(self, trace) -> list[float]:
         """Last recorded state of the agent named by `leader_id`."""
         if self.leader_id not in trace.agent_ids():
@@ -166,9 +162,6 @@ class AccAgent(AgentModel):
         if abs(v_next) >= self.params.v_max:
             v_next = math.copysign(self.params.v_max, v_next)
         return [p_next, v_next]
-
-    def workspace_velocity(self, state):
-        return [float(state[1])]
 
 
 @dataclass(frozen=True)
@@ -298,10 +291,6 @@ class DubinsCarAgent(AgentModel):
         omega, v_target, _ = self._steering(mode, x, y, heading, speed, trace)
         return self._planar_step(x, y, heading, speed, omega, v_target, dt)
 
-    def workspace_velocity(self, state):
-        heading, speed = float(state[2]), float(state[3])
-        return [speed * math.cos(heading), speed * math.sin(heading)]
-
 
 @dataclass(frozen=True)
 class DubinsPlaneParams(DubinsCarParams):
@@ -361,11 +350,3 @@ class DubinsPlaneAgent(DubinsCarAgent):
         z_next = z + speed * math.sin(gamma) * dt
         gamma_next = wrap_angle(gamma + gamma_rate * dt)
         return [x_next, y_next, z_next, heading_next, gamma_next, v_next]
-
-    def workspace_velocity(self, state):
-        heading, gamma, speed = float(state[3]), float(state[4]), float(state[5])
-        return [
-            speed * math.cos(heading),
-            speed * math.sin(heading),
-            speed * math.sin(gamma),
-        ]

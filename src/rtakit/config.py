@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .agents import AccAgent, DubinsCarAgent, DubinsPlaneAgent, Mode
 from .geometry import GeometryError, RelativeSetSpec, set_from_payload
 from .rta import ReachRta, RtaBinding, SimRta
 from .scenario import AgentSpec, ScenarioConfig, StaticSetSpec
+from .trace import is_finite_number
 
 MODELS = {cls.model_name: cls for cls in (AccAgent, DubinsCarAgent, DubinsPlaneAgent)}
 
@@ -59,13 +59,8 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer too large for a float
-            number = math.inf
-        if math.isfinite(number):
-            return number
+    if is_finite_number(value):
+        return float(value)
     raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 

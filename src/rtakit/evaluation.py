@@ -1,13 +1,17 @@
-"""Data collection and post-hoc evaluation of executed scenarios.
+"""Decision timing collection and post-hoc evaluation of executed traces.
 
 Metrics: per-decision computation time (avg/min/max), distance from unsafe
 sets and from other agents, time to collision under constant-velocity
 extrapolation, controller usage percentages, and switch counts. All
-post-hoc operations are read-only over an immutable trace.
+post-hoc operations are read-only over an immutable trace, and the trace
+is their only input besides the decision durations: a trace held in
+memory and the same trace written and loaded by `rtakit eval` report the
+same numbers.
 
-Workspace positions are the leading `workspace_dim` state components; for
-traces loaded from files the dimension is inferred from the unsafe-set
-definitions unless supplied explicitly.
+Workspace positions are the leading `workspace_dim` state components; the
+dimension is inferred from the unsafe-set definitions unless supplied
+explicitly. Velocities are backward finite differences of the recorded
+positions (set velocities likewise, of each set's reference point).
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, Hyperrectangle, PointSet, Polytope, RelativeSetSpec, SetDef
+from .geometry import Ball, Hyperrectangle, PointSet, Polytope, SetDef
 from .trace import ExecutionTrace
 
 
@@ -27,23 +31,10 @@ class EvalError(ValueError):
 
 
 class Collector:
-    """Accumulates the observed trace and per-decision durations for one
-    RTA binding."""
+    """Accumulates the per-decision durations of one RTA binding."""
 
     def __init__(self):
-        self.trace: ExecutionTrace | None = None
         self.durations: list[float] = []
-
-    def collect_trace(self, snapshot: ExecutionTrace) -> None:
-        if self.trace is not None:
-            if set(snapshot.agent_ids()) != set(self.trace.agent_ids()):
-                raise EvalError(
-                    f"agent ids changed between collections: "
-                    f"{sorted(self.trace.agent_ids())} vs {sorted(snapshot.agent_ids())}"
-                )
-            if set(snapshot.unsafe_ids()) != set(self.trace.unsafe_ids()):
-                raise EvalError("unsafe set ids changed between collections")
-        self.trace = snapshot
 
     def collect_computation_time(self, duration: float) -> None:
         duration = float(duration)
@@ -64,9 +55,9 @@ class TimingStats:
         return self.count > 0
 
 
-def computation_time_stats(source) -> TimingStats:
+def computation_time_stats(durations) -> TimingStats:
     """Exact mean/min/max of the recorded durations; count-0 means no data."""
-    durations = source.durations if isinstance(source, Collector) else list(source)
+    durations = list(durations)
     if not durations:
         return TimingStats(count=0)
     return TimingStats(
@@ -79,31 +70,10 @@ def computation_time_stats(source) -> TimingStats:
 
 @dataclass
 class ScenarioMetadata:
-    """Side information the trace file does not carry.
-
-    collision_radius maps a target agent id to the radius used for
-    agent-vs-agent TTC (0 for agents it does not list); by default an agent
-    anchoring a relative unsafe ball inherits that ball's radius.
-    """
+    """Side information the trace file does not carry: the workspace
+    dimension, for traces without unsafe sets to infer it from."""
 
     workspace_dim: int | None = None
-    collision_radius: dict[str, float] = field(default_factory=dict)
-    rta_agents: tuple[str, ...] = ()
-
-    @classmethod
-    def from_scenario(cls, scenario) -> "ScenarioMetadata":
-        radii = {}
-        for uspec in scenario.config.unsafe_sets:
-            if isinstance(uspec, RelativeSetSpec) and isinstance(uspec.base, Ball):
-                radii.setdefault(uspec.anchor_id, uspec.base.radius)
-        rta_agents = tuple(
-            spec.model.agent_id for spec in scenario.config.agents if spec.rta is not None
-        )
-        return cls(
-            workspace_dim=scenario.workspace_dim,
-            collision_radius=radii,
-            rta_agents=rta_agents,
-        )
 
     @classmethod
     def from_trace(cls, trace: ExecutionTrace) -> "ScenarioMetadata":
@@ -140,11 +110,9 @@ class _Samples:
     """A trace read by sample index k: positions, velocities, set
     definitions and set velocities, each computed on first use."""
 
-    def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None = None,
-                 models: dict | None = None):
+    def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None = None):
         self.trace = trace
         self.metadata = metadata
-        self.models = models or {}
         self.ts = trace.timestamps()
         self.agent_ids = trace.agent_ids()
         self.set_ids = trace.unsafe_ids()
@@ -180,13 +148,8 @@ class _Samples:
 
     @_per_sample
     def velocity(self, agent_id: str, k: int) -> np.ndarray:
-        """Model-declared workspace velocity when available, else a backward
-        finite difference of the recorded positions."""
-        model = self.models.get(agent_id)
-        if model is not None:
-            v = model.workspace_velocity(self.trace.state(agent_id, k))
-            if v is not None:
-                return np.asarray(v, dtype=float)
+        """Backward finite difference of the recorded positions; zero for a
+        single-sample trace."""
         if len(self.ts) < 2:
             return np.zeros(self.dim)
         return self._backward_difference(self.position, agent_id, k)
@@ -322,12 +285,9 @@ def _ttc_at(s: _Samples, agent_id: str, target_id: str, k: int) -> float:
     pos = s.position(agent_id, k)
     vel = s.velocity(agent_id, k)
     if target_id not in s.set_ids:
-        radius = 0.0
-        if s.metadata is not None:
-            radius = s.metadata.collision_radius.get(target_id, 0.0)
         q = s.position(target_id, k)
         w = s.velocity(target_id, k)
-        return _ball_entry_time(pos - q, vel - w, radius)
+        return _ball_entry_time(pos - q, vel - w, 0.0)
     set_def = s.set_def(target_id, k)
     rel_vel = vel - s.set_velocity(target_id, k)
     if isinstance(set_def, Ball):
@@ -343,18 +303,18 @@ def _min_ttc(s: _Samples, agent_id: str, target_id: str) -> float:
 
 
 def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
-        metadata: ScenarioMetadata | None = None, models: dict | None = None) -> float:
+        metadata: ScenarioMetadata | None = None) -> float:
     """Time to collision from grid time t under constant-velocity
     extrapolation of both parties. Returns math.inf when the courses never
     come within collision distance.
 
     Against unsafe sets, collision means entering the set (exact closed
     forms: quadratic for balls/points, time-interval intersection for
-    hyperrectangles/polytopes). Against agents, collision means the
-    inter-position distance dropping to the collision radius from the
-    metadata (default 0).
+    hyperrectangles/polytopes). Against agents, collision means the two
+    positions meeting; an unsafe ball anchored to an agent reports its own
+    radius as that set's TTC.
     """
-    s = _Samples(trace, metadata, models)
+    s = _Samples(trace, metadata)
     s.check(agent_id, target_id)
     return _ttc_at(s, agent_id, target_id, _grid_index(s.ts, t))
 
@@ -479,16 +439,18 @@ class EvalReport:
 
 
 def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None,
-                 timings: dict[str, list[float]] | None = None,
-                 models: dict | None = None) -> EvalReport:
+                 timings: dict[str, list[float]] | None = None) -> EvalReport:
     """Aggregate every metric over the full trace.
 
-    timings maps agent id -> per-decision durations (from the RTA bindings
-    or a saved timings file); agents without samples report "no data".
+    timings maps agent id -> per-decision durations (from the RTA bindings'
+    collectors or a saved timings file); agents without samples report
+    "no data".
     """
     timings = timings or {}
-    samples = _Samples(trace, metadata, models)
+    samples = _Samples(trace, metadata)
     ts = samples.ts
+    if not ts:
+        raise EvalError("trace holds no samples (no data)")
     agents = {}
     for aid in samples.agent_ids:
         usage, switches = controller_usage(trace, aid)
@@ -514,17 +476,3 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
         duration=(ts[-1] - ts[0]) if len(ts) > 1 else 0.0,
     )
 
-
-def summary(collector: Collector, metadata: ScenarioMetadata | None = None,
-            ego_id: str | None = None, models: dict | None = None) -> EvalReport:
-    """Report over a collector's accumulated trace; the collector's timing
-    samples attach to its ego agent."""
-    if collector.trace is None:
-        raise EvalError("collector holds no trace samples (no data)")
-    timings = {}
-    if collector.durations:
-        if ego_id is None and metadata is not None and len(metadata.rta_agents) == 1:
-            ego_id = metadata.rta_agents[0]
-        if ego_id is not None:
-            timings[ego_id] = collector.durations
-    return build_report(collector.trace, metadata, timings, models)

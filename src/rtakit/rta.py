@@ -1,14 +1,14 @@
 """Runtime-assurance decision modules.
 
 The binding wraps a user logic, times every decision and records its
-duration and the observed trace in a Collector. Two reference logics ship
-with the package:
+duration in a Collector; the executed trace itself is what `execute`
+returns. Two reference logics ship with the package:
 
     SimRta    forward-simulates the untrusted controller over the prediction
               horizon and switches to SAFETY if the predicted ego state ever
               enters an unsafe set of the scenario.
-    ReachRta  same, but inflates the predicted positions into axis-aligned
-              boxes (a bloat schedule nondecreasing in the step index) and
+    ReachRta  same, but inflates the predicted position at step k into an
+              axis-aligned box of half-width bloat_rate * k * dt and
               switches on box/set intersection, which makes it conservative
               relative to SimRta by construction.
 """
@@ -18,7 +18,7 @@ import time
 
 from .agents import Mode
 from .evaluation import Collector
-from .geometry import Hyperrectangle, box_intersects
+from .geometry import box_intersects
 from .scenario import Scenario, grid_steps, predict
 from .trace import ExecutionTrace
 
@@ -57,8 +57,8 @@ class RtaLogic:
 
 
 class RtaBinding:
-    """Attaches a logic to an agent; times every decision and records the
-    duration and the observed trace."""
+    """Attaches a logic to an agent; times every decision and records its
+    duration."""
 
     def __init__(self, logic: RtaLogic):
         self.logic = logic
@@ -74,7 +74,6 @@ class RtaBinding:
             ) from exc
         duration = time.perf_counter() - start
         self.collector.collect_computation_time(duration)
-        self.collector.collect_trace(trace)
         return mode
 
 
@@ -114,24 +113,16 @@ class SimRta(RtaLogic):
         return Mode.UNTRUSTED
 
 
-def boxes_from_prediction(pred: ExecutionTrace, model, ego_id: str,
-                          bloat) -> list[Hyperrectangle]:
-    """Axis-aligned boxes around the nominal predicted positions.
-
-    bloat(k) is the per-axis inflation at predicted step k (k = 0 is the
-    current state); it must be nonnegative and nondecreasing.
-    """
+def boxes_from_prediction(pred: ExecutionTrace, model, ego_id: str, bloat_rate: float,
+                          dt: float) -> list[tuple[list[float], list[float]]]:
+    """(lower, upper) corners of the axis-aligned boxes around the nominal
+    predicted positions; the per-axis inflation at predicted step k (k = 0
+    is the current state) is bloat_rate * k * dt."""
     boxes = []
-    prev = 0.0
     for k in range(pred.n_samples()):
-        r = float(bloat(k))
-        if r < 0:
-            raise ValueError(f"bloat({k}) = {r} must be nonnegative")
-        if r < prev:
-            raise ValueError(f"bloat schedule must be nondecreasing, bloat({k}) = {r} < {prev}")
-        prev = r
+        r = bloat_rate * k * dt
         pos = model.position(pred.state(ego_id, k))
-        boxes.append(Hyperrectangle([p - r for p in pos], [p + r for p in pos]))
+        boxes.append(([p - r for p in pos], [p + r for p in pos]))
     return boxes
 
 
@@ -139,31 +130,25 @@ class ReachRta(RtaLogic):
     """Reachability-based switching: SAFETY iff any reach box intersects an
     unsafe set of the scenario at the same predicted step.
 
-    The default bloat schedule is bloat(k) = bloat_rate * k * dt; pass a
-    callable `bloat` for anything else. With bloat identically zero the
-    decision coincides with SimRta.
+    The box at predicted step k has half-width bloat_rate * k * dt, which a
+    nonnegative rate keeps nonnegative and nondecreasing in k. With a zero
+    rate the decision coincides with SimRta.
     """
 
-    def __init__(self, ego_id=None, horizon: float = 1.0, bloat_rate: float = 0.1,
-                 bloat=None):
+    def __init__(self, ego_id=None, horizon: float = 1.0, bloat_rate: float = 0.1):
         super().__init__(ego_id=ego_id, horizon=horizon)
-        if bloat is None and bloat_rate < 0:
+        if not bloat_rate >= 0:
             raise ValueError(f"bloat rate must be nonnegative, got {bloat_rate}")
         self.bloat_rate = float(bloat_rate)
-        self._bloat = bloat
-
-    def bloat(self, k: int) -> float:
-        if self._bloat is not None:
-            return self._bloat(k)
-        return self.bloat_rate * k * self.scenario.dt
 
     def decide(self, trace: ExecutionTrace) -> Mode:
         pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
         model = self.scenario.agents_by_id[self.ego_id].model
-        boxes = boxes_from_prediction(pred, model, self.ego_id, self.bloat)
+        boxes = boxes_from_prediction(pred, model, self.ego_id, self.bloat_rate,
+                                      self.scenario.dt)
         for set_id in self.scenario.unsafe_ids():
-            for k, box in enumerate(boxes):
+            for k, (lower, upper) in enumerate(boxes):
                 set_def = pred.unsafe_def(set_id, k)
-                if box_intersects(set_def, box.lower, box.upper):
+                if box_intersects(set_def, lower, upper):
                     return Mode.SAFETY
         return Mode.UNTRUSTED

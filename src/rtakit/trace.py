@@ -17,6 +17,7 @@ the layouts documented in the geometry module.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .agents import Mode
@@ -179,8 +180,21 @@ class ExecutionTrace:
         return cls.from_dict(doc)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def is_finite_number(x) -> bool:
+    """A number (not a bool) that converts to a finite float; an integer
+    too large for a float does not."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _check_numbers(row, rpath: str) -> None:
+    for j, v in enumerate(row):
+        if not is_finite_number(v):
+            raise TraceSchemaError(f"{rpath}[{j}]", f"expected a finite number, got {v!r}")
 
 
 def validate_trace_dict(doc) -> None:
@@ -212,8 +226,7 @@ def validate_trace_dict(doc) -> None:
             rpath = f"{path}.state_trace[{i}]"
             if not isinstance(row, list) or len(row) < 2:
                 raise TraceSchemaError(rpath, "must be a list [t, s0, ...] with >= 2 entries")
-            if not all(_is_number(v) for v in row):
-                raise TraceSchemaError(rpath, "entries must be numbers")
+            _check_numbers(row, rpath)
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -260,8 +273,9 @@ def validate_trace_dict(doc) -> None:
         dim = None
         for i, row in enumerate(rows):
             rpath = f"{path}.state_trace[{i}]"
-            if not isinstance(row, list) or len(row) != 2 or not _is_number(row[0]):
+            if not isinstance(row, list) or len(row) != 2:
                 raise TraceSchemaError(rpath, "must be a pair [t, definition]")
+            _check_numbers(row[:1], rpath)
             if float(row[0]) != grid[i]:
                 raise TraceSchemaError(rpath, f"timestamp {row[0]} differs from agent grid {grid[i]}")
             try:

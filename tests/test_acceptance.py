@@ -91,7 +91,7 @@ def _decision_sweep(n_traces=100, horizon=2.0, seed=1234):
         trace = execute(scenario)
         traces.append((scenario, trace))
         sim = SimRta(horizon=1.0)
-        reach0 = ReachRta(horizon=1.0, bloat=lambda k: 0.0)
+        reach0 = ReachRta(horizon=1.0, bloat_rate=0.0)
         reach_pos = ReachRta(horizon=1.0, bloat_rate=0.5)
         for logic in (sim, reach0, reach_pos):
             logic.bind(scenario, "follower")
@@ -180,17 +180,16 @@ def test_geometry_oracle():
 def test_ttc_analytic():
     rng = np.random.default_rng(55)
     worst = 0.0
-    from rtakit import AccAgent
-
     for _ in range(50):
         r = rng.uniform(0.1, 10.0)
         g = r + rng.uniform(0.5, 20.0)
         s = rng.uniform(0.1, 5.0)
-        trace = make_trace({"ego": [[0.0, 0.0, s]]})
+        # one time unit at speed s: the backward difference at t = 1 is s
+        trace = make_trace({"ego": [[0.0, -s], [1.0, 0.0]]})
         trace.add_unsafe_set("ball", "ball")
         trace.append_unsafe("ball", 0.0, [[g], r])
-        got = ttc(trace, "ego", "ball", 0.0, ScenarioMetadata(workspace_dim=1),
-                  models={"ego": AccAgent("ego")})
+        trace.append_unsafe("ball", 1.0, [[g], r])
+        got = ttc(trace, "ego", "ball", 1.0, ScenarioMetadata(workspace_dim=1))
         worst = max(worst, abs(got - (g - r) / s))
     verdict("ttc-analytic", worst <= 1e-9, f"max |ttc - (g-r)/s| = {worst:.2e}")
 

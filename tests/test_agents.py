@@ -295,12 +295,3 @@ def test_wrap_angle_range():
         assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-9)
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
 
-
-def test_workspace_velocity_matches_kinematics():
-    car = DubinsCarAgent("car")
-    v = car.workspace_velocity([0, 0, math.pi / 3, 2.0])
-    assert v[0] == pytest.approx(2.0 * math.cos(math.pi / 3))
-    assert v[1] == pytest.approx(2.0 * math.sin(math.pi / 3))
-    plane = DubinsPlaneAgent("plane")
-    w = plane.workspace_velocity([0, 0, 5, 0.5, 0.2, 3.0])
-    assert w[2] == pytest.approx(3.0 * math.sin(0.2))

@@ -278,6 +278,30 @@ def test_eval_corrupt_trace_names_path(tmp_path, capsys):
     assert "agents.follower.state_trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "snapshot"])
+@pytest.mark.parametrize("cell, value", [
+    ((2, 0), "Infinity"),
+    ((3, 1), "NaN"),
+    ((3, 2), "1" + "0" * 400),
+], ids=["inf-timestamp", "nan-state", "int-past-float"])
+def test_nonfinite_trace_number_is_a_located_validation_error(command, cell, value,
+                                                               tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    row, col = cell
+    doc["agents"]["follower"]["state_trace"][row][col] = "CELL"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"CELL"', value))
+    capsys.readouterr()
+    argv = {"eval": ["eval", str(bad), "--out", str(tmp_path / "r")],
+            "snapshot": ["snapshot", str(bad), "--time", "0.0"]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"agents.follower.state_trace[{row}][{col}]: expected a finite number" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text", [
     "[]",
     "{}",

@@ -1,4 +1,4 @@
-"""Collection and metrics: timing stats, distances, TTC, usage, summary."""
+"""Collection and metrics: timing stats, distances, TTC, usage, reports."""
 import json
 import math
 from pathlib import Path
@@ -18,9 +18,9 @@ from rtakit import (
     controller_usage,
     distance_series,
     execute,
-    summary,
     ttc,
 )
+from rtakit.cli import main as cli_main
 from rtakit.evaluation import EvalError
 from helpers import acc_scenario_config, make_trace, sim_rta_binding
 
@@ -41,31 +41,6 @@ def static_ball_trace(agent_rows, center, radius, extra_agents=None):
 
 
 # -- collector -------------------------------------------------------------------
-
-def test_collect_trace_first_and_extension():
-    collector = Collector()
-    t1 = make_trace({"a": [[0.0, 0.0]]})
-    collector.collect_trace(t1)
-    assert collector.trace.n_samples() == 1
-    t2 = make_trace({"a": [[0.0, 0.0], [0.1, 1.0]]})
-    collector.collect_trace(t2)
-    assert collector.trace.n_samples() == 2
-
-
-def test_collect_trace_idempotent():
-    collector = Collector()
-    t = make_trace({"a": [[0.0, 0.0]]})
-    collector.collect_trace(t)
-    collector.collect_trace(t)
-    assert collector.trace is t
-
-
-def test_collect_trace_rejects_id_change():
-    collector = Collector()
-    collector.collect_trace(make_trace({"a": [[0.0, 0.0]]}))
-    with pytest.raises(EvalError, match="ids"):
-        collector.collect_trace(make_trace({"b": [[0.0, 0.0]]}))
-
 
 def test_collect_times():
     collector = Collector()
@@ -144,22 +119,21 @@ def test_distance_series_lipschitz_in_time():
 # -- ttc -------------------------------------------------------------------------
 
 def test_ttc_linear_closure_radius_zero():
-    # gap 10, closing speed 2, state carries velocity in component 1
+    # gap 10 at t = 0.1, closing speed 2 from the backward difference;
+    # agents collide when their positions meet
     trace = make_trace({
-        "ego": [[0.0, 0.0, 2.0]],
-        "wall": [[0.0, 10.0, 0.0]],
+        "ego": [[0.0, -0.2], [0.1, 0.0]],
+        "wall": [[0.0, 10.0], [0.1, 10.0]],
     })
-    from rtakit import AccAgent
-    models = {"ego": AccAgent("ego"), "wall": AccAgent("wall")}
-    got = ttc(trace, "ego", "wall", 0.0, META1, models=models)
+    got = ttc(trace, "ego", "wall", 0.1, META1)
     assert got == pytest.approx(5.0, abs=1e-9)
 
 
 def test_ttc_ball_entry_quadratic():
     # gap 10 to center, radius 7, closing 2 -> (10 - 7) / 2
-    trace = static_ball_trace([[0.0, 0.0, 2.0], [0.2, 0.4, 2.0]], 10.0, 7.0)
-    from rtakit import AccAgent
-    got = ttc(trace, "ego", "ball", 0.0, META1, models={"ego": AccAgent("ego")})
+    # at t = 0 the velocity is the first difference, (0.4 - 0) / 0.2
+    trace = static_ball_trace([[0.0, 0.0], [0.2, 0.4]], 10.0, 7.0)
+    got = ttc(trace, "ego", "ball", 0.0, META1)
     assert got == pytest.approx(1.5, abs=1e-9)
 
 
@@ -171,16 +145,14 @@ def test_ttc_velocity_from_finite_difference():
 
 
 def test_ttc_diverging_is_infinite():
-    trace = static_ball_trace([[0.0, 0.0, -2.0], [0.1, -0.2, -2.0]], 10.0, 7.0)
-    from rtakit import AccAgent
-    got = ttc(trace, "ego", "ball", 0.0, META1, models={"ego": AccAgent("ego")})
+    trace = static_ball_trace([[0.0, 0.0], [0.1, -0.2]], 10.0, 7.0)
+    got = ttc(trace, "ego", "ball", 0.0, META1)
     assert math.isinf(got)
 
 
 def test_ttc_inside_is_zero_and_consistent_with_distance():
-    trace = static_ball_trace([[0.0, 9.0, 1.0]], 10.0, 7.0)
-    from rtakit import AccAgent
-    got = ttc(trace, "ego", "ball", 0.0, META1, models={"ego": AccAgent("ego")})
+    trace = static_ball_trace([[0.0, 9.0], [0.1, 9.1]], 10.0, 7.0)
+    got = ttc(trace, "ego", "ball", 0.0, META1)
     assert got == 0.0
     series = distance_series(trace, "ego", "ball", META1)
     assert series[0][1] <= 1e-9
@@ -208,13 +180,12 @@ def test_ttc_polytope_interval_closed_form():
 
 def test_ttc_moving_ball_relative_closure():
     # ego at 0 moving +3, ball center starts at 10 moving +1: closure 2
-    rows = [[0.0, 0.0, 3.0], [0.1, 0.3, 3.0]]
+    rows = [[0.0, 0.0], [0.1, 0.3]]
     trace = make_trace({"ego": rows})
     trace.add_unsafe_set("ball", "ball")
     trace.append_unsafe("ball", 0.0, [[10.0], 7.0])
     trace.append_unsafe("ball", 0.1, [[10.1], 7.0])
-    from rtakit import AccAgent
-    got = ttc(trace, "ego", "ball", 0.1, META1, models={"ego": AccAgent("ego")})
+    got = ttc(trace, "ego", "ball", 0.1, META1)
     # at t=0.1: gap to center 9.8, effective radius 7, closure 2
     assert got == pytest.approx((9.8 - 7.0) / 2.0, abs=1e-9)
 
@@ -223,18 +194,6 @@ def test_ttc_off_grid_time_rejected():
     trace = static_ball_trace([[0.0, 0.0, 1.0]], 10.0, 7.0)
     with pytest.raises(EvalError, match="grid"):
         ttc(trace, "ego", "ball", 0.05, META1)
-
-
-def test_ttc_agent_target_uses_collision_radius():
-    trace = make_trace({
-        "ego": [[0.0, 0.0, 2.0]],
-        "lead": [[0.0, 10.0, 0.0]],
-    })
-    from rtakit import AccAgent
-    models = {"ego": AccAgent("ego"), "lead": AccAgent("lead")}
-    meta = ScenarioMetadata(workspace_dim=1, collision_radius={"lead": 7.0})
-    got = ttc(trace, "ego", "lead", 0.0, meta, models=models)
-    assert got == pytest.approx(1.5, abs=1e-9)
 
 
 # -- controller usage ---------------------------------------------------------------
@@ -280,14 +239,13 @@ def test_usage_sums_to_hundred():
         assert sum(u.values()) == pytest.approx(100.0, abs=1e-9)
 
 
-# -- summary -------------------------------------------------------------------------
+# -- report --------------------------------------------------------------------------
 
 def test_summary_of_rta_run():
     binding = sim_rta_binding()
     scenario = build_scenario(acc_scenario_config(rta=binding))
-    execute(scenario)
-    meta = ScenarioMetadata.from_scenario(scenario)
-    report = summary(binding.collector, meta)
+    trace = execute(scenario)
+    report = build_report(trace, timings={"follower": binding.collector.durations})
     follower = report.agents["follower"]
     assert follower.usage.get("SAFETY", 0.0) > 0.0
     assert follower.min_set_distance["unsafe1"] >= 0.0
@@ -296,33 +254,30 @@ def test_summary_of_rta_run():
 
 
 def test_summary_single_sample_has_no_data_fields():
-    collector = Collector()
-    collector.collect_trace(static_ball_trace([[0.0, 0.0, 1.0]], 10.0, 7.0))
-    report = summary(collector, META1)
+    report = build_report(static_ball_trace([[0.0, 0.0, 1.0]], 10.0, 7.0), META1)
     ego = report.agents["ego"]
     assert ego.usage == {}
     assert not ego.timing.has_data
     assert ego.min_set_distance["ball"] == pytest.approx(3.0)
 
 
-def test_summary_empty_collector_raises_no_data():
+def test_report_of_empty_trace_raises_no_data():
     with pytest.raises(EvalError, match="no data"):
-        summary(Collector(), META1)
+        build_report(ExecutionTrace(), META1)
 
 
 def test_report_is_pure_function_of_inputs():
     scenario = build_scenario(acc_scenario_config(rta=sim_rta_binding()))
     trace = execute(scenario)
-    meta = ScenarioMetadata.from_scenario(scenario)
-    a = build_report(trace, meta).to_dict()
-    b = build_report(trace, meta).to_dict()
+    a = build_report(trace).to_dict()
+    b = build_report(trace).to_dict()
     assert a == b
 
 
 def test_report_text_and_csv(tmp_path):
     scenario = build_scenario(acc_scenario_config(rta=sim_rta_binding()))
     trace = execute(scenario)
-    report = build_report(trace, ScenarioMetadata.from_scenario(scenario))
+    report = build_report(trace)
     text = report.to_text()
     assert "follower" in text and "controller usage" in text
     files = report.write_csv(tmp_path)
@@ -375,10 +330,9 @@ def test_report_reads_each_sample_once(dubins_run, monkeypatch):
 
 
 def test_report_minima_equal_public_metrics_over_grid(dubins_run):
-    scenario, trace = dubins_run
-    meta = ScenarioMetadata.from_scenario(scenario)
-    models = {aid: agent.model for aid, agent in scenario.agents_by_id.items()}
-    report = build_report(trace, meta, models=models)
+    _, trace = dubins_run
+    meta = ScenarioMetadata.from_trace(trace)
+    report = build_report(trace, meta)
     ts = trace.timestamps()
     for aid, r in report.agents.items():
         others = [other for other in trace.agent_ids() if other != aid]
@@ -392,5 +346,27 @@ def test_report_minima_equal_public_metrics_over_grid(dubins_run):
                 assert series[target] == want
                 assert min_dist[target] == min(v for _, v in want)
                 assert min_ttc[target] == min(
-                    ttc(trace, aid, target, t, meta, models) for t in ts
+                    ttc(trace, aid, target, t, meta) for t in ts
                 )
+
+
+@pytest.mark.parametrize("name", ["acc", "acc_sim_rta", "dubins", "gcas"])
+def test_report_of_executed_trace_equals_cli_eval(name, tmp_path):
+    """The report of a trace held in memory is the summary.json that
+    `rtakit run` + `rtakit eval` write for the same config."""
+    config = CONFIGS / f"{name}.json"
+    trace_path = tmp_path / "trace.json"
+    assert cli_main(["run", "--config", str(config), "--out", str(trace_path)]) == 0
+    assert cli_main(["eval", str(trace_path), "--out", str(tmp_path / "report")]) == 0
+    want = json.loads((tmp_path / "report" / "summary.json").read_text())
+
+    scenario = build_scenario(config_from_dict(json.loads(config.read_text())))
+    trace = execute(scenario)
+    durations = {spec.model.agent_id: spec.rta.collector.durations
+                 for spec in scenario.config.agents if spec.rta is not None}
+    # Decision durations differ between runs: match their counts, then
+    # report with the CLI run's so the timing stats are comparable.
+    saved = json.loads(trace_path.with_name("trace.timings.json").read_text())["timings"]
+    assert {aid: len(d) for aid, d in durations.items()} == {
+        aid: len(d) for aid, d in saved.items()}
+    assert build_report(trace, timings=saved).to_dict() == want

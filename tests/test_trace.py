@@ -1,5 +1,6 @@
 """Trace wire format: serialization round trips and schema validation."""
 import json
+import math
 
 import pytest
 
@@ -122,6 +123,26 @@ def test_bool_is_not_a_number():
     doc["agents"]["ego"]["state_trace"][0][1] = True
     with pytest.raises(TraceSchemaError):
         validate_trace_dict(doc)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400],
+                         ids=["inf", "-inf", "nan", "int-past-float"])
+@pytest.mark.parametrize("where, path", [
+    (("agents", "ego", "state_trace", 1, 0), "agents.ego.state_trace[1][0]"),
+    (("agents", "leader", "state_trace", 0, 2), "agents.leader.state_trace[0][2]"),
+    (("unsafe", "u1", "state_trace", 1, 0), "unsafe.u1.state_trace[1][0]"),
+    (("unsafe", "u1", "state_trace", 0, 1, 0, 0), "unsafe.u1.state_trace[0]"),
+    (("unsafe", "u1", "state_trace", 0, 1, 1), "unsafe.u1.state_trace[0]"),
+], ids=["timestamp", "state", "set-timestamp", "set-center", "set-radius"])
+def test_nonfinite_number_names_path(value, where, path):
+    doc = two_agent_doc()
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(TraceSchemaError) as err:
+        validate_trace_dict(doc)
+    assert err.value.path == path
 
 
 def test_load_rejects_bad_json(tmp_path):
