@@ -29,7 +29,6 @@ from .geometry import (
     Hyperrectangle,
     PointSet,
     Polytope,
-    ProjectionError,
     RelativeSetSpec,
     SetDef,
     box_distance,

@@ -83,8 +83,10 @@ class AccParams:
     """Cruise-control gains and bounds.
 
     k1, k2 are the proportional safety-controller gains, a_max/v_max the
-    acceleration and speed bounds, follow_distance the desired gap behind
-    the leader, and collision_distance the unsafe-ball radius around it.
+    acceleration and speed bounds, and follow_distance the desired gap
+    behind the leader. collision_distance is checked to lie in
+    (0, follow_distance) but nothing reads it: the unsafe ball around the
+    leader takes its radius from the config's unsafe_sets.
     """
 
     k1: float = 1.0

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 from .config import parse_scenario_config
 from .evaluation import EvalError, ScenarioMetadata, build_report
 from .scenario import build_scenario, execute, snapshot
-from .trace import ExecutionTrace
+from .trace import ExecutionTrace, is_finite_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,9 +42,7 @@ def _load_timings(path: Path) -> dict[str, list[float]]:
         raise EvalError(f"{path}: expected an object with a 'timings' object")
     for aid, durations in doc["timings"].items():
         if not isinstance(durations, list) or not all(
-            isinstance(d, (int, float)) and not isinstance(d, bool)
-            and math.isfinite(d) and d >= 0
-            for d in durations
+            is_finite_number(d) and d >= 0 for d in durations
         ):
             raise EvalError(f"{path}: timings.{aid}: expected a list of finite, "
                             f"nonnegative numbers")

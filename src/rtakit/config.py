@@ -15,8 +15,9 @@ Document layout (see schema/scenario.schema.json for the full contract):
 
 "params" takes the fields of the model's params_type dataclass plus the
 wiring keys (leader_id, formation_offset, waypoints) its constructor takes.
-Every numeric field and every formation_offset and waypoint coordinate must
-be a finite number.
+Every numeric field, every formation_offset and waypoint coordinate, and
+every number of an unsafe set's definition and offset must be a finite
+number (a boolean or a numeric string is not one).
 anchor/offset are optional; with them the set is re-resolved every step so
 its reference point sits at anchor position + offset.
 """
@@ -31,7 +32,7 @@ from .agents import AccAgent, DubinsCarAgent, DubinsPlaneAgent, Mode
 from .geometry import GeometryError, RelativeSetSpec, set_from_payload
 from .rta import ReachRta, RtaBinding, SimRta
 from .scenario import AgentSpec, ScenarioConfig, StaticSetSpec
-from .trace import is_finite_number
+from .trace import is_finite_number, non_number_entry
 
 MODELS = {cls.model_name: cls for cls in (AccAgent, DubinsCarAgent, DubinsPlaneAgent)}
 
@@ -156,14 +157,16 @@ def _build_unsafe(entry: dict, index: int):
         base = set_from_payload(kind, definition)
     except GeometryError as exc:
         raise ConfigError(f"{where}.definition: {exc}") from exc
+    bad = non_number_entry(definition)
+    if bad is not None:
+        raise ConfigError(f"{where}.definition{bad[0]}: expected a number, got {bad[1]!r}")
     anchor = entry.get("anchor")
     offset = entry.get("offset")
     if anchor is None and offset is None:
         return StaticSetSpec(set_id=set_id, base=base)
     if anchor is None:
         raise ConfigError(f"{where}: offset given without an anchor")
-    if offset is None:
-        offset = [0.0] * base.dim
+    offset = [0.0] * base.dim if offset is None else _numbers(offset, f"{where}.offset")
     try:
         return RelativeSetSpec(set_id, base, offset, anchor)
     except GeometryError as exc:

@@ -12,6 +12,11 @@ distance queries, can be translated, and serializes to a compact payload:
 The payload layout is a wire contract shared with the trace format and must
 stay stable. Every operation here is a pure function of its inputs.
 
+Distance is closed-form for point, ball and hyperrectangle. For a polytope
+it is the distance to the nearest point, which `Polytope.project` finds
+exactly at every size with one nonnegative least-squares solve; a payload
+with no feasible point raises GeometryError there.
+
 Axis-aligned boxes (the reach boxes of ReachRta) are tested against every
 set kind by `box_intersects`. It is exact in closed form for point, ball and
 hyperrectangle. For a polytope it first tries two exact shortcuts (a row
@@ -21,17 +26,12 @@ the box gap in closed form and has none for a polytope.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 SET_KINDS = ("point", "ball", "hyperrectangle", "polytope")
-
-# Polytope projection solver limits.
-PROJECTION_TOL = 1e-10
-PROJECTION_MAX_ITER = 10_000
 
 
 class GeometryError(ValueError):
@@ -48,18 +48,6 @@ class DimensionMismatch(GeometryError):
         )
         self.set_dim = set_dim
         self.point_dim = point_dim
-
-
-class ProjectionError(RuntimeError):
-    """Iterative polytope projection failed to converge."""
-
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(
-            f"projection did not converge after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
-        self.iterations = iterations
-        self.residual = residual
 
 
 def _vector(x, what: str = "vector") -> np.ndarray:
@@ -213,9 +201,9 @@ class Polytope(SetDef):
     maps b to b + A t. Nonemptiness is checked at construction with a linear
     feasibility program.
 
-    Projection is exact for small instances (active-set enumeration over
-    constraint subsets, verified through the KKT conditions); larger ones
-    fall back to Dykstra's alternating projections.
+    Payloads read back from traces skip that check, so `project` checks its
+    answer: a point that violates Ax <= b beyond 1e-9 * (1 + max|b|)
+    raises GeometryError.
     """
 
     kind = "polytope"
@@ -257,76 +245,37 @@ class Polytope(SetDef):
         return bool(np.all(self.A @ p <= self.b))
 
     def project(self, point) -> np.ndarray:
-        """Nearest point of the polytope to `point`."""
+        """Nearest point of the polytope to `point`.
+
+        Least-distance programming (Lawson and Hanson, 1974, ch. 23): the
+        nonnegative least-squares problem min ||E u - e_{n+1}||, u >= 0, with
+        E = [-A^T; (A p - b)^T] has its positive multipliers on the rows
+        active at the nearest point. The point is then the projection of p
+        onto those rows' hyperplanes, from the KKT system of the rows.
+        """
         p = self._check_point(point)
         if self.contains(p):
             return p.copy()
-        if self._enumerable():
-            x = self._project_active_set(p)
-            if x is not None:
-                return x
-        return self._project_dykstra(p)
-
-    def _enumerable(self) -> bool:
-        m, n = self.A.shape
-        total = 0
-        for size in range(1, min(m, n) + 1):
-            total += math.comb(m, size)
-            if total > 5000:
-                return False
-        return True
-
-    def _project_active_set(self, p: np.ndarray) -> np.ndarray | None:
-        """Exact projection: the optimum activates <= dim independent
-        constraints, so try every subset and keep the KKT-consistent one."""
         A, b = self.A, self.b
-        m, n = A.shape
-        feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
-        for size in range(1, min(m, n) + 1):
-            for subset in itertools.combinations(range(m), size):
-                rows = A[list(subset)]
-                gram = rows @ rows.T
-                rhs = rows @ p - b[list(subset)]
-                try:
-                    lam = np.linalg.solve(gram, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                if np.any(lam < -1e-12):
-                    continue
-                x = p - rows.T @ lam
-                if np.all(A @ x <= b + feas_tol):
-                    return x
-        return None
-
-    def _project_dykstra(self, p: np.ndarray) -> np.ndarray:
-        m = self.A.shape[0]
-        row_sq = np.einsum("ij,ij->i", self.A, self.A)
-        x = p.copy()
-        corrections = np.zeros((m, self.dim))
-        residual = np.inf
-        for _ in range(PROJECTION_MAX_ITER):
-            x_prev = x.copy()
-            for i in range(m):
-                if row_sq[i] == 0.0:
-                    continue
-                z = x + corrections[i]
-                viol = float(self.A[i] @ z - self.b[i])
-                if viol > 0.0:
-                    x = z - (viol / row_sq[i]) * self.A[i]
-                else:
-                    x = z
-                corrections[i] = z - x
-            move = float(np.linalg.norm(x - x_prev))
-            feas = float(max(0.0, np.max(self.A @ x - self.b)))
-            residual = max(move, feas)
-            if residual <= PROJECTION_TOL:
-                return x
-        raise ProjectionError(PROJECTION_MAX_ITER, residual)
+        E = np.vstack([-A.T, (A @ p - b)[None, :]])
+        f = np.zeros(self.dim + 1)
+        f[-1] = 1.0
+        active = np.flatnonzero(nnls(E, f)[0] > 0)
+        rows = A[active]
+        gram = rows @ rows.T
+        rhs = rows @ p - b[active]
+        try:
+            lam = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:  # dependent rows: more than `dim` faces meet there
+            lam = np.linalg.lstsq(gram, rhs)[0]
+        x = p - rows.T @ lam
+        if not np.all(A @ x <= b + 1e-9 * (1.0 + float(np.max(np.abs(b))))):
+            raise GeometryError("polytope projection found no feasible point; "
+                                "Ax <= b may have no solution")
+        return x
 
     def distance(self, point) -> float:
         p = self._check_point(point)
-        if self.contains(p):
-            return 0.0
         return float(np.linalg.norm(p - self.project(p)))
 
     def moved_to(self, reference) -> "Polytope":

@@ -78,10 +78,10 @@ class RtaBinding:
 
 
 def forward_simulate(trace: ExecutionTrace, scenario: Scenario, horizon: float,
-                     ego_id: str | None = None) -> ExecutionTrace:
+                     ego_id: str) -> ExecutionTrace:
     """Predicted trace over [t_now, t_now + horizon].
 
-    The ego agent (if given) is held in UNTRUSTED mode; every other agent
+    The ego agent is held in UNTRUSTED mode; every other agent
     keeps its current mode. Relative unsafe sets are propagated along the
     predicted anchors. The first sample is the current state.
     """
@@ -90,10 +90,9 @@ def forward_simulate(trace: ExecutionTrace, scenario: Scenario, horizon: float,
             f"prediction horizon {horizon} must be at least one time step {scenario.dt}"
         )
     modes = {aid: scenario.current_mode(trace, aid) for aid in trace.agent_ids()}
-    if ego_id is not None:
-        if ego_id not in modes:
-            raise ValueError(f"ego agent {ego_id!r} missing from trace")
-        modes[ego_id] = Mode.UNTRUSTED
+    if ego_id not in modes:
+        raise ValueError(f"ego agent {ego_id!r} missing from trace")
+    modes[ego_id] = Mode.UNTRUSTED
     return predict(scenario, trace, modes, grid_steps(horizon, scenario.dt))
 
 

@@ -191,6 +191,22 @@ def is_finite_number(x) -> bool:
         return False
 
 
+def non_number_entry(payload):
+    """(index path, entry) of the first entry of a nested list that is not
+    an int or a float, as ("[i][j]", entry), or None. A type test only: a
+    set payload's parse rejects NaN, infinities and integers too large for
+    a float, but converts booleans and numeric strings."""
+    if type(payload) is not list:
+        return "", payload
+    for j, v in enumerate(payload):
+        t = type(v)
+        if t is not float and t is not int:
+            bad = non_number_entry(v)
+            if bad is not None:
+                return f"[{j}]{bad[0]}", bad[1]
+    return None
+
+
 def _check_numbers(row, rpath: str) -> None:
     for j, v in enumerate(row):
         if not is_finite_number(v):
@@ -271,6 +287,7 @@ def validate_trace_dict(doc) -> None:
                 f"{path}.state_trace", f"expected {len(grid)} samples to match agents, got {len(rows)}"
             )
         dim = None
+        parsed = None
         for i, row in enumerate(rows):
             rpath = f"{path}.state_trace[{i}]"
             if not isinstance(row, list) or len(row) != 2:
@@ -278,10 +295,16 @@ def validate_trace_dict(doc) -> None:
             _check_numbers(row[:1], rpath)
             if float(row[0]) != grid[i]:
                 raise TraceSchemaError(rpath, f"timestamp {row[0]} differs from agent grid {grid[i]}")
+            bad = non_number_entry(row[1])
+            if bad is not None:
+                raise TraceSchemaError(f"{rpath}[1]{bad[0]}", f"expected a number, got {bad[1]!r}")
+            if row[1] == parsed:  # the same numbers as the last payload parsed
+                continue
             try:
                 sd = set_from_payload(kind, row[1])
             except GeometryError as exc:
                 raise TraceSchemaError(rpath, str(exc)) from exc
+            parsed = row[1]
             if dim is None:
                 dim = sd.dim
             elif sd.dim != dim:

@@ -181,6 +181,20 @@ def test_run_rejects_nonfinite_numbers(tmp_path, capsys, setter, where, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, where", [
+    ("definition", [[True], 7.0], "unsafe_sets[0].definition[0][0]: expected a number"),
+    ("definition", [["0.5"], 7.0], "unsafe_sets[0].definition[0][0]: expected a number"),
+    ("definition", [[0.0], "7"], "unsafe_sets[0].definition[1]: expected a number"),
+    ("offset", [False], "unsafe_sets[0].offset[0]: expected a finite number"),
+], ids=["bool-center", "string-center", "string-radius", "bool-offset"])
+def test_config_set_numbers_must_be_numbers(key, value, where):
+    doc = acc_doc()
+    doc["unsafe_sets"][0][key] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert where in str(err.value)
+
+
 @pytest.mark.parametrize("model, params, where", [
     ("dubins_car", {"k_heading": float("nan")}, "agents[0].params.k_heading"),
     ("dubins_car", {"k_speed": float("inf")}, "agents[0].params.k_speed"),
@@ -311,6 +325,7 @@ def test_nonfinite_trace_number_is_a_located_validation_error(command, cell, val
     '{"timings": {"follower": [true]}}',
     '{"timings": {"follower": [-1.0]}}',
     '{"timings": {"follower": [NaN]}}',
+    '{"timings": {"follower": [1' + "0" * 400 + ']}}',
     "not json",
 ])
 def test_eval_rejects_malformed_timings_file(tmp_path, capsys, text):
@@ -322,6 +337,22 @@ def test_eval_rejects_malformed_timings_file(tmp_path, capsys, text):
     code = main(["eval", str(out), "--out", str(tmp_path / "r"), "--timings", str(bad)])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_eval_of_an_empty_polytope_payload_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    times = [row[0] for row in doc["agents"]["follower"]["state_trace"]]
+    # x <= -1 and x >= 1: no point satisfies both
+    doc["unsafe"]["empty"] = {"type": "polytope",
+                              "state_trace": [[t, [[[1.0], [-1.0]], [-1.0, -1.0]]]
+                                              for t in times]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", str(bad), "--out", str(tmp_path / "r")]) == 2
+    assert "polytope projection found no feasible point" in capsys.readouterr().err
 
 
 def test_eval_missing_file(tmp_path):

@@ -12,7 +12,6 @@ from rtakit import (
     Hyperrectangle,
     PointSet,
     Polytope,
-    ProjectionError,
     RelativeSetSpec,
     box_distance,
     box_intersects,
@@ -223,12 +222,6 @@ def test_polytope_row_count_mismatch_rejected():
         Polytope([[1.0], [-1.0]], [1.0])
 
 
-def test_projection_error_carries_iterations_and_residual():
-    err = ProjectionError(10_000, 1.5e-7)
-    assert err.iterations == 10_000
-    assert err.residual == pytest.approx(1.5e-7)
-
-
 # -- payloads ------------------------------------------------------------------
 
 def test_payload_round_trip():
@@ -372,7 +365,7 @@ def test_polytope_box_test_agrees_with_lp_reference():
     assert outcomes == {True, False}
 
 
-# -- Dykstra projection (polytopes too large to enumerate) -------------------------
+# -- projection: one exact path at every size ------------------------------------
 
 def _slsqp_projection(A, b, p):
     res = minimize(lambda x: 0.5 * np.sum((x - p) ** 2), p, jac=lambda x: x - p,
@@ -383,21 +376,53 @@ def _slsqp_projection(A, b, p):
     return res.x
 
 
-def test_dykstra_projection_matches_slsqp_reference():
-    rng = np.random.default_rng(17)
-    A, b = random_polytope(rng, 3, 40)
-    scale = rng.uniform(0.2, 5.0, size=(40, 1))  # rows of unequal norm
-    A, b = A * scale, b * scale[:, 0]
+def _assert_projection_matches_slsqp(A, b, q):
     poly = Polytope(A, b)
-    assert not poly._enumerable()
+    want = _slsqp_projection(A, b, q)
+    got = poly.project(q)
+    assert np.all(A @ got <= b + 1e-9)
+    assert got == pytest.approx(want, abs=1e-6)
+    assert abs(poly.distance(q) - np.linalg.norm(q - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_projection_of_a_40_row_polytope_matches_slsqp(seed):
+    # 40 rows of unequal norm: far more active-set candidates than a
+    # subset enumeration can try.
+    rng = np.random.default_rng(seed)
+    A, b = random_polytope(rng, 3, 40)
+    scale = rng.uniform(0.2, 5.0, size=(40, 1))
+    A, b = A * scale, b * scale[:, 0]
     checked = 0
     while checked < 5:
         q = rng.normal(scale=4.0, size=3)
-        if poly.contains(q):
+        if np.all(A @ q <= b):
             continue
-        want = _slsqp_projection(A, b, q)
-        got = poly.project(q)
-        assert np.all(A @ got <= b + 1e-9)
-        assert got == pytest.approx(want, abs=1e-6)
-        assert poly.distance(q) == pytest.approx(np.linalg.norm(q - want), abs=1e-6)
+        _assert_projection_matches_slsqp(A, b, q)
         checked += 1
+
+
+def test_projection_of_a_30_row_polytope_matches_slsqp():
+    rng = np.random.default_rng(5)
+    A, b = random_polytope(rng, 3, 30)
+    for _ in range(5):
+        q = rng.normal(scale=4.0, size=3)
+        if not np.all(A @ q <= b):
+            _assert_projection_matches_slsqp(A, b, q)
+
+
+def test_projection_onto_a_pyramid_apex_from_above():
+    # Four faces meet at the apex (0, 0, 2), more than the dimension.
+    A = [[2.0, 0.0, 1.0], [-2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, -2.0, 1.0],
+         [0.0, 0.0, -1.0]]
+    poly = Polytope(A, [2.0, 2.0, 2.0, 2.0, 0.0])
+    q = [0.0, 0.0, 7.0]
+    assert poly.project(q) == pytest.approx([0.0, 0.0, 2.0], abs=1e-12)
+    assert poly.distance(q) == pytest.approx(5.0, abs=1e-12)
+
+
+def test_distance_to_an_empty_polytope_payload_is_a_geometry_error():
+    # Payloads skip the feasibility LP; x <= -1 and x >= 1 cannot both hold.
+    poly = set_from_payload("polytope", [[[1.0], [-1.0]], [-1.0, -1.0]])
+    with pytest.raises(GeometryError, match="no feasible point"):
+        poly.distance([0.0])

@@ -125,6 +125,34 @@ def test_bool_is_not_a_number():
         validate_trace_dict(doc)
 
 
+@pytest.mark.parametrize("where, value, path", [
+    ((0, 1, 0, 0), True, "unsafe.u1.state_trace[0][1][0][0]"),
+    ((1, 1, 0, 0), "10.1", "unsafe.u1.state_trace[1][1][0][0]"),
+    ((1, 1, 1), "7", "unsafe.u1.state_trace[1][1][1]"),
+], ids=["bool-center", "string-center", "string-radius"])
+def test_set_payload_entry_must_be_a_number(where, value, path):
+    # The payload parse alone reads these as 1.0, 10.1 and 7.0.
+    doc = two_agent_doc()
+    node = doc["unsafe"]["u1"]["state_trace"]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(TraceSchemaError) as err:
+        validate_trace_dict(doc)
+    assert err.value.path == path
+
+
+def test_payload_equal_to_the_last_one_is_still_type_checked():
+    # [[True], 7.0] == [[1.0], 7.0] in Python, so the repeat must not skip the test.
+    doc = two_agent_doc()
+    rows = doc["unsafe"]["u1"]["state_trace"]
+    rows[0][1] = [[1.0], 7.0]
+    rows[1][1] = [[True], 7.0]
+    with pytest.raises(TraceSchemaError) as err:
+        validate_trace_dict(doc)
+    assert err.value.path == "unsafe.u1.state_trace[1][1][0][0]"
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400],
                          ids=["inf", "-inf", "nan", "int-past-float"])
 @pytest.mark.parametrize("where, path", [
