@@ -71,7 +71,7 @@ class AgentModel:
 
     def _leader_state(self, trace) -> list[float]:
         """Last recorded state of the agent named by `leader_id`."""
-        if self.leader_id not in trace.agent_ids():
+        if self.leader_id not in trace.agents:
             raise ValueError(
                 f"agent {self.agent_id!r}: leader {self.leader_id!r} missing from trace"
             )

@@ -23,6 +23,13 @@ hyperrectangle. For a polytope it first tries two exact shortcuts (a row
 whose minimum over the box exceeds its offset; the box centre inside) and
 otherwise decides with a linear feasibility program. `box_distance` gives
 the box gap in closed form and has none for a polytope.
+
+Membership and the box test take one query or a stack of them: `contains`
+takes a point (dim,) or points (n, dim) and answers whether the set holds
+any of them; `box_intersects` takes corners (dim,) or (n, dim) and answers
+whether the set touches any of the boxes. One point is a stack of one, so
+an RTA logic tests a whole predicted horizon against a set in one call.
+`distance` and `box_distance` take one point or one box.
 """
 from __future__ import annotations
 
@@ -54,9 +61,29 @@ def _vector(x, what: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise GeometryError(f"{what} must be a nonempty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise GeometryError(f"{what} must be finite")
     return v
+
+
+def _stack(x, dim: int, what: str) -> np.ndarray:
+    """`x` as an (n, dim) array; one vector (dim,) is a stack of one."""
+    v = np.array(x, dtype=float, ndmin=2)
+    if v.ndim != 2 or v.size == 0:
+        raise GeometryError(
+            f"{what} must be a nonempty vector or (n, dim) stack, got shape {v.shape}"
+        )
+    if v.shape[1] != dim:
+        raise DimensionMismatch(dim, v.shape[1])
+    if not np.isfinite(v).all():
+        raise GeometryError(f"{what} must be finite")
+    return v
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; equals np.linalg.norm(d, axis=1) bit
+    for bit, without its dispatch."""
+    return np.sqrt((d * d).sum(axis=1))
 
 
 class SetDef:
@@ -65,8 +92,9 @@ class SetDef:
     kind: str = "abstract"
     dim: int = 0
 
-    def contains(self, point) -> bool:
-        """True iff the point lies in the closed set."""
+    def contains(self, points) -> bool:
+        """True iff the closed set holds the point (dim,), or any point of
+        the stack (n, dim)."""
         raise NotImplementedError
 
     def distance(self, point) -> float:
@@ -97,9 +125,9 @@ class PointSet(SetDef):
         self.coords = _vector(coords, "point coordinates")
         self.dim = self.coords.shape[0]
 
-    def contains(self, point) -> bool:
-        p = self._check_point(point)
-        return bool(np.all(p == self.coords))
+    def contains(self, points) -> bool:
+        P = _stack(points, self.dim, "point")
+        return bool((P == self.coords).all(axis=1).any())
 
     def distance(self, point) -> float:
         p = self._check_point(point)
@@ -130,9 +158,9 @@ class Ball(SetDef):
             raise GeometryError(f"ball radius must be finite and >= 0, got {self.radius}")
         self.dim = self.center.shape[0]
 
-    def contains(self, point) -> bool:
-        p = self._check_point(point)
-        return bool(np.linalg.norm(p - self.center) <= self.radius)
+    def contains(self, points) -> bool:
+        P = _stack(points, self.dim, "point")
+        return bool(_norms(P - self.center).min() <= self.radius)
 
     def distance(self, point) -> float:
         p = self._check_point(point)
@@ -165,16 +193,16 @@ class Hyperrectangle(SetDef):
         self.upper = _vector(upper, "upper corner")
         if self.lower.shape != self.upper.shape:
             raise DimensionMismatch(self.lower.shape[0], self.upper.shape[0])
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise GeometryError(
                 f"lower corner must not exceed upper corner: "
                 f"{self.lower.tolist()} vs {self.upper.tolist()}"
             )
         self.dim = self.lower.shape[0]
 
-    def contains(self, point) -> bool:
-        p = self._check_point(point)
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
+    def contains(self, points) -> bool:
+        P = _stack(points, self.dim, "point")
+        return bool(((P >= self.lower) & (P <= self.upper)).all(axis=1).any())
 
     def distance(self, point) -> float:
         p = self._check_point(point)
@@ -220,7 +248,7 @@ class Polytope(SetDef):
                 f"constraint matrix has {self.A.shape[0]} rows "
                 f"but offset vector has length {self.b.shape[0]}"
             )
-        if not np.all(np.isfinite(self.A)):
+        if not np.isfinite(self.A).all():
             raise GeometryError("constraint matrix must be finite")
         self.dim = self.A.shape[1]
         if check_feasible and not self._feasible():
@@ -240,9 +268,9 @@ class Polytope(SetDef):
             raise GeometryError(f"polytope feasibility program failed: {res.message}")
         return res.status == 0
 
-    def contains(self, point) -> bool:
-        p = self._check_point(point)
-        return bool(np.all(self.A @ p <= self.b))
+    def contains(self, points) -> bool:
+        P = _stack(points, self.dim, "point")
+        return bool((P @ self.A.T <= self.b).all(axis=1).any())
 
     def project(self, point) -> np.ndarray:
         """Nearest point of the polytope to `point`.
@@ -269,7 +297,7 @@ class Polytope(SetDef):
         except np.linalg.LinAlgError:  # dependent rows: more than `dim` faces meet there
             lam = np.linalg.lstsq(gram, rhs)[0]
         x = p - rows.T @ lam
-        if not np.all(A @ x <= b + 1e-9 * (1.0 + float(np.max(np.abs(b))))):
+        if not (A @ x <= b + 1e-9 * (1.0 + float(np.max(np.abs(b))))).all():
             raise GeometryError("polytope projection found no feasible point; "
                                 "Ax <= b may have no solution")
         return x
@@ -356,64 +384,73 @@ def set_from_payload(kind: str, payload) -> SetDef:
 
 
 def _box_corners(set_def: SetDef, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    lo = _vector(lower, "box lower corner")
-    hi = _vector(upper, "box upper corner")
-    for corner in (lo, hi):
-        if corner.shape[0] != set_def.dim:
-            raise DimensionMismatch(set_def.dim, corner.shape[0])
-    if np.any(lo > hi):
+    """Corner stacks (n, dim) of one box or of n boxes."""
+    lo = _stack(lower, set_def.dim, "box lower corner")
+    hi = _stack(upper, set_def.dim, "box upper corner")
+    if lo.shape != hi.shape:
+        raise GeometryError(
+            f"got {lo.shape[0]} lower corners but {hi.shape[0]} upper corners"
+        )
+    if (lo > hi).any():
         raise GeometryError("box lower corner must not exceed upper corner")
     return lo, hi
 
 
-def _box_gap(set_def: SetDef, lo: np.ndarray, hi: np.ndarray) -> float:
+def _box_gaps(set_def: SetDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gap between the set and each box of the stacks (n, dim); a ball's gap
+    is negative where the box reaches inside it."""
     if isinstance(set_def, PointSet):
         c = set_def.coords
-        return float(np.linalg.norm(c - np.clip(c, lo, hi)))
+        return _norms(c - np.minimum(np.maximum(c, lo), hi))
     if isinstance(set_def, Ball):
-        gap = float(np.linalg.norm(set_def.center - np.clip(set_def.center, lo, hi)))
-        return max(0.0, gap - set_def.radius)
+        c = set_def.center
+        return _norms(c - np.minimum(np.maximum(c, lo), hi)) - set_def.radius
     if isinstance(set_def, Hyperrectangle):
-        gaps = np.maximum(0.0, np.maximum(set_def.lower - hi, lo - set_def.upper))
-        return float(np.linalg.norm(gaps))
+        return _norms(np.maximum(0.0, np.maximum(set_def.lower - hi, lo - set_def.upper)))
     if isinstance(set_def, Polytope):
         raise GeometryError("box_distance has no closed form for a polytope; "
                             "use box_intersects")
     raise GeometryError(f"unsupported set type {type(set_def).__name__}")
 
 
-def _polytope_meets_box(poly: Polytope, lo: np.ndarray, hi: np.ndarray) -> bool:
+def _polytope_meets_boxes(poly: Polytope, lo: np.ndarray, hi: np.ndarray) -> bool:
     A, b = poly.A, poly.b
-    # A row whose minimum over the box exceeds its offset separates the two.
-    if np.any(np.sum(A * np.where(A > 0, lo, hi), axis=1) > b):
-        return False
-    if np.all(A @ ((lo + hi) / 2.0) <= b):
+    # A row whose minimum over a box exceeds its offset separates the two.
+    row_min = (A * np.where(A > 0, lo[:, None, :], hi[:, None, :])).sum(axis=2)
+    live = ~(row_min > b).any(axis=1)
+    lo, hi = lo[live], hi[live]
+    if (((lo + hi) / 2.0) @ A.T <= b).all(axis=1).any():
         return True
-    return poly._feasible(list(zip(lo, hi)))
+    return any(poly._feasible(list(zip(l, h))) for l, h in zip(lo, hi))
 
 
 def box_distance(set_def: SetDef, lower, upper) -> float:
-    """Euclidean distance between a point, ball or hyperrectangle and an
+    """Euclidean distance between a point, ball or hyperrectangle and one
     axis-aligned box, in closed form. Zero means the two intersect.
 
     A polytope has no closed form and raises GeometryError; test it with
     `box_intersects`.
     """
     lo, hi = _box_corners(set_def, lower, upper)
-    return _box_gap(set_def, lo, hi)
+    if lo.shape[0] != 1:
+        raise GeometryError(f"box_distance takes one box, got {lo.shape[0]}")
+    return max(0.0, float(_box_gaps(set_def, lo, hi)[0]))
 
 
 def box_intersects(set_def: SetDef, lower, upper) -> bool:
-    """Whether a set touches the closed axis-aligned box [lower, upper].
+    """Whether a set touches the closed axis-aligned box [lower, upper], or
+    any box of the stacks lower, upper (n, dim).
 
     Point, ball and hyperrectangle: the closed-form gap of `box_distance`
     is exactly zero. Polytope {Ax <= b}: disjoint if some row's minimum over
     the box, sum_i a_i * (lo_i if a_i > 0 else hi_i), exceeds b; touching if
     the box centre satisfies Ax <= b; otherwise a linear feasibility program
     (HiGHS) over Ax <= b with lo <= x <= hi decides, within the solver's
-    feasibility tolerance.
+    feasibility tolerance. On a stack the centre test runs on every box not
+    ruled out before any program does, so a stack never needs more programs
+    than testing its boxes one by one.
     """
     lo, hi = _box_corners(set_def, lower, upper)
     if isinstance(set_def, Polytope):
-        return _polytope_meets_box(set_def, lo, hi)
-    return _box_gap(set_def, lo, hi) == 0.0
+        return _polytope_meets_boxes(set_def, lo, hi)
+    return bool(_box_gaps(set_def, lo, hi).min() <= 0.0)

@@ -11,10 +11,19 @@ returns. Two reference logics ship with the package:
               axis-aligned box of half-width bloat_rate * k * dt and
               switches on box/set intersection, which makes it conservative
               relative to SimRta by construction.
+
+Both test a static unsafe set once per decision, over the whole predicted
+horizon, on the definition the bound scenario built (`Scenario.static_sets`):
+a static set's rows in the trace handed to `decide` are not read. A set
+anchored to an agent is read from the predicted trace and tested step by
+step, because it moves with its anchor.
 """
 from __future__ import annotations
 
+import math
 import time
+
+import numpy as np
 
 from .agents import Mode
 from .evaluation import Collector
@@ -31,8 +40,8 @@ class RtaLogic:
     """Base decision module. Subclasses implement decide(trace) -> Mode."""
 
     def __init__(self, ego_id: str | None = None, horizon: float = 1.0):
-        if horizon <= 0:
-            raise ValueError(f"prediction horizon must be positive, got {horizon}")
+        if not math.isfinite(horizon) or not horizon > 0:
+            raise ValueError(f"prediction horizon must be finite and positive, got {horizon}")
         self.ego_id = ego_id
         self.horizon = float(horizon)
         self._scenario: Scenario | None = None
@@ -54,6 +63,19 @@ class RtaLogic:
 
     def decide(self, trace: ExecutionTrace) -> Mode:
         raise NotImplementedError
+
+    def _enters_unsafe(self, pred: ExecutionTrace, hits) -> bool:
+        """Whether `hits(set_def, k)` holds for some unsafe set. A static set
+        is tested once with k = slice(None), the whole horizon; an anchored
+        set once per predicted step k."""
+        static = self.scenario.static_sets
+        for set_id in self.scenario.unsafe_ids():
+            if set_id in static:
+                if hits(static[set_id], slice(None)):
+                    return True
+            elif any(hits(pred.unsafe_def(set_id, k), k) for k in range(pred.n_samples())):
+                return True
+        return False
 
 
 class RtaBinding:
@@ -103,12 +125,10 @@ class SimRta(RtaLogic):
     def decide(self, trace: ExecutionTrace) -> Mode:
         pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
         model = self.scenario.agents_by_id[self.ego_id].model
-        for set_id in self.scenario.unsafe_ids():
-            for k in range(pred.n_samples()):
-                set_def = pred.unsafe_def(set_id, k)
-                pos = model.position(pred.state(self.ego_id, k))
-                if set_def.contains(pos):
-                    return Mode.SAFETY
+        positions = np.array([model.position(pred.state(self.ego_id, k))
+                              for k in range(pred.n_samples())])
+        if self._enters_unsafe(pred, lambda s, k: s.contains(positions[k])):
+            return Mode.SAFETY
         return Mode.UNTRUSTED
 
 
@@ -136,8 +156,8 @@ class ReachRta(RtaLogic):
 
     def __init__(self, ego_id=None, horizon: float = 1.0, bloat_rate: float = 0.1):
         super().__init__(ego_id=ego_id, horizon=horizon)
-        if not bloat_rate >= 0:
-            raise ValueError(f"bloat rate must be nonnegative, got {bloat_rate}")
+        if not math.isfinite(bloat_rate) or not bloat_rate >= 0:
+            raise ValueError(f"bloat rate must be finite and nonnegative, got {bloat_rate}")
         self.bloat_rate = float(bloat_rate)
 
     def decide(self, trace: ExecutionTrace) -> Mode:
@@ -145,9 +165,8 @@ class ReachRta(RtaLogic):
         model = self.scenario.agents_by_id[self.ego_id].model
         boxes = boxes_from_prediction(pred, model, self.ego_id, self.bloat_rate,
                                       self.scenario.dt)
-        for set_id in self.scenario.unsafe_ids():
-            for k, (lower, upper) in enumerate(boxes):
-                set_def = pred.unsafe_def(set_id, k)
-                if box_intersects(set_def, lower, upper):
-                    return Mode.SAFETY
+        corners = np.array(boxes)
+        lower, upper = corners[:, 0], corners[:, 1]
+        if self._enters_unsafe(pred, lambda s, k: box_intersects(s, lower[k], upper[k])):
+            return Mode.SAFETY
         return Mode.UNTRUSTED

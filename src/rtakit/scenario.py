@@ -9,9 +9,10 @@ ExecutionTrace on the exact grid t_k = k*dt, k = 0..floor(T/dt):
     against the new anchor states, then everything is appended.
 
 The engine is single-threaded and owns its trace during execution. A static
-set's payload is built once per scenario and appended to every sample of
-every trace the scenario produces, so payloads in a trace must not be
-mutated; apart from them, distinct executions share nothing.
+set's definition (`Scenario.static_sets`) and its payload are built once per
+scenario; the payload is appended to every sample of every trace the
+scenario produces, so payloads in a trace must not be mutated; apart from
+them, distinct executions share nothing.
 """
 from __future__ import annotations
 
@@ -66,11 +67,12 @@ class Scenario:
         self.agents_by_id = {spec.model.agent_id: spec for spec in config.agents}
         self.unsafe_by_id = {s.set_id: s for s in config.unsafe_sets}
         self.n_steps = grid_steps(self.horizon, self.dt)
-        # A static set's payload never changes, so every sample shares one.
-        self._static_payloads = {
-            s.set_id: s.base.payload()
+        self.static_sets: dict[str, SetDef] = {
+            s.set_id: s.base
             for s in config.unsafe_sets if not isinstance(s, RelativeSetSpec)
         }
+        # A static set's payload never changes, so every sample shares one.
+        self._static_payloads = {sid: s.payload() for sid, s in self.static_sets.items()}
 
     def agent_ids(self) -> list[str]:
         return list(self.agents_by_id)
@@ -133,10 +135,10 @@ def grid_steps(horizon: float, dt: float) -> int:
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Validate a configuration and materialize the executable scenario."""
-    if config.dt <= 0:
-        raise ScenarioError(f"dt must be positive, got {config.dt}")
-    if config.horizon <= 0:
-        raise ScenarioError(f"horizon must be positive, got {config.horizon}")
+    for name in ("dt", "horizon"):
+        value = getattr(config, name)
+        if not math.isfinite(value) or not value > 0:
+            raise ScenarioError(f"{name} must be finite and positive, got {value}")
     if config.horizon < config.dt:
         raise ScenarioError(
             f"horizon {config.horizon} must be at least one time step {config.dt}"
@@ -214,7 +216,7 @@ def predict(scenario: Scenario, trace: ExecutionTrace,
     Returns a fresh trace whose first sample is the current one; timestamps
     continue the k*dt grid. The input trace is not touched.
     """
-    t0 = trace.timestamps()[-1]
+    t0 = trace.last_state(trace.agent_ids()[0])[0]
     k0 = int(round(t0 / scenario.dt))
     last = trace.n_samples() - 1
     pred = ExecutionTrace()

@@ -426,3 +426,121 @@ def test_distance_to_an_empty_polytope_payload_is_a_geometry_error():
     poly = set_from_payload("polytope", [[[1.0], [-1.0]], [-1.0, -1.0]])
     with pytest.raises(GeometryError, match="no feasible point"):
         poly.distance([0.0])
+
+
+# -- stacks: one call answers "any" over the rows ----------------------------------
+
+# One set of each kind in 2-D, with queries that land exactly on its boundary.
+STACK_SETS = [
+    (PointSet([0.5, -0.25]), [[0.5, -0.25]]),
+    (Ball([0.5, -0.25], 1.0), [[1.5, -0.25], [0.5, 0.75]]),
+    (Hyperrectangle([-1.0, -0.5], [0.5, 1.0]), [[0.5, 0.0], [-1.0, 1.0]]),
+    (DIAMOND, [[0.0, 1.0], [0.5, 0.5]]),
+]
+STACK_KINDS = [s.kind for s, _ in STACK_SETS]
+
+
+def _contains_reference(s, p):
+    """Per-point membership, written out once per kind."""
+    if isinstance(s, PointSet):
+        return bool(np.all(p == s.coords))
+    if isinstance(s, Ball):
+        return bool(np.linalg.norm(p - s.center) <= s.radius)
+    if isinstance(s, Hyperrectangle):
+        return bool(np.all(s.lower <= p) and np.all(p <= s.upper))
+    return bool(np.all(s.A @ p <= s.b))
+
+
+def _box_reference(s, lo, hi):
+    """Per-box intersection, written out once per kind."""
+    if isinstance(s, PointSet):
+        return bool(np.all(lo <= s.coords) and np.all(s.coords <= hi))
+    if isinstance(s, Ball):
+        return bool(np.linalg.norm(s.center - np.clip(s.center, lo, hi)) <= s.radius)
+    if isinstance(s, Hyperrectangle):
+        return bool(np.all(lo <= s.upper) and np.all(s.lower <= hi))
+    return _lp_meets_box(s.A, s.b, lo, hi)
+
+
+@pytest.mark.parametrize("s, boundary", STACK_SETS, ids=STACK_KINDS)
+def test_contains_on_a_stack_is_any_over_its_rows(s, boundary):
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(200):
+        P = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), 2))
+        if rng.random() < 0.5:
+            P[rng.integers(len(P))] = boundary[rng.integers(len(boundary))]
+        rows = [s.contains(p) for p in P]
+        assert rows == [_contains_reference(s, p) for p in P]
+        assert s.contains(P) == any(rows)
+        outcomes.add(any(rows))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("s, boundary", STACK_SETS, ids=STACK_KINDS)
+def test_box_intersects_on_a_stack_is_any_over_its_rows(s, boundary):
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        centre = rng.uniform(-2.0, 2.0, size=(n, 2))
+        half = rng.uniform(0.0, 0.6, size=(n, 2))
+        lo, hi = centre - half, centre + half
+        if rng.random() < 0.3:  # a box with a corner on the boundary
+            j = rng.integers(n)
+            lo[j] = boundary[rng.integers(len(boundary))]
+            hi[j] = lo[j] + half[j]
+        if s is DIAMOND and rng.random() < 0.3:  # disjoint, only the LP shows it
+            j = rng.integers(n)
+            lo[j], hi[j] = [-0.2, 1.05], [0.2, 1.5]
+        rows = [box_intersects(s, l, h) for l, h in zip(lo, hi)]
+        assert rows == [_box_reference(s, l, h) for l, h in zip(lo, hi)]
+        assert box_intersects(s, lo, hi) == any(rows)
+        outcomes.add(any(rows))
+    assert outcomes == {True, False}
+
+
+def test_polytope_box_stack_runs_no_more_lps_than_box_by_box(monkeypatch):
+    lps = []
+    real = Polytope._feasible
+    monkeypatch.setattr(Polytope, "_feasible",
+                        lambda self, bounds=None: lps.append(bounds) or real(self, bounds))
+    lp_only = ([-0.2, 1.05], [0.2, 1.5])  # disjoint; neither shortcut decides it
+    centre_in = ([-0.1, -0.1], [0.1, 0.1])
+    lo, hi = zip(lp_only, lp_only, centre_in)
+    assert any(box_intersects(DIAMOND, l, h) for l, h in zip(lo, hi))
+    assert len(lps) == 2
+    lps.clear()
+    assert box_intersects(DIAMOND, lo, hi)
+    assert lps == []
+    assert not box_intersects(DIAMOND, lo[:2], hi[:2])
+    assert len(lps) == 2
+
+
+@pytest.mark.parametrize("s", [s for s, _ in STACK_SETS], ids=STACK_KINDS)
+def test_stacks_are_checked_like_single_queries(s):
+    ok = np.zeros((3, 2))
+    with pytest.raises(DimensionMismatch) as err:
+        s.contains(np.zeros((3, 3)))
+    assert (err.value.set_dim, err.value.point_dim) == (2, 3)
+    with pytest.raises(DimensionMismatch) as err:
+        box_intersects(s, ok, np.ones((3, 1)))
+    assert (err.value.set_dim, err.value.point_dim) == (2, 1)
+    with pytest.raises(GeometryError, match="nonempty"):
+        s.contains(np.zeros((0, 2)))
+    with pytest.raises(GeometryError, match="nonempty"):
+        box_intersects(s, np.zeros((0, 2)), np.zeros((0, 2)))
+    with pytest.raises(GeometryError, match="finite"):
+        s.contains([[0.0, 0.0], [math.nan, 0.0]])
+    with pytest.raises(GeometryError, match="finite"):
+        box_intersects(s, ok, [[1.0, 1.0], [1.0, math.inf], [1.0, 1.0]])
+    with pytest.raises(GeometryError, match="3 lower corners but 2 upper"):
+        box_intersects(s, ok, np.ones((2, 2)))
+    with pytest.raises(GeometryError, match="must not exceed"):
+        box_intersects(s, ok, [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+
+def test_box_distance_takes_one_box():
+    ball = Ball([0.0, 0.0], 1.0)
+    with pytest.raises(GeometryError, match="one box"):
+        box_distance(ball, np.zeros((2, 2)), np.ones((2, 2)))

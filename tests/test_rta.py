@@ -1,9 +1,12 @@
 """RTA bindings, forward simulation, and the two reference switching logics."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtakit import rta
 from rtakit import (
     AccAgent,
     AccParams,
@@ -18,12 +21,16 @@ from rtakit import (
     ScenarioConfig,
     SimRta,
     StaticSetSpec,
+    box_intersects,
     build_scenario,
+    config_from_dict,
     execute,
     forward_simulate,
 )
 from rtakit.rta import boxes_from_prediction
 from helpers import acc_scenario_config, random_acc_config, sim_rta_binding
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class ConstantLogic(RtaLogic):
@@ -251,6 +258,22 @@ def test_reach_boxes_contain_nominal_states():
             assert lower[0] <= pred.state("follower", k)[0] <= upper[0]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RtaLogic(horizon=math.nan),
+    lambda: RtaLogic(horizon=math.inf),
+    lambda: SimRta(horizon=math.nan),
+], ids=["nan", "inf", "sim-nan"])
+def test_logic_rejects_nonfinite_horizon(make):
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        make()
+
+
+def test_reach_rta_rejects_infinite_bloat_rate():
+    # an infinite rate gives a NaN box corner inf * 0 at k = 0
+    with pytest.raises(ValueError, match="bloat rate must be finite"):
+        ReachRta(horizon=1.0, bloat_rate=math.inf)
+
+
 def test_reach_boxes_reject_decreasing_schedule():
     # a negative rate is the only way to a shrinking box schedule
     for rate in (-0.1, math.nan):
@@ -308,3 +331,61 @@ def test_reach_rta_safety_superset_of_sim_rta():
             prefix = trace.prefix(k)
             if sim.decide(prefix) is Mode.SAFETY:
                 assert reach.decide(prefix) is Mode.SAFETY
+
+
+# -- decisions against a per-step reference ------------------------------------------
+
+def per_step_reference(logic, pred):
+    """The decision as a loop over sets and predicted steps that reads every
+    set, static or anchored, from the predicted trace's rows."""
+    model = logic.scenario.agents_by_id[logic.ego_id].model
+    reach = isinstance(logic, ReachRta)
+    if reach:
+        boxes = boxes_from_prediction(pred, model, logic.ego_id, logic.bloat_rate,
+                                      logic.scenario.dt)
+    for set_id in pred.unsafe_ids():
+        for k in range(pred.n_samples()):
+            set_def = pred.unsafe_def(set_id, k)
+            if reach:
+                hit = box_intersects(set_def, *boxes[k])
+            else:
+                hit = set_def.contains(model.position(pred.state(logic.ego_id, k)))
+            if hit:
+                return Mode.SAFETY
+    return Mode.UNTRUSTED
+
+
+@pytest.mark.parametrize("kind", ["sim", "reach"])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_decisions_match_a_per_step_reference_on_shipped_configs(name, kind, monkeypatch):
+    doc = json.loads((CONFIGS / name).read_text())
+    # Every binding runs `kind`; acc.json has none, so its first agent gets one.
+    bound = [a for a in doc["agents"] if "rta" in a] or doc["agents"][:1]
+    for agent in bound:
+        agent["rta"] = {"type": kind, "horizon": agent.get("rta", {}).get("horizon", 1.0)}
+        if kind == "reach":
+            agent["rta"]["bloat_rate"] = 0.1
+    preds = []
+    real_forward = rta.forward_simulate
+
+    def recording_forward(*args, **kwargs):
+        preds.append(real_forward(*args, **kwargs))
+        return preds[-1]
+
+    monkeypatch.setattr(rta, "forward_simulate", recording_forward)
+    scenario = build_scenario(config_from_dict(doc))
+    decided = []
+    for spec in scenario.config.agents:
+        if spec.rta is not None:
+            logic = spec.rta.logic
+
+            def checked(trace, logic=logic, decide=logic.decide):
+                mode = decide(trace)
+                decided.append((mode, per_step_reference(logic, preds[-1])))
+                return mode
+
+            logic.decide = checked
+    trace = execute(scenario)
+    assert len(decided) == len(bound) * (trace.n_samples() - 1)
+    assert [i for i, (got, want) in enumerate(decided) if got is not want] == []
+    assert {got for got, _ in decided} == {Mode.SAFETY, Mode.UNTRUSTED}

@@ -63,6 +63,16 @@ def test_build_rejects_nonpositive_dt():
         build_scenario(single_agent_config(dt=0.0))
 
 
+@pytest.mark.parametrize("dt, horizon, name", [
+    (0.1, math.inf, "horizon"),
+    (math.nan, 0.2, "dt"),
+    (0.1, math.nan, "horizon"),
+])
+def test_build_rejects_nonfinite_time_grid(dt, horizon, name):
+    with pytest.raises(ScenarioError, match=f"{name} must be finite and positive"):
+        build_scenario(single_agent_config(dt=dt, horizon=horizon))
+
+
 def test_build_rejects_horizon_shorter_than_dt():
     with pytest.raises(ScenarioError):
         build_scenario(single_agent_config(dt=0.1, horizon=0.05))
@@ -142,10 +152,14 @@ def test_static_set_payload_is_built_once(monkeypatch):
     monkeypatch.setattr(Ball, "payload", lambda self: built.append(1) or real_payload(self))
     config = single_agent_config(horizon=0.5)
     config.unsafe_sets = [StaticSetSpec("wall", Ball([9.0], 1.0))]
-    trace = execute(build_scenario(config))
+    scenario = build_scenario(config)
+    trace = execute(scenario)
     assert len(built) == 1
+    assert scenario.static_sets == {"wall": config.unsafe_sets[0].base}
     assert trace.n_samples() == 6
-    assert all(trace.unsafe_payload("wall", k) == [[9.0], 1.0] for k in range(6))
+    shared = trace.unsafe_payload("wall", 0)
+    assert shared == [[9.0], 1.0]
+    assert all(trace.unsafe_payload("wall", k) is shared for k in range(6))
 
 
 def test_executed_trace_validates_against_schema():
