@@ -10,6 +10,7 @@ from .agents import (
     DubinsPlaneAgent,
     DubinsPlaneParams,
     Mode,
+    View,
 )
 from .config import ConfigError, config_from_dict, parse_scenario_config
 from .evaluation import (

@@ -1,7 +1,13 @@
 """Agent models: plant dynamics plus their safety and untrusted controllers.
 
-Every model exposes a deterministic `step(mode, state, dt, trace)` that
-advances the state one explicit-Euler step. The mode selects the controller:
+Every model exposes a deterministic `step(mode, state, dt, view)` that
+advances the state one explicit-Euler step. The view is what the agent sees
+of the tick it steps from: by agent id, every agent's pre-step state and the
+memory of every agent that keeps one. Memory is the discrete part of an
+agent's state that its controllers carry between ticks, such as a route's
+active waypoint; `remember(memory, state)` gives the memory after a
+recorded state, and the scenario folds it over a trace's rows. The mode
+selects the controller:
 
     SAFETY     well-tested conservative controller
     UNTRUSTED  experimental high-performance controller (no guarantee)
@@ -16,12 +22,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 
 class Mode(Enum):
     SAFETY = "SAFETY"
     UNTRUSTED = "UNTRUSTED"
     NORMAL = "NORMAL"
+
+
+class View(NamedTuple):
+    """One tick as every agent's step sees it, by agent id: each agent's
+    pre-step state, and the memory of each agent that keeps one."""
+
+    states: dict[str, list[float]]
+    memory: dict[str, object]
 
 
 def wrap_angle(a: float) -> float:
@@ -52,30 +67,41 @@ def _check_dt(dt: float) -> float:
 
 
 class AgentModel:
-    """Base agent: identifier, parameters, and a step transition function."""
+    """Base agent: identifier, parameters, a step transition function and
+    the memory it carries between ticks; it keeps none while
+    `initial_memory` is None."""
 
     model_name = "base"
     state_dim: int = 0
     position_indices: tuple[int, ...] = ()
+    initial_memory: object = None
 
     def __init__(self, agent_id: str):
         if not agent_id or not isinstance(agent_id, str):
             raise ValueError("agent id must be a nonempty string")
         self.agent_id = agent_id
 
-    def step(self, mode: Mode, state, dt: float, trace) -> list[float]:
+    def step(self, mode: Mode, state, dt: float, view: View) -> list[float]:
         raise NotImplementedError
+
+    def remember(self, memory, state):
+        """The memory after recording `state`, starting from `memory`; it
+        returns a new value and leaves the old one as it was. Called only
+        for an agent whose `initial_memory` is not None, which is what
+        keeping memory means."""
+        return memory
 
     def position(self, state) -> list[float]:
         return [float(state[i]) for i in self.position_indices]
 
-    def _leader_state(self, trace) -> list[float]:
-        """Last recorded state of the agent named by `leader_id`."""
-        if self.leader_id not in trace.agents:
+    def _leader_state(self, view: View) -> list[float]:
+        """Pre-step state of the agent named by `leader_id`."""
+        state = view.states.get(self.leader_id)
+        if state is None:
             raise ValueError(
-                f"agent {self.agent_id!r}: leader {self.leader_id!r} missing from trace"
+                f"agent {self.agent_id!r}: leader {self.leader_id!r} missing from the view"
             )
-        return trace.last_state(self.leader_id)[1]
+        return state
 
 
 @dataclass(frozen=True)
@@ -113,7 +139,7 @@ class AccAgent(AgentModel):
     controller and a bang-bang untrusted controller.
 
     State is [position, velocity]. The goal state is [leader position -
-    follow_distance, leader velocity], read from the trace each step.
+    follow_distance, leader velocity], read from the view each step.
     """
 
     model_name = "acc"
@@ -128,19 +154,19 @@ class AccAgent(AgentModel):
         self.leader_id = leader_id
         self.goal_fn = goal_fn
 
-    def goal_state(self, trace) -> list[float] | None:
+    def goal_state(self, view: View) -> list[float] | None:
         if self.goal_fn is not None:
-            return list(self.goal_fn(trace))
+            return list(self.goal_fn(view))
         if self.leader_id is None:
             return None
-        lead = self._leader_state(trace)
+        lead = self._leader_state(view)
         return [lead[0] - self.params.follow_distance, lead[1]]
 
-    def command(self, mode: Mode, state, trace) -> float:
+    def command(self, mode: Mode, state, view: View) -> float:
         """Acceleration command for the given mode, clamped to +-a_max."""
         if mode is Mode.NORMAL:
             return 0.0
-        goal = self.goal_state(trace)
+        goal = self.goal_state(view)
         if goal is None:
             raise ValueError(f"agent {self.agent_id!r} has no goal provider")
         p, v = float(state[0]), float(state[1])
@@ -155,9 +181,9 @@ class AccAgent(AgentModel):
             a = math.copysign(self.params.a_max, a)
         return a
 
-    def step(self, mode, state, dt, trace) -> list[float]:
+    def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
-        a = self.command(mode, state, trace)
+        a = self.command(mode, state, view)
         p, v = float(state[0]), float(state[1])
         p_next = p + v * dt
         v_next = v + a * dt
@@ -204,7 +230,8 @@ class DubinsCarAgent(AgentModel):
     SAFETY steers toward the goal, if there is one, while slowing to the
     safe speed; without a goal it holds its heading. Goals come from a
     waypoint list, a leader (position + formation offset), or a custom
-    callable.
+    callable. A car with waypoints keeps memory: the index of its active
+    waypoint.
     """
 
     model_name = "dubins_car"
@@ -220,6 +247,8 @@ class DubinsCarAgent(AgentModel):
         self.waypoints = (
             [_finite_floats(w, "waypoint") for w in waypoints] if waypoints else None
         )
+        if self.waypoints:
+            self.initial_memory = 0
         self.leader_id = leader_id
         self.formation_offset = (
             _finite_floats(formation_offset, "formation_offset")
@@ -227,33 +256,30 @@ class DubinsCarAgent(AgentModel):
         )
         self.goal_fn = goal_fn
 
-    def goal_position(self, trace) -> list[float] | None:
+    def remember(self, memory, state):
+        """Capture every waypoint from the active one on that lies within
+        capture_radius of the recorded position; the last one is never
+        passed."""
+        pos = state[:len(self.position_indices)]
+        last = len(self.waypoints) - 1
+        while memory < last and math.dist(pos, self.waypoints[memory]) <= self.params.capture_radius:
+            memory += 1
+        return memory
+
+    def goal_position(self, view: View) -> list[float] | None:
         if self.goal_fn is not None:
-            return list(self.goal_fn(trace))
+            return list(self.goal_fn(view))
         if self.leader_id is not None:
-            lead = self._leader_state(trace)
+            lead = self._leader_state(view)
             goal = [lead[i] for i in range(len(self.position_indices))]
             if self.formation_offset is not None:
                 goal = [g + o for g, o in zip(goal, self.formation_offset)]
             return goal
         if self.waypoints:
-            return self._active_waypoint(trace)
+            return self.waypoints[view.memory[self.agent_id]]
         return None
 
-    def _active_waypoint(self, trace) -> list[float]:
-        # Replays own history so the step function stays a pure function of
-        # its arguments: a waypoint is captured once the agent has come
-        # within capture_radius of it at any recorded sample.
-        idx = 0
-        n = len(self.position_indices)
-        last = len(self.waypoints) - 1
-        for row in trace.agents[self.agent_id]["state_trace"]:
-            pos = row[1:1 + n]
-            while idx < last and math.dist(pos, self.waypoints[idx]) <= self.params.capture_radius:
-                idx += 1
-        return self.waypoints[idx]
-
-    def _steering(self, mode, x, y, heading, speed, trace):
+    def _steering(self, mode, x, y, heading, speed, view):
         """Turn rate, target speed and the goal steered to (or None).
 
         Coasting NORMAL reads no goal. Only UNTRUSTED needs one: without a
@@ -269,7 +295,7 @@ class DubinsCarAgent(AgentModel):
             target = self.params.v_cruise
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        goal = self.goal_position(trace)
+        goal = self.goal_position(view)
         if goal is None:
             if mode is Mode.UNTRUSTED:
                 raise ValueError(f"agent {self.agent_id!r} has no goal provider")
@@ -287,10 +313,10 @@ class DubinsCarAgent(AgentModel):
         v_next = min(max(speed + accel * dt, 0.0), self.params.v_max)
         return [x_next, y_next, heading_next, v_next]
 
-    def step(self, mode, state, dt, trace) -> list[float]:
+    def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
         x, y, heading, speed = (float(s) for s in state)
-        omega, v_target, _ = self._steering(mode, x, y, heading, speed, trace)
+        omega, v_target, _ = self._steering(mode, x, y, heading, speed, view)
         return self._planar_step(x, y, heading, speed, omega, v_target, dt)
 
 
@@ -339,10 +365,10 @@ class DubinsPlaneAgent(DubinsCarAgent):
         raw = math.atan2(goal[2] - z, horizontal) if horizontal > 0 else 0.0
         return min(max(raw, -self.params.gamma_max), self.params.gamma_max)
 
-    def step(self, mode, state, dt, trace) -> list[float]:
+    def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
         x, y, z, heading, gamma, speed = (float(s) for s in state)
-        omega, v_target, goal = self._steering(mode, x, y, heading, speed, trace)
+        omega, v_target, goal = self._steering(mode, x, y, heading, speed, view)
         x_next, y_next, heading_next, v_next = self._planar_step(
             x, y, heading, speed, omega, v_target, dt
         )

@@ -34,6 +34,7 @@ an RTA logic tests a whole predicted horizon against a set in one call.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -57,8 +58,19 @@ class DimensionMismatch(GeometryError):
         self.point_dim = point_dim
 
 
+def _not_numbers(what: str, x) -> GeometryError:
+    """The error for a ragged or non-numeric query, which numpy would
+    report without naming it."""
+    return GeometryError(
+        f"{what} must be numbers in a rectangular array, got {reprlib.repr(x)}"
+    )
+
+
 def _vector(x, what: str = "vector") -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    try:
+        v = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _not_numbers(what, x) from exc
     if v.ndim != 1 or v.size == 0:
         raise GeometryError(f"{what} must be a nonempty 1-D vector, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -68,7 +80,10 @@ def _vector(x, what: str = "vector") -> np.ndarray:
 
 def _stack(x, dim: int, what: str) -> np.ndarray:
     """`x` as an (n, dim) array; one vector (dim,) is a stack of one."""
-    v = np.array(x, dtype=float, ndmin=2)
+    try:
+        v = np.array(x, dtype=float, ndmin=2)
+    except (TypeError, ValueError) as exc:
+        raise _not_numbers(what, x) from exc
     if v.ndim != 2 or v.size == 0:
         raise GeometryError(
             f"{what} must be a nonempty vector or (n, dim) stack, got shape {v.shape}"

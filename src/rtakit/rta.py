@@ -14,9 +14,13 @@ returns. Two reference logics ship with the package:
 
 Both test a static unsafe set once per decision, over the whole predicted
 horizon, on the definition the bound scenario built (`Scenario.static_sets`):
-a static set's rows in the trace handed to `decide` are not read. A set
-anchored to an agent is read from the predicted trace and tested step by
-step, because it moves with its anchor.
+a static set's rows in the trace handed to `decide` are not read, and a
+prediction does not carry them. A set anchored to an agent is read from the
+predicted trace and tested step by step, because it moves with its anchor.
+
+The prediction is the closed loop's own rollout (`scenario.predict`): every
+agent steps from the same view and memory as it would in execution, so a
+one-step prediction under the executed modes is the executed next sample.
 """
 from __future__ import annotations
 
@@ -105,7 +109,8 @@ def forward_simulate(trace: ExecutionTrace, scenario: Scenario, horizon: float,
 
     The ego agent is held in UNTRUSTED mode; every other agent
     keeps its current mode. Relative unsafe sets are propagated along the
-    predicted anchors. The first sample is the current state.
+    predicted anchors; static sets are left out. The first sample is the
+    current state.
     """
     if horizon < scenario.dt:
         raise ValueError(

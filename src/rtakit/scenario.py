@@ -5,14 +5,26 @@ RTA binding), unsafe-set specs, and the time grid. Execution produces an
 ExecutionTrace on the exact grid t_k = k*dt, k = 0..floor(T/dt):
 
     per tick: all RTA decisions are computed from the same pre-step trace,
-    then every agent steps, then relative unsafe sets are re-resolved
-    against the new anchor states, then everything is appended.
+    then every agent steps from one view of that tick (every agent's state
+    and memory), then relative unsafe sets are re-resolved against the new
+    anchor states, then everything is appended.
+
+Execution and prediction are one rollout: `advance` is the only step of
+either. An agent's memory (see the agents module) is the fold of its
+`remember` over the trace's recorded rows. The fold is kept on the trace in
+process only, never in the wire format, and is extended by the rows added
+since it was last taken, so a trace built by `advance`, loaded from a file,
+built by hand or cut by `prefix` gets the same memory.
+
+A prediction carries only the anchored sets: a static set never moves, so
+`predict` leaves it out and decisions read it from `Scenario.static_sets`.
+An executed trace records every set.
 
 The engine is single-threaded and owns its trace during execution. A static
 set's definition (`Scenario.static_sets`) and its payload are built once per
-scenario; the payload is appended to every sample of every trace the
-scenario produces, so payloads in a trace must not be mutated; apart from
-them, distinct executions share nothing.
+scenario; the payload is appended to every sample of every executed trace,
+so payloads in a trace must not be mutated; apart from them, distinct
+executions share nothing.
 """
 from __future__ import annotations
 
@@ -20,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .agents import AgentModel, Mode
+from .agents import AgentModel, Mode, View
 from .geometry import RelativeSetSpec, SetDef, update_relative
 from .trace import ExecutionTrace
 
@@ -73,6 +85,10 @@ class Scenario:
         }
         # A static set's payload never changes, so every sample shares one.
         self._static_payloads = {sid: s.payload() for sid, s in self.static_sets.items()}
+        self._initial_memory = {
+            aid: spec.model.initial_memory for aid, spec in self.agents_by_id.items()
+            if spec.model.initial_memory is not None
+        }
 
     def agent_ids(self) -> list[str]:
         return list(self.agents_by_id)
@@ -106,16 +122,33 @@ class Scenario:
             return update_relative(uspec, anchor_pos).payload()
         return self._static_payloads[uspec.set_id]
 
+    def memory(self, trace: ExecutionTrace) -> dict[str, object]:
+        """The memory of every agent that keeps one (its model's
+        `initial_memory` is not None) after the trace's last sample: the
+        fold of its model's `remember` over the recorded rows. Rows folded
+        before are not folded again, and each row makes a new dict, so a
+        returned dict never changes."""
+        n = trace.n_samples()
+        folded, memory = trace.memory or (0, self._initial_memory)
+        if folded < n:
+            for k in range(folded, n):
+                memory = {aid: self.agents_by_id[aid].model.remember(m, trace.state(aid, k))
+                          for aid, m in memory.items()}
+            trace.memory = (n, memory)
+        return memory
+
     def advance(self, trace: ExecutionTrace, modes: dict[str, Mode], k: int) -> None:
-        """One tick from sample k: step all agents against the pre-step
-        trace, then append states, modes, and re-resolved unsafe sets."""
+        """One tick from sample k: step all agents from one view of the
+        pre-step sample, then append states, modes, and the unsafe sets the
+        trace holds, re-resolved."""
         t_next = (k + 1) * self.dt
+        states = {aid: trace.last_state(aid)[1] for aid in self.agents_by_id}
+        view = View(states, self.memory(trace))
         next_states = {}
         for spec in self.config.agents:
             aid = spec.model.agent_id
-            _, state = trace.last_state(aid)
             try:
-                nxt = spec.model.step(modes[aid], state, self.dt, trace)
+                nxt = spec.model.step(modes[aid], states[aid], self.dt, view)
             except Exception as exc:
                 raise ScenarioRuntimeError(
                     f"agent {aid!r} step failed at t={k * self.dt:g}: {exc}"
@@ -124,8 +157,8 @@ class Scenario:
         for aid, state in next_states.items():
             trace.append_state(aid, t_next, state)
             trace.append_mode(aid, modes[aid])
-        for uspec in self.config.unsafe_sets:
-            trace.append_unsafe(uspec.set_id, t_next, self._resolve(uspec, next_states))
+        for sid in trace.unsafe_ids():
+            trace.append_unsafe(sid, t_next, self._resolve(self.unsafe_by_id[sid], next_states))
 
 
 def grid_steps(horizon: float, dt: float) -> int:
@@ -213,8 +246,10 @@ def predict(scenario: Scenario, trace: ExecutionTrace,
             modes: dict[str, Mode], n_steps: int) -> ExecutionTrace:
     """Fixed-mode rollout from the last sample of `trace`.
 
-    Returns a fresh trace whose first sample is the current one; timestamps
-    continue the k*dt grid. The input trace is not touched.
+    Returns a fresh trace whose first sample is the current one, with the
+    agents' memory at that sample and the anchored unsafe sets only (static
+    sets are in `scenario.static_sets`); timestamps continue the k*dt grid.
+    The input trace is not touched, apart from extending its memory fold.
     """
     t0 = trace.last_state(trace.agent_ids()[0])[0]
     k0 = int(round(t0 / scenario.dt))
@@ -225,8 +260,10 @@ def predict(scenario: Scenario, trace: ExecutionTrace,
         _, state = trace.last_state(aid)
         pred.append_state(aid, t0, state)
     for sid in trace.unsafe_ids():
-        pred.add_unsafe_set(sid, trace.unsafe_kind(sid))
-        pred.append_unsafe(sid, t0, trace.unsafe_payload(sid, last))
+        if sid not in scenario.static_sets:
+            pred.add_unsafe_set(sid, trace.unsafe_kind(sid))
+            pred.append_unsafe(sid, t0, trace.unsafe_payload(sid, last))
+    pred.memory = (1, scenario.memory(trace))
     for j in range(n_steps):
         scenario.advance(pred, modes, k0 + j)
     return pred

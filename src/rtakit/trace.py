@@ -40,6 +40,9 @@ class ExecutionTrace:
     def __init__(self):
         self.agents: dict[str, dict] = {}
         self.unsafe: dict[str, dict] = {}
+        # (samples folded, agent memory after them), kept by
+        # `Scenario.memory`; in process only, never serialized.
+        self.memory: tuple[int, dict] | None = None
 
     # -- construction ----------------------------------------------------
 

@@ -13,13 +13,14 @@ from rtakit import (
     DubinsPlaneAgent,
     DubinsPlaneParams,
     Mode,
+    View,
 )
 from rtakit.agents import wrap_angle
-from helpers import acc_euler_step, make_trace
+from helpers import acc_euler_step
 
 
-def leader_trace(p=5.0, v=1.0):
-    return make_trace({"leader": [[0.0, p, v]]})
+def leader_view(p=5.0, v=1.0):
+    return View({"leader": [p, v]}, {})
 
 
 # -- ACC -----------------------------------------------------------------------
@@ -27,7 +28,7 @@ def leader_trace(p=5.0, v=1.0):
 def test_acc_untrusted_bang_bang_step():
     # goal = 5 - 10 = -5, error = -5 < 0 -> a = -a_max = -1
     agent = AccAgent("ego", AccParams(a_max=1.0), leader_id="leader")
-    got = agent.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, leader_trace())
+    got = agent.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, leader_view())
     want = acc_euler_step(0.0, 1.0, -1.0, 0.1, agent.params.v_max)
     assert got == [want[0], want[1]]
     assert got == [0.1, 0.9]
@@ -37,41 +38,35 @@ def test_acc_safety_zero_error_coasts():
     agent = AccAgent("ego", leader_id="leader")
     d = agent.params.follow_distance
     state = [5.0 - d, 1.0]  # exactly at the goal [p_L - d, v_L]
-    got = agent.step(Mode.SAFETY, state, 0.1, leader_trace())
+    got = agent.step(Mode.SAFETY, state, 0.1, leader_view())
     assert got[0] == pytest.approx(state[0] + 1.0 * 0.1, abs=1e-15)
     assert got[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_acc_normal_constant_velocity():
     agent = AccAgent("ego")
-    assert agent.step(Mode.NORMAL, [5.0, 1.0], 0.1, leader_trace()) == [5.1, 1.0]
+    assert agent.step(Mode.NORMAL, [5.0, 1.0], 0.1, leader_view()) == [5.1, 1.0]
 
 
 def test_acc_safety_is_fixed_point_of_relative_motion():
     params = AccParams()
     follower = AccAgent("ego", params, leader_id="leader")
     leader = AccAgent("leader", params)
-    trace = make_trace({
-        "ego": [[0.0, 5.0 - params.follow_distance, 1.0]],
-        "leader": [[0.0, 5.0, 1.0]],
-    })
     f_state, l_state = [5.0 - params.follow_distance, 1.0], [5.0, 1.0]
-    for k in range(20):
-        f_state = follower.step(Mode.SAFETY, f_state, 0.1, trace)
-        l_state = leader.step(Mode.NORMAL, l_state, 0.1, trace)
-        t = (k + 1) * 0.1
-        trace.append_state("ego", t, f_state)
-        trace.append_state("leader", t, l_state)
+    for _ in range(20):
+        view = View({"ego": f_state, "leader": l_state}, {})
+        f_state = follower.step(Mode.SAFETY, f_state, 0.1, view)
+        l_state = leader.step(Mode.NORMAL, l_state, 0.1, view)
         assert l_state[0] - f_state[0] == pytest.approx(params.follow_distance, abs=1e-12)
 
 
 def test_acc_untrusted_command_is_full_throttle_off_goal():
     rng = np.random.default_rng(2)
     agent = AccAgent("ego", leader_id="leader")
-    trace = leader_trace()
+    view = leader_view()
     for _ in range(100):
         state = [rng.uniform(-20, 20), rng.uniform(-5, 5)]
-        a = agent.command(Mode.UNTRUSTED, state, trace)
+        a = agent.command(Mode.UNTRUSTED, state, view)
         err = (5.0 - agent.params.follow_distance) - state[0]
         if err != 0.0:
             assert abs(a) == agent.params.a_max
@@ -82,12 +77,12 @@ def test_acc_untrusted_command_is_full_throttle_off_goal():
 def test_acc_bounds_hold_after_any_step():
     rng = np.random.default_rng(4)
     agent = AccAgent("ego", leader_id="leader")
-    trace = leader_trace()
+    view = leader_view()
     for _ in range(200):
         state = [rng.uniform(-50, 50), rng.uniform(-25, 25)]
         mode = rng.choice([Mode.SAFETY, Mode.UNTRUSTED, Mode.NORMAL])
-        a = agent.command(mode, state, trace)
-        nxt = agent.step(mode, state, 0.1, trace)
+        a = agent.command(mode, state, view)
+        nxt = agent.step(mode, state, 0.1, view)
         assert abs(a) <= agent.params.a_max + 1e-12
         assert abs(nxt[1]) <= agent.params.v_max + 1e-12
 
@@ -95,13 +90,13 @@ def test_acc_bounds_hold_after_any_step():
 def test_acc_missing_leader_raises():
     agent = AccAgent("ego", leader_id="ghost")
     with pytest.raises(ValueError, match="ghost"):
-        agent.step(Mode.UNTRUSTED, [0.0, 0.0], 0.1, leader_trace())
+        agent.step(Mode.UNTRUSTED, [0.0, 0.0], 0.1, leader_view())
 
 
 def test_acc_nonpositive_dt_raises():
     agent = AccAgent("ego")
     with pytest.raises(ValueError):
-        agent.step(Mode.NORMAL, [0.0, 0.0], 0.0, leader_trace())
+        agent.step(Mode.NORMAL, [0.0, 0.0], 0.0, leader_view())
 
 
 def test_acc_params_validation():
@@ -139,14 +134,14 @@ def test_car_nonfinite_wiring_rejected(wiring):
 
 def test_car_normal_straight_line():
     car = DubinsCarAgent("car")
-    got = car.step(Mode.NORMAL, [0.0, 0.0, 0.0, 1.0], 0.1, make_trace({"car": [[0.0, 0, 0, 0, 1]]}))
+    got = car.step(Mode.NORMAL, [0.0, 0.0, 0.0, 1.0], 0.1, View({"car": [0, 0, 0, 1]}, {}))
     assert got == [0.1, 0.0, 0.0, 1.0]
 
 
 def test_car_normal_along_y():
     car = DubinsCarAgent("car")
     got = car.step(Mode.NORMAL, [0.0, 0.0, math.pi / 2, 1.0], 0.1,
-                   make_trace({"car": [[0.0, 0, 0, math.pi / 2, 1]]}))
+                   View({"car": [0, 0, math.pi / 2, 1]}, {}))
     assert got[0] == pytest.approx(0.0, abs=1e-12)
     assert got[1] == pytest.approx(0.1, abs=1e-12)
     assert got[2] == math.pi / 2
@@ -155,9 +150,9 @@ def test_car_normal_along_y():
 
 def test_car_heading_tracks_goal_bearing():
     params = DubinsCarParams(k_heading=1.0)
-    car = DubinsCarAgent("car", params, goal_fn=lambda trace: [1.0, 1.0])
+    car = DubinsCarAgent("car", params, goal_fn=lambda view: [1.0, 1.0])
     got = car.step(Mode.UNTRUSTED, [0.0, 0.0, 0.0, 1.0], 0.1,
-                   make_trace({"car": [[0.0, 0, 0, 0, 1]]}))
+                   View({"car": [0, 0, 0, 1]}, {}))
     assert got[2] == pytest.approx(1.0 * (math.pi / 4) * 0.1, abs=1e-12)
 
 
@@ -167,7 +162,7 @@ def test_car_zero_steer_conserves_speed_and_step_length():
     for _ in range(100):
         state = [rng.uniform(-5, 5), rng.uniform(-5, 5),
                  rng.uniform(-math.pi, math.pi), rng.uniform(0.1, 3.0)]
-        nxt = car.step(Mode.NORMAL, state, 0.1, make_trace({"car": [[0.0] + state]}))
+        nxt = car.step(Mode.NORMAL, state, 0.1, View({"car": state}, {}))
         moved = math.hypot(nxt[0] - state[0], nxt[1] - state[1])
         assert nxt[3] == pytest.approx(state[3], abs=1e-12)
         assert moved == pytest.approx(state[3] * 0.1, abs=1e-12)
@@ -175,29 +170,34 @@ def test_car_zero_steer_conserves_speed_and_step_length():
 
 def test_car_speed_stays_in_bounds():
     params = DubinsCarParams(v_max=2.0, v_cruise=2.0, v_safe=0.0, k_speed=10.0)
-    car = DubinsCarAgent("car", params, goal_fn=lambda trace: [100.0, 0.0])
-    trace = make_trace({"car": [[0.0, 0, 0, 0, 1]]})
+    car = DubinsCarAgent("car", params, goal_fn=lambda view: [100.0, 0.0])
+    view = View({"car": [0, 0, 0, 1]}, {})
     state = [0.0, 0.0, 0.0, 1.9]
     for mode in (Mode.UNTRUSTED, Mode.SAFETY):
-        nxt = car.step(mode, state, 0.5, trace)
+        nxt = car.step(mode, state, 0.5, view)
         assert 0.0 <= nxt[3] <= 2.0
 
 
 def test_car_waypoint_advances_after_capture():
     params = DubinsCarParams(capture_radius=1.0, nominal="track")
     car = DubinsCarAgent("car", params, waypoints=[[1.0, 0.0], [5.0, 0.0]])
-    far = make_trace({"car": [[0.0, -3.0, 0.0, 0.0, 1.0]]})
-    assert car.goal_position(far) == [1.0, 0.0]
-    captured = make_trace({"car": [[0.0, -3.0, 0.0, 0.0, 1.0], [0.1, 0.5, 0.0, 0.0, 1.0]]})
-    assert car.goal_position(captured) == [5.0, 0.0]
+    far_state = [-3.0, 0.0, 0.0, 1.0]
+    far = car.remember(car.initial_memory, far_state)
+    assert car.goal_position(View({"car": far_state}, {"car": far})) == [1.0, 0.0]
+    captured_state = [0.5, 0.0, 0.0, 1.0]
+    captured = car.remember(far, captured_state)
+    assert car.goal_position(View({"car": captured_state}, {"car": captured})) == [5.0, 0.0]
+    # the last waypoint is never passed, and capture is never undone
+    assert car.remember(captured, [5.0, 0.0, 0.0, 1.0]) == captured
+    assert car.remember(captured, far_state) == captured
 
 
 def test_car_safety_without_goal_holds_heading_and_slows():
     car = DubinsCarAgent("car", DubinsCarParams(v_safe=0.5))
     state = [1.0, 2.0, 0.3, 2.0]
-    trace = make_trace({"car": [[0.0] + state]})
+    view = View({"car": state}, {})
     for _ in range(20):
-        nxt = car.step(Mode.SAFETY, state, 0.1, trace)
+        nxt = car.step(Mode.SAFETY, state, 0.1, view)
         assert nxt[2] == pytest.approx(0.3, abs=1e-12)
         assert 0.5 < nxt[3] < state[3]
         state = nxt
@@ -208,36 +208,36 @@ def test_untrusted_without_goal_raises(model):
     agent = model("a")
     state = [0.0] * model.state_dim
     with pytest.raises(ValueError, match="no goal provider"):
-        agent.step(Mode.UNTRUSTED, state, 0.1, make_trace({"a": [[0.0] + state]}))
+        agent.step(Mode.UNTRUSTED, state, 0.1, View({"a": state}, {}))
 
 
 # -- Dubins plane ------------------------------------------------------------------
 
-def plane_trace(state, agent_id="plane"):
-    return make_trace({agent_id: [[0.0] + list(state)]})
+def plane_view(state, agent_id="plane", memory=None):
+    return View({agent_id: list(state)}, {agent_id: memory})
 
 
 def test_plane_level_flight_keeps_altitude():
     plane = DubinsPlaneAgent("plane")
     state = [0.0, 0.0, 10.0, 0.0, 0.0, 2.0]
-    got = plane.step(Mode.NORMAL, state, 0.1, plane_trace(state))
+    got = plane.step(Mode.NORMAL, state, 0.1, plane_view(state))
     assert got[2] == 10.0
 
 
 def test_plane_climb_rate():
     plane = DubinsPlaneAgent("plane")
     state = [0.0, 0.0, 10.0, 0.0, math.pi / 6, 2.0]
-    got = plane.step(Mode.NORMAL, state, 0.1, plane_trace(state))
+    got = plane.step(Mode.NORMAL, state, 0.1, plane_view(state))
     assert got[2] - 10.0 == pytest.approx(2.0 * math.sin(math.pi / 6) * 0.1, abs=1e-12)
 
 
 def test_plane_safety_pitches_up_monotonically():
-    plane = DubinsPlaneAgent("plane", goal_fn=lambda trace: [100.0, 0.0, 0.0])
+    plane = DubinsPlaneAgent("plane", goal_fn=lambda view: [100.0, 0.0, 0.0])
     state = [0.0, 0.0, 10.0, 0.0, -0.1, 2.0]
-    trace = plane_trace(state)
+    view = plane_view(state)
     gammas = [state[4]]
     for _ in range(10):
-        state = plane.step(Mode.SAFETY, state, 0.1, trace)
+        state = plane.step(Mode.SAFETY, state, 0.1, view)
         gammas.append(state[4])
     assert all(b > a for a, b in zip(gammas, gammas[1:]))
     assert gammas[-1] <= plane.params.pitch_up + 1e-12
@@ -246,7 +246,7 @@ def test_plane_safety_pitches_up_monotonically():
 def test_plane_safety_needs_no_goal():
     plane = DubinsPlaneAgent("plane")
     state = [0.0, 0.0, 10.0, 0.0, -0.1, 2.0]
-    got = plane.step(Mode.SAFETY, state, 0.1, plane_trace(state))
+    got = plane.step(Mode.SAFETY, state, 0.1, plane_view(state))
     assert got[4] > state[4]
 
 
@@ -269,22 +269,22 @@ def test_plane_horizontal_step_is_the_car_step(nominal):
         p_state = [x, y, z, heading, gamma, speed]
         c_state = [x, y, heading, speed]
         for mode in Mode:
-            p_next = plane.step(mode, p_state, 0.1, plane_trace(p_state, "a"))
-            c_next = car.step(mode, c_state, 0.1, make_trace({"a": [[0.0] + c_state]}))
+            p_next = plane.step(mode, p_state, 0.1, plane_view(p_state, "a", 0))
+            c_next = car.step(mode, c_state, 0.1, View({"a": c_state}, {"a": 0}))
             assert [p_next[0], p_next[1], p_next[3], p_next[5]] == c_next
 
 
 # -- shared properties ---------------------------------------------------------
 
 def test_steps_are_deterministic():
-    trace = leader_trace()
+    view = leader_view()
     acc = AccAgent("ego", leader_id="leader")
-    assert acc.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, trace) == \
-        acc.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, trace)
-    car = DubinsCarAgent("car", goal_fn=lambda t: [3.0, 3.0])
-    ctrace = make_trace({"car": [[0.0, 0, 0, 0, 1]]})
-    assert car.step(Mode.UNTRUSTED, [0, 0, 0, 1], 0.1, ctrace) == \
-        car.step(Mode.UNTRUSTED, [0, 0, 0, 1], 0.1, ctrace)
+    assert acc.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, view) == \
+        acc.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, view)
+    car = DubinsCarAgent("car", goal_fn=lambda v: [3.0, 3.0])
+    cview = View({"car": [0, 0, 0, 1]}, {})
+    assert car.step(Mode.UNTRUSTED, [0, 0, 0, 1], 0.1, cview) == \
+        car.step(Mode.UNTRUSTED, [0, 0, 0, 1], 0.1, cview)
 
 
 def test_wrap_angle_range():

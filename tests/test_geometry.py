@@ -316,6 +316,21 @@ def test_box_corners_must_be_finite_and_ordered(lower, upper):
             box_intersects(s, lower, upper)
 
 
+RAGGED = [[0.0, 0.0], [1.0]]
+
+
+@pytest.mark.parametrize("query, what", [
+    (lambda: Ball([0.0, 0.0], 1.0).contains(RAGGED), "point"),
+    (lambda: box_intersects(Ball([0.0, 0.0], 1.0), RAGGED, RAGGED), "box lower corner"),
+    (lambda: Ball([0.0], 1.0).distance([[0.0], 1.0]), "point"),
+    (lambda: update_relative(RelativeSetSpec("u", Ball([0.0, 0.0], 1.0), [0.0, 0.0], "a"),
+                             [[0.0], 1.0]), "anchor position"),
+], ids=["contains", "box_intersects", "distance", "update_relative"])
+def test_ragged_query_raises_a_geometry_error_naming_it(query, what):
+    with pytest.raises(GeometryError, match=f"^{what} must be numbers"):
+        query()
+
+
 # -- exact polytope box test -----------------------------------------------------
 
 DIAMOND = Polytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [1.0] * 4)

@@ -56,7 +56,7 @@ def stationary_config(ego_pos, ball_center, radius, goal=None, horizon=2.0):
     static ball: the forward prediction is a fixed point."""
     params = AccParams()
     goal = goal if goal is not None else [ego_pos, 0.0]
-    ego = AccAgent("ego", params, goal_fn=lambda trace: goal)
+    ego = AccAgent("ego", params, goal_fn=lambda view: goal)
     return ScenarioConfig(
         agents=[AgentSpec(ego, [ego_pos, 0.0], Mode.UNTRUSTED, None)],
         unsafe_sets=[StaticSetSpec("ball", Ball([ball_center], radius))],
@@ -239,7 +239,7 @@ def test_reach_boxes_linear_schedule_arithmetic():
     # ego whose goal is wherever it currently is: zero command, so the
     # nominal prediction coasts at speed 1 through positions 0.1*k
     config = stationary_config(0.0, 50.0, 1.0)
-    config.agents[0].model.goal_fn = lambda tr: tr.last_state("ego")[1]
+    config.agents[0].model.goal_fn = lambda view: view.states["ego"]
     config.agents[0].init_state = [0.0, 1.0]
     scenario = build_scenario(config)
     # rate 1 at dt = 0.1: half-width 0.1 * k
@@ -336,16 +336,21 @@ def test_reach_rta_safety_superset_of_sim_rta():
 # -- decisions against a per-step reference ------------------------------------------
 
 def per_step_reference(logic, pred):
-    """The decision as a loop over sets and predicted steps that reads every
-    set, static or anchored, from the predicted trace's rows."""
-    model = logic.scenario.agents_by_id[logic.ego_id].model
+    """The decision as a loop over sets and predicted steps, one point or box
+    at a time: a static set from `scenario.static_sets`, an anchored one
+    from the predicted trace's rows."""
+    scenario = logic.scenario
+    model = scenario.agents_by_id[logic.ego_id].model
     reach = isinstance(logic, ReachRta)
     if reach:
         boxes = boxes_from_prediction(pred, model, logic.ego_id, logic.bloat_rate,
-                                      logic.scenario.dt)
-    for set_id in pred.unsafe_ids():
+                                      scenario.dt)
+    for set_id in scenario.unsafe_ids():
         for k in range(pred.n_samples()):
-            set_def = pred.unsafe_def(set_id, k)
+            if set_id in scenario.static_sets:
+                set_def = scenario.static_sets[set_id]
+            else:
+                set_def = pred.unsafe_def(set_id, k)
             if reach:
                 hit = box_intersects(set_def, *boxes[k])
             else:

@@ -175,10 +175,10 @@ def test_mode_trace_one_shorter_than_state_trace():
 
 def test_step_failure_reports_agent_and_time():
     class Exploding(AccAgent):
-        def step(self, mode, state, dt, trace):
-            if trace.n_samples() >= 3:
+        def step(self, mode, state, dt, view):
+            if view.states[self.agent_id][0] > 0.15:  # from the third sample, at 0.2
                 raise RuntimeError("boom")
-            return super().step(mode, state, dt, trace)
+            return super().step(mode, state, dt, view)
 
     config = single_agent_config(horizon=1.0)
     config.agents = [AgentSpec(Exploding("frail"), [0.0, 1.0], Mode.NORMAL, None)]
