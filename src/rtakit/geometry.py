@@ -30,6 +30,17 @@ any of them; `box_intersects` takes corners (dim,) or (n, dim) and answers
 whether the set touches any of the boxes. One point is a stack of one, so
 an RTA logic tests a whole predicted horizon against a set in one call.
 `distance` and `box_distance` take one point or one box.
+
+Row-aligned stacks: `moved_to` (and `update_relative`) also take an (n, dim)
+stack of references and return one set of n rows, row k moved to reference
+k: a ball whose centre is an (n, dim) stack, a point or box whose
+coordinates or corners are, a polytope whose offsets `b` are an (n, rows)
+stack. `contains` and `box_intersects` test such a set against exactly n
+points or boxes, row k against row k, and answer "any k". So an anchored set
+is tested against a predicted horizon in one call, each predicted step
+against the set where the anchor is predicted at that step. A stacked set
+is not a wire payload: `payload`, `distance`, `project` and another
+`moved_to` take one set and raise GeometryError on a stack.
 """
 from __future__ import annotations
 
@@ -78,18 +89,18 @@ def _vector(x, what: str = "vector") -> np.ndarray:
     return v
 
 
-def _stack(x, dim: int, what: str) -> np.ndarray:
-    """`x` as an (n, dim) array; one vector (dim,) is a stack of one."""
+def _points(x, dim: int, what: str) -> np.ndarray:
+    """`x` as one vector (dim,) or a stack (n, dim), whichever it is."""
     try:
-        v = np.array(x, dtype=float, ndmin=2)
+        v = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise _not_numbers(what, x) from exc
-    if v.ndim != 2 or v.size == 0:
+    if v.ndim not in (1, 2) or v.size == 0:
         raise GeometryError(
             f"{what} must be a nonempty vector or (n, dim) stack, got shape {v.shape}"
         )
-    if v.shape[1] != dim:
-        raise DimensionMismatch(dim, v.shape[1])
+    if v.shape[-1] != dim:
+        raise DimensionMismatch(dim, v.shape[-1])
     if not np.isfinite(v).all():
         raise GeometryError(f"{what} must be finite")
     return v
@@ -106,10 +117,11 @@ class SetDef:
 
     kind: str = "abstract"
     dim: int = 0
+    rows: int | None = None  # n for a row-aligned stack of n sets (see module docstring)
 
     def contains(self, points) -> bool:
         """True iff the closed set holds the point (dim,), or any point of
-        the stack (n, dim)."""
+        the stack (n, dim); a stack of n sets tests point k against set k."""
         raise NotImplementedError
 
     def distance(self, point) -> float:
@@ -117,18 +129,57 @@ class SetDef:
         raise NotImplementedError
 
     def moved_to(self, reference) -> "SetDef":
-        """Translate the set so its reference point sits at `reference`."""
+        """Translate the set so its reference point sits at `reference`
+        (dim,); an (n, dim) stack of references gives a stack of n sets."""
         raise NotImplementedError
 
     def payload(self):
         """Serializable definition payload (see module docstring)."""
+        self._one("a payload")
+        return self._payload()
+
+    def _payload(self):
         raise NotImplementedError
 
+    def _one(self, what: str) -> None:
+        if self.rows is not None:
+            raise GeometryError(
+                f"{what} takes one {self.kind}, got a stack of {self.rows}"
+            )
+
     def _check_point(self, point) -> np.ndarray:
+        self._one("a distance")
         p = _vector(point, "point")
         if p.shape[0] != self.dim:
             raise DimensionMismatch(self.dim, p.shape[0])
         return p
+
+    def _queries(self, x, what: str) -> np.ndarray:
+        """`x` as an (n, dim) stack, row-aligned with this set if it is one;
+        one vector (dim,) is a stack of one."""
+        q = _points(x, self.dim, what)
+        if q.ndim == 1:
+            q = q[None, :]
+        if self.rows is not None and q.shape[0] != self.rows:
+            raise GeometryError(
+                f"{what} stack of {q.shape[0]} against a stack of {self.rows} sets"
+            )
+        return q
+
+    def _reference(self, reference) -> np.ndarray:
+        self._one("moved_to")
+        return _points(reference, self.dim, "reference")
+
+    def _moved(self, ref: np.ndarray, **fields: np.ndarray) -> "SetDef":
+        """This set with the arrays that depend on its position replaced; a
+        stack of n sets if `ref` is an (n, dim) stack of references."""
+        for name, value in fields.items():
+            if value is not ref and not np.isfinite(value).all():  # `ref` is checked
+                raise GeometryError(f"moved {self.kind} {name} must be finite")
+        moved = object.__new__(type(self))
+        moved.__dict__.update(self.__dict__, **fields)
+        moved.rows = ref.shape[0] if ref.ndim == 2 else None
+        return moved
 
 
 class PointSet(SetDef):
@@ -141,7 +192,7 @@ class PointSet(SetDef):
         self.dim = self.coords.shape[0]
 
     def contains(self, points) -> bool:
-        P = _stack(points, self.dim, "point")
+        P = self._queries(points, "point")
         return bool((P == self.coords).all(axis=1).any())
 
     def distance(self, point) -> float:
@@ -149,12 +200,10 @@ class PointSet(SetDef):
         return float(np.linalg.norm(p - self.coords))
 
     def moved_to(self, reference) -> "PointSet":
-        ref = _vector(reference, "reference")
-        if ref.shape[0] != self.dim:
-            raise DimensionMismatch(self.dim, ref.shape[0])
-        return PointSet(ref)
+        ref = self._reference(reference)
+        return self._moved(ref, coords=ref)
 
-    def payload(self):
+    def _payload(self):
         return [float(c) for c in self.coords]
 
     def __repr__(self):
@@ -174,7 +223,7 @@ class Ball(SetDef):
         self.dim = self.center.shape[0]
 
     def contains(self, points) -> bool:
-        P = _stack(points, self.dim, "point")
+        P = self._queries(points, "point")
         return bool(_norms(P - self.center).min() <= self.radius)
 
     def distance(self, point) -> float:
@@ -182,12 +231,10 @@ class Ball(SetDef):
         return max(0.0, float(np.linalg.norm(p - self.center)) - self.radius)
 
     def moved_to(self, reference) -> "Ball":
-        ref = _vector(reference, "reference")
-        if ref.shape[0] != self.dim:
-            raise DimensionMismatch(self.dim, ref.shape[0])
-        return Ball(ref, self.radius)
+        ref = self._reference(reference)
+        return self._moved(ref, center=ref)
 
-    def payload(self):
+    def _payload(self):
         return [[float(c) for c in self.center], self.radius]
 
     def __repr__(self):
@@ -216,7 +263,7 @@ class Hyperrectangle(SetDef):
         self.dim = self.lower.shape[0]
 
     def contains(self, points) -> bool:
-        P = _stack(points, self.dim, "point")
+        P = self._queries(points, "point")
         return bool(((P >= self.lower) & (P <= self.upper)).all(axis=1).any())
 
     def distance(self, point) -> float:
@@ -224,13 +271,11 @@ class Hyperrectangle(SetDef):
         return float(np.linalg.norm(p - np.clip(p, self.lower, self.upper)))
 
     def moved_to(self, reference) -> "Hyperrectangle":
-        ref = _vector(reference, "reference")
-        if ref.shape[0] != self.dim:
-            raise DimensionMismatch(self.dim, ref.shape[0])
+        ref = self._reference(reference)
         half = (self.upper - self.lower) / 2.0
-        return Hyperrectangle(ref - half, ref + half)
+        return self._moved(ref, lower=ref - half, upper=ref + half)
 
-    def payload(self):
+    def _payload(self):
         return [[float(c) for c in self.lower], [float(c) for c in self.upper]]
 
     def __repr__(self):
@@ -284,7 +329,7 @@ class Polytope(SetDef):
         return res.status == 0
 
     def contains(self, points) -> bool:
-        P = _stack(points, self.dim, "point")
+        P = self._queries(points, "point")
         return bool((P @ self.A.T <= self.b).all(axis=1).any())
 
     def project(self, point) -> np.ndarray:
@@ -322,13 +367,13 @@ class Polytope(SetDef):
         return float(np.linalg.norm(p - self.project(p)))
 
     def moved_to(self, reference) -> "Polytope":
-        ref = _vector(reference, "reference")
-        if ref.shape[0] != self.dim:
-            raise DimensionMismatch(self.dim, ref.shape[0])
-        # Translation of a nonempty polytope stays nonempty; skip the LP.
-        return Polytope(self.A, self.b + self.A @ ref, check_feasible=False)
+        ref = self._reference(reference)
+        # Translation of a nonempty polytope stays nonempty; no LP. A @ ref is
+        # summed elementwise, not by a matrix product, so row k of a stack
+        # rounds exactly as the set moved to reference k alone.
+        return self._moved(ref, b=self.b + (self.A * ref[..., None, :]).sum(axis=-1))
 
-    def payload(self):
+    def _payload(self):
         return [
             [[float(c) for c in row] for row in self.A],
             [float(c) for c in self.b],
@@ -367,10 +412,9 @@ class RelativeSetSpec:
 
 
 def update_relative(spec: RelativeSetSpec, anchor_position) -> SetDef:
-    """Resolve a relative set against the anchor's current position."""
-    pos = _vector(anchor_position, "anchor position")
-    if pos.shape[0] != spec.offset.shape[0]:
-        raise DimensionMismatch(spec.offset.shape[0], pos.shape[0])
+    """Resolve a relative set against the anchor's position (dim,), or
+    against an (n, dim) stack of positions as a row-aligned stack of n sets."""
+    pos = _points(anchor_position, spec.offset.shape[0], "anchor position")
     return spec.base.moved_to(pos + spec.offset)
 
 
@@ -399,9 +443,10 @@ def set_from_payload(kind: str, payload) -> SetDef:
 
 
 def _box_corners(set_def: SetDef, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """Corner stacks (n, dim) of one box or of n boxes."""
-    lo = _stack(lower, set_def.dim, "box lower corner")
-    hi = _stack(upper, set_def.dim, "box upper corner")
+    """Corner stacks (n, dim) of one box or of n boxes, row-aligned with a
+    stack of sets."""
+    lo = set_def._queries(lower, "box lower corner")
+    hi = set_def._queries(upper, "box upper corner")
     if lo.shape != hi.shape:
         raise GeometryError(
             f"got {lo.shape[0]} lower corners but {hi.shape[0]} upper corners"
@@ -429,14 +474,17 @@ def _box_gaps(set_def: SetDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _polytope_meets_boxes(poly: Polytope, lo: np.ndarray, hi: np.ndarray) -> bool:
-    A, b = poly.A, poly.b
+    A = poly.A
     # A row whose minimum over a box exceeds its offset separates the two.
     row_min = (A * np.where(A > 0, lo[:, None, :], hi[:, None, :])).sum(axis=2)
+    b = np.broadcast_to(poly.b, row_min.shape)  # row k's offsets
     live = ~(row_min > b).any(axis=1)
-    lo, hi = lo[live], hi[live]
+    lo, hi, b = lo[live], hi[live], b[live]
     if (((lo + hi) / 2.0) @ A.T <= b).all(axis=1).any():
         return True
-    return any(poly._feasible(list(zip(l, h))) for l, h in zip(lo, hi))
+    # Box k's program runs on row k's offsets, which a stack of sets varies.
+    return any(Polytope(A, bk, check_feasible=False)._feasible(list(zip(l, h)))
+               for l, h, bk in zip(lo, hi, b))
 
 
 def box_distance(set_def: SetDef, lower, upper) -> float:

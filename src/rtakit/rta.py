@@ -12,11 +12,14 @@ returns. Two reference logics ship with the package:
               switches on box/set intersection, which makes it conservative
               relative to SimRta by construction.
 
-Both test a static unsafe set once per decision, over the whole predicted
-horizon, on the definition the bound scenario built (`Scenario.static_sets`):
-a static set's rows in the trace handed to `decide` are not read, and a
-prediction does not carry them. A set anchored to an agent is read from the
-predicted trace and tested step by step, because it moves with its anchor.
+Both test each unsafe set once per decision, over the whole predicted
+horizon, and read no set payload from a trace. A static set is the
+definition the bound scenario built (`Scenario.static_sets`). A set anchored
+to an agent is its base set moved along the anchor's predicted positions, a
+row-aligned stack (see the geometry module): predicted step k of the ego is
+tested against the set where the anchor is at step k. A set anchored to the
+ego itself is skipped, since the ego is always at its own set: a leader that
+carries a ball for its followers is not held in SAFETY by that ball.
 
 The prediction is the closed loop's own rollout (`scenario.predict`): every
 agent steps from the same view and memory as it would in execution, so a
@@ -31,6 +34,7 @@ import numpy as np
 
 from .agents import Mode
 from .evaluation import Collector
+from . import geometry
 from .geometry import box_intersects
 from .scenario import Scenario, grid_steps, predict
 from .trace import ExecutionTrace
@@ -69,15 +73,23 @@ class RtaLogic:
         raise NotImplementedError
 
     def _enters_unsafe(self, pred: ExecutionTrace, hits) -> bool:
-        """Whether `hits(set_def, k)` holds for some unsafe set. A static set
-        is tested once with k = slice(None), the whole horizon; an anchored
-        set once per predicted step k."""
-        static = self.scenario.static_sets
-        for set_id in self.scenario.unsafe_ids():
-            if set_id in static:
-                if hits(static[set_id], slice(None)):
-                    return True
-            elif any(hits(pred.unsafe_def(set_id, k), k) for k in range(pred.n_samples())):
+        """Whether `hits(set_def)` holds for some unsafe set, each tested once
+        over the whole predicted horizon: a static set as the scenario built
+        it, an anchored set as a stack of one set per predicted step, moved
+        along the anchor's predicted positions. A set anchored to the ego is
+        skipped."""
+        scenario = self.scenario
+        steps = range(pred.n_samples())
+        for set_id, spec in scenario.unsafe_by_id.items():
+            if set_id in scenario.static_sets:
+                set_def = scenario.static_sets[set_id]
+            elif spec.anchor_id == self.ego_id:
+                continue
+            else:
+                anchor = scenario.agents_by_id[spec.anchor_id].model
+                path = [anchor.position(pred.state(spec.anchor_id, k)) for k in steps]
+                set_def = geometry.update_relative(spec, path)
+            if hits(set_def):
                 return True
         return False
 
@@ -132,7 +144,7 @@ class SimRta(RtaLogic):
         model = self.scenario.agents_by_id[self.ego_id].model
         positions = np.array([model.position(pred.state(self.ego_id, k))
                               for k in range(pred.n_samples())])
-        if self._enters_unsafe(pred, lambda s, k: s.contains(positions[k])):
+        if self._enters_unsafe(pred, lambda s: s.contains(positions)):
             return Mode.SAFETY
         return Mode.UNTRUSTED
 
@@ -172,6 +184,6 @@ class ReachRta(RtaLogic):
                                       self.scenario.dt)
         corners = np.array(boxes)
         lower, upper = corners[:, 0], corners[:, 1]
-        if self._enters_unsafe(pred, lambda s, k: box_intersects(s, lower[k], upper[k])):
+        if self._enters_unsafe(pred, lambda s: box_intersects(s, lower, upper)):
             return Mode.SAFETY
         return Mode.UNTRUSTED

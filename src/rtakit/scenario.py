@@ -18,7 +18,9 @@ built by hand or cut by `prefix` gets the same memory.
 
 A prediction carries only the anchored sets: a static set never moves, so
 `predict` leaves it out and decisions read it from `Scenario.static_sets`.
-An executed trace records every set.
+An executed trace records every set. Decisions read no set payload from a
+prediction either: they move an anchored set along its anchor's predicted
+states (see the rta module).
 
 The engine is single-threaded and owns its trace during execution. A static
 set's definition (`Scenario.static_sets`) and its payload are built once per

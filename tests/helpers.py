@@ -5,10 +5,14 @@ nothing shared with the projection solver under test).
 """
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from rtabench import workloads
 from rtakit import (
     AccAgent,
     AccParams,
@@ -147,3 +151,20 @@ def random_acc_config(rng, horizon=2.0, rta: RtaBinding | None = None) -> Scenar
         params=params,
         rta=rta,
     )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_docs():
+    """The shipped configs and the benchmark workloads at seeds 1 and 2 (the
+    first 8 operations of acc-sweep), as pytest params named after each."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield pytest.param(json.loads(path.read_text()), id=path.name)
+    for name, generate in sorted(workloads.WORKLOADS.items()):
+        for seed in (1, 2):
+            ops = generate(seed)
+            if name == "acc-sweep":
+                ops = ops[:8]
+            for op, doc in ops:
+                yield pytest.param(doc, id=f"{name}-{seed}-{op}")

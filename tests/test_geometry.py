@@ -559,3 +559,90 @@ def test_box_distance_takes_one_box():
     ball = Ball([0.0, 0.0], 1.0)
     with pytest.raises(GeometryError, match="one box"):
         box_distance(ball, np.zeros((2, 2)), np.ones((2, 2)))
+
+
+# -- row-aligned stacks of sets: row k is the set moved to reference k -------------
+
+# The stack sets, plus a polytope with oblique normals, whose translation b + A t
+# rounds.
+MOVED_SETS = STACK_SETS + [(Polytope(*random_polytope(np.random.default_rng(3), 2, 7)), [])]
+MOVED_KINDS = STACK_KINDS + ["oblique-polytope"]
+FAR = 1e6  # no set here, wherever it is moved, reaches a query this far out
+
+
+def _shift(s, ref):
+    """The translation that moved_to(ref) applies to `s`."""
+    return ref if isinstance(s, Polytope) else ref - _reference_of(s)
+
+
+def _only_row(k, row, n):
+    """An (n, 2) stack that is `row` at k and far from every set elsewhere."""
+    stack = np.full((n, 2), FAR)
+    stack[k] = row
+    return stack
+
+
+@pytest.mark.parametrize("s, boundary", MOVED_SETS, ids=MOVED_KINDS)
+def test_row_k_of_a_moved_stack_tests_as_the_set_moved_to_reference_k(s, boundary):
+    rng = np.random.default_rng(13)
+    outcomes = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 6))
+        if trial % 2:  # quarter steps, so moved boundary points stay exact
+            refs = rng.integers(-12, 12, size=(n, 2)) / 4.0
+        else:
+            refs = rng.uniform(-3.0, 3.0, size=(n, 2))
+        stack = s.moved_to(refs)
+        ones = [s.moved_to(ref) for ref in refs]
+        P = refs + rng.uniform(-2.0, 2.0, size=(n, 2))
+        for k in range(n):
+            if boundary and rng.random() < 0.4:
+                P[k] = np.asarray(boundary[rng.integers(len(boundary))]) + _shift(s, refs[k])
+        half = rng.uniform(0.0, 0.6, size=(n, 2))
+        lo, hi = P - half, P + half
+        for k, one in enumerate(ones):
+            assert stack.contains(_only_row(k, P[k], n)) == one.contains(P[k])
+            assert (box_intersects(stack, _only_row(k, lo[k], n), _only_row(k, hi[k], n))
+                    == box_intersects(one, lo[k], hi[k]))
+            outcomes.add(one.contains(P[k]))
+        assert stack.contains(P) == any(one.contains(p) for one, p in zip(ones, P))
+        assert box_intersects(stack, lo, hi) == any(
+            box_intersects(one, l, h) for one, l, h in zip(ones, lo, hi))
+        if isinstance(s, Polytope):  # row k's offsets round as the set moved alone
+            assert np.array_equal(stack.b, [one.b for one in ones])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("s", [s for s, _ in STACK_SETS], ids=STACK_KINDS)
+def test_a_stack_of_sets_takes_one_query_per_row(s):
+    stack = s.moved_to(np.zeros((3, 2)))
+    with pytest.raises(GeometryError, match="point stack of 2 against a stack of 3 sets"):
+        stack.contains(np.zeros((2, 2)))
+    with pytest.raises(GeometryError, match="point stack of 1 against a stack of 3 sets"):
+        stack.contains([0.0, 0.0])
+    with pytest.raises(GeometryError,
+                       match="box lower corner stack of 4 against a stack of 3 sets"):
+        box_intersects(stack, np.zeros((4, 2)), np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("s", [s for s, _ in STACK_SETS], ids=STACK_KINDS)
+def test_a_stack_of_sets_has_no_payload(s):
+    stack = s.moved_to(np.zeros((2, 2)))
+    with pytest.raises(GeometryError, match=f"payload takes one {s.kind}, got a stack of 2"):
+        stack.payload()
+    with pytest.raises(GeometryError, match="got a stack of 2"):
+        stack.distance([0.0, 0.0])
+    with pytest.raises(GeometryError, match="got a stack of 2"):
+        stack.moved_to([0.0, 0.0])
+
+
+def test_update_relative_on_a_stack_moves_the_base_to_each_position_plus_offset():
+    spec = RelativeSetSpec("u", Hyperrectangle([-1.0, 0.0], [1.0, 2.0]), [0.5, -0.25], "a")
+    positions = [[0.0, 0.0], [3.0, 1.5], [-2.25, 4.0]]
+    stack = update_relative(spec, positions)
+    assert stack.rows == 3
+    for k, pos in enumerate(positions):
+        one = update_relative(spec, pos)
+        assert one.rows is None
+        assert (stack.lower[k].tolist(), stack.upper[k].tolist()) == \
+            (one.lower.tolist(), one.upper.tolist())

@@ -22,20 +22,9 @@ from rtakit import (
     execute,
     predict,
 )
+from helpers import config_docs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def config_docs():
-    for path in sorted(CONFIGS.glob("*.json")):
-        yield pytest.param(json.loads(path.read_text()), id=path.name)
-    for name, generate in sorted(workloads.WORKLOADS.items()):
-        for seed in (1, 2):
-            ops = generate(seed)
-            if name == "acc-sweep":
-                ops = ops[:8]
-            for op, doc in ops:
-                yield pytest.param(doc, id=f"{name}-{seed}-{op}")
 
 
 def one_step_misses(scenario, trace):

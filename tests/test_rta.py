@@ -1,4 +1,5 @@
 """RTA bindings, forward simulation, and the two reference switching logics."""
+import copy
 import json
 import math
 from pathlib import Path
@@ -28,7 +29,7 @@ from rtakit import (
     forward_simulate,
 )
 from rtakit.rta import boxes_from_prediction
-from helpers import acc_scenario_config, random_acc_config, sim_rta_binding
+from helpers import acc_scenario_config, config_docs, random_acc_config, sim_rta_binding
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -338,14 +339,16 @@ def test_reach_rta_safety_superset_of_sim_rta():
 def per_step_reference(logic, pred):
     """The decision as a loop over sets and predicted steps, one point or box
     at a time: a static set from `scenario.static_sets`, an anchored one
-    from the predicted trace's rows."""
+    from the predicted trace's rows, and none anchored to the ego."""
     scenario = logic.scenario
     model = scenario.agents_by_id[logic.ego_id].model
     reach = isinstance(logic, ReachRta)
     if reach:
         boxes = boxes_from_prediction(pred, model, logic.ego_id, logic.bloat_rate,
                                       scenario.dt)
-    for set_id in scenario.unsafe_ids():
+    for set_id, spec in scenario.unsafe_by_id.items():
+        if isinstance(spec, RelativeSetSpec) and spec.anchor_id == logic.ego_id:
+            continue
         for k in range(pred.n_samples()):
             if set_id in scenario.static_sets:
                 set_def = scenario.static_sets[set_id]
@@ -360,10 +363,48 @@ def per_step_reference(logic, pred):
     return Mode.UNTRUSTED
 
 
+def dubins_with_leader_set(kind, definition, offset):
+    """configs/dubins.json with `leader_ball` swapped for another kind of set,
+    still anchored to the leader."""
+    doc = json.loads((CONFIGS / "dubins.json").read_text())
+    (leader_set,) = [s for s in doc["unsafe_sets"] if s["id"] == "leader_ball"]
+    leader_set.update(type=kind, definition=definition, offset=offset)
+    return doc
+
+
+# Sets anchored to the dubins leader, one per kind the shipped configs lack,
+# each reaching ego1 on some decisions: the point sits at ego1's formation
+# slot, which only ReachRta's boxes can touch. The hexagon's normals are
+# oblique, so moving it rounds.
+LEADER_SETS = {
+    "point": ([0.0, 0.0], [-2.5, 0.0]),
+    "hyperrectangle": ([[-2.2, -1.0], [2.2, 1.0]], [0.0, 0.0]),
+    "polytope": ([[[0.6, 0.8], [-0.6, 0.8], [-1.0, 0.0], [-0.6, -0.8], [0.6, -0.8], [1.0, 0.0]],
+                  [2.0] * 6], [0.0, 0.0]),
+}
+
+
+BOTH_MODES = {Mode.SAFETY, Mode.UNTRUSTED}
+
+
+def decision_docs():
+    """(document, the modes SimRta decides on it) for `config_docs` and the
+    dubins leader-set variants. ReachRta decides both modes on every one."""
+    for param in config_docs():
+        # On gcas-ridge only ReachRta's bloated boxes reach the ridge.
+        only_reach = param.id.startswith("gcas-ridge")
+        yield pytest.param(*param.values, {Mode.UNTRUSTED} if only_reach else BOTH_MODES,
+                           id=param.id)
+    for kind, (definition, offset) in LEADER_SETS.items():
+        yield pytest.param(dubins_with_leader_set(kind, definition, offset), BOTH_MODES,
+                           id=f"dubins.json-{kind}")
+
+
 @pytest.mark.parametrize("kind", ["sim", "reach"])
-@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
-def test_decisions_match_a_per_step_reference_on_shipped_configs(name, kind, monkeypatch):
-    doc = json.loads((CONFIGS / name).read_text())
+@pytest.mark.parametrize("doc, sim_modes", decision_docs())
+def test_decisions_match_a_per_step_reference_on_shipped_configs(doc, sim_modes, kind,
+                                                                 monkeypatch):
+    doc = copy.deepcopy(doc)  # both kinds share one parameter
     # Every binding runs `kind`; acc.json has none, so its first agent gets one.
     bound = [a for a in doc["agents"] if "rta" in a] or doc["agents"][:1]
     for agent in bound:
@@ -393,4 +434,34 @@ def test_decisions_match_a_per_step_reference_on_shipped_configs(name, kind, mon
     trace = execute(scenario)
     assert len(decided) == len(bound) * (trace.n_samples() - 1)
     assert [i for i, (got, want) in enumerate(decided) if got is not want] == []
-    assert {got for got, _ in decided} == {Mode.SAFETY, Mode.UNTRUSTED}
+    assert {got for got, _ in decided} == (sim_modes if kind == "sim" else BOTH_MODES)
+
+
+@pytest.mark.parametrize("kind", ["sim", "reach"])
+def test_a_set_anchored_to_the_ego_does_not_hold_it_in_safety(kind):
+    # The dubins leader carries leader_ball for its followers; bound to an RTA
+    # itself, it decides as if the ball were not there.
+    def leader_modes(with_ball):
+        doc = json.loads((CONFIGS / "dubins.json").read_text())
+        doc["agents"][0]["rta"] = {"type": kind, "horizon": 1.0}
+        if not with_ball:
+            doc["unsafe_sets"] = [s for s in doc["unsafe_sets"] if s["id"] != "leader_ball"]
+        return execute(build_scenario(config_from_dict(doc))).mode_trace("leader")
+
+    modes = leader_modes(with_ball=True)
+    assert Mode.UNTRUSTED in modes
+    assert modes == leader_modes(with_ball=False)
+
+
+@pytest.mark.parametrize("name", ["acc_sim_rta.json", "dubins.json"])
+def test_decisions_parse_no_set_payload(name, monkeypatch):
+    from rtakit import config, geometry, trace as trace_module
+
+    scenario = build_scenario(config_from_dict(json.loads((CONFIGS / name).read_text())))
+    parses = []
+    for module in (geometry, trace_module, config):
+        real = module.set_from_payload
+        monkeypatch.setattr(module, "set_from_payload",
+                            lambda *args, real=real: parses.append(args) or real(*args))
+    trace = execute(scenario)
+    assert trace.unsafe_ids() and parses == []
