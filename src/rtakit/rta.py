@@ -120,8 +120,8 @@ def forward_simulate(trace: ExecutionTrace, scenario: Scenario, horizon: float,
     """Predicted trace over [t_now, t_now + horizon].
 
     The ego agent is held in UNTRUSTED mode; every other agent
-    keeps its current mode. Relative unsafe sets are propagated along the
-    predicted anchors; static sets are left out. The first sample is the
+    keeps its current mode. The prediction holds agent states and memory
+    only, no unsafe set (see `scenario.predict`). The first sample is the
     current state.
     """
     if horizon < scenario.dt:

@@ -16,11 +16,10 @@ process only, never in the wire format, and is extended by the rows added
 since it was last taken, so a trace built by `advance`, loaded from a file,
 built by hand or cut by `prefix` gets the same memory.
 
-A prediction carries only the anchored sets: a static set never moves, so
-`predict` leaves it out and decisions read it from `Scenario.static_sets`.
-An executed trace records every set. Decisions read no set payload from a
-prediction either: they move an anchored set along its anchor's predicted
-states (see the rta module).
+A prediction holds agent states and memory only, no unsafe set, so a set
+payload is resolved only for an executed sample. An executed trace records
+every set. Decisions read a static set from `Scenario.static_sets` and move
+an anchored set along its anchor's predicted states (see the rta module).
 
 The engine is single-threaded and owns its trace during execution. A static
 set's definition (`Scenario.static_sets`) and its payload are built once per
@@ -248,23 +247,20 @@ def predict(scenario: Scenario, trace: ExecutionTrace,
             modes: dict[str, Mode], n_steps: int) -> ExecutionTrace:
     """Fixed-mode rollout from the last sample of `trace`.
 
-    Returns a fresh trace whose first sample is the current one, with the
-    agents' memory at that sample and the anchored unsafe sets only (static
-    sets are in `scenario.static_sets`); timestamps continue the k*dt grid.
-    The input trace is not touched, apart from extending its memory fold.
+    Returns a fresh trace of agent states whose first sample is the current
+    one, with the agents' memory at that sample and no unsafe set: static
+    sets are in `scenario.static_sets`, and an anchored set at predicted
+    step k is `update_relative(spec, anchor position at k)`. Timestamps
+    continue the k*dt grid. The input trace is not touched, apart from
+    extending its memory fold.
     """
     t0 = trace.last_state(trace.agent_ids()[0])[0]
     k0 = int(round(t0 / scenario.dt))
-    last = trace.n_samples() - 1
     pred = ExecutionTrace()
     for aid in trace.agent_ids():
         pred.add_agent(aid)
         _, state = trace.last_state(aid)
         pred.append_state(aid, t0, state)
-    for sid in trace.unsafe_ids():
-        if sid not in scenario.static_sets:
-            pred.add_unsafe_set(sid, trace.unsafe_kind(sid))
-            pred.append_unsafe(sid, t0, trace.unsafe_payload(sid, last))
     pred.memory = (1, scenario.memory(trace))
     for j in range(n_steps):
         scenario.advance(pred, modes, k0 + j)

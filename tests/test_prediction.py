@@ -21,6 +21,7 @@ from rtakit import (
     config_from_dict,
     execute,
     predict,
+    update_relative,
 )
 from helpers import config_docs
 
@@ -29,17 +30,20 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def one_step_misses(scenario, trace):
     """Ticks k at which predict(prefix(k), executed modes, 1) differs from
-    the executed sample k + 1 in a state or an anchored set's payload."""
+    the executed sample k + 1 in a state or an anchored set's payload, the
+    set resolved at the predicted anchor state."""
     agents = trace.agent_ids()
-    anchored = [sid for sid in trace.unsafe_ids() if sid not in scenario.static_sets]
+    anchored = [scenario.unsafe_by_id[sid] for sid in trace.unsafe_ids()
+                if sid not in scenario.static_sets]
     misses = []
     for k in range(trace.n_samples() - 1):
         modes = {aid: trace.mode_trace(aid)[k] for aid in agents}
         pred = predict(scenario, trace.prefix(k), modes, 1)
+        anchors = [scenario.position(s.anchor_id, pred.state(s.anchor_id, 1)) for s in anchored]
         got = ([pred.state(aid, 1) for aid in agents],
-               [pred.unsafe_payload(sid, 1) for sid in anchored])
+               [update_relative(s, a).payload() for s, a in zip(anchored, anchors)])
         want = ([trace.state(aid, k + 1) for aid in agents],
-                [trace.unsafe_payload(sid, k + 1) for sid in anchored])
+                [trace.unsafe_payload(spec.set_id, k + 1) for spec in anchored])
         if got != want:
             misses.append(k)
     return misses

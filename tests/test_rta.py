@@ -27,6 +27,7 @@ from rtakit import (
     config_from_dict,
     execute,
     forward_simulate,
+    update_relative,
 )
 from rtakit.rta import boxes_from_prediction
 from helpers import acc_scenario_config, config_docs, random_acc_config, sim_rta_binding
@@ -167,9 +168,11 @@ def test_forward_does_not_touch_input_trace():
 def test_forward_propagates_relative_sets():
     scenario = built_acc()
     pred = forward_simulate(scenario.initial_trace(), scenario, 1.0, ego_id="follower")
+    assert pred.unsafe_ids() == []
+    spec = scenario.unsafe_by_id["unsafe1"]
     for k in range(pred.n_samples()):
-        center = pred.unsafe_payload("unsafe1", k)[0][0]
-        assert center == pred.state("leader", k)[0] + 5.0
+        leader = pred.state("leader", k)[0]
+        assert update_relative(spec, [leader]).center[0] == leader + 5.0
 
 
 def test_forward_rejects_short_horizon_and_unknown_ego():
@@ -339,7 +342,8 @@ def test_reach_rta_safety_superset_of_sim_rta():
 def per_step_reference(logic, pred):
     """The decision as a loop over sets and predicted steps, one point or box
     at a time: a static set from `scenario.static_sets`, an anchored one
-    from the predicted trace's rows, and none anchored to the ego."""
+    resolved alone at its anchor's predicted state, and none anchored to the
+    ego."""
     scenario = logic.scenario
     model = scenario.agents_by_id[logic.ego_id].model
     reach = isinstance(logic, ReachRta)
@@ -353,7 +357,8 @@ def per_step_reference(logic, pred):
             if set_id in scenario.static_sets:
                 set_def = scenario.static_sets[set_id]
             else:
-                set_def = pred.unsafe_def(set_id, k)
+                anchor = scenario.position(spec.anchor_id, pred.state(spec.anchor_id, k))
+                set_def = update_relative(spec, anchor)
             if reach:
                 hit = box_intersects(set_def, *boxes[k])
             else:
@@ -465,3 +470,28 @@ def test_decisions_parse_no_set_payload(name, monkeypatch):
                             lambda *args, real=real: parses.append(args) or real(*args))
     trace = execute(scenario)
     assert trace.unsafe_ids() and parses == []
+
+
+@pytest.mark.parametrize("name", ["acc_sim_rta.json", "dubins.json"])
+def test_anchored_sets_resolve_for_executed_samples_only(name, monkeypatch):
+    """The executed trace resolves each anchored set once per sample; a
+    decision moves each set not anchored to its ego once, along the whole
+    prediction; a prediction resolves no set."""
+    from rtakit import geometry, scenario as scenario_module
+
+    scenario = build_scenario(config_from_dict(json.loads((CONFIGS / name).read_text())))
+    calls = {"resolve": [], "decide": []}
+    for module, key in ((scenario_module, "resolve"), (geometry, "decide")):
+        real, seen = module.update_relative, calls[key]
+        monkeypatch.setattr(module, "update_relative",
+                            lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    trace = execute(scenario)
+    anchored = [s for s in scenario.unsafe_by_id.values() if isinstance(s, RelativeSetSpec)]
+    egos = [spec.model.agent_id for spec in scenario.config.agents if spec.rta is not None]
+    decisions = trace.n_samples() - 1
+    assert anchored and egos
+    assert len(calls["resolve"]) == len(anchored) * trace.n_samples()
+    assert len(calls["decide"]) == decisions * sum(s.anchor_id != ego
+                                                   for ego in egos for s in anchored)
+    pred = forward_simulate(trace.prefix(0), scenario, 1.0, ego_id=egos[0])
+    assert pred.n_samples() > 1 and pred.unsafe_ids() == []

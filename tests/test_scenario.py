@@ -1,5 +1,7 @@
 """Scenario building, the execution loop, and snapshots."""
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +17,13 @@ from rtakit import (
     StaticSetSpec,
     build_scenario,
     execute,
+    parse_scenario_config,
     snapshot,
     validate_trace_dict,
 )
 from helpers import acc_scenario_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_agent_config(dt=0.1, horizon=0.2):
@@ -115,6 +120,25 @@ def test_execute_is_deterministic():
     a = execute(build_scenario(acc_scenario_config())).to_json()
     b = execute(build_scenario(acc_scenario_config())).to_json()
     assert a == b
+
+
+# SHA-256 of each shipped config's executed trace (`to_json`). A speed-up
+# keeps these bytes; a change that alters a trace on purpose updates the
+# digest here and says why in CHANGES.md.
+SHIPPED_TRACE_SHA256 = {
+    "acc": "50ea23be7d976eb137a1e54d897d28b9fc1695515efbdf48b00dfd6e329118a0",
+    "acc_sim_rta": "ec35e76d7b6d2bedd4ecd4e4fe3bacf8c029d1782f9b20b12df189ce22d3aaf0",
+    "dubins": "87e3bef7c63895f2c7d22c05a2d8cf83e130c1cda82b3cda33c701b31e8a884d",
+    "gcas": "b6fdb01b89325a5bbf6ad33938f86d21fa98b608ae2ab7a2c6405db29361dc2e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_shipped_config_traces_are_byte_identical(name):
+    """The executed trace of each shipped config, byte for byte. Pinned on
+    Python 3.11 with glibc 2.36."""
+    trace = execute(build_scenario(parse_scenario_config(CONFIGS / f"{name}.json")))
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == SHIPPED_TRACE_SHA256[name]
 
 
 def test_timestamps_are_exact_grid_multiples():
