@@ -29,7 +29,7 @@ import typing
 from pathlib import Path
 
 from .agents import AccAgent, DubinsCarAgent, DubinsPlaneAgent, Mode
-from .geometry import GeometryError, RelativeSetSpec, set_from_payload
+from .geometry import GeometryError, Polytope, RelativeSetSpec, set_from_payload
 from .rta import ReachRta, RtaBinding, SimRta
 from .scenario import AgentSpec, ScenarioConfig, StaticSetSpec
 from .trace import is_finite_number, non_number_entry
@@ -155,6 +155,8 @@ def _build_unsafe(entry: dict, index: int):
     definition = _require(entry, "definition", where)
     try:
         base = set_from_payload(kind, definition)
+        if isinstance(base, Polytope):  # unchecked payload: rebuild with the emptiness LP
+            base = Polytope(base.A, base.b)
     except GeometryError as exc:
         raise ConfigError(f"{where}.definition: {exc}") from exc
     bad = non_number_entry(definition)

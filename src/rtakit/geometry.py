@@ -24,6 +24,10 @@ whose minimum over the box exceeds its offset; the box centre inside) and
 otherwise decides with a linear feasibility program. `box_distance` gives
 the box gap in closed form and has none for a polytope.
 
+scipy is imported inside `Polytope._feasible` (the emptiness and box LPs)
+and `Polytope.project` only, so a process whose sets hold no polytope never
+loads it; importing scipy.optimize costs about half a second.
+
 Membership and the box test take one query or a stack of them: `contains`
 takes a point (dim,) or points (n, dim) and answers whether the set holds
 any of them; `box_intersects` takes corners (dim,) or (n, dim) and answers
@@ -48,7 +52,6 @@ import math
 import reprlib
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 SET_KINDS = ("point", "ball", "hyperrectangle", "polytope")
 
@@ -317,6 +320,8 @@ class Polytope(SetDef):
     def _feasible(self, bounds=None) -> bool:
         """Whether some x with Ax <= b lies within the per-axis bounds
         (default: unbounded), by a HiGHS linear feasibility program."""
+        from scipy.optimize import linprog
+
         res = linprog(
             c=np.zeros(self.dim),
             A_ub=self.A,
@@ -341,6 +346,8 @@ class Polytope(SetDef):
         active at the nearest point. The point is then the projection of p
         onto those rows' hyperplanes, from the KKT system of the rows.
         """
+        from scipy.optimize import nnls
+
         p = self._check_point(point)
         if self.contains(p):
             return p.copy()
@@ -431,7 +438,8 @@ def set_from_payload(kind: str, payload) -> SetDef:
             return Hyperrectangle(lower, upper)
         if kind == "polytope":
             A, b = payload
-            # Payloads come from already-validated sets; skip the LP.
+            # No emptiness LP: a trace payload was checked when its set was
+            # built, and a config caller (config._build_unsafe) runs the check.
             return Polytope(A, b, check_feasible=False)
     except GeometryError:
         raise

@@ -55,6 +55,11 @@ class RtaLogic:
         self._scenario: Scenario | None = None
 
     def bind(self, scenario: Scenario, ego_id: str) -> None:
+        if self.horizon < scenario.dt:
+            raise ValueError(
+                f"RTA logic for agent {ego_id!r}: prediction horizon {self.horizon} "
+                f"must be at least one time step {scenario.dt}"
+            )
         self._scenario = scenario
         if self.ego_id is None:
             self.ego_id = ego_id

@@ -355,6 +355,27 @@ def test_eval_of_an_empty_polytope_payload_is_a_validation_error(tmp_path, capsy
     assert "polytope projection found no feasible point" in capsys.readouterr().err
 
 
+def test_run_of_a_config_with_an_empty_polytope_is_a_validation_error(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "gcas.json").read_text())
+    # z <= 0 and z >= 1: no point satisfies both
+    doc["unsafe_sets"].append({"id": "empty", "type": "polytope",
+                               "definition": [[[0, 0, 1], [0, 0, -1]], [0, -1]]})
+    out = tmp_path / "t.json"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unsafe_sets[1].definition" in err and "polytope is empty" in err
+    assert not out.exists()
+
+
+def test_run_rejects_a_horizon_shorter_than_a_step(tmp_path, capsys):
+    doc = acc_doc()
+    doc["agents"][0]["rta"]["horizon"] = 0.05
+    out = tmp_path / "t.json"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert "'follower'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_missing_file(tmp_path):
     assert main(["eval", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")]) == 2
 
