@@ -33,9 +33,10 @@ class Mode(Enum):
 
 class View(NamedTuple):
     """One tick as every agent's step sees it, by agent id: each agent's
-    pre-step state, and the memory of each agent that keeps one."""
+    pre-step state, and the memory of each agent that keeps one. A state is
+    the trace's own row, a read-only tuple of floats."""
 
-    states: dict[str, list[float]]
+    states: dict[str, tuple[float, ...]]
     memory: dict[str, object]
 
 

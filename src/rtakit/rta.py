@@ -24,6 +24,10 @@ carries a ball for its followers is not held in SAFETY by that ball.
 The prediction is the closed loop's own rollout (`scenario.predict`): every
 agent steps from the same view and memory as it would in execution, so a
 one-step prediction under the executed modes is the executed next sample.
+A decision reads the ego's and each anchor's predicted rows as one array,
+`np.array(pred.rows[agent_id])[:, position_indices]`, which is the model's
+`position` of every row, and `boxes_from_prediction` builds every reach box
+of the horizon in one expression, as two (n, dim) corner stacks.
 """
 from __future__ import annotations
 
@@ -84,7 +88,6 @@ class RtaLogic:
         along the anchor's predicted positions. A set anchored to the ego is
         skipped."""
         scenario = self.scenario
-        steps = range(pred.n_samples())
         for set_id, spec in scenario.unsafe_by_id.items():
             if set_id in scenario.static_sets:
                 set_def = scenario.static_sets[set_id]
@@ -92,7 +95,7 @@ class RtaLogic:
                 continue
             else:
                 anchor = scenario.agents_by_id[spec.anchor_id].model
-                path = [anchor.position(pred.state(spec.anchor_id, k)) for k in steps]
+                path = _positions(pred, spec.anchor_id, anchor)
                 set_def = geometry.update_relative(spec, path)
             if hits(set_def):
                 return True
@@ -147,24 +150,27 @@ class SimRta(RtaLogic):
     def decide(self, trace: ExecutionTrace) -> Mode:
         pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
         model = self.scenario.agents_by_id[self.ego_id].model
-        positions = np.array([model.position(pred.state(self.ego_id, k))
-                              for k in range(pred.n_samples())])
+        positions = _positions(pred, self.ego_id, model)
         if self._enters_unsafe(pred, lambda s: s.contains(positions)):
             return Mode.SAFETY
         return Mode.UNTRUSTED
 
 
+def _positions(pred: ExecutionTrace, agent_id: str, model) -> np.ndarray:
+    """(n, dim) workspace positions of an agent at every predicted step,
+    read from its rows as one array."""
+    return np.array(pred.rows[agent_id])[:, list(model.position_indices)]
+
+
 def boxes_from_prediction(pred: ExecutionTrace, model, ego_id: str, bloat_rate: float,
-                          dt: float) -> list[tuple[list[float], list[float]]]:
-    """(lower, upper) corners of the axis-aligned boxes around the nominal
-    predicted positions; the per-axis inflation at predicted step k (k = 0
-    is the current state) is bloat_rate * k * dt."""
-    boxes = []
-    for k in range(pred.n_samples()):
-        r = bloat_rate * k * dt
-        pos = model.position(pred.state(ego_id, k))
-        boxes.append(([p - r for p in pos], [p + r for p in pos]))
-    return boxes
+                          dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) corner stacks (n, dim) of the axis-aligned boxes
+    around the nominal predicted positions; the per-axis inflation at
+    predicted step k (k = 0 is the current state) is bloat_rate * k * dt,
+    rounded as that scalar product is."""
+    pos = _positions(pred, ego_id, model)
+    r = (bloat_rate * np.arange(len(pos)) * dt)[:, None]
+    return pos - r, pos + r
 
 
 class ReachRta(RtaLogic):
@@ -185,10 +191,8 @@ class ReachRta(RtaLogic):
     def decide(self, trace: ExecutionTrace) -> Mode:
         pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
         model = self.scenario.agents_by_id[self.ego_id].model
-        boxes = boxes_from_prediction(pred, model, self.ego_id, self.bloat_rate,
-                                      self.scenario.dt)
-        corners = np.array(boxes)
-        lower, upper = corners[:, 0], corners[:, 1]
+        lower, upper = boxes_from_prediction(pred, model, self.ego_id, self.bloat_rate,
+                                             self.scenario.dt)
         if self._enters_unsafe(pred, lambda s: box_intersects(s, lower, upper)):
             return Mode.SAFETY
         return Mode.UNTRUSTED

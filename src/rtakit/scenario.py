@@ -7,7 +7,16 @@ ExecutionTrace on the exact grid t_k = k*dt, k = 0..floor(T/dt):
     per tick: all RTA decisions are computed from the same pre-step trace,
     then every agent steps from one view of that tick (every agent's state
     and memory), then relative unsafe sets are re-resolved against the new
-    anchor states, then everything is appended.
+    anchor states, then the tick is appended as one sample.
+
+The view holds the trace's own rows, which are immutable tuples (see the
+trace module): a step that writes into its `state` or into a
+`view.states` value fails, as any step error does, with a
+ScenarioRuntimeError naming the agent and t. So does a step that returns
+the wrong number of components, checked on every step, and an executed
+step that returns a non-finite state, checked once per tick by `execute`;
+a non-finite predicted state surfaces through the geometry of the
+decision that reads it.
 
 Execution and prediction are one rollout: `advance` is the only step of
 either. An agent's memory (see the agents module) is the fold of its
@@ -34,8 +43,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .agents import AgentModel, Mode, View
-from .geometry import RelativeSetSpec, SetDef, update_relative
-from .trace import ExecutionTrace
+from .geometry import GeometryError, RelativeSetSpec, SetDef, update_relative
+from .trace import ExecutionTrace, is_finite_number
 
 
 class ScenarioError(ValueError):
@@ -86,6 +95,7 @@ class Scenario:
         }
         # A static set's payload never changes, so every sample shares one.
         self._static_payloads = {sid: s.payload() for sid, s in self.static_sets.items()}
+        self._models = [(spec.model.agent_id, spec.model) for spec in config.agents]
         self._initial_memory = {
             aid: spec.model.initial_memory for aid, spec in self.agents_by_id.items()
             if spec.model.initial_memory is not None
@@ -107,59 +117,79 @@ class Scenario:
 
     def initial_trace(self) -> ExecutionTrace:
         trace = ExecutionTrace()
-        for spec in self.config.agents:
-            trace.add_agent(spec.model.agent_id)
-            trace.append_state(spec.model.agent_id, 0.0, spec.init_state)
-        states = {spec.model.agent_id: list(spec.init_state) for spec in self.config.agents}
+        for aid, _ in self._models:
+            trace.add_agent(aid)
         for uspec in self.config.unsafe_sets:
             trace.add_unsafe_set(uspec.set_id, uspec.base.kind)
-            trace.append_unsafe(uspec.set_id, 0.0, self._resolve(uspec, states))
+        states = {spec.model.agent_id: spec.init_state for spec in self.config.agents}
+        trace.append_sample(0.0, states)
+        self._append_unsafe(trace, states, 0.0)
         return trace
 
-    def _resolve(self, uspec, states: dict) -> object:
-        if isinstance(uspec, RelativeSetSpec):
-            anchor_state = states[uspec.anchor_id]
-            anchor_pos = self.position(uspec.anchor_id, anchor_state)
-            return update_relative(uspec, anchor_pos).payload()
-        return self._static_payloads[uspec.set_id]
+    def _append_unsafe(self, trace: ExecutionTrace, states: dict, t: float) -> None:
+        """Append every unsafe set the trace holds, resolved against
+        `states`, to its sample at t."""
+        for sid in trace.unsafe:
+            uspec = self.unsafe_by_id[sid]
+            if isinstance(uspec, RelativeSetSpec):
+                anchor = uspec.anchor_id
+                try:
+                    moved = update_relative(uspec, self.position(anchor, states[anchor]))
+                except GeometryError as exc:
+                    raise ScenarioRuntimeError(
+                        f"unsafe set {sid!r} anchored to agent {anchor!r} failed to "
+                        f"resolve at t={t:g}: {exc}"
+                    ) from exc
+                payload = moved.payload()
+            else:
+                payload = self._static_payloads[sid]
+            trace.append_unsafe(sid, t, payload)
 
     def memory(self, trace: ExecutionTrace) -> dict[str, object]:
         """The memory of every agent that keeps one (its model's
         `initial_memory` is not None) after the trace's last sample: the
         fold of its model's `remember` over the recorded rows. Rows folded
         before are not folded again, and each row makes a new dict, so a
-        returned dict never changes."""
+        returned dict never changes. While no agent keeps memory it is the
+        scenario's one empty dict."""
+        if not self._initial_memory:
+            return self._initial_memory
         n = trace.n_samples()
         folded, memory = trace.memory or (0, self._initial_memory)
         if folded < n:
+            rows = trace.rows
             for k in range(folded, n):
-                memory = {aid: self.agents_by_id[aid].model.remember(m, trace.state(aid, k))
+                memory = {aid: self.agents_by_id[aid].model.remember(m, rows[aid][k])
                           for aid, m in memory.items()}
             trace.memory = (n, memory)
         return memory
 
     def advance(self, trace: ExecutionTrace, modes: dict[str, Mode], k: int) -> None:
         """One tick from sample k: step all agents from one view of the
-        pre-step sample, then append states, modes, and the unsafe sets the
-        trace holds, re-resolved."""
-        t_next = (k + 1) * self.dt
-        states = {aid: trace.last_state(aid)[1] for aid in self.agents_by_id}
+        pre-step sample, then append their states and modes as one sample,
+        and the unsafe sets the trace holds, re-resolved."""
+        rows = trace.rows
+        states = {aid: rows[aid][-1] for aid, _ in self._models}
         view = View(states, self.memory(trace))
+        dt = self.dt
         next_states = {}
-        for spec in self.config.agents:
-            aid = spec.model.agent_id
+        for aid, model in self._models:
             try:
-                nxt = spec.model.step(modes[aid], states[aid], self.dt, view)
+                nxt = tuple(map(float, model.step(modes[aid], states[aid], dt, view)))
             except Exception as exc:
                 raise ScenarioRuntimeError(
-                    f"agent {aid!r} step failed at t={k * self.dt:g}: {exc}"
+                    f"agent {aid!r} step failed at t={k * dt:g}: {exc}"
                 ) from exc
-            next_states[aid] = [float(s) for s in nxt]
-        for aid, state in next_states.items():
-            trace.append_state(aid, t_next, state)
-            trace.append_mode(aid, modes[aid])
-        for sid in trace.unsafe_ids():
-            trace.append_unsafe(sid, t_next, self._resolve(self.unsafe_by_id[sid], next_states))
+            if len(nxt) != model.state_dim:
+                raise ScenarioRuntimeError(
+                    f"agent {aid!r} step at t={k * dt:g} returned {len(nxt)} components, "
+                    f"expected {model.state_dim}"
+                )
+            next_states[aid] = nxt
+        t_next = (k + 1) * dt
+        trace.append_sample(t_next, next_states, modes)
+        if trace.unsafe:
+            self._append_unsafe(trace, next_states, t_next)
 
 
 def grid_steps(horizon: float, dt: float) -> int:
@@ -192,6 +222,10 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             raise ScenarioError(
                 f"agent {aid!r}: initial state has {len(spec.init_state)} components, "
                 f"model {spec.model.model_name!r} expects {spec.model.state_dim}"
+            )
+        if not all(is_finite_number(v) for v in spec.init_state):
+            raise ScenarioError(
+                f"agent {aid!r}: initial state must be finite numbers, got {list(spec.init_state)}"
             )
         if len(spec.model.position_indices) != config.workspace_dim:
             raise ScenarioError(
@@ -240,6 +274,12 @@ def execute(scenario: Scenario) -> ExecutionTrace:
             else:
                 modes[aid] = spec.init_mode
         scenario.advance(trace, modes, k)
+        for aid, rows in trace.rows.items():
+            if not all(map(math.isfinite, rows[-1])):
+                raise ScenarioRuntimeError(
+                    f"agent {aid!r} step at t={k * scenario.dt:g} returned a non-finite "
+                    f"state {list(rows[-1])}"
+                )
     return trace
 
 
@@ -248,19 +288,15 @@ def predict(scenario: Scenario, trace: ExecutionTrace,
     """Fixed-mode rollout from the last sample of `trace`.
 
     Returns a fresh trace of agent states whose first sample is the current
-    one, with the agents' memory at that sample and no unsafe set: static
+    one (its rows shared with `trace`; rows are immutable), with the agents'
+    memory at that sample and no unsafe set: static
     sets are in `scenario.static_sets`, and an anchored set at predicted
     step k is `update_relative(spec, anchor position at k)`. Timestamps
     continue the k*dt grid. The input trace is not touched, apart from
     extending its memory fold.
     """
-    t0 = trace.last_state(trace.agent_ids()[0])[0]
-    k0 = int(round(t0 / scenario.dt))
-    pred = ExecutionTrace()
-    for aid in trace.agent_ids():
-        pred.add_agent(aid)
-        _, state = trace.last_state(aid)
-        pred.append_state(aid, t0, state)
+    k0 = int(round(trace.times[-1] / scenario.dt))
+    pred = trace.latest()
     pred.memory = (1, scenario.memory(trace))
     for j in range(n_steps):
         scenario.advance(pred, modes, k0 + j)

@@ -13,6 +13,15 @@ Invariants: all state traces share one strictly increasing timestamp grid;
 each agent's mode trace has exactly one entry fewer than its state trace
 (a mode labels the transition out of each state); unsafe payloads follow
 the layouts documented in the geometry module.
+
+In memory an ExecutionTrace is columnar: one `times` list shared by every
+agent, one list of state rows per agent in `rows` (a row is a tuple of
+floats without its timestamp) and one list of modes per agent in `modes`.
+Rows are immutable, so a trace, a prefix cut from it and a prediction
+seeded from it share them without copies. Unsafe sets keep their wire rows
+`[t, payload]`. `to_dict` builds the wire rows `[t, s0, ...]` and
+`from_dict` splits them once; `state()` and `last_state()` return list
+copies of a row. `append_sample` is the one way to add a sample.
 """
 from __future__ import annotations
 
@@ -38,7 +47,9 @@ class ExecutionTrace:
     """Mutable during execution, treated as immutable once complete."""
 
     def __init__(self):
-        self.agents: dict[str, dict] = {}
+        self.times: list[float] = []
+        self.rows: dict[str, list[tuple[float, ...]]] = {}
+        self.modes: dict[str, list[Mode]] = {}
         self.unsafe: dict[str, dict] = {}
         # (samples folded, agent memory after them), kept by
         # `Scenario.memory`; in process only, never serialized.
@@ -47,9 +58,12 @@ class ExecutionTrace:
     # -- construction ----------------------------------------------------
 
     def add_agent(self, agent_id: str):
-        if agent_id in self.agents:
+        if agent_id in self.rows:
             raise ValueError(f"duplicate agent id {agent_id!r}")
-        self.agents[agent_id] = {"state_trace": [], "mode_trace": []}
+        if self.times:
+            raise ValueError(f"agent {agent_id!r} added after the first sample")
+        self.rows[agent_id] = []
+        self.modes[agent_id] = []
 
     def add_unsafe_set(self, set_id: str, kind: str):
         if set_id in self.unsafe:
@@ -58,11 +72,23 @@ class ExecutionTrace:
             raise ValueError(f"unknown set type {kind!r}")
         self.unsafe[set_id] = {"type": kind, "state_trace": []}
 
-    def append_state(self, agent_id: str, t: float, state):
-        self.agents[agent_id]["state_trace"].append([float(t)] + [float(s) for s in state])
-
-    def append_mode(self, agent_id: str, mode: Mode):
-        self.agents[agent_id]["mode_trace"].append(mode)
+    def append_sample(self, t: float, states: dict, modes: dict | None = None):
+        """Append one sample: every agent's state, by agent id, and the mode
+        each agent took into it (None appends no mode, as for a trace's
+        first sample). A state is stored as a tuple of floats; a tuple is
+        stored as given, so it must hold floats already."""
+        rows = self.rows
+        if states.keys() != rows.keys():
+            raise ValueError(
+                f"sample has states for {sorted(states)}, trace holds agents {sorted(rows)}"
+            )
+        self.times.append(float(t))
+        for aid, column in rows.items():
+            row = states[aid]
+            column.append(row if type(row) is tuple else tuple(map(float, row)))
+        if modes is not None:
+            for aid, column in self.modes.items():
+                column.append(modes[aid])
 
     def append_unsafe(self, set_id: str, t: float, payload):
         self.unsafe[set_id]["state_trace"].append([float(t), payload])
@@ -70,35 +96,28 @@ class ExecutionTrace:
     # -- access ----------------------------------------------------------
 
     def agent_ids(self) -> list[str]:
-        return list(self.agents)
+        return list(self.rows)
 
     def unsafe_ids(self) -> list[str]:
         return list(self.unsafe)
 
     def n_samples(self) -> int:
-        if not self.agents:
-            return 0
-        first = next(iter(self.agents.values()))
-        return len(first["state_trace"])
+        return len(self.times)
 
     def timestamps(self) -> list[float]:
-        if not self.agents:
-            return []
-        first = next(iter(self.agents.values()))
-        return [row[0] for row in first["state_trace"]]
+        return list(self.times)
 
     def state(self, agent_id: str, k: int) -> list[float]:
-        return self.agents[agent_id]["state_trace"][k][1:]
+        return list(self.rows[agent_id][k])
 
     def last_state(self, agent_id: str) -> tuple[float, list[float]]:
-        row = self.agents[agent_id]["state_trace"][-1]
-        return row[0], row[1:]
+        return self.times[-1], list(self.rows[agent_id][-1])
 
     def mode_trace(self, agent_id: str) -> list[Mode]:
-        return self.agents[agent_id]["mode_trace"]
+        return self.modes[agent_id]
 
     def current_mode(self, agent_id: str) -> Mode | None:
-        modes = self.agents[agent_id]["mode_trace"]
+        modes = self.modes[agent_id]
         return modes[-1] if modes else None
 
     def unsafe_kind(self, set_id: str) -> str:
@@ -116,11 +135,9 @@ class ExecutionTrace:
         if not 0 <= k < self.n_samples():
             raise IndexError(f"sample index {k} out of range")
         out = ExecutionTrace()
-        for aid, entry in self.agents.items():
-            out.agents[aid] = {
-                "state_trace": entry["state_trace"][: k + 1],
-                "mode_trace": entry["mode_trace"][:k],
-            }
+        out.times = self.times[: k + 1]
+        out.rows = {aid: rows[: k + 1] for aid, rows in self.rows.items()}
+        out.modes = {aid: modes[:k] for aid, modes in self.modes.items()}
         for sid, entry in self.unsafe.items():
             out.unsafe[sid] = {
                 "type": entry["type"],
@@ -128,16 +145,26 @@ class ExecutionTrace:
             }
         return out
 
+    def latest(self) -> "ExecutionTrace":
+        """The last sample alone, sharing its rows: no mode, no unsafe set
+        and no memory."""
+        out = ExecutionTrace()
+        out.times = self.times[-1:]
+        out.rows = {aid: rows[-1:] for aid, rows in self.rows.items()}
+        out.modes = {aid: [] for aid in self.rows}
+        return out
+
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
+        times = self.times
         return {
             "agents": {
                 aid: {
-                    "state_trace": [list(row) for row in entry["state_trace"]],
-                    "mode_trace": [m.value for m in entry["mode_trace"]],
+                    "state_trace": [[t, *row] for t, row in zip(times, rows)],
+                    "mode_trace": [m.value for m in self.modes[aid]],
                 }
-                for aid, entry in self.agents.items()
+                for aid, rows in self.rows.items()
             },
             "unsafe": {
                 sid: {
@@ -152,11 +179,11 @@ class ExecutionTrace:
     def from_dict(cls, doc: dict) -> "ExecutionTrace":
         validate_trace_dict(doc)
         out = cls()
-        for aid, entry in doc["agents"].items():
-            out.agents[aid] = {
-                "state_trace": [[float(v) for v in row] for row in entry["state_trace"]],
-                "mode_trace": [Mode(name) for name in entry["mode_trace"]],
-            }
+        agents = doc["agents"]
+        out.times = [float(row[0]) for row in next(iter(agents.values()))["state_trace"]]
+        for aid, entry in agents.items():
+            out.rows[aid] = [tuple(map(float, row[1:])) for row in entry["state_trace"]]
+            out.modes[aid] = [Mode(name) for name in entry["mode_trace"]]
         for sid, entry in doc["unsafe"].items():
             out.unsafe[sid] = {
                 "type": entry["type"],

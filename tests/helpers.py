@@ -94,13 +94,12 @@ def make_trace(agent_states: dict[str, list[list[float]]],
                modes: dict[str, list[Mode]] | None = None) -> ExecutionTrace:
     """Build a trace from {agent: [[t, s0, s1, ...], ...]} rows."""
     trace = ExecutionTrace()
-    for aid, rows in agent_states.items():
+    for aid in agent_states:
         trace.add_agent(aid)
-        for row in rows:
-            trace.append_state(aid, row[0], row[1:])
-        if modes and aid in modes:
-            for m in modes[aid]:
-                trace.append_mode(aid, m)
+    for k, rows in enumerate(zip(*agent_states.values())):
+        taken = {aid: m[k - 1] for aid, m in modes.items()} if modes and k else None
+        trace.append_sample(rows[0][0], {aid: row[1:] for aid, row in zip(agent_states, rows)},
+                            taken)
     return trace
 
 

@@ -1,11 +1,13 @@
 """Command-line round trips: run, eval, snapshot, exit codes."""
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtakit.agents import AccAgent
 from rtakit.cli import main
 from rtakit.config import MODELS, ConfigError, config_from_dict
 from rtakit import validate_trace_dict
@@ -477,3 +479,19 @@ def test_run_eval_fuzz_all_models(tmp_path):
         out = tmp_path / f"fuzz{i}_trace.json"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["eval", str(out), "--out", str(tmp_path / f"fuzz{i}_report")]) == 0
+
+
+def test_run_step_failure_is_a_runtime_error_naming_agent_and_time(tmp_path, capsys,
+                                                                    monkeypatch):
+    real = AccAgent.step
+
+    def step(self, mode, state, dt, view):
+        nxt = real(self, mode, state, dt, view)
+        return [math.nan, nxt[1]] if self.agent_id == "leader" and state[0] > 6.05 else nxt
+
+    monkeypatch.setattr(AccAgent, "step", step)
+    code = main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(tmp_path / "t.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "anchored to agent 'leader' failed to resolve at t=1.2" in err
+    assert not (tmp_path / "t.json").exists()

@@ -232,11 +232,11 @@ def reach_boxes(scenario, trace, horizon, bloat_rate, ego_id):
 
 def test_reach_boxes_zero_bloat_degenerate():
     scenario = built_acc()
-    pred, boxes = reach_boxes(scenario, scenario.initial_trace(), 1.0, 0.0, "follower")
-    assert len(boxes) == pred.n_samples()
-    for k, (lower, upper) in enumerate(boxes):
+    pred, (lower, upper) = reach_boxes(scenario, scenario.initial_trace(), 1.0, 0.0, "follower")
+    assert lower.shape == upper.shape == (pred.n_samples(), 1)
+    for k in range(pred.n_samples()):
         pos = pred.state("follower", k)[0]
-        assert lower == upper == [pos]
+        assert lower[k].tolist() == upper[k].tolist() == [pos]
 
 
 def test_reach_boxes_linear_schedule_arithmetic():
@@ -247,9 +247,9 @@ def test_reach_boxes_linear_schedule_arithmetic():
     config.agents[0].init_state = [0.0, 1.0]
     scenario = build_scenario(config)
     # rate 1 at dt = 0.1: half-width 0.1 * k
-    _, boxes = reach_boxes(scenario, scenario.initial_trace(), 0.2, 1.0, "ego")
-    assert boxes[1] == ([0.0], [pytest.approx(0.2)])
-    assert boxes[2] == ([pytest.approx(0.0)], [pytest.approx(0.4)])
+    _, (lower, upper) = reach_boxes(scenario, scenario.initial_trace(), 0.2, 1.0, "ego")
+    assert (lower[1].tolist(), upper[1].tolist()) == ([0.0], [pytest.approx(0.2)])
+    assert (lower[2].tolist(), upper[2].tolist()) == ([pytest.approx(0.0)], [pytest.approx(0.4)])
 
 
 def test_reach_boxes_contain_nominal_states():
@@ -257,9 +257,9 @@ def test_reach_boxes_contain_nominal_states():
     for _ in range(10):
         scenario = build_scenario(random_acc_config(rng))
         trace = scenario.initial_trace()
-        pred, boxes = reach_boxes(scenario, trace, 1.0, 0.5, "follower")
-        for k, (lower, upper) in enumerate(boxes):
-            assert lower[0] <= pred.state("follower", k)[0] <= upper[0]
+        pred, (lower, upper) = reach_boxes(scenario, trace, 1.0, 0.5, "follower")
+        for k in range(pred.n_samples()):
+            assert lower[k][0] <= pred.state("follower", k)[0] <= upper[k][0]
 
 
 @pytest.mark.parametrize("make", [
@@ -348,8 +348,8 @@ def per_step_reference(logic, pred):
     model = scenario.agents_by_id[logic.ego_id].model
     reach = isinstance(logic, ReachRta)
     if reach:
-        boxes = boxes_from_prediction(pred, model, logic.ego_id, logic.bloat_rate,
-                                      scenario.dt)
+        lower, upper = boxes_from_prediction(pred, model, logic.ego_id, logic.bloat_rate,
+                                             scenario.dt)
     for set_id, spec in scenario.unsafe_by_id.items():
         if isinstance(spec, RelativeSetSpec) and spec.anchor_id == logic.ego_id:
             continue
@@ -360,7 +360,7 @@ def per_step_reference(logic, pred):
                 anchor = scenario.position(spec.anchor_id, pred.state(spec.anchor_id, k))
                 set_def = update_relative(spec, anchor)
             if reach:
-                hit = box_intersects(set_def, *boxes[k])
+                hit = box_intersects(set_def, lower[k], upper[k])
             else:
                 hit = set_def.contains(model.position(pred.state(logic.ego_id, k)))
             if hit:

@@ -90,6 +90,15 @@ def test_build_rejects_wrong_state_width():
         build_scenario(config)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "1.0", True])
+def test_build_rejects_nonfinite_initial_state(bad):
+    """A bad initial state is the configuration's fault, not a step's."""
+    config = single_agent_config()
+    config.agents[0].init_state = [0.0, bad]
+    with pytest.raises(ScenarioError, match="agent 'solo': initial state must be finite"):
+        build_scenario(config)
+
+
 def test_build_rejects_set_dimension_mismatch():
     config = single_agent_config()
     config.unsafe_sets = [StaticSetSpec("u", Ball([0.0, 0.0], 1.0))]
@@ -108,7 +117,7 @@ def test_build_rejects_set_id_clashing_with_agent():
 
 def test_execute_constant_velocity_grid():
     trace = execute(build_scenario(single_agent_config(dt=0.1, horizon=0.2)))
-    assert trace.agents["solo"]["state_trace"] == [
+    assert trace.to_dict()["agents"]["solo"]["state_trace"] == [
         [0.0, 0.0, 1.0],
         [0.1, 0.1, 1.0],
         [0.2, 0.2, 1.0],
@@ -208,6 +217,69 @@ def test_step_failure_reports_agent_and_time():
     config.agents = [AgentSpec(Exploding("frail"), [0.0, 1.0], Mode.NORMAL, None)]
     with pytest.raises(ScenarioRuntimeError, match="frail.*t=0.2"):
         execute(build_scenario(config))
+
+
+def with_output(config, agent_id, tick, output):
+    """`config` with `agent_id`'s step returning output(next state) from
+    its call number `tick` on; without an RTA every call is one tick."""
+    model = next(s.model for s in config.agents if s.model.agent_id == agent_id)
+    real, calls = model.step, []
+
+    def step(*args):
+        calls.append(None)
+        nxt = real(*args)
+        return output(nxt) if len(calls) > tick else nxt
+
+    model.step = step
+    return config
+
+
+def test_nonfinite_step_output_fails_at_its_tick():
+    config = with_output(acc_scenario_config(), "follower", 30, lambda s: [math.nan, s[1]])
+    with pytest.raises(ScenarioRuntimeError,
+                       match=r"agent 'follower' step at t=3 returned a non-finite state \[nan, "):
+        execute(build_scenario(config))
+
+
+def test_nonfinite_anchor_names_the_set_the_anchor_and_t():
+    config = with_output(acc_scenario_config(), "leader", 30, lambda s: [math.nan, s[1]])
+    with pytest.raises(ScenarioRuntimeError,
+                       match=r"unsafe set 'unsafe1' anchored to agent 'leader' failed to "
+                             r"resolve at t=3.1: anchor position must be finite"):
+        execute(build_scenario(config))
+
+
+def test_step_output_of_the_wrong_width_fails_at_its_tick():
+    config = with_output(acc_scenario_config(), "follower", 30, lambda s: [*s, 0.0])
+    with pytest.raises(ScenarioRuntimeError,
+                       match="agent 'follower' step at t=3 returned 3 components, expected 2"):
+        execute(build_scenario(config))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda state, view: state.__setitem__(1, 0.0),
+    lambda state, view: view.states["leader"].__setitem__(0, 0.0),
+], ids=["state", "view-states"])
+def test_a_step_cannot_change_recorded_rows(mutate):
+    """A step that writes into the rows it is given either leaves the trace
+    as a step that does not would, or fails naming the agent and t."""
+    twin = execute(build_scenario(acc_scenario_config())).to_json()
+    config = acc_scenario_config()
+    follower = config.agents[0].model
+    real = follower.step
+
+    def step(mode, state, dt, view):
+        nxt = real(mode, state, dt, view)
+        mutate(state, view)
+        return nxt
+
+    follower.step = step
+    try:
+        got = execute(build_scenario(config)).to_json()
+    except ScenarioRuntimeError as exc:
+        assert str(exc).startswith("agent 'follower' step failed at t=0: ")
+    else:
+        assert got == twin
 
 
 # -- snapshot ---------------------------------------------------------------------

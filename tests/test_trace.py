@@ -1,11 +1,22 @@
 """Trace wire format: serialization round trips and schema validation."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from rtakit import ExecutionTrace, Mode, TraceSchemaError, validate_trace_dict
+from rtakit import (
+    ExecutionTrace,
+    Mode,
+    TraceSchemaError,
+    build_scenario,
+    execute,
+    parse_scenario_config,
+    validate_trace_dict,
+)
 from helpers import make_trace
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def two_agent_doc():
@@ -194,5 +205,31 @@ def test_prefix_slices_states_and_modes():
     assert pre.timestamps() == [0.0, 0.1]
     assert pre.mode_trace("a") == [Mode.UNTRUSTED]
     # slicing shares no list structure with the source
-    pre.append_state("a", 0.2, [9.0])
+    pre.append_sample(0.2, {"a": [9.0]}, {"a": Mode.SAFETY})
     assert trace.state("a", 2) == [2.0]
+    assert trace.mode_trace("a") == [Mode.UNTRUSTED, Mode.SAFETY]
+
+
+def test_latest_shares_the_last_rows():
+    trace = make_trace({"a": [[0.0, 0.0], [0.1, 1.0]], "b": [[0.0, 5.0], [0.1, 6.0]]},
+                       modes={"a": [Mode.UNTRUSTED], "b": [Mode.NORMAL]})
+    last = trace.latest()
+    assert last.timestamps() == [0.1]
+    assert last.rows["a"][0] is trace.rows["a"][-1]
+    assert last.mode_trace("a") == [] and last.unsafe_ids() == []
+
+
+def test_append_sample_needs_every_agent():
+    trace = make_trace({"a": [[0.0, 0.0]], "b": [[0.0, 5.0]]})
+    with pytest.raises(ValueError, match="trace holds agents"):
+        trace.append_sample(0.1, {"a": [1.0]})
+    assert trace.n_samples() == 1
+    with pytest.raises(ValueError, match="after the first sample"):
+        trace.add_agent("c")
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_wire_round_trip_of_shipped_config_traces(name):
+    trace = execute(build_scenario(parse_scenario_config(CONFIGS / f"{name}.json")))
+    text = trace.to_json()
+    assert ExecutionTrace.from_dict(json.loads(text)).to_json() == text
