@@ -98,12 +98,11 @@ def cmd_eval(args) -> int:
     report = build_report(trace, metadata, timings)
     elapsed = time.perf_counter() - start
     print(f"eval time: {elapsed:.6f} s")
-    outdir.mkdir(parents=True, exist_ok=True)
+    written = report.write_csv(outdir)  # first: it rejects ids that cannot name a file
     (outdir / "summary.txt").write_text(report.to_text())
     (outdir / "summary.json").write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     )
-    written = report.write_csv(outdir)
     print(f"summary and {len(written)} series written to {outdir}")
     return EXIT_OK
 

@@ -48,6 +48,13 @@ DEFAULT_BLOAT_RATE = 0.1
 # "params" keys that wire the agent to others; the rest fill params_type.
 _WIRING_KEYS = {"leader_id", "formation_offset", "waypoints"}
 
+# The keys schema/scenario.schema.json allows in each object.
+DOCUMENT_KEYS = {"workspace_dim", "time", "agents", "unsafe_sets"}
+TIME_KEYS = {"dt", "T"}
+AGENT_KEYS = {"id", "model", "params", "init", "mode", "rta"}
+RTA_KEYS = {"type", "horizon", "bloat_rate"}
+UNSAFE_SET_KEYS = {"id", "type", "definition", "anchor", "offset"}
+
 
 class ConfigError(ValueError):
     """Malformed scenario configuration; the message names the location."""
@@ -57,6 +64,23 @@ def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return doc[key]
+
+
+def _object(doc, where: str, keys: set[str]) -> dict:
+    """`doc`, checked to be an object whose keys are all in `keys`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown field {key!r}; expected one of {sorted(keys)}")
+    return doc
+
+
+def _id(doc: dict, where: str) -> str:
+    value = _require(doc, "id", where)
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}.id: expected a nonempty string, got {value!r}")
+    return value
 
 
 def _number(value, where: str) -> float:
@@ -73,9 +97,7 @@ def _numbers(value, where: str) -> list[float]:
 
 def _build_agent(entry: dict, index: int) -> AgentSpec:
     where = f"agents[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object")
-    agent_id = _require(entry, "id", where)
+    agent_id = _id(_object(entry, where, AGENT_KEYS), where)
     model_name = _require(entry, "model", where)
     cls = MODELS.get(model_name)
     if cls is None:
@@ -119,20 +141,13 @@ def _build_agent(entry: dict, index: int) -> AgentSpec:
     except ValueError as exc:
         raise ConfigError(f"{where}.mode: unknown mode {mode_name!r}") from exc
 
-    return AgentSpec(
-        model=model,
-        init_state=init_state,
-        init_mode=mode,
-        rta=_build_rta(entry.get("rta"), f"{where}.rta"),
-    )
+    return AgentSpec(model, init_state, mode, _build_rta(entry.get("rta"), f"{where}.rta"))
 
 
 def _build_rta(entry, where: str) -> RtaBinding | None:
     if entry is None:
         return None
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object")
-    kind = entry.get("type", "none")
+    kind = _require(_object(entry, where, RTA_KEYS), "type", where)
     if kind == "none":
         return None
     horizon = _number(entry.get("horizon", DEFAULT_RTA_HORIZON), f"{where}.horizon")
@@ -148,9 +163,7 @@ def _build_rta(entry, where: str) -> RtaBinding | None:
 
 def _build_unsafe(entry: dict, index: int):
     where = f"unsafe_sets[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object")
-    set_id = _require(entry, "id", where)
+    set_id = _id(_object(entry, where, UNSAFE_SET_KEYS), where)
     kind = _require(entry, "type", where)
     definition = _require(entry, "definition", where)
     try:
@@ -176,11 +189,8 @@ def _build_unsafe(entry: dict, index: int):
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"<document>: expected an object, got {type(doc).__name__}")
-    time_section = _require(doc, "time", "<document>")
-    if not isinstance(time_section, dict):
-        raise ConfigError("time: expected an object with dt and T")
+    _object(doc, "<document>", DOCUMENT_KEYS)
+    time_section = _object(_require(doc, "time", "<document>"), "time", TIME_KEYS)
     dt = _number(_require(time_section, "dt", "time"), "time.dt")
     horizon = _number(_require(time_section, "T", "time"), "time.T")
     workspace_dim = _require(doc, "workspace_dim", "<document>")
@@ -194,13 +204,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(unsafe_section, list):
         raise ConfigError("unsafe_sets: expected a list")
     unsafe = [_build_unsafe(entry, i) for i, entry in enumerate(unsafe_section)]
-    return ScenarioConfig(
-        agents=agents,
-        unsafe_sets=unsafe,
-        dt=dt,
-        horizon=horizon,
-        workspace_dim=workspace_dim,
-    )
+    return ScenarioConfig(agents=agents, unsafe_sets=unsafe, dt=dt, horizon=horizon,
+                          workspace_dim=workspace_dim)
 
 
 def parse_scenario_config(path) -> ScenarioConfig:

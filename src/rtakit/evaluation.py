@@ -11,13 +11,14 @@ same numbers.
 Workspace positions are the leading `workspace_dim` state components; the
 dimension is inferred from the unsafe-set definitions unless supplied
 explicitly. Velocities are backward finite differences of the recorded
-positions (set velocities likewise, of each set's reference point).
+positions (set velocities likewise, of each set's reference point). An
+evaluation builds these as columns once, reading each set's payloads
+through `unsafe_def` once per run of equal payloads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,14 +78,10 @@ class ScenarioMetadata:
 
     @classmethod
     def from_trace(cls, trace: ExecutionTrace) -> "ScenarioMetadata":
-        return cls(workspace_dim=_set_dim(trace))
-
-
-def _set_dim(trace) -> int | None:
-    """The dimension of the first unsafe set, or None without sets."""
-    for sid in trace.unsafe_ids():
-        return trace.unsafe_def(sid, 0).dim
-    return None
+        """The dimension of the trace's first unsafe set; None without sets."""
+        for sid in trace.unsafe_ids():
+            return cls(workspace_dim=trace.unsafe_def(sid, 0).dim)
+        return cls()
 
 
 def _check_agent(trace, agent_id: str) -> None:
@@ -92,114 +89,105 @@ def _check_agent(trace, agent_id: str) -> None:
         raise EvalError(f"unknown agent id {agent_id!r}")
 
 
-def _per_sample(read):
-    """Memoise read(self, ident, k) in the reader, so each sample of each
-    agent or set is computed at most once."""
-
-    def get(self, ident: str, k: int):
-        key = (read, ident, k)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._cache[key] = read(self, ident, k)
-        return value
-
-    return get
+def _workspace_dim(trace, metadata: ScenarioMetadata | None) -> int:
+    """The metadata's workspace dimension, else the first set's."""
+    if metadata is None or metadata.workspace_dim is None:
+        metadata = ScenarioMetadata.from_trace(trace)
+    if metadata.workspace_dim is None:
+        raise EvalError(
+            "workspace dimension is unknown: no unsafe sets to infer it from; "
+            "pass ScenarioMetadata(workspace_dim=...)"
+        )
+    return metadata.workspace_dim
 
 
 class _Samples:
-    """A trace read by sample index k: positions, velocities, set
-    definitions and set velocities, each computed on first use."""
+    """The columns of a trace that one evaluation reads, built once: per
+    agent its (n, dim) positions and velocities, per set its definition and
+    the velocity of its reference point at every sample of `window`."""
 
-    def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None = None):
-        self.trace = trace
-        self.metadata = metadata
-        self.ts = trace.timestamps()
-        self.agent_ids = trace.agent_ids()
-        self.set_ids = trace.unsafe_ids()
-        self._cache: dict = {}
-
-    @cached_property
-    def dim(self) -> int:
-        """Workspace dimension: the metadata's, else the first set's."""
-        dim = self.metadata.workspace_dim if self.metadata is not None else None
-        if dim is None:
-            dim = _set_dim(self.trace)
-        if dim is None:
-            raise EvalError(
-                "workspace dimension is unknown: no unsafe sets to infer it from; "
-                "pass ScenarioMetadata(workspace_dim=...)"
-            )
-        return dim
-
-    def check(self, agent_id: str, target_id: str) -> None:
-        _check_agent(self.trace, agent_id)
-        if target_id not in self.set_ids and target_id not in self.agent_ids:
-            raise EvalError(f"unknown target id {target_id!r}")
-
-    @_per_sample
-    def position(self, agent_id: str, k: int) -> np.ndarray:
-        state = self.trace.state(agent_id, k)
-        if len(state) < self.dim:
-            raise EvalError(
-                f"agent {agent_id!r} state has {len(state)} components, "
-                f"cannot project {self.dim} position components"
-            )
-        return np.asarray(state[: self.dim], dtype=float)
-
-    @_per_sample
-    def velocity(self, agent_id: str, k: int) -> np.ndarray:
-        """Backward finite difference of the recorded positions; zero for a
-        single-sample trace."""
-        if len(self.ts) < 2:
-            return np.zeros(self.dim)
-        return self._backward_difference(self.position, agent_id, k)
-
-    @_per_sample
-    def set_def(self, set_id: str, k: int) -> SetDef:
-        return self.trace.unsafe_def(set_id, k)
-
-    @_per_sample
-    def set_reference(self, set_id: str, k: int) -> np.ndarray:
-        set_def = self.set_def(set_id, k)
-        if isinstance(set_def, PointSet):
-            return set_def.coords
-        if isinstance(set_def, Ball):
-            return set_def.center
-        if isinstance(set_def, Hyperrectangle):
-            return (set_def.lower + set_def.upper) / 2.0
-        # Polytope: recover the translation offset in the least-squares sense.
-        return np.linalg.lstsq(set_def.A, set_def.b, rcond=None)[0]
-
-    @_per_sample
-    def set_velocity(self, set_id: str, k: int) -> np.ndarray:
-        if len(self.ts) < 2:
-            return np.zeros(self.set_def(set_id, 0).dim)
-        return self._backward_difference(self.set_reference, set_id, k)
-
-    def _backward_difference(self, series, ident: str, k: int) -> np.ndarray:
-        """(x_j - x_{j-1}) / (t_j - t_{j-1}) with j = max(k, 1)."""
-        j = k if k > 0 else 1
-        dt = self.ts[j] - self.ts[j - 1]
-        return (series(ident, j) - series(ident, j - 1)) / dt
+    def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None,
+                 agent_ids: list[str], set_ids: list[str], window: slice = slice(None)):
+        self.ts = ts = trace.timestamps()[window]
+        dim = _workspace_dim(trace, metadata) if agent_ids else 0
+        self.positions = {aid: _positions(trace.rows[aid][window], aid, dim) for aid in agent_ids}
+        self.velocities = {aid: _velocities(ts, x) for aid, x in self.positions.items()}
+        self.set_defs, self.set_velocities = {}, {}
+        for sid in set_ids:
+            self.set_defs[sid], refs = _set_column(trace, sid, range(trace.n_samples())[window])
+            self.set_velocities[sid] = _velocities(ts, refs)
 
 
-def _distance_at(s: _Samples, agent_id: str, target_id: str, k: int) -> float:
-    pos = s.position(agent_id, k)
-    if target_id in s.set_ids:
-        return s.set_def(target_id, k).distance(pos)
-    return float(np.linalg.norm(pos - s.position(target_id, k)))
+def _positions(rows: list[tuple[float, ...]], agent_id: str, dim: int) -> np.ndarray:
+    """The leading `dim` state components of the agent's rows."""
+    width = len(rows[0]) if rows else dim
+    if width < dim:
+        raise EvalError(
+            f"agent {agent_id!r} state has {width} components, "
+            f"cannot project {dim} position components"
+        )
+    return np.array(rows, dtype=float).reshape(len(rows), width)[:, :dim]
+
+
+def _set_column(trace: ExecutionTrace, set_id: str, samples: range) -> tuple[list[SetDef], np.ndarray]:
+    """The set's definition and reference point at each of the samples. A
+    payload equal to the one before it is not read through `unsafe_def` again."""
+    defs, refs, last = [], [], None
+    for k in samples:
+        payload = trace.unsafe[set_id][k]
+        if not defs or payload != last:
+            set_def, last = trace.unsafe_def(set_id, k), payload
+            ref = _reference(set_def)
+        defs.append(set_def)
+        refs.append(ref)
+    return defs, np.array(refs)
+
+
+def _reference(set_def: SetDef) -> np.ndarray:
+    if isinstance(set_def, PointSet):
+        return set_def.coords
+    if isinstance(set_def, Ball):
+        return set_def.center
+    if isinstance(set_def, Hyperrectangle):
+        return (set_def.lower + set_def.upper) / 2.0
+    # Polytope: recover the translation offset in the least-squares sense.
+    return np.linalg.lstsq(set_def.A, set_def.b, rcond=None)[0]
+
+
+def _velocities(ts: list[float], x: np.ndarray) -> np.ndarray:
+    """Backward finite differences of the rows of x: row k is
+    (x_j - x_{j-1}) / (t_j - t_{j-1}) with j = max(k, 1); zero for a
+    single-sample trace."""
+    if len(ts) < 2:
+        return np.zeros_like(x)
+    d = np.diff(x, axis=0) / np.diff(ts)[:, None]
+    return np.concatenate((d[:1], d))
 
 
 def _distances(s: _Samples, agent_id: str, target_id: str) -> list[tuple[float, float]]:
-    return [(t, _distance_at(s, agent_id, target_id, k)) for k, t in enumerate(s.ts)]
+    pos = s.positions[agent_id]
+    if target_id in s.set_defs:
+        defs = s.set_defs[target_id]
+        return [(t, defs[k].distance(pos[k])) for k, t in enumerate(s.ts)]
+    other = s.positions[target_id]
+    return [(t, float(np.linalg.norm(pos[k] - other[k]))) for k, t in enumerate(s.ts)]
 
 
 def distance_series(trace: ExecutionTrace, agent_id: str, target_id: str,
                     metadata: ScenarioMetadata | None = None) -> list[tuple[float, float]]:
     """Per-timestamp distance from an agent to an unsafe set or another agent."""
-    s = _Samples(trace, metadata)
-    s.check(agent_id, target_id)
+    s = _Samples(trace, metadata, *_pair(trace, agent_id, target_id))
     return _distances(s, agent_id, target_id)
+
+
+def _pair(trace: ExecutionTrace, agent_id: str, target_id: str) -> tuple[list[str], list[str]]:
+    """The agent ids and set ids read to measure an agent against a target."""
+    _check_agent(trace, agent_id)
+    if target_id in trace.unsafe:
+        return [agent_id], [target_id]
+    if target_id not in trace.rows:
+        raise EvalError(f"unknown target id {target_id!r}")
+    return [agent_id, target_id], []
 
 
 def _grid_index(ts: list[float], t: float) -> int:
@@ -282,14 +270,14 @@ def _linear_set_entry_time(set_def: SetDef, pos: np.ndarray, vel: np.ndarray) ->
 
 
 def _ttc_at(s: _Samples, agent_id: str, target_id: str, k: int) -> float:
-    pos = s.position(agent_id, k)
-    vel = s.velocity(agent_id, k)
-    if target_id not in s.set_ids:
-        q = s.position(target_id, k)
-        w = s.velocity(target_id, k)
+    pos = s.positions[agent_id][k]
+    vel = s.velocities[agent_id][k]
+    if target_id not in s.set_defs:
+        q = s.positions[target_id][k]
+        w = s.velocities[target_id][k]
         return _ball_entry_time(pos - q, vel - w, 0.0)
-    set_def = s.set_def(target_id, k)
-    rel_vel = vel - s.set_velocity(target_id, k)
+    set_def = s.set_defs[target_id][k]
+    rel_vel = vel - s.set_velocities[target_id][k]
     if isinstance(set_def, Ball):
         return _ball_entry_time(pos - set_def.center, rel_vel, set_def.radius)
     if isinstance(set_def, PointSet):
@@ -314,9 +302,11 @@ def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
     positions meeting; an unsafe ball anchored to an agent reports its own
     radius as that set's TTC.
     """
-    s = _Samples(trace, metadata)
-    s.check(agent_id, target_id)
-    return _ttc_at(s, agent_id, target_id, _grid_index(s.ts, t))
+    agent_ids, set_ids = _pair(trace, agent_id, target_id)
+    k = _grid_index(trace.timestamps(), t)
+    lo = max(k - 1, 0)  # the backward difference at k reads samples lo and lo + 1
+    s = _Samples(trace, metadata, agent_ids, set_ids, slice(lo, lo + 2))
+    return _ttc_at(s, agent_id, target_id, k - lo)
 
 
 def controller_usage(trace: ExecutionTrace, agent_id: str) -> tuple[dict[str, float], int]:
@@ -417,7 +407,13 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, outdir) -> list[Path]:
-        """One (time, value) CSV per agent/metric/target series."""
+        """One (time, value) CSV per agent/metric/target series, named
+        after the ids; an id that is not one path component is rejected."""
+        for aid, r in self.agents.items():
+            for ident in (aid, *r.set_distances, *r.agent_distances):
+                if ident in ("", ".", "..") or Path(ident).name != ident:
+                    raise EvalError(f"id {ident!r} is not a single path component, "
+                                    f"so it cannot name a CSV file")
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
@@ -447,15 +443,18 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
     "no data".
     """
     timings = timings or {}
-    samples = _Samples(trace, metadata)
-    ts = samples.ts
-    if not ts:
+    if not trace.n_samples():
         raise EvalError("trace holds no samples (no data)")
+    agent_ids, set_ids = trace.agent_ids(), trace.unsafe_ids()
+    # Positions only if there is something to measure them against.
+    measured = agent_ids if set_ids or len(agent_ids) > 1 else []
+    samples = _Samples(trace, metadata, measured, set_ids)
+    ts = samples.ts
     agents = {}
-    for aid in samples.agent_ids:
+    for aid in agent_ids:
         usage, switches = controller_usage(trace, aid)
-        others = [other for other in samples.agent_ids if other != aid]
-        set_d = {sid: _distances(samples, aid, sid) for sid in samples.set_ids}
+        others = [other for other in agent_ids if other != aid]
+        set_d = {sid: _distances(samples, aid, sid) for sid in set_ids}
         agent_d = {other: _distances(samples, aid, other) for other in others}
         agents[aid] = AgentReport(
             agent_id=aid,
@@ -466,7 +465,7 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
             agent_distances=agent_d,
             min_set_distance={k: min(v for _, v in s) for k, s in set_d.items()},
             min_agent_distance={k: min(v for _, v in s) for k, s in agent_d.items()},
-            min_set_ttc={sid: _min_ttc(samples, aid, sid) for sid in samples.set_ids},
+            min_set_ttc={sid: _min_ttc(samples, aid, sid) for sid in set_ids},
             min_agent_ttc={other: _min_ttc(samples, aid, other) for other in others},
             mode_series=[(ts[k], m.value) for k, m in enumerate(trace.mode_trace(aid))],
         )

@@ -122,15 +122,14 @@ class Scenario:
         for uspec in self.config.unsafe_sets:
             trace.add_unsafe_set(uspec.set_id, uspec.base.kind)
         states = {spec.model.agent_id: spec.init_state for spec in self.config.agents}
-        trace.append_sample(0.0, states)
-        self._append_unsafe(trace, states, 0.0)
+        trace.append_sample(0.0, states, None, self._payloads(states, 0.0))
         return trace
 
-    def _append_unsafe(self, trace: ExecutionTrace, states: dict, t: float) -> None:
-        """Append every unsafe set the trace holds, resolved against
-        `states`, to its sample at t."""
-        for sid in trace.unsafe:
-            uspec = self.unsafe_by_id[sid]
+    def _payloads(self, states: dict, t: float) -> dict:
+        """The payload of every unsafe set at t, an anchored set resolved
+        against `states`."""
+        payloads = dict(self._static_payloads)
+        for sid, uspec in self.unsafe_by_id.items():
             if isinstance(uspec, RelativeSetSpec):
                 anchor = uspec.anchor_id
                 try:
@@ -140,10 +139,8 @@ class Scenario:
                         f"unsafe set {sid!r} anchored to agent {anchor!r} failed to "
                         f"resolve at t={t:g}: {exc}"
                     ) from exc
-                payload = moved.payload()
-            else:
-                payload = self._static_payloads[sid]
-            trace.append_unsafe(sid, t, payload)
+                payloads[sid] = moved.payload()
+        return payloads
 
     def memory(self, trace: ExecutionTrace) -> dict[str, object]:
         """The memory of every agent that keeps one (its model's
@@ -166,8 +163,9 @@ class Scenario:
 
     def advance(self, trace: ExecutionTrace, modes: dict[str, Mode], k: int) -> None:
         """One tick from sample k: step all agents from one view of the
-        pre-step sample, then append their states and modes as one sample,
-        and the unsafe sets the trace holds, re-resolved."""
+        pre-step sample, then append their states, their modes and the
+        payloads of the unsafe sets the trace holds, re-resolved, as one
+        sample."""
         rows = trace.rows
         states = {aid: rows[aid][-1] for aid, _ in self._models}
         view = View(states, self.memory(trace))
@@ -187,9 +185,8 @@ class Scenario:
                 )
             next_states[aid] = nxt
         t_next = (k + 1) * dt
-        trace.append_sample(t_next, next_states, modes)
-        if trace.unsafe:
-            self._append_unsafe(trace, next_states, t_next)
+        payloads = self._payloads(next_states, t_next) if trace.unsafe else None
+        trace.append_sample(t_next, next_states, modes, payloads)
 
 
 def grid_steps(horizon: float, dt: float) -> int:
@@ -227,10 +224,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             raise ScenarioError(
                 f"agent {aid!r}: initial state must be finite numbers, got {list(spec.init_state)}"
             )
-        if len(spec.model.position_indices) != config.workspace_dim:
+        # Decisions read positions through position_indices, evaluation
+        # reads the leading workspace_dim components: they must agree.
+        if tuple(spec.model.position_indices) != tuple(range(config.workspace_dim)):
             raise ScenarioError(
-                f"agent {aid!r}: model occupies {len(spec.model.position_indices)} "
-                f"workspace dimensions, scenario declares {config.workspace_dim}"
+                f"agent {aid!r}: model position_indices {tuple(spec.model.position_indices)} "
+                f"must be the leading {config.workspace_dim} state components"
             )
         if not isinstance(spec.init_mode, Mode):
             raise ScenarioError(f"agent {aid!r}: initial mode must be a Mode")

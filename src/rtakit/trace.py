@@ -15,13 +15,14 @@ each agent's mode trace has exactly one entry fewer than its state trace
 the layouts documented in the geometry module.
 
 In memory an ExecutionTrace is columnar: one `times` list shared by every
-agent, one list of state rows per agent in `rows` (a row is a tuple of
-floats without its timestamp) and one list of modes per agent in `modes`.
+agent and set, one list of state rows per agent in `rows` (a row is a tuple
+of floats without its timestamp), one list of modes per agent in `modes`,
+one kind per set in `kinds` and one list of payloads per set in `unsafe`.
 Rows are immutable, so a trace, a prefix cut from it and a prediction
-seeded from it share them without copies. Unsafe sets keep their wire rows
-`[t, payload]`. `to_dict` builds the wire rows `[t, s0, ...]` and
-`from_dict` splits them once; `state()` and `last_state()` return list
-copies of a row. `append_sample` is the one way to add a sample.
+seeded from it share them without copies; payloads are shared the same
+way and must not be mutated. `append_sample` is the one way to add a
+sample. `to_dict` builds the wire rows; `from_dict` checks and splits
+them in one walk.
 """
 from __future__ import annotations
 
@@ -50,7 +51,8 @@ class ExecutionTrace:
         self.times: list[float] = []
         self.rows: dict[str, list[tuple[float, ...]]] = {}
         self.modes: dict[str, list[Mode]] = {}
-        self.unsafe: dict[str, dict] = {}
+        self.kinds: dict[str, str] = {}
+        self.unsafe: dict[str, list] = {}
         # (samples folded, agent memory after them), kept by
         # `Scenario.memory`; in process only, never serialized.
         self.memory: tuple[int, dict] | None = None
@@ -70,18 +72,26 @@ class ExecutionTrace:
             raise ValueError(f"duplicate unsafe set id {set_id!r}")
         if kind not in SET_KINDS:
             raise ValueError(f"unknown set type {kind!r}")
-        self.unsafe[set_id] = {"type": kind, "state_trace": []}
+        if self.times:
+            raise ValueError(f"unsafe set {set_id!r} added after the first sample")
+        self.kinds[set_id] = kind
+        self.unsafe[set_id] = []
 
-    def append_sample(self, t: float, states: dict, modes: dict | None = None):
-        """Append one sample: every agent's state, by agent id, and the mode
+    def append_sample(self, t: float, states: dict, modes: dict | None = None,
+                      payloads: dict | None = None):
+        """Append one sample: every agent's state, by agent id, the mode
         each agent took into it (None appends no mode, as for a trace's
-        first sample). A state is stored as a tuple of floats; a tuple is
-        stored as given, so it must hold floats already."""
-        rows = self.rows
+        first sample) and, if the trace holds sets, every set's payload by
+        set id. A state is stored as a tuple of floats; a tuple is stored as
+        given, so it must hold floats already."""
+        rows, unsafe = self.rows, self.unsafe
         if states.keys() != rows.keys():
             raise ValueError(
                 f"sample has states for {sorted(states)}, trace holds agents {sorted(rows)}"
             )
+        if unsafe and (payloads is None or payloads.keys() != unsafe.keys()):
+            raise ValueError(f"sample has payloads for {sorted(payloads or ())}, "
+                             f"trace holds sets {sorted(unsafe)}")
         self.times.append(float(t))
         for aid, column in rows.items():
             row = states[aid]
@@ -89,9 +99,9 @@ class ExecutionTrace:
         if modes is not None:
             for aid, column in self.modes.items():
                 column.append(modes[aid])
-
-    def append_unsafe(self, set_id: str, t: float, payload):
-        self.unsafe[set_id]["state_trace"].append([float(t), payload])
+        if unsafe:
+            for sid, column in unsafe.items():
+                column.append(payloads[sid])
 
     # -- access ----------------------------------------------------------
 
@@ -110,9 +120,6 @@ class ExecutionTrace:
     def state(self, agent_id: str, k: int) -> list[float]:
         return list(self.rows[agent_id][k])
 
-    def last_state(self, agent_id: str) -> tuple[float, list[float]]:
-        return self.times[-1], list(self.rows[agent_id][-1])
-
     def mode_trace(self, agent_id: str) -> list[Mode]:
         return self.modes[agent_id]
 
@@ -120,15 +127,8 @@ class ExecutionTrace:
         modes = self.modes[agent_id]
         return modes[-1] if modes else None
 
-    def unsafe_kind(self, set_id: str) -> str:
-        return self.unsafe[set_id]["type"]
-
-    def unsafe_payload(self, set_id: str, k: int):
-        return self.unsafe[set_id]["state_trace"][k][1]
-
     def unsafe_def(self, set_id: str, k: int) -> SetDef:
-        entry = self.unsafe[set_id]
-        return set_from_payload(entry["type"], entry["state_trace"][k][1])
+        return set_from_payload(self.kinds[set_id], self.unsafe[set_id][k])
 
     def prefix(self, k: int) -> "ExecutionTrace":
         """Samples 0..k with the mode decisions made strictly before k."""
@@ -138,11 +138,8 @@ class ExecutionTrace:
         out.times = self.times[: k + 1]
         out.rows = {aid: rows[: k + 1] for aid, rows in self.rows.items()}
         out.modes = {aid: modes[:k] for aid, modes in self.modes.items()}
-        for sid, entry in self.unsafe.items():
-            out.unsafe[sid] = {
-                "type": entry["type"],
-                "state_trace": entry["state_trace"][: k + 1],
-            }
+        out.kinds = dict(self.kinds)
+        out.unsafe = {sid: payloads[: k + 1] for sid, payloads in self.unsafe.items()}
         return out
 
     def latest(self) -> "ExecutionTrace":
@@ -168,27 +165,66 @@ class ExecutionTrace:
             },
             "unsafe": {
                 sid: {
-                    "type": entry["type"],
-                    "state_trace": [list(row) for row in entry["state_trace"]],
+                    "type": self.kinds[sid],
+                    "state_trace": [[t, payload] for t, payload in zip(times, payloads)],
                 }
-                for sid, entry in self.unsafe.items()
+                for sid, payloads in self.unsafe.items()
             },
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExecutionTrace":
-        validate_trace_dict(doc)
-        out = cls()
+    def from_dict(cls, doc) -> "ExecutionTrace":
+        """Check a raw document against the wire format and build its trace
+        in the same walk. Raises TraceSchemaError naming the first
+        offending path."""
+        if not isinstance(doc, dict):
+            raise TraceSchemaError("<document>", f"expected an object, got {type(doc).__name__}")
+        if set(doc) != {"agents", "unsafe"}:
+            raise TraceSchemaError(
+                "<document>", f"top-level keys must be exactly 'agents' and 'unsafe', got {sorted(doc)}"
+            )
         agents = doc["agents"]
-        out.times = [float(row[0]) for row in next(iter(agents.values()))["state_trace"]]
+        if not isinstance(agents, dict) or not agents:
+            raise TraceSchemaError("agents", "must be a nonempty object")
+        out = cls()
         for aid, entry in agents.items():
-            out.rows[aid] = [tuple(map(float, row[1:])) for row in entry["state_trace"]]
-            out.modes[aid] = [Mode(name) for name in entry["mode_trace"]]
-        for sid, entry in doc["unsafe"].items():
-            out.unsafe[sid] = {
-                "type": entry["type"],
-                "state_trace": [[float(row[0]), row[1]] for row in entry["state_trace"]],
-            }
+            path = f"agents.{aid}"
+            if not isinstance(entry, dict) or set(entry) != {"state_trace", "mode_trace"}:
+                raise TraceSchemaError(path, "must have exactly 'state_trace' and 'mode_trace'")
+            times, out.rows[aid] = _read_states(f"{path}.state_trace", entry["state_trace"])
+            if not out.times:
+                out.times, grid_owner = times, aid
+            elif times != out.times:
+                raise TraceSchemaError(
+                    f"{path}.state_trace", f"timestamps differ from agent {grid_owner!r}"
+                )
+            modes = entry["mode_trace"]
+            if not isinstance(modes, list):
+                raise TraceSchemaError(f"{path}.mode_trace", "must be a list")
+            if len(modes) != len(times) - 1:
+                raise TraceSchemaError(
+                    f"{path}.mode_trace",
+                    f"length must be {len(times) - 1} (one fewer than state_trace), got {len(modes)}",
+                )
+            for i, name in enumerate(modes):
+                if name not in MODE_NAMES:
+                    raise TraceSchemaError(
+                        f"{path}.mode_trace[{i}]", f"unknown mode {name!r}, expected one of {MODE_NAMES}"
+                    )
+            out.modes[aid] = [Mode(name) for name in modes]
+        unsafe = doc["unsafe"]
+        if not isinstance(unsafe, dict):
+            raise TraceSchemaError("unsafe", "must be an object")
+        for sid, entry in unsafe.items():
+            path = f"unsafe.{sid}"
+            if not isinstance(entry, dict) or set(entry) != {"type", "state_trace"}:
+                raise TraceSchemaError(path, "must have exactly 'type' and 'state_trace'")
+            kind = entry["type"]
+            if kind not in SET_KINDS:
+                raise TraceSchemaError(f"{path}.type", f"unknown set type {kind!r}")
+            out.kinds[sid] = kind
+            out.unsafe[sid] = _read_payloads(f"{path}.state_trace", kind, entry["state_trace"],
+                                             out.times)
         return out
 
     def to_json(self) -> str:
@@ -243,99 +279,59 @@ def _check_numbers(row, rpath: str) -> None:
             raise TraceSchemaError(f"{rpath}[{j}]", f"expected a finite number, got {v!r}")
 
 
-def validate_trace_dict(doc) -> None:
-    """Check a raw document against the wire format.
+def _read_states(path: str, states) -> tuple[list[float], list[tuple[float, ...]]]:
+    """The timestamps and state rows of an agent's wire `state_trace`."""
+    if not isinstance(states, list) or not states:
+        raise TraceSchemaError(path, "must be a nonempty list")
+    times, rows = [], []
+    for i, row in enumerate(states):
+        rpath = f"{path}[{i}]"
+        if not isinstance(row, list) or len(row) < 2:
+            raise TraceSchemaError(rpath, "must be a list [t, s0, ...] with >= 2 entries")
+        _check_numbers(row, rpath)
+        width = len(states[0])  # row 0 passed the checks above
+        if len(row) != width:
+            raise TraceSchemaError(rpath, f"row length {len(row)} != {width} of earlier rows")
+        times.append(float(row[0]))
+        rows.append(tuple(map(float, row[1:])))
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise TraceSchemaError(path, "timestamps must be strictly increasing")
+    return times, rows
 
-    Raises TraceSchemaError naming the first offending path.
-    """
-    if not isinstance(doc, dict):
-        raise TraceSchemaError("<document>", f"expected an object, got {type(doc).__name__}")
-    if set(doc) != {"agents", "unsafe"}:
-        raise TraceSchemaError(
-            "<document>", f"top-level keys must be exactly 'agents' and 'unsafe', got {sorted(doc)}"
-        )
-    agents = doc["agents"]
-    if not isinstance(agents, dict) or not agents:
-        raise TraceSchemaError("agents", "must be a nonempty object")
-    grid = None
-    grid_owner = None
-    for aid, entry in agents.items():
-        path = f"agents.{aid}"
-        if not isinstance(entry, dict) or set(entry) != {"state_trace", "mode_trace"}:
-            raise TraceSchemaError(path, "must have exactly 'state_trace' and 'mode_trace'")
-        states = entry["state_trace"]
-        if not isinstance(states, list) or not states:
-            raise TraceSchemaError(f"{path}.state_trace", "must be a nonempty list")
-        width = None
-        times = []
-        for i, row in enumerate(states):
-            rpath = f"{path}.state_trace[{i}]"
-            if not isinstance(row, list) or len(row) < 2:
-                raise TraceSchemaError(rpath, "must be a list [t, s0, ...] with >= 2 entries")
-            _check_numbers(row, rpath)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise TraceSchemaError(rpath, f"row length {len(row)} != {width} of earlier rows")
-            times.append(float(row[0]))
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise TraceSchemaError(f"{path}.state_trace", "timestamps must be strictly increasing")
-        if grid is None:
-            grid, grid_owner = times, aid
-        elif times != grid:
-            raise TraceSchemaError(
-                f"{path}.state_trace", f"timestamps differ from agent {grid_owner!r}"
-            )
-        modes = entry["mode_trace"]
-        if not isinstance(modes, list):
-            raise TraceSchemaError(f"{path}.mode_trace", "must be a list")
-        if len(modes) != len(states) - 1:
-            raise TraceSchemaError(
-                f"{path}.mode_trace",
-                f"length must be {len(states) - 1} (one fewer than state_trace), got {len(modes)}",
-            )
-        for i, name in enumerate(modes):
-            if name not in MODE_NAMES:
-                raise TraceSchemaError(
-                    f"{path}.mode_trace[{i}]", f"unknown mode {name!r}, expected one of {MODE_NAMES}"
-                )
-    unsafe = doc["unsafe"]
-    if not isinstance(unsafe, dict):
-        raise TraceSchemaError("unsafe", "must be an object")
-    for sid, entry in unsafe.items():
-        path = f"unsafe.{sid}"
-        if not isinstance(entry, dict) or set(entry) != {"type", "state_trace"}:
-            raise TraceSchemaError(path, "must have exactly 'type' and 'state_trace'")
-        kind = entry["type"]
-        if kind not in SET_KINDS:
-            raise TraceSchemaError(f"{path}.type", f"unknown set type {kind!r}")
-        rows = entry["state_trace"]
-        if not isinstance(rows, list) or not rows:
-            raise TraceSchemaError(f"{path}.state_trace", "must be a nonempty list")
-        if len(rows) != len(grid):
-            raise TraceSchemaError(
-                f"{path}.state_trace", f"expected {len(grid)} samples to match agents, got {len(rows)}"
-            )
-        dim = None
-        parsed = None
-        for i, row in enumerate(rows):
-            rpath = f"{path}.state_trace[{i}]"
-            if not isinstance(row, list) or len(row) != 2:
-                raise TraceSchemaError(rpath, "must be a pair [t, definition]")
-            _check_numbers(row[:1], rpath)
-            if float(row[0]) != grid[i]:
-                raise TraceSchemaError(rpath, f"timestamp {row[0]} differs from agent grid {grid[i]}")
-            bad = non_number_entry(row[1])
-            if bad is not None:
-                raise TraceSchemaError(f"{rpath}[1]{bad[0]}", f"expected a number, got {bad[1]!r}")
-            if row[1] == parsed:  # the same numbers as the last payload parsed
-                continue
-            try:
-                sd = set_from_payload(kind, row[1])
-            except GeometryError as exc:
-                raise TraceSchemaError(rpath, str(exc)) from exc
-            parsed = row[1]
-            if dim is None:
-                dim = sd.dim
-            elif sd.dim != dim:
-                raise TraceSchemaError(rpath, f"set dimension changed from {dim} to {sd.dim}")
+
+def _read_payloads(path: str, kind: str, rows, grid: list[float]) -> list:
+    """The payloads of a set's wire `state_trace`, one per sample of the
+    grid. A payload equal to the one before it is not parsed again."""
+    if not isinstance(rows, list) or not rows:
+        raise TraceSchemaError(path, "must be a nonempty list")
+    if len(rows) != len(grid):
+        raise TraceSchemaError(path, f"expected {len(grid)} samples to match agents, got {len(rows)}")
+    dim = parsed = None
+    for i, row in enumerate(rows):
+        rpath = f"{path}[{i}]"
+        if not isinstance(row, list) or len(row) != 2:
+            raise TraceSchemaError(rpath, "must be a pair [t, definition]")
+        _check_numbers(row[:1], rpath)
+        if float(row[0]) != grid[i]:
+            raise TraceSchemaError(rpath, f"timestamp {row[0]} differs from agent grid {grid[i]}")
+        payload = row[1]
+        bad = non_number_entry(payload)
+        if bad is not None:
+            raise TraceSchemaError(f"{rpath}[1]{bad[0]}", f"expected a number, got {bad[1]!r}")
+        if payload == parsed:  # the same numbers as the last payload parsed
+            continue
+        try:
+            sd = set_from_payload(kind, payload)
+        except GeometryError as exc:
+            raise TraceSchemaError(rpath, str(exc)) from exc
+        parsed = payload
+        if dim is not None and sd.dim != dim:
+            raise TraceSchemaError(rpath, f"set dimension changed from {dim} to {sd.dim}")
+        dim = sd.dim
+    return [row[1] for row in rows]
+
+
+def validate_trace_dict(doc) -> None:
+    """Check a raw document against the wire format: the walk of
+    `ExecutionTrace.from_dict`, its trace dropped."""
+    ExecutionTrace.from_dict(doc)

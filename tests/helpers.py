@@ -91,15 +91,20 @@ def acc_euler_step(p, v, a, dt, v_max):
 
 
 def make_trace(agent_states: dict[str, list[list[float]]],
-               modes: dict[str, list[Mode]] | None = None) -> ExecutionTrace:
-    """Build a trace from {agent: [[t, s0, s1, ...], ...]} rows."""
+               modes: dict[str, list[Mode]] | None = None,
+               sets: dict[str, tuple[str, list]] | None = None) -> ExecutionTrace:
+    """Build a trace from {agent: [[t, s0, s1, ...], ...]} rows and
+    {set: (kind, [payload per sample])} columns."""
     trace = ExecutionTrace()
     for aid in agent_states:
         trace.add_agent(aid)
+    for sid, (kind, _) in (sets or {}).items():
+        trace.add_unsafe_set(sid, kind)
     for k, rows in enumerate(zip(*agent_states.values())):
         taken = {aid: m[k - 1] for aid, m in modes.items()} if modes and k else None
+        payloads = {sid: column[k] for sid, (_, column) in sets.items()} if sets else None
         trace.append_sample(rows[0][0], {aid: row[1:] for aid, row in zip(agent_states, rows)},
-                            taken)
+                            taken, payloads)
     return trace
 
 

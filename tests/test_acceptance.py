@@ -185,10 +185,8 @@ def test_ttc_analytic():
         g = r + rng.uniform(0.5, 20.0)
         s = rng.uniform(0.1, 5.0)
         # one time unit at speed s: the backward difference at t = 1 is s
-        trace = make_trace({"ego": [[0.0, -s], [1.0, 0.0]]})
-        trace.add_unsafe_set("ball", "ball")
-        trace.append_unsafe("ball", 0.0, [[g], r])
-        trace.append_unsafe("ball", 1.0, [[g], r])
+        trace = make_trace({"ego": [[0.0, -s], [1.0, 0.0]]},
+                           sets={"ball": ("ball", [[[g], r]] * 2)})
         got = ttc(trace, "ego", "ball", 1.0, ScenarioMetadata(workspace_dim=1))
         worst = max(worst, abs(got - (g - r) / s))
     verdict("ttc-analytic", worst <= 1e-9, f"max |ttc - (g-r)/s| = {worst:.2e}")

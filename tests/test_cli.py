@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rtakit.agents import AccAgent
+from rtakit import config
 from rtakit.cli import main
 from rtakit.config import MODELS, ConfigError, config_from_dict
 from rtakit import validate_trace_dict
@@ -149,6 +150,54 @@ def test_acc_leader_speed_is_rejected():
         config_from_dict(_one_agent_doc("acc", {"leader_speed": 1.0}))
 
 
+def _rename(entry, old, new):
+    entry[new] = entry.pop(old)
+
+
+@pytest.mark.parametrize("edit, where, key", [
+    (lambda d: d.update(unsafe_set=d.pop("unsafe_sets")), "<document>", "unsafe_set"),
+    (lambda d: d["time"].update(t0=0.0), "time", "t0"),
+    (lambda d: _rename(d["agents"][0], "rta", "rtaa"), "agents[0]", "rtaa"),
+    (lambda d: d["agents"][0]["rta"].update(type="reach", bloat=0.5), "agents[0].rta", "bloat"),
+    (lambda d: _rename(d["unsafe_sets"][0], "anchor", "ancor"), "unsafe_sets[0]", "ancor"),
+], ids=["document", "time", "agent", "rta", "unsafe-set"])
+def test_config_rejects_keys_the_schema_forbids(edit, where, key):
+    # Each of these misspellings used to be ignored: the follower ran
+    # without its RTA, ReachRta took the default bloat rate, the anchored
+    # ball stood still.
+    doc = json.loads((CONFIGS / "acc_sim_rta.json").read_text())
+    edit(doc)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert str(err.value).startswith(f"{where}: unknown field {key!r}")
+
+
+def test_config_keys_are_the_schema_properties():
+    schema = json.loads((CONFIGS.parent / "schema" / "scenario.schema.json").read_text())
+    agent = schema["properties"]["agents"]["items"]
+    assert set(schema["properties"]) == config.DOCUMENT_KEYS
+    assert set(schema["properties"]["time"]["properties"]) == config.TIME_KEYS
+    assert set(agent["properties"]) == config.AGENT_KEYS
+    assert set(agent["properties"]["rta"]["properties"]) == config.RTA_KEYS
+    assert set(schema["properties"]["unsafe_sets"]["items"]["properties"]) == config.UNSAFE_SET_KEYS
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["agents"][0]["rta"].pop("type"), "agents[0].rta: missing required field 'type'"),
+    (lambda d: d["agents"][0].update(id=""), "agents[0].id: expected a nonempty string"),
+    (lambda d: d["agents"][1].update(id=7), "agents[1].id: expected a nonempty string, got 7"),
+    (lambda d: d["unsafe_sets"][0].update(id=""), "unsafe_sets[0].id: expected a nonempty string"),
+    (lambda d: d["unsafe_sets"][0].update(id=["u"]),
+     "unsafe_sets[0].id: expected a nonempty string, got ['u']"),
+])
+def test_config_requires_rta_type_and_string_ids(edit, message):
+    doc = json.loads((CONFIGS / "acc_sim_rta.json").read_text())
+    edit(doc)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert message in str(err.value)
+
+
 def _set_time_horizon(doc, value):
     doc["time"]["T"] = value
 
@@ -280,6 +329,22 @@ def test_eval_external_trace(tmp_path):
     assert main(["eval", str(trace_path), "--out", str(outdir)]) == 0
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["agents"]["probe"]["min_distance_to_sets"]["zone"] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("agent_id", ["../../escaped", ".."])
+def test_eval_rejects_an_id_that_is_not_one_path_component(tmp_path, capsys, agent_id):
+    # `../../escaped` used to write a/escaped__mode.csv and
+    # a/escaped__dist_set__b.csv, outside --out a/b/report.
+    doc = {
+        "agents": {agent_id: {"state_trace": [[0.0, 0.0], [0.5, 0.5]], "mode_trace": ["NORMAL"]}},
+        "unsafe": {"b": {"type": "point", "state_trace": [[0.0, [3.0]], [0.5, [3.0]]]}},
+    }
+    trace_path = tmp_path / "t.json"
+    trace_path.write_text(json.dumps(doc))
+    code = main(["eval", str(trace_path), "--out", str(tmp_path / "a" / "b" / "report")])
+    assert code == 2
+    assert f"id {agent_id!r} is not a single path component" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["t.json"]
 
 
 def test_eval_corrupt_trace_names_path(tmp_path, capsys):

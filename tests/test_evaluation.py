@@ -20,11 +20,13 @@ from rtakit import (
     execute,
     ttc,
 )
+from rtakit import trace as trace_module
 from rtakit.cli import main as cli_main
 from rtakit.evaluation import EvalError
 from helpers import acc_scenario_config, make_trace, sim_rta_binding
 
 META1 = ScenarioMetadata(workspace_dim=1)
+META2 = ScenarioMetadata(workspace_dim=2)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -33,11 +35,7 @@ def static_ball_trace(agent_rows, center, radius, extra_agents=None):
     agents = {"ego": agent_rows}
     if extra_agents:
         agents.update(extra_agents)
-    trace = make_trace(agents)
-    trace.add_unsafe_set("ball", "ball")
-    for row in agent_rows:
-        trace.append_unsafe("ball", row[0], [[center], radius])
-    return trace
+    return make_trace(agents, sets={"ball": ("ball", [[[center], radius]] * len(agent_rows))})
 
 
 # -- collector -------------------------------------------------------------------
@@ -159,10 +157,8 @@ def test_ttc_inside_is_zero_and_consistent_with_distance():
 
 
 def test_ttc_rect_interval_closed_form():
-    trace = make_trace({"ego": [[0.0, -5.0, 0.0], [0.1, -4.9, 0.0]]})
-    trace.add_unsafe_set("box", "hyperrectangle")
-    for t in (0.0, 0.1):
-        trace.append_unsafe("box", t, [[0.0, -1.0], [1.0, 1.0]])
+    trace = make_trace({"ego": [[0.0, -5.0, 0.0], [0.1, -4.9, 0.0]]},
+                       sets={"box": ("hyperrectangle", [[[0.0, -1.0], [1.0, 1.0]]] * 2)})
     meta = ScenarioMetadata(workspace_dim=2)
     got = ttc(trace, "ego", "box", 0.1, meta)  # finite-difference v = (1, 0)
     # entry when -5 + 0.1 + v*tau = 0 -> tau = 4.9
@@ -170,10 +166,8 @@ def test_ttc_rect_interval_closed_form():
 
 
 def test_ttc_polytope_interval_closed_form():
-    trace = make_trace({"ego": [[0.0, 0.0], [0.1, 0.2]]})
-    trace.add_unsafe_set("half", "polytope")
-    for t in (0.0, 0.1):
-        trace.append_unsafe("half", t, [[[-1.0]], [-10.0]])  # x >= 10
+    trace = make_trace({"ego": [[0.0, 0.0], [0.1, 0.2]]},
+                       sets={"half": ("polytope", [[[[-1.0]], [-10.0]]] * 2)})  # x >= 10
     got = ttc(trace, "ego", "half", 0.1, META1)  # v = 2
     assert got == pytest.approx((10.0 - 0.2) / 2.0, abs=1e-9)
 
@@ -181,10 +175,7 @@ def test_ttc_polytope_interval_closed_form():
 def test_ttc_moving_ball_relative_closure():
     # ego at 0 moving +3, ball center starts at 10 moving +1: closure 2
     rows = [[0.0, 0.0], [0.1, 0.3]]
-    trace = make_trace({"ego": rows})
-    trace.add_unsafe_set("ball", "ball")
-    trace.append_unsafe("ball", 0.0, [[10.0], 7.0])
-    trace.append_unsafe("ball", 0.1, [[10.1], 7.0])
+    trace = make_trace({"ego": rows}, sets={"ball": ("ball", [[[10.0], 7.0], [[10.1], 7.0]])})
     got = ttc(trace, "ego", "ball", 0.1, META1)
     # at t=0.1: gap to center 9.8, effective radius 7, closure 2
     assert got == pytest.approx((9.8 - 7.0) / 2.0, abs=1e-9)
@@ -327,6 +318,24 @@ def test_report_reads_each_sample_once(dubins_run, monkeypatch):
     build_report(trace)
     assert calls["unsafe_def"] <= len(trace.unsafe_ids()) * (trace.n_samples() + 1)
     assert calls["timestamps"] <= 2
+
+
+def test_report_parses_a_static_set_once(dubins_run, monkeypatch):
+    """A loaded trace holds an equal payload per sample, not a shared one;
+    the report still reads the static building once and the anchored
+    leader ball once per sample."""
+    _, executed = dubins_run
+    trace = ExecutionTrace.from_dict(json.loads(executed.to_json()))
+    parsed = {}
+    real = trace_module.set_from_payload
+
+    def counted(kind, payload):
+        parsed[kind] = parsed.get(kind, 0) + 1
+        return real(kind, payload)
+
+    monkeypatch.setattr(trace_module, "set_from_payload", counted)
+    build_report(trace, META2)
+    assert parsed == {"hyperrectangle": 1, "ball": trace.n_samples()}
 
 
 def test_report_minima_equal_public_metrics_over_grid(dubins_run):

@@ -43,7 +43,7 @@ def one_step_misses(scenario, trace):
         got = ([pred.state(aid, 1) for aid in agents],
                [update_relative(s, a).payload() for s, a in zip(anchored, anchors)])
         want = ([trace.state(aid, k + 1) for aid in agents],
-                [trace.unsafe_payload(spec.set_id, k + 1) for spec in anchored])
+                [trace.unsafe[spec.set_id][k + 1] for spec in anchored])
         if got != want:
             misses.append(k)
     return misses

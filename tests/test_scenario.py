@@ -1,5 +1,6 @@
 """Scenario building, the execution loop, and snapshots."""
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -9,12 +10,15 @@ from rtakit import (
     AccAgent,
     AgentSpec,
     Ball,
+    ExecutionTrace,
     Mode,
     RelativeSetSpec,
     ScenarioConfig,
+    ScenarioMetadata,
     ScenarioError,
     ScenarioRuntimeError,
     StaticSetSpec,
+    build_report,
     build_scenario,
     execute,
     parse_scenario_config,
@@ -41,7 +45,7 @@ def single_agent_config(dt=0.1, horizon=0.2):
 def test_build_resolves_initial_relative_ball():
     scenario = build_scenario(acc_scenario_config())
     trace = scenario.initial_trace()
-    assert trace.unsafe_payload("unsafe1", 0) == [[10.0], 7.0]
+    assert trace.unsafe["unsafe1"][0] == [[10.0], 7.0]
 
 
 def test_build_accepts_empty_unsafe():
@@ -99,6 +103,17 @@ def test_build_rejects_nonfinite_initial_state(bad):
         build_scenario(config)
 
 
+def test_build_rejects_positions_off_the_leading_components():
+    class Sideways(AccAgent):
+        # Decisions would read component 1, evaluation component 0.
+        position_indices = (1,)
+
+    config = single_agent_config()
+    config.agents = [AgentSpec(Sideways("crab"), [0.0, 1.0], Mode.NORMAL, None)]
+    with pytest.raises(ScenarioError, match=r"agent 'crab': model position_indices \(1,\)"):
+        build_scenario(config)
+
+
 def test_build_rejects_set_dimension_mismatch():
     config = single_agent_config()
     config.unsafe_sets = [StaticSetSpec("u", Ball([0.0, 0.0], 1.0))]
@@ -150,6 +165,43 @@ def test_shipped_config_traces_are_byte_identical(name):
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == SHIPPED_TRACE_SHA256[name]
 
 
+# SHA-256 of the files `rtakit eval` writes for each shipped config's trace,
+# with the fixed timings of `eval_output_digest`: summary.json, summary.txt
+# and every CSV series, by file name. A change to how eval reads the trace
+# keeps these bytes.
+SHIPPED_EVAL_SHA256 = {
+    "acc": "2d17721b57c0b60e05820aa0aa474bee8fd0a09953b9d5ab36c60cfb336f42d1",
+    "acc_sim_rta": "23bd6fb395758d6b40493132e109ad5d76aee9e71e192ab5a727a7692a5eb8f0",
+    "dubins": "c9a5ce45e7aebd0d630b438f65cea379be069f2b58968dd39319038e6d8c2c8c",
+    "gcas": "75e970a5e8c1191d600144fbae256294f9c1e9b77cea3d01b267086f47be0c7e",
+}
+
+
+def eval_output_digest(trace, outdir: Path) -> str:
+    """Evaluate a trace as `rtakit eval` does, with timings fixed per agent,
+    and hash every file written, in file-name order."""
+    loaded = ExecutionTrace.from_dict(json.loads(trace.to_json()))
+    timings = {aid: [0.001 * (i + 1), 0.0025, 0.5 / (i + 3)]
+               for i, aid in enumerate(loaded.agent_ids())}
+    report = build_report(loaded, ScenarioMetadata.from_trace(loaded), timings)
+    outdir.mkdir()
+    (outdir / "summary.txt").write_text(report.to_text())
+    (outdir / "summary.json").write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    report.write_csv(outdir)
+    digest = hashlib.sha256()
+    for path in sorted(outdir.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_shipped_config_eval_outputs_are_byte_identical(name, tmp_path):
+    """The eval output of each shipped config, byte for byte. Pinned on
+    Python 3.11 with glibc 2.36."""
+    trace = execute(build_scenario(parse_scenario_config(CONFIGS / f"{name}.json")))
+    assert eval_output_digest(trace, tmp_path / "report") == SHIPPED_EVAL_SHA256[name]
+
+
 def test_timestamps_are_exact_grid_multiples():
     trace = execute(build_scenario(acc_scenario_config(dt=0.1, horizon=5.0)))
     ts = trace.timestamps()
@@ -167,14 +219,14 @@ def test_agents_without_rta_keep_configured_mode():
 
 def test_unsafe_entries_carry_known_type():
     trace = execute(build_scenario(acc_scenario_config()))
-    assert trace.unsafe_kind("unsafe1") in ("point", "ball", "hyperrectangle", "polytope")
+    assert trace.kinds["unsafe1"] in ("point", "ball", "hyperrectangle", "polytope")
 
 
 def test_relative_ball_tracks_anchor_exactly():
     scenario = build_scenario(acc_scenario_config())
     trace = execute(scenario)
     for k in range(trace.n_samples()):
-        center = trace.unsafe_payload("unsafe1", k)[0]
+        center = trace.unsafe["unsafe1"][k][0]
         leader_pos = trace.state("leader", k)[0]
         assert center[0] == leader_pos + 5.0  # same arithmetic, zero tolerance
 
@@ -190,9 +242,9 @@ def test_static_set_payload_is_built_once(monkeypatch):
     assert len(built) == 1
     assert scenario.static_sets == {"wall": config.unsafe_sets[0].base}
     assert trace.n_samples() == 6
-    shared = trace.unsafe_payload("wall", 0)
+    shared = trace.unsafe["wall"][0]
     assert shared == [[9.0], 1.0]
-    assert all(trace.unsafe_payload("wall", k) is shared for k in range(6))
+    assert all(trace.unsafe["wall"][k] is shared for k in range(6))
 
 
 def test_executed_trace_validates_against_schema():

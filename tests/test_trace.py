@@ -14,6 +14,7 @@ from rtakit import (
     parse_scenario_config,
     validate_trace_dict,
 )
+from rtakit import trace as trace_module
 from helpers import make_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -226,6 +227,32 @@ def test_append_sample_needs_every_agent():
     assert trace.n_samples() == 1
     with pytest.raises(ValueError, match="after the first sample"):
         trace.add_agent("c")
+
+
+def test_append_sample_needs_every_set_payload():
+    trace = ExecutionTrace()
+    trace.add_agent("a")
+    trace.add_unsafe_set("wall", "point")
+    with pytest.raises(ValueError, match="trace holds sets"):
+        trace.append_sample(0.0, {"a": [0.0]})
+    with pytest.raises(ValueError, match="trace holds sets"):
+        trace.append_sample(0.0, {"a": [0.0]}, None, {"door": [1.0]})
+    assert trace.n_samples() == 0
+    trace.append_sample(0.0, {"a": [0.0]}, None, {"wall": [3.0]})
+    assert trace.unsafe == {"wall": [[3.0]]} and trace.kinds == {"wall": "point"}
+    assert trace.to_dict()["unsafe"] == {"wall": {"type": "point", "state_trace": [[0.0, [3.0]]]}}
+    with pytest.raises(ValueError, match="after the first sample"):
+        trace.add_unsafe_set("door", "point")
+
+
+def test_from_dict_is_one_walk(monkeypatch):
+    def second_walk(doc):
+        raise AssertionError("from_dict walked the document twice")
+
+    monkeypatch.setattr(trace_module, "validate_trace_dict", second_walk)
+    trace = ExecutionTrace.from_dict(two_agent_doc())
+    assert trace.unsafe == {"u1": [[[10.0], 7.0], [[10.1], 7.0]]}
+    assert trace.rows["leader"] == [(5.0, 1.0), (5.1, 1.0)]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
