@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from .config import parse_scenario_config
-from .evaluation import EvalError, ScenarioMetadata, build_report
+from .evaluation import EvalError, build_report
 from .scenario import build_scenario, execute, snapshot
 from .trace import ExecutionTrace, is_finite_number
 
@@ -92,10 +92,9 @@ def cmd_eval(args) -> int:
         timings = _load_timings(timings_path)
     elif args.timings:
         raise EvalError(f"timings file not found: {timings_path}")
-    metadata = ScenarioMetadata.from_trace(trace)
     outdir = Path(args.out)
     start = time.perf_counter()
-    report = build_report(trace, metadata, timings)
+    report = build_report(trace, timings=timings)
     elapsed = time.perf_counter() - start
     print(f"eval time: {elapsed:.6f} s")
     written = report.write_csv(outdir)  # first: it rejects ids that cannot name a file

@@ -42,9 +42,6 @@ _FLOAT_PARAMS = {
     for name, cls in MODELS.items()
 }
 
-DEFAULT_RTA_HORIZON = 1.0
-DEFAULT_BLOAT_RATE = 0.1
-
 # "params" keys that wire the agent to others; the rest fill params_type.
 _WIRING_KEYS = {"leader_id", "formation_offset", "waypoints"}
 
@@ -148,17 +145,23 @@ def _build_rta(entry, where: str) -> RtaBinding | None:
     if entry is None:
         return None
     kind = _require(_object(entry, where, RTA_KEYS), "type", where)
+    # Every given key is checked, whatever the type; an absent one takes the
+    # logic's default.
+    given = {key: _number(entry[key], f"{where}.{key}")
+             for key in ("horizon", "bloat_rate") if key in entry}
+    if given.get("horizon", 1.0) <= 0:
+        raise ConfigError(f"{where}.horizon: expected a positive number, got {given['horizon']!r}")
+    if given.get("bloat_rate", 0.0) < 0:
+        raise ConfigError(f"{where}.bloat_rate: expected a nonnegative number, "
+                          f"got {given['bloat_rate']!r}")
     if kind == "none":
         return None
-    horizon = _number(entry.get("horizon", DEFAULT_RTA_HORIZON), f"{where}.horizon")
     if kind == "sim":
-        logic = SimRta(horizon=horizon)
-    elif kind == "reach":
-        rate = _number(entry.get("bloat_rate", DEFAULT_BLOAT_RATE), f"{where}.bloat_rate")
-        logic = ReachRta(horizon=horizon, bloat_rate=rate)
-    else:
-        raise ConfigError(f"{where}.type: unknown RTA type {kind!r}; expected sim, reach, or none")
-    return RtaBinding(logic)
+        given.pop("bloat_rate", None)
+        return RtaBinding(SimRta(**given))
+    if kind == "reach":
+        return RtaBinding(ReachRta(**given))
+    raise ConfigError(f"{where}.type: unknown RTA type {kind!r}; expected sim, reach, or none")
 
 
 def _build_unsafe(entry: dict, index: int):

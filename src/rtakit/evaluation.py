@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, Hyperrectangle, PointSet, Polytope, SetDef
+from .geometry import SetDef, ball_entry_time
 from .trace import ExecutionTrace
 
 
@@ -137,21 +137,10 @@ def _set_column(trace: ExecutionTrace, set_id: str, samples: range) -> tuple[lis
         payload = trace.unsafe[set_id][k]
         if not defs or payload != last:
             set_def, last = trace.unsafe_def(set_id, k), payload
-            ref = _reference(set_def)
+            ref = set_def.reference()
         defs.append(set_def)
         refs.append(ref)
     return defs, np.array(refs)
-
-
-def _reference(set_def: SetDef) -> np.ndarray:
-    if isinstance(set_def, PointSet):
-        return set_def.coords
-    if isinstance(set_def, Ball):
-        return set_def.center
-    if isinstance(set_def, Hyperrectangle):
-        return (set_def.lower + set_def.upper) / 2.0
-    # Polytope: recover the translation offset in the least-squares sense.
-    return np.linalg.lstsq(set_def.A, set_def.b, rcond=None)[0]
 
 
 def _velocities(ts: list[float], x: np.ndarray) -> np.ndarray:
@@ -197,92 +186,12 @@ def _grid_index(ts: list[float], t: float) -> int:
     raise EvalError(f"t={t:g} is not on the trace's timestamp grid")
 
 
-def _ball_entry_time(rel_pos: np.ndarray, rel_vel: np.ndarray, radius: float) -> float:
-    """Smallest tau >= 0 with ||rel_pos + rel_vel*tau|| <= radius."""
-    c = float(rel_pos @ rel_pos) - radius * radius
-    if c <= 0.0:
-        return 0.0
-    a = float(rel_vel @ rel_vel)
-    b = 2.0 * float(rel_pos @ rel_vel)
-    if a == 0.0:
-        return math.inf
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        # Grazing contact can dip just below zero in floats.
-        if disc > -1e-12 * max(b * b, abs(4.0 * a * c), 1.0):
-            disc = 0.0
-        else:
-            return math.inf
-    sq = math.sqrt(disc)
-    if b >= 0.0:
-        # Both roots <= 0: approaching times are in the past.
-        return math.inf
-    q = -0.5 * (b - sq)
-    lo, hi = c / q, q / a
-    for root in sorted((lo, hi)):
-        if root >= -1e-12:
-            return max(root, 0.0)
-    return math.inf
-
-
-def _interval_entry_time(lower_bounds: list[float], upper_bounds: list[float]) -> float:
-    t_lo = 0.0
-    t_hi = math.inf
-    for v in lower_bounds:
-        t_lo = max(t_lo, v)
-    for v in upper_bounds:
-        t_hi = min(t_hi, v)
-    return t_lo if t_lo <= t_hi else math.inf
-
-
-def _linear_set_entry_time(set_def: SetDef, pos: np.ndarray, vel: np.ndarray) -> float:
-    """Exact first-entry time into a hyperrectangle or polytope along a
-    straight line; the feasible time set of a convex body is an interval."""
-    if isinstance(set_def, Hyperrectangle):
-        lowers, uppers = [], []
-        for p, v, lo, hi in zip(pos, vel, set_def.lower, set_def.upper):
-            if v == 0.0:
-                if not lo <= p <= hi:
-                    return math.inf
-                continue
-            a, bnd = (lo - p) / v, (hi - p) / v
-            if a > bnd:
-                a, bnd = bnd, a
-            lowers.append(a)
-            uppers.append(bnd)
-        return _interval_entry_time(lowers, uppers)
-    if isinstance(set_def, Polytope):
-        g = set_def.b - set_def.A @ pos
-        h = set_def.A @ vel
-        lowers, uppers = [], []
-        for gi, hi_ in zip(g, h):
-            if hi_ == 0.0:
-                if gi < 0.0:
-                    return math.inf
-                continue
-            ratio = gi / hi_
-            if hi_ > 0.0:
-                uppers.append(ratio)
-            else:
-                lowers.append(ratio)
-        return _interval_entry_time(lowers, uppers)
-    raise EvalError(f"unsupported set type {type(set_def).__name__}")
-
-
 def _ttc_at(s: _Samples, agent_id: str, target_id: str, k: int) -> float:
     pos = s.positions[agent_id][k]
     vel = s.velocities[agent_id][k]
-    if target_id not in s.set_defs:
-        q = s.positions[target_id][k]
-        w = s.velocities[target_id][k]
-        return _ball_entry_time(pos - q, vel - w, 0.0)
-    set_def = s.set_defs[target_id][k]
-    rel_vel = vel - s.set_velocities[target_id][k]
-    if isinstance(set_def, Ball):
-        return _ball_entry_time(pos - set_def.center, rel_vel, set_def.radius)
-    if isinstance(set_def, PointSet):
-        return _ball_entry_time(pos - set_def.coords, rel_vel, 0.0)
-    return _linear_set_entry_time(set_def, pos, rel_vel)
+    if target_id in s.set_defs:
+        return s.set_defs[target_id][k].entry_time(pos, vel - s.set_velocities[target_id][k])
+    return ball_entry_time(pos - s.positions[target_id][k], vel - s.velocities[target_id][k], 0.0)
 
 
 def _min_ttc(s: _Samples, agent_id: str, target_id: str) -> float:
@@ -296,11 +205,11 @@ def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
     extrapolation of both parties. Returns math.inf when the courses never
     come within collision distance.
 
-    Against unsafe sets, collision means entering the set (exact closed
-    forms: quadratic for balls/points, time-interval intersection for
-    hyperrectangles/polytopes). Against agents, collision means the two
-    positions meeting; an unsafe ball anchored to an agent reports its own
-    radius as that set's TTC.
+    Against an unsafe set, collision means the agent's straight-line course
+    entering the set while the set moves at its reference point's velocity
+    (`SetDef.entry_time`). So a ball anchored to another agent gives an
+    agent-vs-agent TTC with the ball's radius as the collision distance.
+    Against an agent, collision means the two positions meeting.
     """
     agent_ids, set_ids = _pair(trace, agent_id, target_id)
     k = _grid_index(trace.timestamps(), t)

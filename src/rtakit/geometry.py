@@ -17,6 +17,10 @@ it is the distance to the nearest point, which `Polytope.project` finds
 exactly at every size with one nonnegative least-squares solve; a payload
 with no feasible point raises GeometryError there.
 
+Each set also gives its `reference()` point, the one `moved_to` places, and
+`entry_time(pos, vel)`, the first time a straight-line course enters it, in
+closed form; evaluation's time to collision reads both.
+
 Axis-aligned boxes (the reach boxes of ReachRta) are tested against every
 set kind by `box_intersects`. It is exact in closed form for point, ball and
 hyperrectangle. For a polytope it first tries two exact shortcuts (a row
@@ -115,6 +119,34 @@ def _norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
+def ball_entry_time(rel_pos: np.ndarray, rel_vel: np.ndarray, radius: float) -> float:
+    """Smallest tau >= 0 with ||rel_pos + rel_vel*tau|| <= radius."""
+    c = float(rel_pos @ rel_pos) - radius * radius
+    if c <= 0.0:
+        return 0.0
+    a = float(rel_vel @ rel_vel)
+    b = 2.0 * float(rel_pos @ rel_vel)
+    if a == 0.0:
+        return math.inf
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        # Grazing contact can dip just below zero in floats.
+        if disc > -1e-12 * max(b * b, abs(4.0 * a * c), 1.0):
+            disc = 0.0
+        else:
+            return math.inf
+    sq = math.sqrt(disc)
+    if b >= 0.0:
+        # Both roots <= 0: approaching times are in the past.
+        return math.inf
+    q = -0.5 * (b - sq)
+    lo, hi = c / q, q / a
+    for root in sorted((lo, hi)):
+        if root >= -1e-12:
+            return max(root, 0.0)
+    return math.inf
+
+
 class SetDef:
     """Base class for unsafe-set definitions."""
 
@@ -135,6 +167,24 @@ class SetDef:
         """Translate the set so its reference point sits at `reference`
         (dim,); an (n, dim) stack of references gives a stack of n sets."""
         raise NotImplementedError
+
+    def reference(self) -> np.ndarray:
+        """The set's reference point (dim,), whose motion is the set's."""
+        raise NotImplementedError
+
+    def entry_time(self, pos: np.ndarray, vel: np.ndarray) -> float:
+        """Smallest tau >= 0 with pos + vel * tau in the set, for (dim,)
+        arrays and one set; math.inf if the straight line never enters it."""
+        raise NotImplementedError
+
+    def _box_gaps(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Gap between the set and each box of the stacks (n, dim); negative
+        where a box reaches inside a ball."""
+        raise GeometryError(f"box_distance has no closed form for a {self.kind}; "
+                            f"use box_intersects")
+
+    def _meets_boxes(self, lo: np.ndarray, hi: np.ndarray) -> bool:
+        return bool(self._box_gaps(lo, hi).min() <= 0.0)
 
     def payload(self):
         """Serializable definition payload (see module docstring)."""
@@ -169,7 +219,7 @@ class SetDef:
             )
         return q
 
-    def _reference(self, reference) -> np.ndarray:
+    def _destination(self, reference) -> np.ndarray:
         self._one("moved_to")
         return _points(reference, self.dim, "reference")
 
@@ -203,8 +253,18 @@ class PointSet(SetDef):
         return float(np.linalg.norm(p - self.coords))
 
     def moved_to(self, reference) -> "PointSet":
-        ref = self._reference(reference)
+        ref = self._destination(reference)
         return self._moved(ref, coords=ref)
+
+    def reference(self) -> np.ndarray:
+        return self.coords
+
+    def entry_time(self, pos, vel) -> float:
+        return ball_entry_time(pos - self.coords, vel, 0.0)
+
+    def _box_gaps(self, lo, hi):
+        c = self.coords
+        return _norms(c - np.minimum(np.maximum(c, lo), hi))
 
     def _payload(self):
         return [float(c) for c in self.coords]
@@ -234,8 +294,18 @@ class Ball(SetDef):
         return max(0.0, float(np.linalg.norm(p - self.center)) - self.radius)
 
     def moved_to(self, reference) -> "Ball":
-        ref = self._reference(reference)
+        ref = self._destination(reference)
         return self._moved(ref, center=ref)
+
+    def reference(self) -> np.ndarray:
+        return self.center
+
+    def entry_time(self, pos, vel) -> float:
+        return ball_entry_time(pos - self.center, vel, self.radius)
+
+    def _box_gaps(self, lo, hi):
+        c = self.center
+        return _norms(c - np.minimum(np.maximum(c, lo), hi)) - self.radius
 
     def _payload(self):
         return [[float(c) for c in self.center], self.radius]
@@ -274,9 +344,29 @@ class Hyperrectangle(SetDef):
         return float(np.linalg.norm(p - np.clip(p, self.lower, self.upper)))
 
     def moved_to(self, reference) -> "Hyperrectangle":
-        ref = self._reference(reference)
+        ref = self._destination(reference)
         half = (self.upper - self.lower) / 2.0
         return self._moved(ref, lower=ref - half, upper=ref + half)
+
+    def reference(self) -> np.ndarray:
+        return (self.lower + self.upper) / 2.0
+
+    def entry_time(self, pos, vel) -> float:
+        """The per-axis slab times, intersected."""
+        t_lo, t_hi = 0.0, math.inf
+        for p, v, lo, hi in zip(pos, vel, self.lower, self.upper):
+            if v == 0.0:
+                if not lo <= p <= hi:
+                    return math.inf
+                continue
+            a, b = (lo - p) / v, (hi - p) / v
+            if a > b:
+                a, b = b, a
+            t_lo, t_hi = max(t_lo, a), min(t_hi, b)
+        return t_lo if t_lo <= t_hi else math.inf
+
+    def _box_gaps(self, lo, hi):
+        return _norms(np.maximum(0.0, np.maximum(self.lower - hi, lo - self.upper)))
 
     def _payload(self):
         return [[float(c) for c in self.lower], [float(c) for c in self.upper]]
@@ -374,11 +464,45 @@ class Polytope(SetDef):
         return float(np.linalg.norm(p - self.project(p)))
 
     def moved_to(self, reference) -> "Polytope":
-        ref = self._reference(reference)
+        ref = self._destination(reference)
         # Translation of a nonempty polytope stays nonempty; no LP. A @ ref is
         # summed elementwise, not by a matrix product, so row k of a stack
         # rounds exactly as the set moved to reference k alone.
         return self._moved(ref, b=self.b + (self.A * ref[..., None, :]).sum(axis=-1))
+
+    def reference(self) -> np.ndarray:
+        """The translation t with A t nearest b, in the least-squares sense:
+        `moved_to(r)` moves it by r when A has full column rank."""
+        return np.linalg.lstsq(self.A, self.b, rcond=None)[0]
+
+    def entry_time(self, pos, vel) -> float:
+        """The half-space times, intersected: row i holds while
+        (A vel)_i tau <= (b - A pos)_i."""
+        g = self.b - self.A @ pos
+        h = self.A @ vel
+        t_lo, t_hi = 0.0, math.inf
+        for gi, hi in zip(g, h):
+            if hi == 0.0:
+                if gi < 0.0:
+                    return math.inf
+            elif hi > 0.0:
+                t_hi = min(t_hi, gi / hi)
+            else:
+                t_lo = max(t_lo, gi / hi)
+        return t_lo if t_lo <= t_hi else math.inf
+
+    def _meets_boxes(self, lo, hi) -> bool:
+        A = self.A
+        # A row whose minimum over a box exceeds its offset separates the two.
+        row_min = (A * np.where(A > 0, lo[:, None, :], hi[:, None, :])).sum(axis=2)
+        b = np.broadcast_to(self.b, row_min.shape)  # row k's offsets
+        live = ~(row_min > b).any(axis=1)
+        lo, hi, b = lo[live], hi[live], b[live]
+        if (((lo + hi) / 2.0) @ A.T <= b).all(axis=1).any():
+            return True
+        # Box k's program runs on row k's offsets, which a stack of sets varies.
+        return any(Polytope(A, bk, check_feasible=False)._feasible(list(zip(l, h)))
+                   for l, h, bk in zip(lo, hi, b))
 
     def _payload(self):
         return [
@@ -464,37 +588,6 @@ def _box_corners(set_def: SetDef, lower, upper) -> tuple[np.ndarray, np.ndarray]
     return lo, hi
 
 
-def _box_gaps(set_def: SetDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gap between the set and each box of the stacks (n, dim); a ball's gap
-    is negative where the box reaches inside it."""
-    if isinstance(set_def, PointSet):
-        c = set_def.coords
-        return _norms(c - np.minimum(np.maximum(c, lo), hi))
-    if isinstance(set_def, Ball):
-        c = set_def.center
-        return _norms(c - np.minimum(np.maximum(c, lo), hi)) - set_def.radius
-    if isinstance(set_def, Hyperrectangle):
-        return _norms(np.maximum(0.0, np.maximum(set_def.lower - hi, lo - set_def.upper)))
-    if isinstance(set_def, Polytope):
-        raise GeometryError("box_distance has no closed form for a polytope; "
-                            "use box_intersects")
-    raise GeometryError(f"unsupported set type {type(set_def).__name__}")
-
-
-def _polytope_meets_boxes(poly: Polytope, lo: np.ndarray, hi: np.ndarray) -> bool:
-    A = poly.A
-    # A row whose minimum over a box exceeds its offset separates the two.
-    row_min = (A * np.where(A > 0, lo[:, None, :], hi[:, None, :])).sum(axis=2)
-    b = np.broadcast_to(poly.b, row_min.shape)  # row k's offsets
-    live = ~(row_min > b).any(axis=1)
-    lo, hi, b = lo[live], hi[live], b[live]
-    if (((lo + hi) / 2.0) @ A.T <= b).all(axis=1).any():
-        return True
-    # Box k's program runs on row k's offsets, which a stack of sets varies.
-    return any(Polytope(A, bk, check_feasible=False)._feasible(list(zip(l, h)))
-               for l, h, bk in zip(lo, hi, b))
-
-
 def box_distance(set_def: SetDef, lower, upper) -> float:
     """Euclidean distance between a point, ball or hyperrectangle and one
     axis-aligned box, in closed form. Zero means the two intersect.
@@ -505,7 +598,7 @@ def box_distance(set_def: SetDef, lower, upper) -> float:
     lo, hi = _box_corners(set_def, lower, upper)
     if lo.shape[0] != 1:
         raise GeometryError(f"box_distance takes one box, got {lo.shape[0]}")
-    return max(0.0, float(_box_gaps(set_def, lo, hi)[0]))
+    return max(0.0, float(set_def._box_gaps(lo, hi)[0]))
 
 
 def box_intersects(set_def: SetDef, lower, upper) -> bool:
@@ -522,6 +615,4 @@ def box_intersects(set_def: SetDef, lower, upper) -> bool:
     than testing its boxes one by one.
     """
     lo, hi = _box_corners(set_def, lower, upper)
-    if isinstance(set_def, Polytope):
-        return _polytope_meets_boxes(set_def, lo, hi)
-    return bool(_box_gaps(set_def, lo, hi).min() <= 0.0)
+    return set_def._meets_boxes(lo, hi)

@@ -51,10 +51,10 @@ class RtaError(RuntimeError):
 class RtaLogic:
     """Base decision module. Subclasses implement decide(trace) -> Mode."""
 
-    def __init__(self, ego_id: str | None = None, horizon: float = 1.0):
+    def __init__(self, horizon: float = 1.0):
         if not math.isfinite(horizon) or not horizon > 0:
             raise ValueError(f"prediction horizon must be finite and positive, got {horizon}")
-        self.ego_id = ego_id
+        self.ego_id: str | None = None  # set by `bind`
         self.horizon = float(horizon)
         self._scenario: Scenario | None = None
 
@@ -65,12 +65,7 @@ class RtaLogic:
                 f"must be at least one time step {scenario.dt}"
             )
         self._scenario = scenario
-        if self.ego_id is None:
-            self.ego_id = ego_id
-        elif self.ego_id != ego_id:
-            raise ValueError(
-                f"logic is configured for ego {self.ego_id!r} but bound to {ego_id!r}"
-            )
+        self.ego_id = ego_id
 
     @property
     def scenario(self) -> Scenario:
@@ -182,8 +177,8 @@ class ReachRta(RtaLogic):
     rate the decision coincides with SimRta.
     """
 
-    def __init__(self, ego_id=None, horizon: float = 1.0, bloat_rate: float = 0.1):
-        super().__init__(ego_id=ego_id, horizon=horizon)
+    def __init__(self, horizon: float = 1.0, bloat_rate: float = 0.1):
+        super().__init__(horizon=horizon)
         if not math.isfinite(bloat_rate) or not bloat_rate >= 0:
             raise ValueError(f"bloat rate must be finite and nonnegative, got {bloat_rate}")
         self.bloat_rate = float(bloat_rate)

@@ -233,6 +233,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             )
         if not isinstance(spec.init_mode, Mode):
             raise ScenarioError(f"agent {aid!r}: initial mode must be a Mode")
+        if spec.rta is not None and sum(o.rta is spec.rta for o in config.agents) > 1:
+            raise ScenarioError(f"agent {aid!r}: its RTA binding is shared with another agent")
 
     agent_ids = set(seen)
     for uspec in config.unsafe_sets:

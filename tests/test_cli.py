@@ -198,6 +198,27 @@ def test_config_requires_rta_type_and_string_ids(edit, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("rta, where", [
+    ({"type": "none", "horizon": -1.0}, "agents[0].rta.horizon"),
+    ({"type": "none", "horizon": "x"}, "agents[0].rta.horizon"),
+    ({"type": "sim", "bloat_rate": -3}, "agents[0].rta.bloat_rate"),
+], ids=["none-negative-horizon", "none-string-horizon", "sim-negative-bloat-rate"])
+def test_run_checks_every_given_rta_key_whatever_the_type(tmp_path, capsys, rta, where):
+    # A "none" block used to skip its horizon, and a "sim" block its bloat
+    # rate, so these ran although the schema rejects them.
+    jsonschema = pytest.importorskip("jsonschema")
+    doc = acc_doc()
+    doc["agents"][0]["rta"] = rta
+    schema = json.loads((CONFIGS.parent / "schema" / "scenario.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+    out = tmp_path / "t.json"
+    code = main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _set_time_horizon(doc, value):
     doc["time"]["T"] = value
 

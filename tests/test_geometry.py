@@ -178,16 +178,8 @@ def test_moved_set_preserves_shape():
                 # polytope translation is b + A t with t = ref (anchor frame)
                 shift = ref
             else:
-                shift = ref - _reference_of(base)
+                shift = ref - base.reference()
             assert moved.distance(q + shift) == pytest.approx(base.distance(q), abs=1e-9)
-
-
-def _reference_of(s):
-    if isinstance(s, Ball):
-        return s.center
-    if isinstance(s, PointSet):
-        return s.coords
-    return (s.lower + s.upper) / 2.0
 
 
 # -- construction validation ---------------------------------------------------
@@ -572,7 +564,7 @@ FAR = 1e6  # no set here, wherever it is moved, reaches a query this far out
 
 def _shift(s, ref):
     """The translation that moved_to(ref) applies to `s`."""
-    return ref if isinstance(s, Polytope) else ref - _reference_of(s)
+    return ref if isinstance(s, Polytope) else ref - s.reference()
 
 
 def _only_row(k, row, n):
@@ -646,3 +638,84 @@ def test_update_relative_on_a_stack_moves_the_base_to_each_position_plus_offset(
         assert one.rows is None
         assert (stack.lower[k].tolist(), stack.upper[k].tolist()) == \
             (one.lower.tolist(), one.upper.tolist())
+
+
+# -- entry_time and reference: the closed forms eval's TTC reads ---------------
+
+T_MARCH, H_MARCH = 20.0, 1.0 / 256  # dyadic step: marched times are exact
+
+
+def _first_inside(s, pos, vel):
+    """The first marched time j * H_MARCH <= T_MARCH at which the ray is in
+    the set, by `contains`; math.inf if none. Membership of a prefix of the
+    march only grows, so a bisection over prefixes finds it."""
+    taus = np.arange(int(T_MARCH / H_MARCH) + 1) * H_MARCH
+    ray = pos + vel * taus[:, None]
+    if not s.contains(ray):
+        return math.inf
+    lo, hi = 0, len(taus)  # ray[:lo] holds no point of the set, ray[:hi] one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if s.contains(ray[:mid]) else (mid, hi)
+    return float(taus[lo])
+
+
+def _entry_rays(s, boundary, rng):
+    """Seeded random rays, plus rays with a zero-velocity axis, rays
+    standing still, rays from boundary points and rays aimed at the set's
+    reference point at a marched time."""
+    rays = [(rng.uniform(-4.0, 4.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(40)]
+    for axis in (0, 1):
+        for _ in range(6):
+            pos, vel = rng.uniform(-4.0, 4.0, 2), rng.uniform(-2.0, 2.0, 2)
+            vel[axis] = 0.0
+            rays.append((pos, vel))
+    rays += [(rng.uniform(-4.0, 4.0, 2), np.zeros(2)) for _ in range(4)]
+    rays += [(np.asarray(b, dtype=float), rng.uniform(-2.0, 2.0, 2))
+             for b in boundary for _ in range(3)]
+    ref = s.reference()
+    for vel, tau in (([2.0, -1.0], 1.5), ([0.0, 0.5], 3.0), ([-1.0, 0.0], 0.25)):
+        vel = np.array(vel)
+        rays.append((ref - vel * tau, vel))
+    return rays
+
+
+@pytest.mark.parametrize("s, boundary", MOVED_SETS, ids=MOVED_KINDS)
+def test_entry_time_brackets_the_first_marched_sample_inside(s, boundary):
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for pos, vel in _entry_rays(s, boundary, rng):
+        tau = s.entry_time(pos, vel)
+        first = _first_inside(s, pos, vel)
+        assert tau >= 0.0
+        if math.isinf(tau):
+            # A ray that never enters has no marched sample inside.
+            assert math.isinf(first), (pos, vel, first)
+            outcomes.add("never")
+            continue
+        # The entry point is on the set, and no sample before it is inside.
+        assert s.distance(pos + vel * tau) <= 1e-9, (pos, vel, tau)
+        assert tau <= first + 1e-9, (pos, vel, tau, first)
+        if not math.isinf(first):
+            # The in-set times form an interval, so the sample one step
+            # before the first one inside lies before the entry.
+            assert tau > first - H_MARCH - 1e-9, (pos, vel, tau, first)
+            outcomes.add("start" if first == 0.0 else "enter")
+    assert outcomes == {"never", "start", "enter"}
+
+
+@pytest.mark.parametrize("s", [PointSet([0.5, -0.25]), Ball([0.5, -0.25], 1.0),
+                               Hyperrectangle([-1.0, -0.5], [0.5, 1.0])],
+                         ids=["point", "ball", "hyperrectangle"])
+def test_reference_is_the_point_moved_to_places(s):
+    rng = np.random.default_rng(31)
+    for ref in rng.uniform(-5.0, 5.0, size=(30, 2)):
+        assert s.moved_to(ref).reference() == pytest.approx(ref, rel=1e-15, abs=1e-15)
+
+
+def test_polytope_reference_moves_with_the_translation():
+    rng = np.random.default_rng(37)
+    poly = Polytope(*random_polytope(rng, 2, 6))  # six rows in 2-D: full column rank
+    base = poly.reference()
+    for shift in rng.uniform(-5.0, 5.0, size=(30, 2)):
+        assert poly.moved_to(shift).reference() == pytest.approx(base + shift, abs=1e-12)

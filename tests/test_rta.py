@@ -73,7 +73,7 @@ def stationary_config(ego_pos, ball_center, radius, goal=None, horizon=2.0):
 def test_switch_returns_mode_and_records_one_sample():
     scenario = built_acc()
     trace = scenario.initial_trace()
-    binding = RtaBinding(ConstantLogic(Mode.SAFETY, ego_id="follower"))
+    binding = RtaBinding(ConstantLogic(Mode.SAFETY))
     binding.logic.bind(scenario, "follower")
     assert binding.switch(trace) is Mode.SAFETY
     assert len(binding.collector.durations) == 1
@@ -113,7 +113,7 @@ def test_recorded_durations_nonnegative_finite():
 
 def test_logic_failure_carries_ego_id():
     scenario = built_acc()
-    binding = RtaBinding(FailingLogic(ego_id="follower"))
+    binding = RtaBinding(FailingLogic())
     binding.logic.bind(scenario, "follower")
     with pytest.raises(RtaError, match="follower"):
         binding.switch(scenario.initial_trace())

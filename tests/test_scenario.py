@@ -25,7 +25,7 @@ from rtakit import (
     snapshot,
     validate_trace_dict,
 )
-from helpers import acc_scenario_config
+from helpers import acc_scenario_config, sim_rta_binding
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,6 +57,15 @@ def test_build_rejects_duplicate_agent_ids():
     config = single_agent_config()
     config.agents.append(AgentSpec(AccAgent("solo"), [1.0, 0.0], Mode.NORMAL, None))
     with pytest.raises(ScenarioError, match="duplicate"):
+        build_scenario(config)
+
+
+def test_build_rejects_one_rta_binding_shared_by_two_agents():
+    # Binding the logic sets its ego, so a shared binding would decide for
+    # the last agent bound and mix both agents' decision times.
+    config = acc_scenario_config(rta=sim_rta_binding())
+    config.agents[1].rta = config.agents[0].rta
+    with pytest.raises(ScenarioError, match="agent 'follower': its RTA binding is shared"):
         build_scenario(config)
 
 
