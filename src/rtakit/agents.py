@@ -13,9 +13,9 @@ selects the controller:
     UNTRUSTED  experimental high-performance controller (no guarantee)
     NORMAL     configured nominal behaviour; zero control by default
 
-State layout convention: the leading `len(position_indices)` components are
-the workspace position, which is what unsafe sets and distance metrics are
-evaluated against.
+State layout convention: the leading `position_dim` components are the
+workspace position, which unsafe sets, decisions and distance metrics read.
+A step's `state` is the trace's own row, a tuple of floats.
 """
 from __future__ import annotations
 
@@ -53,10 +53,10 @@ def _check_finite(params) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
-def _finite_floats(values, what: str) -> list[float]:
+def _point(values, what: str, dim: int) -> list[float]:
     out = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{what} must be finite, got {out}")
+    if len(out) != dim or not all(map(math.isfinite, out)):
+        raise ValueError(f"{what} must be position_dim = {dim} finite numbers, got {out}")
     return out
 
 
@@ -70,12 +70,14 @@ def _check_dt(dt: float) -> float:
 class AgentModel:
     """Base agent: identifier, parameters, a step transition function and
     the memory it carries between ticks; it keeps none while
-    `initial_memory` is None."""
+    `initial_memory` is None. Its leading `position_dim` state components
+    are its position; `leader_id`, if set, names the agent it follows."""
 
     model_name = "base"
     state_dim: int = 0
-    position_indices: tuple[int, ...] = ()
+    position_dim: int = 0
     initial_memory: object = None
+    leader_id: str | None = None
 
     def __init__(self, agent_id: str):
         if not agent_id or not isinstance(agent_id, str):
@@ -92,10 +94,7 @@ class AgentModel:
         keeping memory means."""
         return memory
 
-    def position(self, state) -> list[float]:
-        return [float(state[i]) for i in self.position_indices]
-
-    def _leader_state(self, view: View) -> list[float]:
+    def _leader_state(self, view: View) -> tuple[float, ...]:
         """Pre-step state of the agent named by `leader_id`."""
         state = view.states.get(self.leader_id)
         if state is None:
@@ -146,7 +145,7 @@ class AccAgent(AgentModel):
     model_name = "acc"
     params_type = AccParams
     state_dim = 2
-    position_indices = (0,)
+    position_dim = 1
 
     def __init__(self, agent_id, params: AccParams | None = None,
                  leader_id: str | None = None, goal_fn=None):
@@ -170,7 +169,7 @@ class AccAgent(AgentModel):
         goal = self.goal_state(view)
         if goal is None:
             raise ValueError(f"agent {self.agent_id!r} has no goal provider")
-        p, v = float(state[0]), float(state[1])
+        p, v = state
         if mode is Mode.SAFETY:
             a = self.params.k1 * (goal[0] - p) + self.params.k2 * (goal[1] - v)
         elif mode is Mode.UNTRUSTED:
@@ -185,7 +184,7 @@ class AccAgent(AgentModel):
     def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
         a = self.command(mode, state, view)
-        p, v = float(state[0]), float(state[1])
+        p, v = state
         p_next = p + v * dt
         v_next = v + a * dt
         if abs(v_next) >= self.params.v_max:
@@ -238,21 +237,23 @@ class DubinsCarAgent(AgentModel):
     model_name = "dubins_car"
     params_type = DubinsCarParams
     state_dim = 4
-    position_indices = (0, 1)
+    position_dim = 2
 
     def __init__(self, agent_id, params: DubinsCarParams | None = None,
                  waypoints=None, leader_id: str | None = None,
                  formation_offset=None, goal_fn=None):
         super().__init__(agent_id)
         self.params = params or self.params_type()
+        dim = self.position_dim
         self.waypoints = (
-            [_finite_floats(w, "waypoint") for w in waypoints] if waypoints else None
+            [_point(w, f"waypoint {j}", dim) for j, w in enumerate(waypoints)]
+            if waypoints else None
         )
         if self.waypoints:
             self.initial_memory = 0
         self.leader_id = leader_id
         self.formation_offset = (
-            _finite_floats(formation_offset, "formation_offset")
+            _point(formation_offset, "formation_offset", dim)
             if formation_offset is not None else None
         )
         self.goal_fn = goal_fn
@@ -261,7 +262,7 @@ class DubinsCarAgent(AgentModel):
         """Capture every waypoint from the active one on that lies within
         capture_radius of the recorded position; the last one is never
         passed."""
-        pos = state[:len(self.position_indices)]
+        pos = state[:self.position_dim]
         last = len(self.waypoints) - 1
         while memory < last and math.dist(pos, self.waypoints[memory]) <= self.params.capture_radius:
             memory += 1
@@ -271,11 +272,10 @@ class DubinsCarAgent(AgentModel):
         if self.goal_fn is not None:
             return list(self.goal_fn(view))
         if self.leader_id is not None:
-            lead = self._leader_state(view)
-            goal = [lead[i] for i in range(len(self.position_indices))]
-            if self.formation_offset is not None:
-                goal = [g + o for g, o in zip(goal, self.formation_offset)]
-            return goal
+            lead = self._leader_state(view)[:self.position_dim]
+            if self.formation_offset is None:
+                return list(lead)
+            return [g + o for g, o in zip(lead, self.formation_offset)]
         if self.waypoints:
             return self.waypoints[view.memory[self.agent_id]]
         return None
@@ -316,7 +316,7 @@ class DubinsCarAgent(AgentModel):
 
     def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
-        x, y, heading, speed = (float(s) for s in state)
+        x, y, heading, speed = state
         omega, v_target, _ = self._steering(mode, x, y, heading, speed, view)
         return self._planar_step(x, y, heading, speed, omega, v_target, dt)
 
@@ -355,7 +355,7 @@ class DubinsPlaneAgent(DubinsCarAgent):
     model_name = "dubins_plane"
     params_type = DubinsPlaneParams
     state_dim = 6
-    position_indices = (0, 1, 2)
+    position_dim = 3
 
     def _gamma_target(self, mode, x, y, z, gamma, goal) -> float:
         if mode is Mode.SAFETY:
@@ -368,7 +368,7 @@ class DubinsPlaneAgent(DubinsCarAgent):
 
     def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
-        x, y, z, heading, gamma, speed = (float(s) for s in state)
+        x, y, z, heading, gamma, speed = state
         omega, v_target, goal = self._steering(mode, x, y, heading, speed, view)
         x_next, y_next, heading_next, v_next = self._planar_step(
             x, y, heading, speed, omega, v_target, dt

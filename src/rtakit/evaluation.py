@@ -79,13 +79,13 @@ class ScenarioMetadata:
     @classmethod
     def from_trace(cls, trace: ExecutionTrace) -> "ScenarioMetadata":
         """The dimension of the trace's first unsafe set; None without sets."""
-        for sid in trace.unsafe_ids():
+        for sid in trace.unsafe:
             return cls(workspace_dim=trace.unsafe_def(sid, 0).dim)
         return cls()
 
 
 def _check_agent(trace, agent_id: str) -> None:
-    if agent_id not in trace.agent_ids():
+    if agent_id not in trace.rows:
         raise EvalError(f"unknown agent id {agent_id!r}")
 
 
@@ -108,13 +108,13 @@ class _Samples:
 
     def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None,
                  agent_ids: list[str], set_ids: list[str], window: slice = slice(None)):
-        self.ts = ts = trace.timestamps()[window]
+        self.ts = ts = trace.times[window]
         dim = _workspace_dim(trace, metadata) if agent_ids else 0
         self.positions = {aid: _positions(trace.rows[aid][window], aid, dim) for aid in agent_ids}
         self.velocities = {aid: _velocities(ts, x) for aid, x in self.positions.items()}
         self.set_defs, self.set_velocities = {}, {}
         for sid in set_ids:
-            self.set_defs[sid], refs = _set_column(trace, sid, range(trace.n_samples())[window])
+            self.set_defs[sid], refs = _set_column(trace, sid, range(len(trace.times))[window])
             self.set_velocities[sid] = _velocities(ts, refs)
 
 
@@ -212,7 +212,7 @@ def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
     Against an agent, collision means the two positions meeting.
     """
     agent_ids, set_ids = _pair(trace, agent_id, target_id)
-    k = _grid_index(trace.timestamps(), t)
+    k = _grid_index(trace.times, t)
     lo = max(k - 1, 0)  # the backward difference at k reads samples lo and lo + 1
     s = _Samples(trace, metadata, agent_ids, set_ids, slice(lo, lo + 2))
     return _ttc_at(s, agent_id, target_id, k - lo)
@@ -224,7 +224,7 @@ def controller_usage(trace: ExecutionTrace, agent_id: str) -> tuple[dict[str, fl
     An empty mode trace yields ({}, 0), the "no data" result.
     """
     _check_agent(trace, agent_id)
-    modes = trace.mode_trace(agent_id)
+    modes = trace.modes[agent_id]
     if not modes:
         return {}, 0
     usage = {}
@@ -352,9 +352,9 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
     "no data".
     """
     timings = timings or {}
-    if not trace.n_samples():
+    if not trace.times:
         raise EvalError("trace holds no samples (no data)")
-    agent_ids, set_ids = trace.agent_ids(), trace.unsafe_ids()
+    agent_ids, set_ids = list(trace.rows), list(trace.unsafe)
     # Positions only if there is something to measure them against.
     measured = agent_ids if set_ids or len(agent_ids) > 1 else []
     samples = _Samples(trace, metadata, measured, set_ids)
@@ -376,11 +376,11 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
             min_agent_distance={k: min(v for _, v in s) for k, s in agent_d.items()},
             min_set_ttc={sid: _min_ttc(samples, aid, sid) for sid in set_ids},
             min_agent_ttc={other: _min_ttc(samples, aid, other) for other in others},
-            mode_series=[(ts[k], m.value) for k, m in enumerate(trace.mode_trace(aid))],
+            mode_series=[(ts[k], m.value) for k, m in enumerate(trace.modes[aid])],
         )
     return EvalReport(
         agents=agents,
-        n_samples=trace.n_samples(),
+        n_samples=len(trace.times),
         duration=(ts[-1] - ts[0]) if len(ts) > 1 else 0.0,
     )
 

@@ -24,10 +24,10 @@ carries a ball for its followers is not held in SAFETY by that ball.
 The prediction is the closed loop's own rollout (`scenario.predict`): every
 agent steps from the same view and memory as it would in execution, so a
 one-step prediction under the executed modes is the executed next sample.
-A decision reads the ego's and each anchor's predicted rows as one array,
-`np.array(pred.rows[agent_id])[:, position_indices]`, which is the model's
-`position` of every row, and `boxes_from_prediction` builds every reach box
-of the horizon in one expression, as two (n, dim) corner stacks.
+A decision reads the ego's and each anchor's predicted positions as one
+array, the leading `workspace_dim` components of its rows, and
+`boxes_from_prediction` builds every reach box of the horizon in one
+expression, as two (n, dim) corner stacks.
 """
 from __future__ import annotations
 
@@ -89,8 +89,7 @@ class RtaLogic:
             elif spec.anchor_id == self.ego_id:
                 continue
             else:
-                anchor = scenario.agents_by_id[spec.anchor_id].model
-                path = _positions(pred, spec.anchor_id, anchor)
+                path = _positions(pred, spec.anchor_id, scenario.workspace_dim)
                 set_def = geometry.update_relative(spec, path)
             if hits(set_def):
                 return True
@@ -131,7 +130,7 @@ def forward_simulate(trace: ExecutionTrace, scenario: Scenario, horizon: float,
         raise ValueError(
             f"prediction horizon {horizon} must be at least one time step {scenario.dt}"
         )
-    modes = {aid: scenario.current_mode(trace, aid) for aid in trace.agent_ids()}
+    modes = {aid: scenario.current_mode(trace, aid) for aid in trace.rows}
     if ego_id not in modes:
         raise ValueError(f"ego agent {ego_id!r} missing from trace")
     modes[ego_id] = Mode.UNTRUSTED
@@ -144,17 +143,16 @@ class SimRta(RtaLogic):
 
     def decide(self, trace: ExecutionTrace) -> Mode:
         pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
-        model = self.scenario.agents_by_id[self.ego_id].model
-        positions = _positions(pred, self.ego_id, model)
+        positions = _positions(pred, self.ego_id, self.scenario.workspace_dim)
         if self._enters_unsafe(pred, lambda s: s.contains(positions)):
             return Mode.SAFETY
         return Mode.UNTRUSTED
 
 
-def _positions(pred: ExecutionTrace, agent_id: str, model) -> np.ndarray:
-    """(n, dim) workspace positions of an agent at every predicted step,
-    read from its rows as one array."""
-    return np.array(pred.rows[agent_id])[:, list(model.position_indices)]
+def _positions(pred: ExecutionTrace, agent_id: str, dim: int) -> np.ndarray:
+    """(n, dim) workspace positions of an agent at every predicted step:
+    the leading `dim` components of its rows, read as one array."""
+    return np.array(pred.rows[agent_id])[:, :dim]
 
 
 def boxes_from_prediction(pred: ExecutionTrace, model, ego_id: str, bloat_rate: float,
@@ -163,7 +161,7 @@ def boxes_from_prediction(pred: ExecutionTrace, model, ego_id: str, bloat_rate: 
     around the nominal predicted positions; the per-axis inflation at
     predicted step k (k = 0 is the current state) is bloat_rate * k * dt,
     rounded as that scalar product is."""
-    pos = _positions(pred, ego_id, model)
+    pos = _positions(pred, ego_id, model.position_dim)
     r = (bloat_rate * np.arange(len(pos)) * dt)[:, None]
     return pos - r, pos + r
 

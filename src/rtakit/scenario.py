@@ -12,11 +12,11 @@ ExecutionTrace on the exact grid t_k = k*dt, k = 0..floor(T/dt):
 The view holds the trace's own rows, which are immutable tuples (see the
 trace module): a step that writes into its `state` or into a
 `view.states` value fails, as any step error does, with a
-ScenarioRuntimeError naming the agent and t. So does a step that returns
-the wrong number of components, checked on every step, and an executed
-step that returns a non-finite state, checked once per tick by `execute`;
-a non-finite predicted state surfaces through the geometry of the
-decision that reads it.
+ScenarioRuntimeError naming the agent and t. So does a `remember` that
+raises, a step that returns the wrong number of components, checked on
+every step, and an executed step that returns a non-finite state, checked
+once per tick by `execute`; a non-finite predicted state surfaces through
+the geometry of the decision that reads it.
 
 Execution and prediction are one rollout: `advance` is the only step of
 either. An agent's memory (see the agents module) is the fold of its
@@ -84,11 +84,10 @@ class Scenario:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.dt = float(config.dt)
-        self.horizon = float(config.horizon)
         self.workspace_dim = int(config.workspace_dim)
         self.agents_by_id = {spec.model.agent_id: spec for spec in config.agents}
         self.unsafe_by_id = {s.set_id: s for s in config.unsafe_sets}
-        self.n_steps = grid_steps(self.horizon, self.dt)
+        self.n_steps = grid_steps(float(config.horizon), self.dt)
         self.static_sets: dict[str, SetDef] = {
             s.set_id: s.base
             for s in config.unsafe_sets if not isinstance(s, RelativeSetSpec)
@@ -101,19 +100,10 @@ class Scenario:
             if spec.model.initial_memory is not None
         }
 
-    def agent_ids(self) -> list[str]:
-        return list(self.agents_by_id)
-
-    def unsafe_ids(self) -> list[str]:
-        return list(self.unsafe_by_id)
-
-    def position(self, agent_id: str, state) -> list[float]:
-        return self.agents_by_id[agent_id].model.position(state)
-
     def current_mode(self, trace: ExecutionTrace, agent_id: str) -> Mode:
         """Last decided mode, falling back to the configured initial mode."""
-        mode = trace.current_mode(agent_id)
-        return mode if mode is not None else self.agents_by_id[agent_id].init_mode
+        modes = trace.modes[agent_id]
+        return modes[-1] if modes else self.agents_by_id[agent_id].init_mode
 
     def initial_trace(self) -> ExecutionTrace:
         trace = ExecutionTrace()
@@ -133,7 +123,7 @@ class Scenario:
             if isinstance(uspec, RelativeSetSpec):
                 anchor = uspec.anchor_id
                 try:
-                    moved = update_relative(uspec, self.position(anchor, states[anchor]))
+                    moved = update_relative(uspec, states[anchor][:self.workspace_dim])
                 except GeometryError as exc:
                     raise ScenarioRuntimeError(
                         f"unsafe set {sid!r} anchored to agent {anchor!r} failed to "
@@ -151,13 +141,19 @@ class Scenario:
         scenario's one empty dict."""
         if not self._initial_memory:
             return self._initial_memory
-        n = trace.n_samples()
+        n = len(trace.times)
         folded, memory = trace.memory or (0, self._initial_memory)
         if folded < n:
             rows = trace.rows
             for k in range(folded, n):
-                memory = {aid: self.agents_by_id[aid].model.remember(m, rows[aid][k])
-                          for aid, m in memory.items()}
+                prev, memory = memory, {}
+                for aid, m in prev.items():
+                    try:
+                        memory[aid] = self.agents_by_id[aid].model.remember(m, rows[aid][k])
+                    except Exception as exc:
+                        raise ScenarioRuntimeError(
+                            f"agent {aid!r} remember failed at t={trace.times[k]:g}: {exc}"
+                        ) from exc
             trace.memory = (n, memory)
         return memory
 
@@ -224,12 +220,10 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             raise ScenarioError(
                 f"agent {aid!r}: initial state must be finite numbers, got {list(spec.init_state)}"
             )
-        # Decisions read positions through position_indices, evaluation
-        # reads the leading workspace_dim components: they must agree.
-        if tuple(spec.model.position_indices) != tuple(range(config.workspace_dim)):
+        if spec.model.position_dim != config.workspace_dim:
             raise ScenarioError(
-                f"agent {aid!r}: model position_indices {tuple(spec.model.position_indices)} "
-                f"must be the leading {config.workspace_dim} state components"
+                f"agent {aid!r}: model position_dim {spec.model.position_dim} "
+                f"!= workspace dimension {config.workspace_dim}"
             )
         if not isinstance(spec.init_mode, Mode):
             raise ScenarioError(f"agent {aid!r}: initial mode must be a Mode")
@@ -237,6 +231,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             raise ScenarioError(f"agent {aid!r}: its RTA binding is shared with another agent")
 
     agent_ids = set(seen)
+    for spec in config.agents:
+        leader = spec.model.leader_id
+        if leader is not None and leader not in agent_ids:
+            raise ScenarioError(
+                f"agent {spec.model.agent_id!r}: leader {leader!r} does not name an agent"
+            )
     for uspec in config.unsafe_sets:
         sid = uspec.set_id
         if sid in seen:
@@ -316,16 +316,13 @@ class SimState:
 
 def snapshot(trace: ExecutionTrace, t: float) -> SimState:
     """SimState at the largest recorded timestamp <= t."""
-    ts = trace.timestamps()
+    ts = trace.times
     if not ts:
         raise ValueError("trace holds no samples")
     if not ts[0] - 1e-12 <= t <= ts[-1] + 1e-12:  # NaN fails this too
         raise ValueError(f"t={t:g} outside the recorded range [{ts[0]:g}, {ts[-1]:g}]")
     k = bisect_right(ts, t + 1e-12) - 1
-    states = {aid: trace.state(aid, k) for aid in trace.agent_ids()}
-    modes = {}
-    for aid in trace.agent_ids():
-        mt = trace.mode_trace(aid)
-        modes[aid] = mt[min(k, len(mt) - 1)] if mt else None
-    unsafe = {sid: trace.unsafe_def(sid, k) for sid in trace.unsafe_ids()}
+    states = {aid: list(rows[k]) for aid, rows in trace.rows.items()}
+    modes = {aid: mt[min(k, len(mt) - 1)] if mt else None for aid, mt in trace.modes.items()}
+    unsafe = {sid: trace.unsafe_def(sid, k) for sid in trace.unsafe}
     return SimState(t=ts[k], states=states, modes=modes, unsafe=unsafe)

@@ -18,9 +18,9 @@ In memory an ExecutionTrace is columnar: one `times` list shared by every
 agent and set, one list of state rows per agent in `rows` (a row is a tuple
 of floats without its timestamp), one list of modes per agent in `modes`,
 one kind per set in `kinds` and one list of payloads per set in `unsafe`.
-Rows are immutable, so a trace, a prefix cut from it and a prediction
-seeded from it share them without copies; payloads are shared the same
-way and must not be mutated. `append_sample` is the one way to add a
+These columns are the read API. Rows are immutable, so a trace, a prefix
+cut from it and a prediction seeded from it share them without copies;
+payloads are shared the same way and must not be mutated. `append_sample` is the one way to add a
 sample. `to_dict` builds the wire rows; `from_dict` checks and splits
 them in one walk.
 """
@@ -103,36 +103,21 @@ class ExecutionTrace:
             for sid, column in unsafe.items():
                 column.append(payloads[sid])
 
-    # -- access ----------------------------------------------------------
-
-    def agent_ids(self) -> list[str]:
-        return list(self.rows)
-
-    def unsafe_ids(self) -> list[str]:
-        return list(self.unsafe)
-
-    def n_samples(self) -> int:
-        return len(self.times)
+    # -- access: read the columns; these two stay for the benchmark tracer --
 
     def timestamps(self) -> list[float]:
+        """A copy of `times`. Kept because the benchmark's tracer wraps it
+        by name; code reads `times`."""
         return list(self.times)
 
-    def state(self, agent_id: str, k: int) -> list[float]:
-        return list(self.rows[agent_id][k])
-
-    def mode_trace(self, agent_id: str) -> list[Mode]:
-        return self.modes[agent_id]
-
-    def current_mode(self, agent_id: str) -> Mode | None:
-        modes = self.modes[agent_id]
-        return modes[-1] if modes else None
-
     def unsafe_def(self, set_id: str, k: int) -> SetDef:
+        """Sample k's payload of the set, parsed. Kept because the benchmark's
+        tracer wraps it by name to count the payloads a read parses."""
         return set_from_payload(self.kinds[set_id], self.unsafe[set_id][k])
 
     def prefix(self, k: int) -> "ExecutionTrace":
         """Samples 0..k with the mode decisions made strictly before k."""
-        if not 0 <= k < self.n_samples():
+        if not 0 <= k < len(self.times):
             raise IndexError(f"sample index {k} out of range")
         out = ExecutionTrace()
         out.times = self.times[: k + 1]

@@ -95,7 +95,7 @@ def _decision_sweep(n_traces=100, horizon=2.0, seed=1234):
         reach_pos = ReachRta(horizon=1.0, bloat_rate=0.5)
         for logic in (sim, reach0, reach_pos):
             logic.bind(scenario, "follower")
-        for k in range(trace.n_samples() - 1):
+        for k in range(len(trace.times) - 1):
             prefix = trace.prefix(k)
             m_sim = sim.decide(prefix)
             m_zero = reach0.decide(prefix)
@@ -203,9 +203,9 @@ def test_metric_invariants():
     ok = True
     detail = "all traces satisfy usage/switch/timing invariants"
     for built, trace in traces:
-        for aid in trace.agent_ids():
+        for aid in trace.rows:
             usage, switches = controller_usage(trace, aid)
-            modes = trace.mode_trace(aid)
+            modes = trace.modes[aid]
             if modes:
                 if abs(sum(usage.values()) - 100.0) > 1e-9:
                     ok, detail = False, f"usage sum off for {aid}"

@@ -108,6 +108,34 @@ def test_run_dangling_anchor(tmp_path, capsys):
     assert "anchor" in capsys.readouterr().err
 
 
+def test_run_dangling_leader(tmp_path, capsys):
+    # Used to pass config and fail at the first step, exit 3.
+    doc = acc_doc()
+    doc["agents"][0]["params"]["leader_id"] = "ghost"
+    code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    assert "agent 'follower': leader 'ghost' does not name an agent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agent, key, value", [
+    (0, "waypoints", [[18, 0, 1], [18, 14, 2]]),
+    (1, "formation_offset", [-2.5]),
+    (1, "formation_offset", [-2.5, 0.0, 9.0]),
+], ids=["3-d-waypoints", "1-d-offset", "3-d-offset"])
+def test_run_rejects_points_off_the_position_dim(tmp_path, capsys, agent, key, value):
+    # These used to get past config: the first failed in ego1's RTA, the
+    # second with "list index out of range", the third ran on two of its
+    # three coordinates.
+    doc = json.loads((CONFIGS / "dubins.json").read_text())
+    doc["agents"][agent]["params"][key] = value
+    code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"agents[{agent}].params" in err and "position_dim = 2" in err
+
+
 @pytest.mark.parametrize("params", [[1, 2], "ab"])
 def test_run_params_must_be_an_object(tmp_path, capsys, params):
     doc = acc_doc()
@@ -130,7 +158,7 @@ def test_run_rejects_wiring_the_model_does_not_take(tmp_path, capsys, key, value
 
 
 def _one_agent_doc(model, params):
-    dim = len(MODELS[model].position_indices)
+    dim = MODELS[model].position_dim
     return {"workspace_dim": dim, "time": {"dt": 0.1, "T": 1.0},
             "agents": [{"id": "a", "model": model, "params": params,
                         "init": [0.0] * MODELS[model].state_dim}]}

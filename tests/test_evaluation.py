@@ -316,7 +316,7 @@ def test_report_reads_each_sample_once(dubins_run, monkeypatch):
     count("unsafe_def")
     count("timestamps")
     build_report(trace)
-    assert calls["unsafe_def"] <= len(trace.unsafe_ids()) * (trace.n_samples() + 1)
+    assert calls["unsafe_def"] <= len(trace.unsafe) * (len(trace.times) + 1)
     assert calls["timestamps"] <= 2
 
 
@@ -335,7 +335,7 @@ def test_report_parses_a_static_set_once(dubins_run, monkeypatch):
 
     monkeypatch.setattr(trace_module, "set_from_payload", counted)
     build_report(trace, META2)
-    assert parsed == {"hyperrectangle": 1, "ball": trace.n_samples()}
+    assert parsed == {"hyperrectangle": 1, "ball": len(trace.times)}
 
 
 def test_report_minima_equal_public_metrics_over_grid(dubins_run):
@@ -344,9 +344,9 @@ def test_report_minima_equal_public_metrics_over_grid(dubins_run):
     report = build_report(trace, meta)
     ts = trace.timestamps()
     for aid, r in report.agents.items():
-        others = [other for other in trace.agent_ids() if other != aid]
+        others = [other for other in trace.rows if other != aid]
         for targets, series, min_dist, min_ttc in (
-            (trace.unsafe_ids(), r.set_distances, r.min_set_distance, r.min_set_ttc),
+            (list(trace.unsafe), r.set_distances, r.min_set_distance, r.min_set_ttc),
             (others, r.agent_distances, r.min_agent_distance, r.min_agent_ttc),
         ):
             assert list(series) == list(min_dist) == list(min_ttc) == targets

@@ -32,17 +32,17 @@ def one_step_misses(scenario, trace):
     """Ticks k at which predict(prefix(k), executed modes, 1) differs from
     the executed sample k + 1 in a state or an anchored set's payload, the
     set resolved at the predicted anchor state."""
-    agents = trace.agent_ids()
-    anchored = [scenario.unsafe_by_id[sid] for sid in trace.unsafe_ids()
+    agents = list(trace.rows)
+    anchored = [scenario.unsafe_by_id[sid] for sid in trace.unsafe
                 if sid not in scenario.static_sets]
     misses = []
-    for k in range(trace.n_samples() - 1):
-        modes = {aid: trace.mode_trace(aid)[k] for aid in agents}
+    for k in range(len(trace.times) - 1):
+        modes = {aid: trace.modes[aid][k] for aid in agents}
         pred = predict(scenario, trace.prefix(k), modes, 1)
-        anchors = [scenario.position(s.anchor_id, pred.state(s.anchor_id, 1)) for s in anchored]
-        got = ([pred.state(aid, 1) for aid in agents],
+        anchors = [pred.rows[s.anchor_id][1][:scenario.workspace_dim] for s in anchored]
+        got = ([pred.rows[aid][1] for aid in agents],
                [update_relative(s, a).payload() for s, a in zip(anchored, anchors)])
-        want = ([trace.state(aid, k + 1) for aid in agents],
+        want = ([trace.rows[aid][k + 1] for aid in agents],
                 [trace.unsafe[spec.set_id][k + 1] for spec in anchored])
         if got != want:
             misses.append(k)
@@ -69,14 +69,14 @@ def test_waypoint_car_predicted_from_mid_route_keeps_its_waypoint():
     scenario = waypoint_car_scenario()
     trace = execute(scenario)
     car = scenario.agents_by_id["car"].model
-    gaps = [math.dist(trace.state("car", k)[:2], car.waypoints[0])
-            for k in range(trace.n_samples())]
+    gaps = [math.dist(trace.rows["car"][k][:2], car.waypoints[0])
+            for k in range(len(trace.times))]
     captured = next(k for k, gap in enumerate(gaps) if gap <= car.params.capture_radius)
     # past waypoint 0 and out of its capture radius again
     k = next(k for k in range(captured, len(gaps)) if gaps[k] > car.params.capture_radius)
     pred = predict(scenario, trace.prefix(k), {"car": Mode.NORMAL}, 10)
-    assert [pred.state("car", j) for j in range(11)] == \
-        [trace.state("car", k + j) for j in range(11)]
+    assert [pred.rows["car"][j] for j in range(11)] == \
+        [trace.rows["car"][k + j] for j in range(11)]
 
 
 @pytest.mark.parametrize("doc", [
@@ -88,7 +88,7 @@ def test_memory_folded_from_a_prefix_or_a_loaded_trace_is_the_live_memory(doc, t
     live = scenario.initial_trace()
     path = tmp_path / "trace.json"
     for k in range(scenario.n_steps):
-        modes = {aid: scenario.current_mode(live, aid) for aid in live.agent_ids()}
+        modes = {aid: scenario.current_mode(live, aid) for aid in live.rows}
         scenario.advance(live, modes, k)
         if k % 25 == 0 or k == scenario.n_steps - 1:
             memory = scenario.memory(live)

@@ -124,7 +124,7 @@ def test_logic_failure_carries_ego_id():
 def test_forward_minimal_horizon_is_one_step():
     scenario = built_acc()
     pred = forward_simulate(scenario.initial_trace(), scenario, scenario.dt, ego_id="follower")
-    assert pred.n_samples() == 2
+    assert len(pred.times) == 2
     assert pred.timestamps() == [0.0, 0.1]
 
 
@@ -145,7 +145,7 @@ def test_forward_prediction_approaches_leader():
             v = math.copysign(params.v_max, v)
         lp = lp + lv * 0.1
         want.append(p)
-    got = [pred.state("follower", k)[0] for k in range(pred.n_samples())]
+    got = [pred.rows["follower"][k][0] for k in range(len(pred.times))]
     assert got == pytest.approx(want, abs=0.0)
     assert all(b > a for a, b in zip(got, got[1:]))
 
@@ -153,8 +153,8 @@ def test_forward_prediction_approaches_leader():
 def test_forward_prediction_of_static_scenario_is_fixed_point():
     scenario = build_scenario(stationary_config(0.0, 50.0, 1.0))
     pred = forward_simulate(scenario.initial_trace(), scenario, 2.0, ego_id="ego")
-    for k in range(pred.n_samples()):
-        assert pred.state("ego", k) == [0.0, 0.0]
+    for k in range(len(pred.times)):
+        assert pred.rows["ego"][k] == (0.0, 0.0)
 
 
 def test_forward_does_not_touch_input_trace():
@@ -168,10 +168,10 @@ def test_forward_does_not_touch_input_trace():
 def test_forward_propagates_relative_sets():
     scenario = built_acc()
     pred = forward_simulate(scenario.initial_trace(), scenario, 1.0, ego_id="follower")
-    assert pred.unsafe_ids() == []
+    assert not pred.unsafe
     spec = scenario.unsafe_by_id["unsafe1"]
-    for k in range(pred.n_samples()):
-        leader = pred.state("leader", k)[0]
+    for k in range(len(pred.times)):
+        leader = pred.rows["leader"][k][0]
         assert update_relative(spec, [leader]).center[0] == leader + 5.0
 
 
@@ -207,10 +207,10 @@ def test_sim_rta_decides_safety_when_closing_fast():
 def test_sim_rta_flip_prevents_entry():
     scenario = build_scenario(acc_scenario_config(rta=sim_rta_binding(horizon=1.0)))
     trace = execute(scenario)
-    assert Mode.SAFETY in trace.mode_trace("follower")
+    assert Mode.SAFETY in trace.modes["follower"]
     dists = [
-        trace.unsafe_def("unsafe1", k).distance([trace.state("follower", k)[0]])
-        for k in range(trace.n_samples())
+        trace.unsafe_def("unsafe1", k).distance([trace.rows["follower"][k][0]])
+        for k in range(len(trace.times))
     ]
     assert min(dists) > 0.0
 
@@ -233,9 +233,9 @@ def reach_boxes(scenario, trace, horizon, bloat_rate, ego_id):
 def test_reach_boxes_zero_bloat_degenerate():
     scenario = built_acc()
     pred, (lower, upper) = reach_boxes(scenario, scenario.initial_trace(), 1.0, 0.0, "follower")
-    assert lower.shape == upper.shape == (pred.n_samples(), 1)
-    for k in range(pred.n_samples()):
-        pos = pred.state("follower", k)[0]
+    assert lower.shape == upper.shape == (len(pred.times), 1)
+    for k in range(len(pred.times)):
+        pos = pred.rows["follower"][k][0]
         assert lower[k].tolist() == upper[k].tolist() == [pos]
 
 
@@ -258,8 +258,8 @@ def test_reach_boxes_contain_nominal_states():
         scenario = build_scenario(random_acc_config(rng))
         trace = scenario.initial_trace()
         pred, (lower, upper) = reach_boxes(scenario, trace, 1.0, 0.5, "follower")
-        for k in range(pred.n_samples()):
-            assert lower[k][0] <= pred.state("follower", k)[0] <= upper[k][0]
+        for k in range(len(pred.times)):
+            assert lower[k][0] <= pred.rows["follower"][k][0] <= upper[k][0]
 
 
 @pytest.mark.parametrize("make", [
@@ -296,7 +296,7 @@ def test_reach_rta_zero_bloat_matches_sim_rta():
         reach = ReachRta(horizon=1.0, bloat_rate=0.0)
         sim.bind(scenario, "follower")
         reach.bind(scenario, "follower")
-        for k in range(trace.n_samples() - 1):
+        for k in range(len(trace.times) - 1):
             prefix = trace.prefix(k)
             assert sim.decide(prefix) is reach.decide(prefix)
 
@@ -331,7 +331,7 @@ def test_reach_rta_safety_superset_of_sim_rta():
         reach = ReachRta(horizon=1.0, bloat_rate=0.5)
         sim.bind(scenario, "follower")
         reach.bind(scenario, "follower")
-        for k in range(trace.n_samples() - 1):
+        for k in range(len(trace.times) - 1):
             prefix = trace.prefix(k)
             if sim.decide(prefix) is Mode.SAFETY:
                 assert reach.decide(prefix) is Mode.SAFETY
@@ -353,16 +353,16 @@ def per_step_reference(logic, pred):
     for set_id, spec in scenario.unsafe_by_id.items():
         if isinstance(spec, RelativeSetSpec) and spec.anchor_id == logic.ego_id:
             continue
-        for k in range(pred.n_samples()):
+        for k in range(len(pred.times)):
             if set_id in scenario.static_sets:
                 set_def = scenario.static_sets[set_id]
             else:
-                anchor = scenario.position(spec.anchor_id, pred.state(spec.anchor_id, k))
+                anchor = pred.rows[spec.anchor_id][k][:scenario.workspace_dim]
                 set_def = update_relative(spec, anchor)
             if reach:
                 hit = box_intersects(set_def, lower[k], upper[k])
             else:
-                hit = set_def.contains(model.position(pred.state(logic.ego_id, k)))
+                hit = set_def.contains(pred.rows[logic.ego_id][k][:model.position_dim])
             if hit:
                 return Mode.SAFETY
     return Mode.UNTRUSTED
@@ -437,7 +437,7 @@ def test_decisions_match_a_per_step_reference_on_shipped_configs(doc, sim_modes,
 
             logic.decide = checked
     trace = execute(scenario)
-    assert len(decided) == len(bound) * (trace.n_samples() - 1)
+    assert len(decided) == len(bound) * (len(trace.times) - 1)
     assert [i for i, (got, want) in enumerate(decided) if got is not want] == []
     assert {got for got, _ in decided} == (sim_modes if kind == "sim" else BOTH_MODES)
 
@@ -451,7 +451,7 @@ def test_a_set_anchored_to_the_ego_does_not_hold_it_in_safety(kind):
         doc["agents"][0]["rta"] = {"type": kind, "horizon": 1.0}
         if not with_ball:
             doc["unsafe_sets"] = [s for s in doc["unsafe_sets"] if s["id"] != "leader_ball"]
-        return execute(build_scenario(config_from_dict(doc))).mode_trace("leader")
+        return execute(build_scenario(config_from_dict(doc))).modes["leader"]
 
     modes = leader_modes(with_ball=True)
     assert Mode.UNTRUSTED in modes
@@ -469,7 +469,7 @@ def test_decisions_parse_no_set_payload(name, monkeypatch):
         monkeypatch.setattr(module, "set_from_payload",
                             lambda *args, real=real: parses.append(args) or real(*args))
     trace = execute(scenario)
-    assert trace.unsafe_ids() and parses == []
+    assert trace.unsafe and parses == []
 
 
 @pytest.mark.parametrize("name", ["acc_sim_rta.json", "dubins.json"])
@@ -488,10 +488,10 @@ def test_anchored_sets_resolve_for_executed_samples_only(name, monkeypatch):
     trace = execute(scenario)
     anchored = [s for s in scenario.unsafe_by_id.values() if isinstance(s, RelativeSetSpec)]
     egos = [spec.model.agent_id for spec in scenario.config.agents if spec.rta is not None]
-    decisions = trace.n_samples() - 1
+    decisions = len(trace.times) - 1
     assert anchored and egos
-    assert len(calls["resolve"]) == len(anchored) * trace.n_samples()
+    assert len(calls["resolve"]) == len(anchored) * len(trace.times)
     assert len(calls["decide"]) == decisions * sum(s.anchor_id != ego
                                                    for ego in egos for s in anchored)
     pred = forward_simulate(trace.prefix(0), scenario, 1.0, ego_id=egos[0])
-    assert pred.n_samples() > 1 and pred.unsafe_ids() == []
+    assert len(pred.times) > 1 and not pred.unsafe

@@ -10,13 +10,17 @@ from rtakit import (
     AccAgent,
     AgentSpec,
     Ball,
+    DubinsCarAgent,
     ExecutionTrace,
     Mode,
     RelativeSetSpec,
+    RtaBinding,
+    RtaError,
     ScenarioConfig,
     ScenarioMetadata,
     ScenarioError,
     ScenarioRuntimeError,
+    SimRta,
     StaticSetSpec,
     build_report,
     build_scenario,
@@ -50,7 +54,7 @@ def test_build_resolves_initial_relative_ball():
 
 def test_build_accepts_empty_unsafe():
     scenario = build_scenario(single_agent_config())
-    assert scenario.unsafe_ids() == []
+    assert not scenario.unsafe_by_id
 
 
 def test_build_rejects_duplicate_agent_ids():
@@ -112,14 +116,24 @@ def test_build_rejects_nonfinite_initial_state(bad):
         build_scenario(config)
 
 
-def test_build_rejects_positions_off_the_leading_components():
-    class Sideways(AccAgent):
-        # Decisions would read component 1, evaluation component 0.
-        position_indices = (1,)
+def test_build_rejects_a_position_dim_off_the_workspace():
+    class Planar(AccAgent):
+        # Decisions and evaluation read the leading workspace_dim components.
+        position_dim = 2
 
     config = single_agent_config()
-    config.agents = [AgentSpec(Sideways("crab"), [0.0, 1.0], Mode.NORMAL, None)]
-    with pytest.raises(ScenarioError, match=r"agent 'crab': model position_indices \(1,\)"):
+    config.agents = [AgentSpec(Planar("crab"), [0.0, 1.0], Mode.NORMAL, None)]
+    with pytest.raises(ScenarioError,
+                       match=r"agent 'crab': model position_dim 2 != workspace dimension 1"):
+        build_scenario(config)
+
+
+def test_build_rejects_dangling_leader():
+    # A leader that names no agent used to fail only at the first step that
+    # read it; without one (NORMAL here) it was never found.
+    config = single_agent_config()
+    config.agents = [AgentSpec(AccAgent("solo", leader_id="ghost"), [0.0, 1.0], Mode.NORMAL)]
+    with pytest.raises(ScenarioError, match="agent 'solo': leader 'ghost' does not name an agent"):
         build_scenario(config)
 
 
@@ -146,7 +160,7 @@ def test_execute_constant_velocity_grid():
         [0.1, 0.1, 1.0],
         [0.2, 0.2, 1.0],
     ]
-    assert trace.mode_trace("solo") == [Mode.NORMAL, Mode.NORMAL]
+    assert trace.modes["solo"] == [Mode.NORMAL, Mode.NORMAL]
 
 
 def test_execute_is_deterministic():
@@ -191,7 +205,7 @@ def eval_output_digest(trace, outdir: Path) -> str:
     and hash every file written, in file-name order."""
     loaded = ExecutionTrace.from_dict(json.loads(trace.to_json()))
     timings = {aid: [0.001 * (i + 1), 0.0025, 0.5 / (i + 3)]
-               for i, aid in enumerate(loaded.agent_ids())}
+               for i, aid in enumerate(loaded.rows)}
     report = build_report(loaded, ScenarioMetadata.from_trace(loaded), timings)
     outdir.mkdir()
     (outdir / "summary.txt").write_text(report.to_text())
@@ -222,8 +236,8 @@ def test_timestamps_are_exact_grid_multiples():
 
 def test_agents_without_rta_keep_configured_mode():
     trace = execute(build_scenario(acc_scenario_config()))
-    assert all(m is Mode.UNTRUSTED for m in trace.mode_trace("follower"))
-    assert all(m is Mode.NORMAL for m in trace.mode_trace("leader"))
+    assert all(m is Mode.UNTRUSTED for m in trace.modes["follower"])
+    assert all(m is Mode.NORMAL for m in trace.modes["leader"])
 
 
 def test_unsafe_entries_carry_known_type():
@@ -234,9 +248,9 @@ def test_unsafe_entries_carry_known_type():
 def test_relative_ball_tracks_anchor_exactly():
     scenario = build_scenario(acc_scenario_config())
     trace = execute(scenario)
-    for k in range(trace.n_samples()):
+    for k in range(len(trace.times)):
         center = trace.unsafe["unsafe1"][k][0]
-        leader_pos = trace.state("leader", k)[0]
+        leader_pos = trace.rows["leader"][k][0]
         assert center[0] == leader_pos + 5.0  # same arithmetic, zero tolerance
 
 
@@ -250,7 +264,7 @@ def test_static_set_payload_is_built_once(monkeypatch):
     trace = execute(scenario)
     assert len(built) == 1
     assert scenario.static_sets == {"wall": config.unsafe_sets[0].base}
-    assert trace.n_samples() == 6
+    assert len(trace.times) == 6
     shared = trace.unsafe["wall"][0]
     assert shared == [[9.0], 1.0]
     assert all(trace.unsafe["wall"][k] is shared for k in range(6))
@@ -263,8 +277,8 @@ def test_executed_trace_validates_against_schema():
 
 def test_mode_trace_one_shorter_than_state_trace():
     trace = execute(build_scenario(acc_scenario_config()))
-    for aid in trace.agent_ids():
-        assert len(trace.mode_trace(aid)) == trace.n_samples() - 1
+    for aid in trace.rows:
+        assert len(trace.modes[aid]) == len(trace.times) - 1
 
 
 def test_step_failure_reports_agent_and_time():
@@ -278,6 +292,28 @@ def test_step_failure_reports_agent_and_time():
     config.agents = [AgentSpec(Exploding("frail"), [0.0, 1.0], Mode.NORMAL, None)]
     with pytest.raises(ScenarioRuntimeError, match="frail.*t=0.2"):
         execute(build_scenario(config))
+
+
+class Forgetful(DubinsCarAgent):
+    def remember(self, memory, state):
+        if state[0] > 0.3:  # from the fourth sample, at 0.3
+            raise KeyError("lost")
+        return super().remember(memory, state)
+
+
+def forgetful_config(rta=None):
+    car = Forgetful("car", waypoints=[[5.0, 0.0]])
+    return ScenarioConfig(agents=[AgentSpec(car, [0.0, 0.0, 0.0, 1.0], Mode.NORMAL, rta)],
+                          dt=0.1, horizon=1.0, workspace_dim=2)
+
+
+def test_remember_failure_reports_agent_and_time():
+    # The KeyError used to escape `execute` bare, naming neither.
+    with pytest.raises(ScenarioRuntimeError, match=r"car.*t=0\.3") as executed:
+        execute(build_scenario(forgetful_config()))
+    with pytest.raises(RtaError) as decided:
+        execute(build_scenario(forgetful_config(RtaBinding(SimRta(horizon=1.0)))))
+    assert str(decided.value) == f"RTA logic for agent 'car' failed: {executed.value}"
 
 
 def with_output(config, agent_id, tick, output):
@@ -357,15 +393,15 @@ def test_snapshot_floor_semantics():
     trace = execute(build_scenario(acc_scenario_config()))
     state = snapshot(trace, 0.15)
     assert state.t == pytest.approx(0.1)
-    assert state.states["follower"] == trace.state("follower", 1)
+    assert state.states["follower"] == list(trace.rows["follower"][1])
 
 
 def test_snapshot_final_carries_last_modes():
     trace = execute(build_scenario(acc_scenario_config(horizon=1.0)))
     state = snapshot(trace, 1.0)
     assert state.t == pytest.approx(1.0)
-    assert state.modes["follower"] is trace.mode_trace("follower")[-1]
-    assert state.states["follower"] == trace.state("follower", trace.n_samples() - 1)
+    assert state.modes["follower"] is trace.modes["follower"][-1]
+    assert state.states["follower"] == list(trace.rows["follower"][-1])
 
 
 def test_snapshot_out_of_range():

@@ -204,11 +204,11 @@ def test_prefix_slices_states_and_modes():
     )
     pre = trace.prefix(1)
     assert pre.timestamps() == [0.0, 0.1]
-    assert pre.mode_trace("a") == [Mode.UNTRUSTED]
+    assert pre.modes["a"] == [Mode.UNTRUSTED]
     # slicing shares no list structure with the source
     pre.append_sample(0.2, {"a": [9.0]}, {"a": Mode.SAFETY})
-    assert trace.state("a", 2) == [2.0]
-    assert trace.mode_trace("a") == [Mode.UNTRUSTED, Mode.SAFETY]
+    assert trace.rows["a"][2] == (2.0,)
+    assert trace.modes["a"] == [Mode.UNTRUSTED, Mode.SAFETY]
 
 
 def test_latest_shares_the_last_rows():
@@ -217,14 +217,14 @@ def test_latest_shares_the_last_rows():
     last = trace.latest()
     assert last.timestamps() == [0.1]
     assert last.rows["a"][0] is trace.rows["a"][-1]
-    assert last.mode_trace("a") == [] and last.unsafe_ids() == []
+    assert last.modes["a"] == [] and not last.unsafe
 
 
 def test_append_sample_needs_every_agent():
     trace = make_trace({"a": [[0.0, 0.0]], "b": [[0.0, 5.0]]})
     with pytest.raises(ValueError, match="trace holds agents"):
         trace.append_sample(0.1, {"a": [1.0]})
-    assert trace.n_samples() == 1
+    assert len(trace.times) == 1
     with pytest.raises(ValueError, match="after the first sample"):
         trace.add_agent("c")
 
@@ -237,7 +237,7 @@ def test_append_sample_needs_every_set_payload():
         trace.append_sample(0.0, {"a": [0.0]})
     with pytest.raises(ValueError, match="trace holds sets"):
         trace.append_sample(0.0, {"a": [0.0]}, None, {"door": [1.0]})
-    assert trace.n_samples() == 0
+    assert len(trace.times) == 0
     trace.append_sample(0.0, {"a": [0.0]}, None, {"wall": [3.0]})
     assert trace.unsafe == {"wall": [[3.0]]} and trace.kinds == {"wall": "point"}
     assert trace.to_dict()["unsafe"] == {"wall": {"type": "point", "state_trace": [[0.0, [3.0]]]}}
