@@ -6,8 +6,10 @@ of the tick it steps from: by agent id, every agent's pre-step state and the
 memory of every agent that keeps one. Memory is the discrete part of an
 agent's state that its controllers carry between ticks, such as a route's
 active waypoint; `remember(memory, state)` gives the memory after a
-recorded state, and the scenario folds it over a trace's rows. The mode
-selects the controller:
+recorded state, and the scenario folds it over a trace's rows. A built-in
+model reads two entries of the view: its `leader_id`'s state and its own
+memory. A custom goal comes from a subclass that overrides `goal_state`
+(cruise) or `goal_position` (car, plane). The mode selects the controller:
 
     SAFETY     well-tested conservative controller
     UNTRUSTED  experimental high-performance controller (no guarantee)
@@ -148,15 +150,12 @@ class AccAgent(AgentModel):
     position_dim = 1
 
     def __init__(self, agent_id, params: AccParams | None = None,
-                 leader_id: str | None = None, goal_fn=None):
+                 leader_id: str | None = None):
         super().__init__(agent_id)
         self.params = params or self.params_type()
         self.leader_id = leader_id
-        self.goal_fn = goal_fn
 
     def goal_state(self, view: View) -> list[float] | None:
-        if self.goal_fn is not None:
-            return list(self.goal_fn(view))
         if self.leader_id is None:
             return None
         lead = self._leader_state(view)
@@ -228,10 +227,10 @@ class DubinsCarAgent(AgentModel):
 
     UNTRUSTED steers toward the goal at the cruise speed and needs one.
     SAFETY steers toward the goal, if there is one, while slowing to the
-    safe speed; without a goal it holds its heading. Goals come from a
-    waypoint list, a leader (position + formation offset), or a custom
-    callable. A car with waypoints keeps memory: the index of its active
-    waypoint.
+    safe speed; without a goal it holds its heading. The goal comes from
+    one source, fixed at construction: a leader (its position plus an
+    optional formation offset), a waypoint list, or none. A car with
+    waypoints keeps memory: the index of its active waypoint.
     """
 
     model_name = "dubins_car"
@@ -241,22 +240,23 @@ class DubinsCarAgent(AgentModel):
 
     def __init__(self, agent_id, params: DubinsCarParams | None = None,
                  waypoints=None, leader_id: str | None = None,
-                 formation_offset=None, goal_fn=None):
+                 formation_offset=None):
         super().__init__(agent_id)
         self.params = params or self.params_type()
+        if waypoints and leader_id is not None:
+            raise ValueError("waypoints and leader_id exclude each other")
+        if formation_offset is not None and leader_id is None:
+            raise ValueError("formation_offset needs a leader_id")
         dim = self.position_dim
-        self.waypoints = (
-            [_point(w, f"waypoint {j}", dim) for j, w in enumerate(waypoints)]
-            if waypoints else None
-        )
-        if self.waypoints:
-            self.initial_memory = 0
         self.leader_id = leader_id
+        self.waypoints = None
+        if waypoints:
+            self.waypoints = [_point(w, f"waypoint {j}", dim) for j, w in enumerate(waypoints)]
+            self.initial_memory = 0
         self.formation_offset = (
             _point(formation_offset, "formation_offset", dim)
             if formation_offset is not None else None
         )
-        self.goal_fn = goal_fn
 
     def remember(self, memory, state):
         """Capture every waypoint from the active one on that lies within
@@ -269,8 +269,6 @@ class DubinsCarAgent(AgentModel):
         return memory
 
     def goal_position(self, view: View) -> list[float] | None:
-        if self.goal_fn is not None:
-            return list(self.goal_fn(view))
         if self.leader_id is not None:
             lead = self._leader_state(view)[:self.position_dim]
             if self.formation_offset is None:

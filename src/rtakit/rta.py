@@ -13,13 +13,14 @@ returns. Two reference logics ship with the package:
               relative to SimRta by construction.
 
 Both test each unsafe set once per decision, over the whole predicted
-horizon, and read no set payload from a trace. A static set is the
-definition the bound scenario built (`Scenario.static_sets`). A set anchored
-to an agent is its base set moved along the anchor's predicted positions, a
-row-aligned stack (see the geometry module): predicted step k of the ego is
-tested against the set where the anchor is at step k. A set anchored to the
-ego itself is skipped, since the ego is always at its own set: a leader that
-carries a ball for its followers is not held in SAFETY by that ball.
+horizon, in config order, and read no set payload from a trace. A static
+set is the definition the bound scenario built (`Scenario.static_sets`). A
+set of `Scenario.anchored` is its base set moved along its anchor's
+predicted positions, a row-aligned stack (see the geometry module):
+predicted step k of the ego is tested against the set where the anchor is
+at step k. A set anchored to the ego itself is skipped, since the ego is
+always at its own set: a leader that carries a ball for its followers is
+not held in SAFETY by that ball.
 
 The prediction is the closed loop's own rollout (`scenario.predict`): every
 agent steps from the same view and memory as it would in execution, so a
@@ -45,7 +46,7 @@ from .trace import ExecutionTrace
 
 
 class RtaError(RuntimeError):
-    """A decision logic failed; carries the ego agent id in the message."""
+    """A decision logic failed; its message names the ego and the time."""
 
 
 class RtaLogic:
@@ -83,12 +84,11 @@ class RtaLogic:
         along the anchor's predicted positions. A set anchored to the ego is
         skipped."""
         scenario = self.scenario
-        for set_id, spec in scenario.unsafe_by_id.items():
-            if set_id in scenario.static_sets:
-                set_def = scenario.static_sets[set_id]
-            elif spec.anchor_id == self.ego_id:
-                continue
-            else:
+        for spec in scenario.config.unsafe_sets:
+            set_def = scenario.static_sets.get(spec.set_id)
+            if set_def is None:
+                if spec.anchor_id == self.ego_id:
+                    continue
                 path = _positions(pred, spec.anchor_id, scenario.workspace_dim)
                 set_def = geometry.update_relative(spec, path)
             if hits(set_def):
@@ -109,9 +109,8 @@ class RtaBinding:
         try:
             mode = self.logic.decide(trace)
         except Exception as exc:
-            raise RtaError(
-                f"RTA logic for agent {self.logic.ego_id!r} failed: {exc}"
-            ) from exc
+            raise RtaError(f"RTA logic for agent {self.logic.ego_id!r} failed "
+                           f"at t={trace.times[-1]:g}: {exc}") from exc
         duration = time.perf_counter() - start
         self.collector.collect_computation_time(duration)
         return mode
@@ -155,13 +154,13 @@ def _positions(pred: ExecutionTrace, agent_id: str, dim: int) -> np.ndarray:
     return np.array(pred.rows[agent_id])[:, :dim]
 
 
-def boxes_from_prediction(pred: ExecutionTrace, model, ego_id: str, bloat_rate: float,
+def boxes_from_prediction(pred: ExecutionTrace, ego_id: str, dim: int, bloat_rate: float,
                           dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) corner stacks (n, dim) of the axis-aligned boxes
     around the nominal predicted positions; the per-axis inflation at
     predicted step k (k = 0 is the current state) is bloat_rate * k * dt,
     rounded as that scalar product is."""
-    pos = _positions(pred, ego_id, model.position_dim)
+    pos = _positions(pred, ego_id, dim)
     r = (bloat_rate * np.arange(len(pos)) * dt)[:, None]
     return pos - r, pos + r
 
@@ -182,10 +181,10 @@ class ReachRta(RtaLogic):
         self.bloat_rate = float(bloat_rate)
 
     def decide(self, trace: ExecutionTrace) -> Mode:
-        pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
-        model = self.scenario.agents_by_id[self.ego_id].model
-        lower, upper = boxes_from_prediction(pred, model, self.ego_id, self.bloat_rate,
-                                             self.scenario.dt)
+        scenario = self.scenario
+        pred = forward_simulate(trace, scenario, self.horizon, ego_id=self.ego_id)
+        lower, upper = boxes_from_prediction(pred, self.ego_id, scenario.workspace_dim,
+                                             self.bloat_rate, scenario.dt)
         if self._enters_unsafe(pred, lambda s: box_intersects(s, lower, upper)):
             return Mode.SAFETY
         return Mode.UNTRUSTED

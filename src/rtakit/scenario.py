@@ -27,14 +27,15 @@ built by hand or cut by `prefix` gets the same memory.
 
 A prediction holds agent states and memory only, no unsafe set, so a set
 payload is resolved only for an executed sample. An executed trace records
-every set. Decisions read a static set from `Scenario.static_sets` and move
-an anchored set along its anchor's predicted states (see the rta module).
+every set. `Scenario` splits the sets once, when it is built: a static set's
+definition goes to `Scenario.static_sets`, an anchored set's spec to
+`Scenario.anchored`. Decisions read the first and move the second along its
+anchor's predicted states (see the rta module).
 
 The engine is single-threaded and owns its trace during execution. A static
-set's definition (`Scenario.static_sets`) and its payload are built once per
-scenario; the payload is appended to every sample of every executed trace,
-so payloads in a trace must not be mutated; apart from them, distinct
-executions share nothing.
+set's payload is built once per scenario and appended to every sample of
+every executed trace, so payloads in a trace must not be mutated; apart
+from them, distinct executions share nothing.
 """
 from __future__ import annotations
 
@@ -86,12 +87,14 @@ class Scenario:
         self.dt = float(config.dt)
         self.workspace_dim = int(config.workspace_dim)
         self.agents_by_id = {spec.model.agent_id: spec for spec in config.agents}
-        self.unsafe_by_id = {s.set_id: s for s in config.unsafe_sets}
         self.n_steps = grid_steps(float(config.horizon), self.dt)
-        self.static_sets: dict[str, SetDef] = {
-            s.set_id: s.base
-            for s in config.unsafe_sets if not isinstance(s, RelativeSetSpec)
-        }
+        self.static_sets: dict[str, SetDef] = {}
+        self.anchored: dict[str, RelativeSetSpec] = {}
+        for s in config.unsafe_sets:
+            if isinstance(s, RelativeSetSpec):
+                self.anchored[s.set_id] = s
+            else:
+                self.static_sets[s.set_id] = s.base
         # A static set's payload never changes, so every sample shares one.
         self._static_payloads = {sid: s.payload() for sid, s in self.static_sets.items()}
         self._models = [(spec.model.agent_id, spec.model) for spec in config.agents]
@@ -106,12 +109,9 @@ class Scenario:
         return modes[-1] if modes else self.agents_by_id[agent_id].init_mode
 
     def initial_trace(self) -> ExecutionTrace:
-        trace = ExecutionTrace()
-        for aid, _ in self._models:
-            trace.add_agent(aid)
-        for uspec in self.config.unsafe_sets:
-            trace.add_unsafe_set(uspec.set_id, uspec.base.kind)
-        states = {spec.model.agent_id: spec.init_state for spec in self.config.agents}
+        trace = ExecutionTrace(self.agents_by_id,
+                               {s.set_id: s.base.kind for s in self.config.unsafe_sets})
+        states = {aid: spec.init_state for aid, spec in self.agents_by_id.items()}
         trace.append_sample(0.0, states, None, self._payloads(states, 0.0))
         return trace
 
@@ -119,17 +119,16 @@ class Scenario:
         """The payload of every unsafe set at t, an anchored set resolved
         against `states`."""
         payloads = dict(self._static_payloads)
-        for sid, uspec in self.unsafe_by_id.items():
-            if isinstance(uspec, RelativeSetSpec):
-                anchor = uspec.anchor_id
-                try:
-                    moved = update_relative(uspec, states[anchor][:self.workspace_dim])
-                except GeometryError as exc:
-                    raise ScenarioRuntimeError(
-                        f"unsafe set {sid!r} anchored to agent {anchor!r} failed to "
-                        f"resolve at t={t:g}: {exc}"
-                    ) from exc
-                payloads[sid] = moved.payload()
+        for sid, uspec in self.anchored.items():
+            anchor = uspec.anchor_id
+            try:
+                moved = update_relative(uspec, states[anchor][:self.workspace_dim])
+            except GeometryError as exc:
+                raise ScenarioRuntimeError(
+                    f"unsafe set {sid!r} anchored to agent {anchor!r} failed to "
+                    f"resolve at t={t:g}: {exc}"
+                ) from exc
+            payloads[sid] = moved.payload()
         return payloads
 
     def memory(self, trace: ExecutionTrace) -> dict[str, object]:
@@ -225,6 +224,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                 f"agent {aid!r}: model position_dim {spec.model.position_dim} "
                 f"!= workspace dimension {config.workspace_dim}"
             )
+        if spec.model.position_dim > spec.model.state_dim:
+            raise ScenarioError(f"agent {aid!r}: model position_dim {spec.model.position_dim} "
+                                f"exceeds its state_dim {spec.model.state_dim}")
         if not isinstance(spec.init_mode, Mode):
             raise ScenarioError(f"agent {aid!r}: initial mode must be a Mode")
         if spec.rta is not None and sum(o.rta is spec.rta for o in config.agents) > 1:
@@ -291,8 +293,8 @@ def predict(scenario: Scenario, trace: ExecutionTrace,
     Returns a fresh trace of agent states whose first sample is the current
     one (its rows shared with `trace`; rows are immutable), with the agents'
     memory at that sample and no unsafe set: static
-    sets are in `scenario.static_sets`, and an anchored set at predicted
-    step k is `update_relative(spec, anchor position at k)`. Timestamps
+    sets are in `scenario.static_sets`, and a set of `scenario.anchored` at
+    predicted step k is `update_relative(spec, anchor position at k)`. Timestamps
     continue the k*dt grid. The input trace is not touched, apart from
     extending its memory fold.
     """

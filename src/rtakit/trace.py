@@ -18,11 +18,12 @@ In memory an ExecutionTrace is columnar: one `times` list shared by every
 agent and set, one list of state rows per agent in `rows` (a row is a tuple
 of floats without its timestamp), one list of modes per agent in `modes`,
 one kind per set in `kinds` and one list of payloads per set in `unsafe`.
-These columns are the read API. Rows are immutable, so a trace, a prefix
-cut from it and a prediction seeded from it share them without copies;
-payloads are shared the same way and must not be mutated. `append_sample` is the one way to add a
-sample. `to_dict` builds the wire rows; `from_dict` checks and splits
-them in one walk.
+These columns are the read API; the constructor makes them all, empty.
+Rows are immutable, so a trace, a prefix cut from it and a prediction
+seeded from it share them without copies; payloads are shared the same way
+and must not be mutated. `append_sample` is the one way to add a sample.
+`to_dict` builds the wire rows; `from_dict` checks and splits them in one
+walk.
 """
 from __future__ import annotations
 
@@ -47,35 +48,23 @@ class TraceSchemaError(ValueError):
 class ExecutionTrace:
     """Mutable during execution, treated as immutable once complete."""
 
-    def __init__(self):
+    def __init__(self, agent_ids=(), kinds: dict[str, str] | None = None):
+        """Empty columns for the agents and for the sets, a kind by set id."""
         self.times: list[float] = []
         self.rows: dict[str, list[tuple[float, ...]]] = {}
-        self.modes: dict[str, list[Mode]] = {}
-        self.kinds: dict[str, str] = {}
-        self.unsafe: dict[str, list] = {}
+        for aid in agent_ids:
+            if aid in self.rows:
+                raise ValueError(f"duplicate agent id {aid!r}")
+            self.rows[aid] = []
+        self.modes: dict[str, list[Mode]] = {aid: [] for aid in self.rows}
+        self.kinds: dict[str, str] = dict(kinds or {})
+        for kind in self.kinds.values():
+            if kind not in SET_KINDS:
+                raise ValueError(f"unknown set type {kind!r}")
+        self.unsafe: dict[str, list] = {sid: [] for sid in self.kinds}
         # (samples folded, agent memory after them), kept by
         # `Scenario.memory`; in process only, never serialized.
         self.memory: tuple[int, dict] | None = None
-
-    # -- construction ----------------------------------------------------
-
-    def add_agent(self, agent_id: str):
-        if agent_id in self.rows:
-            raise ValueError(f"duplicate agent id {agent_id!r}")
-        if self.times:
-            raise ValueError(f"agent {agent_id!r} added after the first sample")
-        self.rows[agent_id] = []
-        self.modes[agent_id] = []
-
-    def add_unsafe_set(self, set_id: str, kind: str):
-        if set_id in self.unsafe:
-            raise ValueError(f"duplicate unsafe set id {set_id!r}")
-        if kind not in SET_KINDS:
-            raise ValueError(f"unknown set type {kind!r}")
-        if self.times:
-            raise ValueError(f"unsafe set {set_id!r} added after the first sample")
-        self.kinds[set_id] = kind
-        self.unsafe[set_id] = []
 
     def append_sample(self, t: float, states: dict, modes: dict | None = None,
                       payloads: dict | None = None):

@@ -95,11 +95,7 @@ def make_trace(agent_states: dict[str, list[list[float]]],
                sets: dict[str, tuple[str, list]] | None = None) -> ExecutionTrace:
     """Build a trace from {agent: [[t, s0, s1, ...], ...]} rows and
     {set: (kind, [payload per sample])} columns."""
-    trace = ExecutionTrace()
-    for aid in agent_states:
-        trace.add_agent(aid)
-    for sid, (kind, _) in (sets or {}).items():
-        trace.add_unsafe_set(sid, kind)
+    trace = ExecutionTrace(agent_states, {sid: kind for sid, (kind, _) in (sets or {}).items()})
     for k, rows in enumerate(zip(*agent_states.values())):
         taken = {aid: m[k - 1] for aid, m in modes.items()} if modes and k else None
         payloads = {sid: column[k] for sid, (_, column) in sets.items()} if sets else None

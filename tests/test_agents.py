@@ -1,6 +1,7 @@
 """Agent models: controller selection, Euler updates, bounds, determinism."""
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from rtakit import (
     DubinsPlaneParams,
     Mode,
     View,
+    build_scenario,
+    config_from_dict,
+    execute,
 )
 from rtakit.agents import wrap_angle
-from helpers import acc_euler_step
+from helpers import acc_euler_step, config_docs
 
 
 def leader_view(p=5.0, v=1.0):
@@ -150,9 +154,9 @@ def test_car_normal_along_y():
 
 def test_car_heading_tracks_goal_bearing():
     params = DubinsCarParams(k_heading=1.0)
-    car = DubinsCarAgent("car", params, goal_fn=lambda view: [1.0, 1.0])
+    car = DubinsCarAgent("car", params, waypoints=[[1.0, 1.0]])
     got = car.step(Mode.UNTRUSTED, [0.0, 0.0, 0.0, 1.0], 0.1,
-                   View({"car": [0, 0, 0, 1]}, {}))
+                   View({"car": [0, 0, 0, 1]}, {"car": 0}))
     assert got[2] == pytest.approx(1.0 * (math.pi / 4) * 0.1, abs=1e-12)
 
 
@@ -170,8 +174,8 @@ def test_car_zero_steer_conserves_speed_and_step_length():
 
 def test_car_speed_stays_in_bounds():
     params = DubinsCarParams(v_max=2.0, v_cruise=2.0, v_safe=0.0, k_speed=10.0)
-    car = DubinsCarAgent("car", params, goal_fn=lambda view: [100.0, 0.0])
-    view = View({"car": [0, 0, 0, 1]}, {})
+    car = DubinsCarAgent("car", params, waypoints=[[100.0, 0.0]])
+    view = View({"car": [0, 0, 0, 1]}, {"car": 0})
     state = [0.0, 0.0, 0.0, 1.9]
     for mode in (Mode.UNTRUSTED, Mode.SAFETY):
         nxt = car.step(mode, state, 0.5, view)
@@ -232,9 +236,9 @@ def test_plane_climb_rate():
 
 
 def test_plane_safety_pitches_up_monotonically():
-    plane = DubinsPlaneAgent("plane", goal_fn=lambda view: [100.0, 0.0, 0.0])
+    plane = DubinsPlaneAgent("plane", waypoints=[[100.0, 0.0, 0.0]])
     state = [0.0, 0.0, 10.0, 0.0, -0.1, 2.0]
-    view = plane_view(state)
+    view = plane_view(state, memory=0)
     gammas = [state[4]]
     for _ in range(10):
         state = plane.step(Mode.SAFETY, state, 0.1, view)
@@ -281,8 +285,8 @@ def test_steps_are_deterministic():
     acc = AccAgent("ego", leader_id="leader")
     assert acc.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, view) == \
         acc.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, view)
-    car = DubinsCarAgent("car", goal_fn=lambda v: [3.0, 3.0])
-    cview = View({"car": [0, 0, 0, 1]}, {})
+    car = DubinsCarAgent("car", waypoints=[[3.0, 3.0]])
+    cview = View({"car": [0, 0, 0, 1]}, {"car": 0})
     assert car.step(Mode.UNTRUSTED, [0, 0, 0, 1], 0.1, cview) == \
         car.step(Mode.UNTRUSTED, [0, 0, 0, 1], 0.1, cview)
 
@@ -295,3 +299,45 @@ def test_wrap_angle_range():
         assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-9)
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
 
+
+# -- what a step reads ---------------------------------------------------------
+
+class ReadLog(Mapping):
+    """A read-only mapping that adds every key read from it to `reads`;
+    iterating it reads every key."""
+
+    def __init__(self, data, reads):
+        self._data, self.reads = data, reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return self._data[key]
+
+    def __iter__(self):
+        self.reads.update(self._data)
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+@pytest.mark.parametrize("doc", config_docs())
+def test_built_in_agents_read_their_leader_and_own_memory_only(doc):
+    """Executed and predicted steps alike read no agent's state but the
+    leader's and no memory but the agent's own."""
+    scenario = build_scenario(config_from_dict(doc))
+    reads = {}
+    for spec in scenario.config.agents:
+        model = spec.model
+        states, memory = reads[model.agent_id] = set(), set()
+
+        def step(mode, state, dt, view, real=model.step, states=states, memory=memory):
+            return real(mode, state, dt, View(ReadLog(view.states, states),
+                                              ReadLog(view.memory, memory)))
+
+        model.step = step
+    execute(scenario)
+    assert any(states or memory for states, memory in reads.values())
+    for aid, (states, memory) in reads.items():
+        assert states <= {scenario.agents_by_id[aid].model.leader_id}, aid
+        assert memory <= {aid}, aid

@@ -136,6 +136,23 @@ def test_run_rejects_points_off_the_position_dim(tmp_path, capsys, agent, key, v
     assert f"agents[{agent}].params" in err and "position_dim = 2" in err
 
 
+@pytest.mark.parametrize("wire", [
+    lambda params: params.pop("leader_id"),
+    lambda params: params.update(waypoints=[[1.0, 1.0]]),
+], ids=["offset-without-leader", "waypoints-and-leader"])
+def test_run_rejects_a_car_without_exactly_one_goal_source(tmp_path, capsys, wire):
+    # Without an RTA, the first used to fail at the first step ("has no goal
+    # provider", exit 3) and the second ran and ignored the waypoints.
+    doc = json.loads((CONFIGS / "dubins.json").read_text())
+    for agent in doc["agents"]:
+        agent.pop("rta", None)
+    wire(doc["agents"][1]["params"])
+    code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    assert "agents[1].params" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("params", [[1, 2], "ab"])
 def test_run_params_must_be_an_object(tmp_path, capsys, params):
     doc = acc_doc()

@@ -33,8 +33,7 @@ def one_step_misses(scenario, trace):
     the executed sample k + 1 in a state or an anchored set's payload, the
     set resolved at the predicted anchor state."""
     agents = list(trace.rows)
-    anchored = [scenario.unsafe_by_id[sid] for sid in trace.unsafe
-                if sid not in scenario.static_sets]
+    anchored = [scenario.anchored[sid] for sid in trace.unsafe if sid in scenario.anchored]
     misses = []
     for k in range(len(trace.times) - 1):
         modes = {aid: trace.modes[aid][k] for aid in agents}

@@ -53,12 +53,23 @@ def built_acc(rta=None, **kw):
     return build_scenario(acc_scenario_config(rta=rta, **kw))
 
 
+class GoalAcc(AccAgent):
+    """A cruise agent steering to `goal(view)`."""
+
+    def __init__(self, agent_id, params, goal):
+        super().__init__(agent_id, params)
+        self.goal = goal
+
+    def goal_state(self, view):
+        return list(self.goal(view))
+
+
 def stationary_config(ego_pos, ball_center, radius, goal=None, horizon=2.0):
     """Ego with zero velocity holding its own position as the goal, plus a
     static ball: the forward prediction is a fixed point."""
     params = AccParams()
     goal = goal if goal is not None else [ego_pos, 0.0]
-    ego = AccAgent("ego", params, goal_fn=lambda view: goal)
+    ego = GoalAcc("ego", params, lambda view: goal)
     return ScenarioConfig(
         agents=[AgentSpec(ego, [ego_pos, 0.0], Mode.UNTRUSTED, None)],
         unsafe_sets=[StaticSetSpec("ball", Ball([ball_center], radius))],
@@ -119,6 +130,29 @@ def test_logic_failure_carries_ego_id():
         binding.switch(scenario.initial_trace())
 
 
+class NonfiniteAcc(GoalAcc):
+    """A cruise agent whose position turns NaN past 5."""
+
+    def step(self, mode, state, dt, view):
+        p, v = super().step(mode, state, dt, view)
+        return [math.nan if p > 5.0 else p, v]
+
+
+def test_nonfinite_prediction_failure_reports_the_time():
+    # Used to read "RTA logic for agent 'ego' failed: point must be finite",
+    # without the time of the decision. The decision at t=0.3 is the first
+    # whose 0.5 s prediction passes position 5.
+    ego = NonfiniteAcc("ego", AccParams(), lambda view: [100.0, 0.0])
+    config = ScenarioConfig(
+        agents=[AgentSpec(ego, [0.0, 1.0], Mode.UNTRUSTED, RtaBinding(SimRta(horizon=0.5)))],
+        unsafe_sets=[StaticSetSpec("ball", Ball([50.0], 1.0))],
+        dt=0.1, horizon=2.0, workspace_dim=1,
+    )
+    with pytest.raises(RtaError, match=r"^RTA logic for agent 'ego' failed at t=0\.3: "
+                                       r"point must be finite"):
+        execute(build_scenario(config))
+
+
 # -- forward_simulate ----------------------------------------------------------
 
 def test_forward_minimal_horizon_is_one_step():
@@ -169,7 +203,7 @@ def test_forward_propagates_relative_sets():
     scenario = built_acc()
     pred = forward_simulate(scenario.initial_trace(), scenario, 1.0, ego_id="follower")
     assert not pred.unsafe
-    spec = scenario.unsafe_by_id["unsafe1"]
+    spec = scenario.anchored["unsafe1"]
     for k in range(len(pred.times)):
         leader = pred.rows["leader"][k][0]
         assert update_relative(spec, [leader]).center[0] == leader + 5.0
@@ -226,8 +260,8 @@ def test_sim_rta_inside_set_decides_safety_immediately():
 
 def reach_boxes(scenario, trace, horizon, bloat_rate, ego_id):
     pred = forward_simulate(trace, scenario, horizon, ego_id=ego_id)
-    model = scenario.agents_by_id[ego_id].model
-    return pred, boxes_from_prediction(pred, model, ego_id, bloat_rate, scenario.dt)
+    return pred, boxes_from_prediction(pred, ego_id, scenario.workspace_dim, bloat_rate,
+                                       scenario.dt)
 
 
 def test_reach_boxes_zero_bloat_degenerate():
@@ -243,7 +277,7 @@ def test_reach_boxes_linear_schedule_arithmetic():
     # ego whose goal is wherever it currently is: zero command, so the
     # nominal prediction coasts at speed 1 through positions 0.1*k
     config = stationary_config(0.0, 50.0, 1.0)
-    config.agents[0].model.goal_fn = lambda view: view.states["ego"]
+    config.agents[0].model.goal = lambda view: view.states["ego"]
     config.agents[0].init_state = [0.0, 1.0]
     scenario = build_scenario(config)
     # rate 1 at dt = 0.1: half-width 0.1 * k
@@ -348,9 +382,10 @@ def per_step_reference(logic, pred):
     model = scenario.agents_by_id[logic.ego_id].model
     reach = isinstance(logic, ReachRta)
     if reach:
-        lower, upper = boxes_from_prediction(pred, model, logic.ego_id, logic.bloat_rate,
-                                             scenario.dt)
-    for set_id, spec in scenario.unsafe_by_id.items():
+        lower, upper = boxes_from_prediction(pred, logic.ego_id, scenario.workspace_dim,
+                                             logic.bloat_rate, scenario.dt)
+    for spec in scenario.config.unsafe_sets:
+        set_id = spec.set_id
         if isinstance(spec, RelativeSetSpec) and spec.anchor_id == logic.ego_id:
             continue
         for k in range(len(pred.times)):
@@ -486,7 +521,7 @@ def test_anchored_sets_resolve_for_executed_samples_only(name, monkeypatch):
         monkeypatch.setattr(module, "update_relative",
                             lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
     trace = execute(scenario)
-    anchored = [s for s in scenario.unsafe_by_id.values() if isinstance(s, RelativeSetSpec)]
+    anchored = list(scenario.anchored.values())
     egos = [spec.model.agent_id for spec in scenario.config.agents if spec.rta is not None]
     decisions = len(trace.times) - 1
     assert anchored and egos

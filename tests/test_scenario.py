@@ -54,7 +54,19 @@ def test_build_resolves_initial_relative_ball():
 
 def test_build_accepts_empty_unsafe():
     scenario = build_scenario(single_agent_config())
-    assert not scenario.unsafe_by_id
+    assert not scenario.static_sets and not scenario.anchored
+
+
+def test_build_rejects_position_dim_beyond_state_dim():
+    # Used to build and run, failing only later in eval or in geometry.
+    class WideAcc(AccAgent):
+        position_dim = 3
+
+    config = ScenarioConfig(agents=[AgentSpec(WideAcc("wide"), [0.0, 1.0], Mode.NORMAL)],
+                            workspace_dim=3)
+    with pytest.raises(ScenarioError, match="agent 'wide': model position_dim 3 exceeds "
+                                            "its state_dim 2"):
+        build_scenario(config)
 
 
 def test_build_rejects_duplicate_agent_ids():
@@ -313,7 +325,7 @@ def test_remember_failure_reports_agent_and_time():
         execute(build_scenario(forgetful_config()))
     with pytest.raises(RtaError) as decided:
         execute(build_scenario(forgetful_config(RtaBinding(SimRta(horizon=1.0)))))
-    assert str(decided.value) == f"RTA logic for agent 'car' failed: {executed.value}"
+    assert str(decided.value) == f"RTA logic for agent 'car' failed at t=0: {executed.value}"
 
 
 def with_output(config, agent_id, tick, output):

@@ -225,14 +225,10 @@ def test_append_sample_needs_every_agent():
     with pytest.raises(ValueError, match="trace holds agents"):
         trace.append_sample(0.1, {"a": [1.0]})
     assert len(trace.times) == 1
-    with pytest.raises(ValueError, match="after the first sample"):
-        trace.add_agent("c")
 
 
 def test_append_sample_needs_every_set_payload():
-    trace = ExecutionTrace()
-    trace.add_agent("a")
-    trace.add_unsafe_set("wall", "point")
+    trace = ExecutionTrace(["a"], {"wall": "point"})
     with pytest.raises(ValueError, match="trace holds sets"):
         trace.append_sample(0.0, {"a": [0.0]})
     with pytest.raises(ValueError, match="trace holds sets"):
@@ -241,8 +237,16 @@ def test_append_sample_needs_every_set_payload():
     trace.append_sample(0.0, {"a": [0.0]}, None, {"wall": [3.0]})
     assert trace.unsafe == {"wall": [[3.0]]} and trace.kinds == {"wall": "point"}
     assert trace.to_dict()["unsafe"] == {"wall": {"type": "point", "state_trace": [[0.0, [3.0]]]}}
-    with pytest.raises(ValueError, match="after the first sample"):
-        trace.add_unsafe_set("door", "point")
+
+
+def test_constructor_makes_every_column_and_checks_it():
+    trace = ExecutionTrace(["a", "b"], {"wall": "ball"})
+    assert trace.rows == trace.modes == {"a": [], "b": []}
+    assert trace.kinds == {"wall": "ball"} and trace.unsafe == {"wall": []}
+    with pytest.raises(ValueError, match="duplicate agent id 'a'"):
+        ExecutionTrace(["a", "a"])
+    with pytest.raises(ValueError, match="unknown set type 'cone'"):
+        ExecutionTrace(["a"], {"wall": "cone"})
 
 
 def test_from_dict_is_one_walk(monkeypatch):
