@@ -13,18 +13,24 @@ dimension is inferred from the unsafe-set definitions unless supplied
 explicitly. Velocities are backward finite differences of the recorded
 positions (set velocities likewise, of each set's reference point). An
 evaluation builds these as columns once, reading each set's payloads
-through `unsafe_def` once per run of equal payloads.
+through `unsafe_def` once per run of equal payloads, and stacks each set's
+definitions row by row (`geometry.stack_sets`). It then measures each agent
+against each target with one geometry call over the whole column: every
+distance and time to collision of a pair at once, each sample rounded as
+it would be alone.
 """
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import SetDef, ball_entry_time
-from .trace import ExecutionTrace
+from .geometry import SetDef, ball_entry_time, row_norms, stack_sets
+from .trace import ExecutionTrace, mode_names
 
 
 class EvalError(ValueError):
@@ -103,8 +109,9 @@ def _workspace_dim(trace, metadata: ScenarioMetadata | None) -> int:
 
 class _Samples:
     """The columns of a trace that one evaluation reads, built once: per
-    agent its (n, dim) positions and velocities, per set its definition and
-    the velocity of its reference point at every sample of `window`."""
+    agent its (n, dim) positions and velocities, per set its definitions as
+    row-aligned stacks and the velocity of its reference point at every
+    sample of `window`."""
 
     def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None,
                  agent_ids: list[str], set_ids: list[str], window: slice = slice(None)):
@@ -112,9 +119,9 @@ class _Samples:
         dim = _workspace_dim(trace, metadata) if agent_ids else 0
         self.positions = {aid: _positions(trace.rows[aid][window], aid, dim) for aid in agent_ids}
         self.velocities = {aid: _velocities(ts, x) for aid, x in self.positions.items()}
-        self.set_defs, self.set_velocities = {}, {}
+        self.set_stacks, self.set_velocities = {}, {}
         for sid in set_ids:
-            self.set_defs[sid], refs = _set_column(trace, sid, range(len(trace.times))[window])
+            self.set_stacks[sid], refs = _set_column(trace, sid, range(len(trace.times))[window])
             self.set_velocities[sid] = _velocities(ts, refs)
 
 
@@ -129,9 +136,11 @@ def _positions(rows: list[tuple[float, ...]], agent_id: str, dim: int) -> np.nda
     return np.array(rows, dtype=float).reshape(len(rows), width)[:, :dim]
 
 
-def _set_column(trace: ExecutionTrace, set_id: str, samples: range) -> tuple[list[SetDef], np.ndarray]:
-    """The set's definition and reference point at each of the samples. A
-    payload equal to the one before it is not read through `unsafe_def` again."""
+def _set_column(trace: ExecutionTrace, set_id: str,
+                samples: range) -> tuple[list[tuple[int, SetDef]], np.ndarray]:
+    """The set's definitions at the samples, stacked by `stack_sets`, and
+    its reference point at each. A payload equal to the one before it is not
+    read through `unsafe_def` again."""
     defs, refs, last = [], [], None
     for k in samples:
         payload = trace.unsafe[set_id][k]
@@ -140,7 +149,7 @@ def _set_column(trace: ExecutionTrace, set_id: str, samples: range) -> tuple[lis
             ref = set_def.reference()
         defs.append(set_def)
         refs.append(ref)
-    return defs, np.array(refs)
+    return stack_sets(defs), np.array(refs)
 
 
 def _velocities(ts: list[float], x: np.ndarray) -> np.ndarray:
@@ -153,20 +162,28 @@ def _velocities(ts: list[float], x: np.ndarray) -> np.ndarray:
     return np.concatenate((d[:1], d))
 
 
-def _distances(s: _Samples, agent_id: str, target_id: str) -> list[tuple[float, float]]:
+def _per_stack(stacks: list[tuple[int, SetDef]], method: str, *columns: np.ndarray) -> np.ndarray:
+    """`method` of each stack over its rows of the columns, joined."""
+    parts, k = [], 0
+    for n, stack in stacks:
+        parts.append(getattr(stack, method)(*(c[k:k + n] for c in columns)))
+        k += n
+    return np.concatenate(parts)
+
+
+def _distances(s: _Samples, agent_id: str, target_id: str) -> list[float]:
+    """The agent's distance to the target at every sample."""
     pos = s.positions[agent_id]
-    if target_id in s.set_defs:
-        defs = s.set_defs[target_id]
-        return [(t, defs[k].distance(pos[k])) for k, t in enumerate(s.ts)]
-    other = s.positions[target_id]
-    return [(t, float(np.linalg.norm(pos[k] - other[k]))) for k, t in enumerate(s.ts)]
+    if target_id in s.set_stacks:
+        return _per_stack(s.set_stacks[target_id], "distance", pos).tolist()
+    return row_norms(pos - s.positions[target_id]).tolist()
 
 
 def distance_series(trace: ExecutionTrace, agent_id: str, target_id: str,
                     metadata: ScenarioMetadata | None = None) -> list[tuple[float, float]]:
     """Per-timestamp distance from an agent to an unsafe set or another agent."""
     s = _Samples(trace, metadata, *_pair(trace, agent_id, target_id))
-    return _distances(s, agent_id, target_id)
+    return list(zip(s.ts, _distances(s, agent_id, target_id)))
 
 
 def _pair(trace: ExecutionTrace, agent_id: str, target_id: str) -> tuple[list[str], list[str]]:
@@ -186,17 +203,14 @@ def _grid_index(ts: list[float], t: float) -> int:
     raise EvalError(f"t={t:g} is not on the trace's timestamp grid")
 
 
-def _ttc_at(s: _Samples, agent_id: str, target_id: str, k: int) -> float:
-    pos = s.positions[agent_id][k]
-    vel = s.velocities[agent_id][k]
-    if target_id in s.set_defs:
-        return s.set_defs[target_id][k].entry_time(pos, vel - s.set_velocities[target_id][k])
-    return ball_entry_time(pos - s.positions[target_id][k], vel - s.velocities[target_id][k], 0.0)
-
-
-def _min_ttc(s: _Samples, agent_id: str, target_id: str) -> float:
-    return min((_ttc_at(s, agent_id, target_id, k) for k in range(len(s.ts))),
-               default=math.inf)
+def _ttcs(s: _Samples, agent_id: str, target_id: str) -> list[float]:
+    """The agent's time to collision with the target from every sample."""
+    pos, vel = s.positions[agent_id], s.velocities[agent_id]
+    if target_id in s.set_stacks:
+        rel_vel = vel - s.set_velocities[target_id]
+        return _per_stack(s.set_stacks[target_id], "entry_time", pos, rel_vel).tolist()
+    return ball_entry_time(pos - s.positions[target_id],
+                           vel - s.velocities[target_id], 0.0).tolist()
 
 
 def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
@@ -215,7 +229,7 @@ def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
     k = _grid_index(trace.times, t)
     lo = max(k - 1, 0)  # the backward difference at k reads samples lo and lo + 1
     s = _Samples(trace, metadata, agent_ids, set_ids, slice(lo, lo + 2))
-    return _ttc_at(s, agent_id, target_id, k - lo)
+    return _ttcs(s, agent_id, target_id)[k - lo]
 
 
 def controller_usage(trace: ExecutionTrace, agent_id: str) -> tuple[dict[str, float], int]:
@@ -227,11 +241,9 @@ def controller_usage(trace: ExecutionTrace, agent_id: str) -> tuple[dict[str, fl
     modes = trace.modes[agent_id]
     if not modes:
         return {}, 0
-    usage = {}
-    for m in modes:
-        usage[m.value] = usage.get(m.value, 0) + 1
+    usage = Counter(mode_names(modes))
     percents = {name: 100.0 * n / len(modes) for name, n in usage.items()}
-    switches = sum(1 for a, b in zip(modes, modes[1:]) if a is not b)
+    switches = sum(map(operator.is_not, modes, modes[1:]))
     return percents, switches
 
 
@@ -327,19 +339,21 @@ class EvalReport:
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
 
-        def _write(name: str, rows):
+        def _write(name: str, series, text=repr):
+            """`time,value` rows: repr of each time, `text` of each value."""
             path = outdir / name
-            lines = ["time,value"] + [f"{t!r},{v}" for t, v in rows]
-            path.write_text("\n".join(lines) + "\n")
+            times, values = zip(*series) if series else ((), ())
+            rows = map(",".join, zip(map(repr, times), map(text, values)))
+            path.write_text("\n".join(("time,value", *rows)) + "\n")
             written.append(path)
 
         for aid, r in self.agents.items():
             for target, series in r.set_distances.items():
-                _write(f"{aid}__dist_set__{target}.csv", [(t, repr(v)) for t, v in series])
+                _write(f"{aid}__dist_set__{target}.csv", series)
             for target, series in r.agent_distances.items():
-                _write(f"{aid}__dist_agent__{target}.csv", [(t, repr(v)) for t, v in series])
+                _write(f"{aid}__dist_agent__{target}.csv", series)
             if r.mode_series:
-                _write(f"{aid}__mode.csv", r.mode_series)
+                _write(f"{aid}__mode.csv", r.mode_series, str)
         return written
 
 
@@ -370,13 +384,13 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
             timing=computation_time_stats(timings.get(aid, [])),
             usage=usage,
             switch_count=switches,
-            set_distances=set_d,
-            agent_distances=agent_d,
-            min_set_distance={k: min(v for _, v in s) for k, s in set_d.items()},
-            min_agent_distance={k: min(v for _, v in s) for k, s in agent_d.items()},
-            min_set_ttc={sid: _min_ttc(samples, aid, sid) for sid in set_ids},
-            min_agent_ttc={other: _min_ttc(samples, aid, other) for other in others},
-            mode_series=[(ts[k], m.value) for k, m in enumerate(trace.modes[aid])],
+            set_distances={k: list(zip(ts, d)) for k, d in set_d.items()},
+            agent_distances={k: list(zip(ts, d)) for k, d in agent_d.items()},
+            min_set_distance={k: min(d) for k, d in set_d.items()},
+            min_agent_distance={k: min(d) for k, d in agent_d.items()},
+            min_set_ttc={sid: min(_ttcs(samples, aid, sid)) for sid in set_ids},
+            min_agent_ttc={other: min(_ttcs(samples, aid, other)) for other in others},
+            mode_series=list(zip(ts, mode_names(trace.modes[aid]))),
         )
     return EvalReport(
         agents=agents,

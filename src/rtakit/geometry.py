@@ -19,7 +19,8 @@ with no feasible point raises GeometryError there.
 
 Each set also gives its `reference()` point, the one `moved_to` places, and
 `entry_time(pos, vel)`, the first time a straight-line course enters it, in
-closed form; evaluation's time to collision reads both.
+closed form but for a polytope's intersection of half-space times, which
+runs one course at a time; evaluation's time to collision reads both.
 
 Axis-aligned boxes (the reach boxes of ReachRta) are tested against every
 set kind by `box_intersects`. It is exact in closed form for point, ball and
@@ -37,7 +38,11 @@ takes a point (dim,) or points (n, dim) and answers whether the set holds
 any of them; `box_intersects` takes corners (dim,) or (n, dim) and answers
 whether the set touches any of the boxes. One point is a stack of one, so
 an RTA logic tests a whole predicted horizon against a set in one call.
-`distance` and `box_distance` take one point or one box.
+`distance` and `entry_time` take one point (one course) and answer with a
+float, or a stack (n, dim) and answer with an (n,) array, row k for query
+k; so evaluation measures a whole trace against a set in one call. Each row
+rounds as the same query alone does (see `row_dots`). `box_distance` takes
+one box.
 
 Row-aligned stacks: `moved_to` (and `update_relative`) also take an (n, dim)
 stack of references and return one set of n rows, row k moved to reference
@@ -46,9 +51,14 @@ coordinates or corners are, a polytope whose offsets `b` are an (n, rows)
 stack. `contains` and `box_intersects` test such a set against exactly n
 points or boxes, row k against row k, and answer "any k". So an anchored set
 is tested against a predicted horizon in one call, each predicted step
-against the set where the anchor is predicted at that step. A stacked set
-is not a wire payload: `payload`, `distance`, `project` and another
-`moved_to` take one set and raise GeometryError on a stack.
+against the set where the anchor is predicted at that step. `distance` and
+`entry_time` measure it against exactly n queries, row k against row k.
+`stack_sets` stacks n parsed definitions the same way, from their own
+arrays (a ball's radius then has one entry per row), so evaluation measures
+a set whose payload changes along a trace in one call. A stacked set is not
+a wire payload: `payload`, `project` and another `moved_to` take one set
+and raise GeometryError on a stack, and so do `distance` and `entry_time`
+of one (dim,) query.
 """
 from __future__ import annotations
 
@@ -119,32 +129,49 @@ def _norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
-def ball_entry_time(rel_pos: np.ndarray, rel_vel: np.ndarray, radius: float) -> float:
-    """Smallest tau >= 0 with ||rel_pos + rel_vel*tau|| <= radius."""
-    c = float(rel_pos @ rel_pos) - radius * radius
-    if c <= 0.0:
-        return 0.0
-    a = float(rel_vel @ rel_vel)
-    b = 2.0 * float(rel_pos @ rel_vel)
-    if a == 0.0:
-        return math.inf
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row k is a[k] @ b[k] for stacks (n, dim), rounded as that one
+    product is: matmul of 1 x dim by dim x 1 blocks runs the same BLAS dot
+    for each row, where (a * b).sum(axis=1) and einsum round differently."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of d (n, dim); row k equals
+    np.linalg.norm(d[k]) bit for bit."""
+    return np.sqrt(row_dots(d, d))
+
+
+def ball_entry_time(rel_pos: np.ndarray, rel_vel: np.ndarray, radius) -> np.ndarray:
+    """Per row k of the stacks (n, dim), the smallest tau >= 0 with
+    ||rel_pos[k] + rel_vel[k]*tau|| <= radius (one radius, or one per row);
+    inf where the course never comes that close. Row k rounds as the
+    scalar quadratic on that row alone."""
+    c = row_dots(rel_pos, rel_pos) - radius * radius
+    a = row_dots(rel_vel, rel_vel)
+    b = 2.0 * row_dots(rel_pos, rel_vel)
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        # Grazing contact can dip just below zero in floats.
-        if disc > -1e-12 * max(b * b, abs(4.0 * a * c), 1.0):
-            disc = 0.0
-        else:
-            return math.inf
-    sq = math.sqrt(disc)
-    if b >= 0.0:
-        # Both roots <= 0: approaching times are in the past.
-        return math.inf
-    q = -0.5 * (b - sq)
-    lo, hi = c / q, q / a
-    for root in sorted((lo, hi)):
-        if root >= -1e-12:
-            return max(root, 0.0)
-    return math.inf
+    # Grazing contact can dip just below zero in floats.
+    tolerance = -1e-12 * np.maximum(np.maximum(b * b, np.abs(4.0 * a * c)), 1.0)
+    grazing = (disc < 0.0) & (disc > tolerance)
+    missed = (disc < 0.0) & ~grazing
+    # Rows where a == 0 or the course misses divide by zero or take a root
+    # of a negative number; `never` drops them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(np.where(grazing, 0.0, disc))
+        q = -0.5 * (b - sq)
+        lo, hi = c / q, q / a
+    first, second = np.where(hi < lo, hi, lo), np.where(hi < lo, lo, hi)
+    root = np.where(first >= -1e-12, first, np.where(second >= -1e-12, second, np.inf))
+    # b >= 0: both roots <= 0, the approaching times are in the past.
+    never = (a == 0.0) | missed | (b >= 0.0)
+    return np.where(c <= 0.0, 0.0, np.where(never, np.inf, np.where(root < 0.0, 0.0, root)))
+
+
+def _one_or_rows(values: np.ndarray, one: bool):
+    """A float for a query of one row, else the (n,) array."""
+    return float(values[0]) if one else values
 
 
 class SetDef:
@@ -153,14 +180,17 @@ class SetDef:
     kind: str = "abstract"
     dim: int = 0
     rows: int | None = None  # n for a row-aligned stack of n sets (see module docstring)
+    _row_fields: tuple[str, ...] = ()  # the arrays a stack holds one row of per set
 
     def contains(self, points) -> bool:
         """True iff the closed set holds the point (dim,), or any point of
         the stack (n, dim); a stack of n sets tests point k against set k."""
         raise NotImplementedError
 
-    def distance(self, point) -> float:
-        """Euclidean distance from the point to the set (0 if inside)."""
+    def distance(self, points):
+        """Euclidean distance from the point (dim,) to the set (0 if
+        inside); for points (n, dim), the array of their n distances, point
+        k against set k of a stack."""
         raise NotImplementedError
 
     def moved_to(self, reference) -> "SetDef":
@@ -172,10 +202,17 @@ class SetDef:
         """The set's reference point (dim,), whose motion is the set's."""
         raise NotImplementedError
 
-    def entry_time(self, pos: np.ndarray, vel: np.ndarray) -> float:
-        """Smallest tau >= 0 with pos + vel * tau in the set, for (dim,)
-        arrays and one set; math.inf if the straight line never enters it."""
+    def entry_time(self, pos, vel):
+        """Smallest tau >= 0 with pos + vel * tau in the set, for one course
+        (dim,); math.inf if the straight line never enters it. For courses
+        (n, dim), the array of their n times, course k against set k of a
+        stack."""
         raise NotImplementedError
+
+    def _stacks_with(self, other: "SetDef") -> bool:
+        """Whether `other`, of this kind, can be a row of one stack with
+        this set."""
+        return other.dim == self.dim
 
     def _box_gaps(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Gap between the set and each box of the stacks (n, dim); negative
@@ -207,6 +244,23 @@ class SetDef:
             raise DimensionMismatch(self.dim, p.shape[0])
         return p
 
+    def _measured(self, points, what: str) -> tuple[np.ndarray, bool]:
+        """`points` as an (n, dim) stack (see `_queries`), and whether it
+        was one point (dim,), which only one set takes."""
+        P = _points(points, self.dim, "point")
+        if P.ndim == 1:
+            self._one(what)
+        return self._queries(P, "point"), P.ndim == 1
+
+    def _courses(self, pos, vel) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Positions and velocities as (n, dim) stacks, and whether they
+        were one course (dim,)."""
+        P, one = self._measured(pos, "an entry time")
+        V = self._queries(vel, "velocity")
+        if V.shape != P.shape:
+            raise GeometryError(f"got {P.shape[0]} positions but {V.shape[0]} velocities")
+        return P, V, one
+
     def _queries(self, x, what: str) -> np.ndarray:
         """`x` as an (n, dim) stack, row-aligned with this set if it is one;
         one vector (dim,) is a stack of one."""
@@ -229,16 +283,21 @@ class SetDef:
         for name, value in fields.items():
             if value is not ref and not np.isfinite(value).all():  # `ref` is checked
                 raise GeometryError(f"moved {self.kind} {name} must be finite")
-        moved = object.__new__(type(self))
-        moved.__dict__.update(self.__dict__, **fields)
-        moved.rows = ref.shape[0] if ref.ndim == 2 else None
-        return moved
+        return self._with(ref.shape[0] if ref.ndim == 2 else None, **fields)
+
+    def _with(self, rows: int | None, **fields) -> "SetDef":
+        """This set with some of its arrays replaced, as `rows` sets."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **fields)
+        out.rows = rows
+        return out
 
 
 class PointSet(SetDef):
     """A single unsafe point. Its reference point is itself."""
 
     kind = "point"
+    _row_fields = ("coords",)
 
     def __init__(self, coords):
         self.coords = _vector(coords, "point coordinates")
@@ -248,9 +307,9 @@ class PointSet(SetDef):
         P = self._queries(points, "point")
         return bool((P == self.coords).all(axis=1).any())
 
-    def distance(self, point) -> float:
-        p = self._check_point(point)
-        return float(np.linalg.norm(p - self.coords))
+    def distance(self, points):
+        P, one = self._measured(points, "a distance")
+        return _one_or_rows(row_norms(P - self.coords), one)
 
     def moved_to(self, reference) -> "PointSet":
         ref = self._destination(reference)
@@ -259,8 +318,9 @@ class PointSet(SetDef):
     def reference(self) -> np.ndarray:
         return self.coords
 
-    def entry_time(self, pos, vel) -> float:
-        return ball_entry_time(pos - self.coords, vel, 0.0)
+    def entry_time(self, pos, vel):
+        P, V, one = self._courses(pos, vel)
+        return _one_or_rows(ball_entry_time(P - self.coords, V, 0.0), one)
 
     def _box_gaps(self, lo, hi):
         c = self.coords
@@ -277,6 +337,7 @@ class Ball(SetDef):
     """Closed Euclidean ball. Its reference point is the center."""
 
     kind = "ball"
+    _row_fields = ("center", "radius")  # a stack's radius is a scalar or one per row
 
     def __init__(self, center, radius):
         self.center = _vector(center, "ball center")
@@ -287,11 +348,12 @@ class Ball(SetDef):
 
     def contains(self, points) -> bool:
         P = self._queries(points, "point")
-        return bool(_norms(P - self.center).min() <= self.radius)
+        return bool((_norms(P - self.center) <= self.radius).any())
 
-    def distance(self, point) -> float:
-        p = self._check_point(point)
-        return max(0.0, float(np.linalg.norm(p - self.center)) - self.radius)
+    def distance(self, points):
+        P, one = self._measured(points, "a distance")
+        gap = row_norms(P - self.center) - self.radius
+        return _one_or_rows(np.where(gap > 0.0, gap, 0.0), one)
 
     def moved_to(self, reference) -> "Ball":
         ref = self._destination(reference)
@@ -300,8 +362,9 @@ class Ball(SetDef):
     def reference(self) -> np.ndarray:
         return self.center
 
-    def entry_time(self, pos, vel) -> float:
-        return ball_entry_time(pos - self.center, vel, self.radius)
+    def entry_time(self, pos, vel):
+        P, V, one = self._courses(pos, vel)
+        return _one_or_rows(ball_entry_time(P - self.center, V, self.radius), one)
 
     def _box_gaps(self, lo, hi):
         c = self.center
@@ -322,6 +385,7 @@ class Hyperrectangle(SetDef):
     """
 
     kind = "hyperrectangle"
+    _row_fields = ("lower", "upper")
 
     def __init__(self, lower, upper):
         self.lower = _vector(lower, "lower corner")
@@ -339,9 +403,9 @@ class Hyperrectangle(SetDef):
         P = self._queries(points, "point")
         return bool(((P >= self.lower) & (P <= self.upper)).all(axis=1).any())
 
-    def distance(self, point) -> float:
-        p = self._check_point(point)
-        return float(np.linalg.norm(p - np.clip(p, self.lower, self.upper)))
+    def distance(self, points):
+        P, one = self._measured(points, "a distance")
+        return _one_or_rows(row_norms(P - np.clip(P, self.lower, self.upper)), one)
 
     def moved_to(self, reference) -> "Hyperrectangle":
         ref = self._destination(reference)
@@ -351,19 +415,21 @@ class Hyperrectangle(SetDef):
     def reference(self) -> np.ndarray:
         return (self.lower + self.upper) / 2.0
 
-    def entry_time(self, pos, vel) -> float:
-        """The per-axis slab times, intersected."""
-        t_lo, t_hi = 0.0, math.inf
-        for p, v, lo, hi in zip(pos, vel, self.lower, self.upper):
-            if v == 0.0:
-                if not lo <= p <= hi:
-                    return math.inf
-                continue
-            a, b = (lo - p) / v, (hi - p) / v
-            if a > b:
-                a, b = b, a
-            t_lo, t_hi = max(t_lo, a), min(t_hi, b)
-        return t_lo if t_lo <= t_hi else math.inf
+    def entry_time(self, pos, vel):
+        """The per-axis slab times, intersected; a course standing still
+        on an axis never enters unless it is inside that axis's slab."""
+        P, V, one = self._courses(pos, vel)
+        t_lo, t_hi = np.zeros(P.shape[0]), np.full(P.shape[0], np.inf)
+        outside = np.zeros(P.shape[0], dtype=bool)
+        for p, v, lo, hi in zip(P.T, V.T, self.lower.T, self.upper.T):
+            still = v == 0.0
+            outside |= still & ~((lo <= p) & (p <= hi))
+            with np.errstate(divide="ignore", invalid="ignore"):  # `still` drops them
+                a, b = (lo - p) / v, (hi - p) / v
+            a, b = np.where(a > b, b, a), np.where(a > b, a, b)
+            t_lo = np.where(~still & (a > t_lo), a, t_lo)
+            t_hi = np.where(~still & (b < t_hi), b, t_hi)
+        return _one_or_rows(np.where(outside | ~(t_lo <= t_hi), np.inf, t_lo), one)
 
     def _box_gaps(self, lo, hi):
         return _norms(np.maximum(0.0, np.maximum(self.lower - hi, lo - self.upper)))
@@ -388,6 +454,7 @@ class Polytope(SetDef):
     """
 
     kind = "polytope"
+    _row_fields = ("b",)  # a stack's rows share A
 
     def __init__(self, A, b, check_feasible: bool = True):
         self.A = np.asarray(A, dtype=float)
@@ -459,9 +526,20 @@ class Polytope(SetDef):
                                 "Ax <= b may have no solution")
         return x
 
-    def distance(self, point) -> float:
-        p = self._check_point(point)
-        return float(np.linalg.norm(p - self.project(p)))
+    def _stacks_with(self, other) -> bool:
+        return np.array_equal(other.A, self.A)
+
+    def _sets(self, n: int) -> list["Polytope"]:
+        """The n sets of a stack, one by one; this set n times if it is one."""
+        if self.rows is None:
+            return [self] * n
+        return [self._with(None, b=b) for b in self.b]
+
+    def distance(self, points):
+        """One projection per point: `project` has no stack form."""
+        P, one = self._measured(points, "a distance")
+        d = [float(np.linalg.norm(p - s.project(p))) for s, p in zip(self._sets(len(P)), P)]
+        return _one_or_rows(np.array(d), one)
 
     def moved_to(self, reference) -> "Polytope":
         ref = self._destination(reference)
@@ -475,9 +553,14 @@ class Polytope(SetDef):
         `moved_to(r)` moves it by r when A has full column rank."""
         return np.linalg.lstsq(self.A, self.b, rcond=None)[0]
 
-    def entry_time(self, pos, vel) -> float:
+    def entry_time(self, pos, vel):
         """The half-space times, intersected: row i holds while
-        (A vel)_i tau <= (b - A pos)_i."""
+        (A vel)_i tau <= (b - A pos)_i. One course at a time."""
+        P, V, one = self._courses(pos, vel)
+        taus = [s._entry_time(p, v) for s, p, v in zip(self._sets(len(P)), P, V)]
+        return _one_or_rows(np.array(taus), one)
+
+    def _entry_time(self, pos: np.ndarray, vel: np.ndarray) -> float:
         g = self.b - self.A @ pos
         h = self.A @ vel
         t_lo, t_hi = 0.0, math.inf
@@ -547,6 +630,26 @@ def update_relative(spec: RelativeSetSpec, anchor_position) -> SetDef:
     against an (n, dim) stack of positions as a row-aligned stack of n sets."""
     pos = _points(anchor_position, spec.offset.shape[0], "anchor position")
     return spec.base.moved_to(pos + spec.offset)
+
+
+def stack_sets(defs: list[SetDef]) -> list[tuple[int, SetDef]]:
+    """Definitions of one kind as row-aligned stacks, in order, each with
+    the number of definitions it holds: definition k of a stack is its row
+    k, the definitions' own arrays stacked. Definitions that are all one
+    object give that set unstacked, for all of them: points (n, dim) measure
+    against one set. A stack ends where a definition cannot share it: a
+    changed dimension or polytope constraint matrix."""
+    first = defs[0]
+    if all(d is first for d in defs):
+        return [(len(defs), first)]
+    stacks, start = [], 0
+    for k in range(1, len(defs) + 1):
+        if k == len(defs) or not defs[start]._stacks_with(defs[k]):
+            run = defs[start:k]
+            fields = {f: np.array([getattr(d, f) for d in run]) for f in first._row_fields}
+            stacks.append((len(run), run[0]._with(len(run), **fields)))
+            start = k
+    return stacks
 
 
 def set_from_payload(kind: str, payload) -> SetDef:

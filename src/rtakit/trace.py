@@ -35,6 +35,13 @@ from .agents import Mode
 from .geometry import GeometryError, SET_KINDS, SetDef, set_from_payload
 
 MODE_NAMES = tuple(m.value for m in Mode)
+_NAME_BY_MODE_ID = {id(m): m.value for m in Mode}
+
+
+def mode_names(modes: list[Mode]) -> list[str]:
+    """The name of each mode, looked up by identity: `Mode.value` is a
+    descriptor call, too slow to make once per sample."""
+    return list(map(_NAME_BY_MODE_ID.__getitem__, map(id, modes)))
 
 
 class TraceSchemaError(ValueError):
@@ -253,19 +260,34 @@ def _check_numbers(row, rpath: str) -> None:
             raise TraceSchemaError(f"{rpath}[{j}]", f"expected a finite number, got {v!r}")
 
 
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+def _plain_finite(row: list) -> bool:
+    """Whether every entry is exactly a float or an int (so not a bool) and
+    finite as a float: one type test and one finiteness test for the whole
+    row. False leaves the row to `_check_numbers`, which also passes
+    subclasses of int and float."""
+    try:
+        return _PLAIN_NUMBERS.issuperset(map(type, row)) and all(map(math.isfinite, row))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _read_states(path: str, states) -> tuple[list[float], list[tuple[float, ...]]]:
     """The timestamps and state rows of an agent's wire `state_trace`."""
     if not isinstance(states, list) or not states:
         raise TraceSchemaError(path, "must be a nonempty list")
     times, rows = [], []
     for i, row in enumerate(states):
-        rpath = f"{path}[{i}]"
         if not isinstance(row, list) or len(row) < 2:
-            raise TraceSchemaError(rpath, "must be a list [t, s0, ...] with >= 2 entries")
-        _check_numbers(row, rpath)
+            raise TraceSchemaError(f"{path}[{i}]", "must be a list [t, s0, ...] with >= 2 entries")
+        if not _plain_finite(row):
+            _check_numbers(row, f"{path}[{i}]")
         width = len(states[0])  # row 0 passed the checks above
         if len(row) != width:
-            raise TraceSchemaError(rpath, f"row length {len(row)} != {width} of earlier rows")
+            raise TraceSchemaError(f"{path}[{i}]",
+                                   f"row length {len(row)} != {width} of earlier rows")
         times.append(float(row[0]))
         rows.append(tuple(map(float, row[1:])))
     if any(b <= a for a, b in zip(times, times[1:])):

@@ -1,4 +1,5 @@
-"""Shared test fixtures: independent oracles and scenario builders.
+"""Shared test fixtures: independent oracles, scenario builders and a
+per-row reference evaluator.
 
 The polytope distance oracle is a refining grid search (pure sampling,
 nothing shared with the projection solver under test).
@@ -19,11 +20,14 @@ from rtakit import (
     AgentSpec,
     Ball,
     ExecutionTrace,
+    Hyperrectangle,
     Mode,
+    PointSet,
     RelativeSetSpec,
     RtaBinding,
     ScenarioConfig,
     SimRta,
+    set_from_payload,
 )
 
 
@@ -168,3 +172,150 @@ def config_docs():
                 ops = ops[:8]
             for op, doc in ops:
                 yield pytest.param(doc, id=f"{name}-{seed}-{op}")
+
+
+# -- per-row reference evaluation ----------------------------------------------------
+#
+# Eval's geometry one sample at a time, written out plainly: the norm of one
+# difference vector, the scalar quadratic for a ball, the slab and half-space
+# loops for a box and a polytope. Stacked and column-wise eval code must equal
+# these bit for bit.
+
+def ref_ball_entry_time(rel_pos, rel_vel, radius: float) -> float:
+    """Smallest tau >= 0 with ||rel_pos + rel_vel*tau|| <= radius, for one row."""
+    c = float(rel_pos @ rel_pos) - radius * radius
+    if c <= 0.0:
+        return 0.0
+    a = float(rel_vel @ rel_vel)
+    b = 2.0 * float(rel_pos @ rel_vel)
+    if a == 0.0:
+        return math.inf
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        if disc > -1e-12 * max(b * b, abs(4.0 * a * c), 1.0):
+            disc = 0.0
+        else:
+            return math.inf
+    sq = math.sqrt(disc)
+    if b >= 0.0:
+        return math.inf
+    q = -0.5 * (b - sq)
+    lo, hi = c / q, q / a
+    for root in sorted((lo, hi)):
+        if root >= -1e-12:
+            return max(root, 0.0)
+    return math.inf
+
+
+def ref_distance(s, p) -> float:
+    """Distance from one point to one (unstacked) set."""
+    if isinstance(s, PointSet):
+        return float(np.linalg.norm(p - s.coords))
+    if isinstance(s, Ball):
+        return max(0.0, float(np.linalg.norm(p - s.center)) - s.radius)
+    if isinstance(s, Hyperrectangle):
+        return float(np.linalg.norm(p - np.clip(p, s.lower, s.upper)))
+    return float(np.linalg.norm(p - s.project(p)))
+
+
+def ref_entry_time(s, pos, vel) -> float:
+    """Entry time of one straight course into one (unstacked) set."""
+    if isinstance(s, PointSet):
+        return ref_ball_entry_time(pos - s.coords, vel, 0.0)
+    if isinstance(s, Ball):
+        return ref_ball_entry_time(pos - s.center, vel, s.radius)
+    if isinstance(s, Hyperrectangle):
+        t_lo, t_hi = 0.0, math.inf
+        for p, v, lo, hi in zip(pos, vel, s.lower, s.upper):
+            if v == 0.0:
+                if not lo <= p <= hi:
+                    return math.inf
+                continue
+            a, b = (lo - p) / v, (hi - p) / v
+            if a > b:
+                a, b = b, a
+            t_lo, t_hi = max(t_lo, a), min(t_hi, b)
+        return t_lo if t_lo <= t_hi else math.inf
+    g = s.b - s.A @ pos
+    h = s.A @ vel
+    t_lo, t_hi = 0.0, math.inf
+    for gi, hi in zip(g, h):
+        if hi == 0.0:
+            if gi < 0.0:
+                return math.inf
+        elif hi > 0.0:
+            t_hi = min(t_hi, gi / hi)
+        else:
+            t_lo = max(t_lo, gi / hi)
+    return t_lo if t_lo <= t_hi else math.inf
+
+
+def _ref_velocities(ts, xs):
+    """Backward differences of the rows, row 0 taking row 1's; zero for one row."""
+    if len(ts) < 2:
+        return [np.zeros_like(x) for x in xs]
+    d = [(xs[j] - xs[j - 1]) / (ts[j] - ts[j - 1]) for j in range(1, len(ts))]
+    return [d[0]] + d
+
+
+def reference_eval_files(trace, timings=None) -> dict[str, str]:
+    """The summary.json and CSV files `rtakit eval` writes for a trace that
+    holds an unsafe set (its dimension is the workspace's), by file name,
+    computed one sample at a time: every payload parsed on its own, every
+    distance and time to collision by the references above."""
+    timings = timings or {}
+    ts, agent_ids, set_ids = trace.times, list(trace.rows), list(trace.unsafe)
+    defs = {sid: [set_from_payload(trace.kinds[sid], p) for p in trace.unsafe[sid]]
+            for sid in set_ids}
+    dim = defs[set_ids[0]][0].dim
+    pos = {aid: [np.array(row[:dim]) for row in trace.rows[aid]] for aid in agent_ids}
+    vel = {aid: _ref_velocities(ts, xs) for aid, xs in pos.items()}
+    set_vel = {sid: _ref_velocities(ts, [d.reference() for d in column])
+               for sid, column in defs.items()}
+    files, agents = {}, {}
+
+    def csv(name, rows):
+        files[name] = "\n".join(["time,value"] + [f"{t!r},{v}" for t, v in rows]) + "\n"
+
+    def num(x):
+        return None if x is None or math.isinf(x) else x
+
+    for aid in agent_ids:
+        others = [other for other in agent_ids if other != aid]
+        p, v = pos[aid], vel[aid]
+        n = range(len(ts))
+        set_d = {sid: [ref_distance(defs[sid][k], p[k]) for k in n] for sid in set_ids}
+        set_ttc = {sid: min(ref_entry_time(defs[sid][k], p[k], v[k] - set_vel[sid][k]) for k in n)
+                   for sid in set_ids}
+        agent_d = {o: [float(np.linalg.norm(p[k] - pos[o][k])) for k in n] for o in others}
+        agent_ttc = {o: min(ref_ball_entry_time(p[k] - pos[o][k], v[k] - vel[o][k], 0.0)
+                            for k in n) for o in others}
+        for sid, d in set_d.items():
+            csv(f"{aid}__dist_set__{sid}.csv", [(t, repr(x)) for t, x in zip(ts, d)])
+        for o, d in agent_d.items():
+            csv(f"{aid}__dist_agent__{o}.csv", [(t, repr(x)) for t, x in zip(ts, d)])
+        modes = trace.modes[aid]
+        if modes:
+            csv(f"{aid}__mode.csv", [(ts[k], m.value) for k, m in enumerate(modes)])
+        counts = {}
+        for m in modes:
+            counts[m.value] = counts.get(m.value, 0) + 1
+        durations = list(timings.get(aid, []))
+        agents[aid] = {
+            "timing": {
+                "count": len(durations),
+                "avg": num(sum(durations) / len(durations)) if durations else None,
+                "min": num(min(durations)) if durations else None,
+                "max": num(max(durations)) if durations else None,
+            },
+            "usage_percent": {name: 100.0 * c / len(modes) for name, c in counts.items()},
+            "switch_count": sum(1 for a, b in zip(modes, modes[1:]) if a is not b),
+            "min_distance_to_sets": {sid: num(min(d)) for sid, d in set_d.items()},
+            "min_distance_to_agents": {o: num(min(d)) for o, d in agent_d.items()},
+            "min_ttc_to_sets": {sid: num(t) for sid, t in set_ttc.items()},
+            "min_ttc_to_agents": {o: num(t) for o, t in agent_ttc.items()},
+        }
+    summary = {"n_samples": len(ts), "duration": ts[-1] - ts[0] if len(ts) > 1 else 0.0,
+               "agents": agents}
+    files["summary.json"] = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    return files

@@ -20,10 +20,11 @@ from rtakit import (
     execute,
     ttc,
 )
+from rtabench import workloads
 from rtakit import trace as trace_module
 from rtakit.cli import main as cli_main
 from rtakit.evaluation import EvalError
-from helpers import acc_scenario_config, make_trace, sim_rta_binding
+from helpers import acc_scenario_config, make_trace, reference_eval_files, sim_rta_binding
 
 META1 = ScenarioMetadata(workspace_dim=1)
 META2 = ScenarioMetadata(workspace_dim=2)
@@ -379,3 +380,102 @@ def test_report_of_executed_trace_equals_cli_eval(name, tmp_path):
     assert {aid: len(d) for aid, d in durations.items()} == {
         aid: len(d) for aid, d in saved.items()}
     assert build_report(trace, timings=saved).to_dict() == want
+
+
+# -- column-wise eval equals the per-row reference, byte for byte -------------------
+
+def eval_files(trace, tmp_path, timings=None) -> dict[str, str]:
+    """summary.json and every CSV of the trace's report, by file name."""
+    report = build_report(trace, timings=timings)
+    files = {path.name: path.read_text() for path in report.write_csv(tmp_path)}
+    files["summary.json"] = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return files
+
+
+def _course(t, start, vel):
+    return [[tk, *(np.asarray(start) + np.asarray(vel) * tk), 0.3] for tk in t]
+
+
+T8 = [0.1 * k for k in range(8)]
+
+
+def _anchored_ball_trace():
+    """A ball riding on `lead` whose radius grows from 1.0 to 1.5 at sample
+    4, with `ego` closing on it from behind; `wing` flies parallel to
+    `lead`, and `chaser` heads straight for `still`."""
+    lead = _course(T8, [2.0, 0.0], [3.0, 0.5])
+    radii = [1.0] * 4 + [1.5] * 4
+    agents = {"ego": _course(T8, [-3.0, 0.0], [4.0, 0.5]), "lead": lead,
+              "wing": _course(T8, [2.0, 2.0], [3.0, 0.5]),
+              "still": [[t, -4.0, 3.0, 0.0] for t in T8],
+              "chaser": _course(T8, [-4.0, -1.0], [0.0, 2.0])}
+    modes = {aid: [Mode.NORMAL] * 7 for aid in agents}
+    modes["ego"] = [Mode.UNTRUSTED, Mode.SAFETY, Mode.SAFETY, Mode.UNTRUSTED,
+                    Mode.UNTRUSTED, Mode.SAFETY, Mode.UNTRUSTED]
+    return make_trace(agents, modes,
+                      sets={"ring": ("ball", [[row[1:3], r] for row, r in zip(lead, radii)])})
+
+
+def _uneven_box_trace():
+    """A box whose lower x corner moves at 1 m/s and upper at 2.5 m/s, with
+    fixed y corners; `ego` moves along x only (a zero relative velocity on
+    the y axis), `side` beside the box's y range, `inner` inside it."""
+    lo = [[-1.0 + 1.0 * t, -1.0] for t in T8]
+    hi = [[1.0 + 2.5 * t, 1.0] for t in T8]
+    return make_trace({"ego": _course(T8, [-6.0, 0.25], [4.0, 0.0]),
+                       "side": _course(T8, [-6.0, 1.75], [4.0, 0.0]),
+                       "inner": _course(T8, [0.0, 0.0], [0.5, -0.1])},
+                      sets={"box": ("hyperrectangle", [[l, h] for l, h in zip(lo, hi)]),
+                            "post": ("point", [[3.0, 0.25]] * len(T8))})
+
+
+def _changing_polytope_trace():
+    """A polytope whose constraint matrix changes at sample 3 (a triangle,
+    then a square translated along), so its column is two stacks."""
+    tri = [[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [2.0, 0.0, 0.0]]
+    square = [[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0, 1.0]]
+    payloads = [tri] * 3 + [[square[0], [1.0 + 0.5 * t, 1.0 - 0.5 * t, 1.0, 1.0]] for t in T8[3:]]
+    return make_trace({"ego": _course(T8, [-3.0, 0.5], [5.0, 0.0])},
+                      sets={"poly": ("polytope", payloads)})
+
+
+HAND_MADE = {
+    "anchored-ball-radius-changes": _anchored_ball_trace,
+    "box-corners-move-unevenly": _uneven_box_trace,
+    "polytope-matrix-changes": _changing_polytope_trace,
+    "one-sample": lambda: make_trace({"ego": [[0.0, 1.0, 1.0, 0.0]],
+                                      "other": [[0.0, 3.0, 1.0, 0.0]]},
+                                     sets={"ball": ("ball", [[[1.5, 1.0], 1.0]])}),
+}
+
+
+@pytest.mark.parametrize("make", HAND_MADE.values(), ids=HAND_MADE.keys())
+def test_report_of_hand_made_trace_equals_the_per_row_reference(make, tmp_path):
+    trace = make()
+    timings = {aid: [0.001 * (i + 1), 0.002] for i, aid in enumerate(trace.rows)}
+    assert eval_files(trace, tmp_path, timings) == reference_eval_files(trace, timings)
+
+
+def test_hand_made_traces_reach_inside_entry_and_never():
+    """The hand-made traces hold TTCs of zero (inside), finite and inf."""
+    seen = set()
+    for make in HAND_MADE.values():
+        trace = make()
+        for ttcs in build_report(trace).to_dict()["agents"].values():
+            for t in (*ttcs["min_ttc_to_sets"].values(), *ttcs["min_ttc_to_agents"].values()):
+                seen.add("never" if t is None else "inside" if t == 0.0 else "enter")
+    assert seen == {"never", "inside", "enter"}
+
+
+def _benchmark_docs():
+    for name in ("dubins-formation", "acc-sweep", "gcas-ridge"):
+        for op, doc in workloads.WORKLOADS[name](1):
+            yield pytest.param(doc, id=f"{name}-1-{op}")
+
+
+@pytest.mark.parametrize("doc", _benchmark_docs())
+def test_report_of_benchmark_document_equals_the_per_row_reference(doc, tmp_path):
+    """As `rtakit eval` reads it: the trace written and loaded again."""
+    executed = execute(build_scenario(config_from_dict(doc)))
+    trace = ExecutionTrace.from_dict(json.loads(executed.to_json()))
+    assert eval_files(trace, tmp_path) == reference_eval_files(trace)

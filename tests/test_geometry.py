@@ -18,7 +18,14 @@ from rtakit import (
     set_from_payload,
     update_relative,
 )
-from helpers import grid_distance_oracle, random_polytope
+from rtakit.geometry import ball_entry_time, row_dots, row_norms, stack_sets
+from helpers import (
+    grid_distance_oracle,
+    random_polytope,
+    ref_ball_entry_time,
+    ref_distance,
+    ref_entry_time,
+)
 
 UNIT_SQUARE = Polytope(
     [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0]
@@ -719,3 +726,172 @@ def test_polytope_reference_moves_with_the_translation():
     base = poly.reference()
     for shift in rng.uniform(-5.0, 5.0, size=(30, 2)):
         assert poly.moved_to(shift).reference() == pytest.approx(base + shift, abs=1e-12)
+
+
+# -- stacked distance and entry_time equal the per-row references, bit for bit --------
+
+def test_row_dots_round_as_one_row_alone():
+    """matmul of 1 x dim by dim x 1 blocks runs the dot of `a @ b` for each
+    row; (a * b).sum(axis=1) would not. A numpy that breaks this fails here."""
+    rng = np.random.default_rng(41)
+    for dim in (1, 2, 3):
+        scale = 10.0 ** rng.integers(-3, 4, size=(5000, 1))
+        a, b = rng.normal(size=(5000, dim)) * scale, rng.normal(size=(5000, dim))
+        assert row_dots(a, b).tolist() == [float(x @ y) for x, y in zip(a, b)]
+        assert row_norms(a).tolist() == [float(np.linalg.norm(x)) for x in a]
+
+
+# (rel_pos, rel_vel, radius, the branch the scalar quadratic takes)
+BALL_CASES = [
+    ([0.5, 0.0], [1.0, 0.0], 1.0, "inside"),
+    ([1.0, 0.0], [3.0, 1.0], 1.0, "inside"),        # on the sphere: c == 0
+    ([3.0, 0.0], [0.0, 0.0], 1.0, "a == 0"),
+    ([3.0, 0.0], [1.0, 0.0], 1.0, "b >= 0"),
+    ([3.0, 0.5], [2.0, 0.1], 1.0, "b >= 0"),
+    ([3.0, 0.0], [0.0, 2.0], 1.0, "missed"),
+    ([-5.0, 1.0], [1.0, 0.0], 1.0 - 1e-14, "grazing"),
+    ([-5.0, 1.0], [1.0, 0.0], 1.0 - 1e-9, "missed"),
+    ([-5.0, 1.0], [1.0, 0.0], 1.0, "root"),         # tangent: disc == 0
+    ([-5.0, 0.5], [2.0, 0.0], 1.0, "root"),
+    ([-4.0], [0.5], 0.0, "root"),
+    # Near-parallel agents 0.67 m apart: the tolerance's floor of 1 calls it grazing.
+    ([-1.0, 0.67], [6.9e-7, 0.0], 0.0, "grazing"),
+    ([-2.0, 1.0, 0.5], [1.0, -0.5, -0.25], 0.0, "root"),
+    ([-2.0, 1.0, 0.5], [1.0, -0.5, -0.2], 0.3, "root"),
+]
+
+
+def _branch(rel_pos, rel_vel, radius):
+    """The case of the scalar quadratic that one row takes."""
+    rel_pos, rel_vel = np.asarray(rel_pos, dtype=float), np.asarray(rel_vel, dtype=float)
+    c = float(rel_pos @ rel_pos) - radius * radius
+    a = float(rel_vel @ rel_vel)
+    b = 2.0 * float(rel_pos @ rel_vel)
+    disc = b * b - 4.0 * a * c
+    if c <= 0.0:
+        return "inside"
+    if a == 0.0:
+        return "a == 0"
+    if disc < 0.0:
+        return "grazing" if disc > -1e-12 * max(b * b, abs(4.0 * a * c), 1.0) else "missed"
+    return "b >= 0" if b >= 0.0 else "root"
+
+
+@pytest.mark.parametrize("rel_pos, rel_vel, radius, branch", BALL_CASES)
+def test_ball_entry_time_rows_equal_the_scalar_quadratic(rel_pos, rel_vel, radius, branch):
+    assert _branch(rel_pos, rel_vel, radius) == branch
+    P, V = np.array([rel_pos]), np.array([rel_vel])
+    assert ball_entry_time(P, V, radius).tolist() == [ref_ball_entry_time(P[0], V[0], radius)]
+
+
+def test_ball_entry_time_of_random_rows_equals_the_scalar_quadratic():
+    rng = np.random.default_rng(43)
+    for dim in (1, 2, 3):
+        P = rng.uniform(-4.0, 4.0, size=(3000, dim))
+        V = rng.uniform(-2.0, 2.0, size=(3000, dim))
+        V[::7] = 0.0
+        V[1::7, 0] = 0.0
+        radii = rng.uniform(0.0, 2.0, size=3000)
+        radii[::5] = 0.0
+        want = [ref_ball_entry_time(p, v, r) for p, v, r in zip(P, V, radii.tolist())]
+        assert ball_entry_time(P, V, radii).tolist() == want
+        branches = {_branch(p, v, r) for p, v, r in zip(P, V, radii.tolist())}
+        # a 1-D course cannot miss: it runs through the ball or away from it
+        assert branches >= {"inside", "a == 0", "b >= 0", "root", *(["missed"] if dim > 1 else [])}
+        # the same radius for every row
+        want = [ref_ball_entry_time(p, v, 1.25) for p, v in zip(P, V)]
+        assert ball_entry_time(P, V, 1.25).tolist() == want
+
+
+# Sets of each kind in 1-D, 2-D and 3-D.
+EXACT_SETS = [
+    PointSet([0.5]), Ball([0.5], 1.0), Hyperrectangle([-1.0], [0.5]),
+    Polytope([[1.0], [-1.0]], [0.5, 1.0]),
+    PointSet([0.5, -0.25]), Ball([0.5, -0.25], 1.0), Hyperrectangle([-1.0, -0.5], [0.5, 1.0]),
+    DIAMOND, Polytope(*random_polytope(np.random.default_rng(3), 2, 7)),
+    PointSet([0.5, -0.25, 1.0]), Ball([0.5, -0.25, 1.0], 0.75),
+    Hyperrectangle([-1.0, -0.5, 0.0], [0.5, 1.0, 0.25]),
+    Polytope(*random_polytope(np.random.default_rng(5), 3, 6)),
+]
+EXACT_IDS = [f"{s.kind}-{s.dim}d" for s in EXACT_SETS]
+
+
+def _courses(s, rng, n=60):
+    """Random courses, with a zero velocity on one axis in some, standing
+    still in some, from inside the set in some, and some aimed at the
+    reference point in quarter steps, so that they reach it exactly."""
+    P = s.reference() + rng.uniform(-3.0, 3.0, size=(n, s.dim))
+    V = rng.uniform(-2.0, 2.0, size=(n, s.dim))
+    V[1::6, rng.integers(s.dim)] = 0.0
+    V[2::6] = 0.0
+    P[3::6] = s.reference()
+    V[4::6] = rng.integers(-8, 9, size=V[4::6].shape) / 4.0
+    P[4::6] = s.reference() - 1.5 * V[4::6]
+    return P, V
+
+
+@pytest.mark.parametrize("s", EXACT_SETS, ids=EXACT_IDS)
+def test_distance_and_entry_time_of_a_stack_of_queries_equal_the_per_row_references(s):
+    rng = np.random.default_rng(47)
+    P, V = _courses(s, rng)
+    assert s.distance(P).tolist() == [ref_distance(s, p) for p in P]
+    taus = s.entry_time(P, V).tolist()
+    assert taus == [ref_entry_time(s, p, v) for p, v in zip(P, V)]
+    assert {0.0, math.inf} < set(taus)  # inside, never and a finite entry
+    assert [s.distance(p) for p in P] == s.distance(P).tolist()
+    assert [s.entry_time(p, v) for p, v in zip(P, V)] == taus
+
+
+@pytest.mark.parametrize("s", EXACT_SETS, ids=EXACT_IDS)
+def test_a_stack_of_sets_measures_row_k_against_set_k(s):
+    rng = np.random.default_rng(53)
+    P, V = _courses(s, rng)
+    refs = s.reference() + rng.uniform(-1.0, 1.0, size=(len(P), s.dim))
+    moved = s.moved_to(refs)
+    ones = [s.moved_to(r) for r in refs]
+    assert moved.distance(P).tolist() == [ref_distance(o, p) for o, p in zip(ones, P)]
+    assert moved.entry_time(P, V).tolist() == [
+        ref_entry_time(o, p, v) for o, p, v in zip(ones, P, V)]
+
+
+@pytest.mark.parametrize("s", EXACT_SETS, ids=EXACT_IDS)
+def test_stack_sets_stacks_the_definitions_own_arrays(s):
+    """Parsed definitions, stacked as they are: a box's corners are never
+    rebuilt from its reference, nor a ball's radius made one."""
+    rng = np.random.default_rng(59)
+    P, V = _courses(s, rng, n=12)
+    defs = []
+    for k in range(len(P)):
+        payload = s.moved_to(s.reference() + rng.uniform(-1.0, 1.0, s.dim)).payload()
+        if isinstance(s, Ball):
+            payload[1] = float(rng.uniform(0.5, 1.5))  # a radius per sample
+        if isinstance(s, Hyperrectangle):
+            payload[1][0] += float(rng.uniform(0.0, 1.0))  # corners moving unevenly
+        defs.append(set_from_payload(s.kind, payload))
+    (n, stack), = stack_sets(defs)
+    assert (n, stack.rows) == (len(defs), len(defs))
+    assert stack.distance(P).tolist() == [ref_distance(d, p) for d, p in zip(defs, P)]
+    assert stack.entry_time(P, V).tolist() == [
+        ref_entry_time(d, p, v) for d, p, v in zip(defs, P, V)]
+    assert stack_sets([defs[0]] * 3) == [(3, defs[0])]
+
+
+def test_stack_sets_ends_a_stack_where_the_polytope_matrix_changes():
+    square = Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0] * 4)
+    defs = [square, square.moved_to([1.0, 0.0]), DIAMOND, DIAMOND, square]
+    stacks = stack_sets(defs)
+    assert [(n, s.rows) for n, s in stacks] == [(2, 2), (2, 2), (1, 1)]
+    P = np.array([[2.0, 0.0], [2.5, 0.5], [1.5, 0.0], [0.0, -2.0], [0.0, 3.0]])
+    got = np.concatenate([s.distance(P[k:k + n]) for k, (n, s) in zip((0, 2, 4), stacks)])
+    assert got.tolist() == [ref_distance(d, p) for d, p in zip(defs, P)]
+
+
+@pytest.mark.parametrize("s", [s for s, _ in STACK_SETS], ids=STACK_KINDS)
+def test_one_course_against_a_stack_of_sets_is_rejected(s):
+    stack = s.moved_to(np.zeros((2, 2)))
+    with pytest.raises(GeometryError, match="got a stack of 2"):
+        stack.entry_time([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(GeometryError, match="point stack of 3 against a stack of 2 sets"):
+        stack.distance(np.zeros((3, 2)))
+    with pytest.raises(GeometryError, match="2 positions but 1 velocities"):
+        s.entry_time(np.zeros((2, 2)), [[1.0, 0.0]])

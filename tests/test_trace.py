@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rtakit import (
@@ -108,6 +109,21 @@ def test_unknown_mode_rejected():
     assert "AUTOPILOT" in str(err.value)
 
 
+@pytest.mark.parametrize("name", [["SAFETY"], True, None, "safety"],
+                         ids=["unhashable", "bool", "null", "lower-case"])
+def test_mode_name_error_names_its_index(name):
+    doc = two_agent_doc()
+    doc["agents"]["ego"]["state_trace"].append([0.2, 0.2, 1.0])
+    doc["agents"]["leader"]["state_trace"].append([0.2, 5.2, 1.0])
+    doc["agents"]["leader"]["mode_trace"].append("NORMAL")
+    doc["unsafe"]["u1"]["state_trace"].append([0.2, [[10.2], 7.0]])
+    doc["agents"]["ego"]["mode_trace"].append(name)
+    with pytest.raises(TraceSchemaError) as err:
+        validate_trace_dict(doc)
+    assert err.value.path == "agents.ego.mode_trace[1]"
+    assert f"unknown mode {name!r}" in str(err.value)
+
+
 def test_unknown_set_type_rejected():
     doc = two_agent_doc()
     doc["unsafe"]["u1"]["type"] = "ellipsoid"
@@ -183,6 +199,34 @@ def test_nonfinite_number_names_path(value, where, path):
     with pytest.raises(TraceSchemaError) as err:
         validate_trace_dict(doc)
     assert err.value.path == path
+
+
+def _one_agent_doc(states):
+    return {"agents": {"a": {"state_trace": states, "mode_trace": ["NORMAL"] * (len(states) - 1)}},
+            "unsafe": {}}
+
+
+@pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf, 10 ** 400, "1.0"],
+                         ids=["true", "false", "nan", "inf", "-inf", "int-past-float", "string"])
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 3), (1, 1), (2, 2), (2, 3)])
+def test_state_entry_must_be_a_finite_number(value, i, j):
+    """Whichever entry of whichever row is bad, the error names it."""
+    states = [[0.0, 1.0, 2, 3.0], [0.1, 1.5, 2, 3.0], [0.2, 2.0, 2, 3.0]]
+    states[i][j] = value
+    with pytest.raises(TraceSchemaError) as err:
+        validate_trace_dict(_one_agent_doc(states))
+    assert str(err.value) == (f"agents.a.state_trace[{i}][{j}]: "
+                              f"expected a finite number, got {value!r}")
+
+
+def test_state_rows_of_ints_huge_floats_and_float_subclasses_load():
+    """Rows a one-pass row test cannot pass still load when every number
+    is finite: ints, floats whose sum overflows, and numpy floats."""
+    states = [[0, 1, 2.0], [0.1, 1e308, 1e308], [np.float64(0.2), np.float64(-1.5), 3]]
+    trace = ExecutionTrace.from_dict(_one_agent_doc(states))
+    assert trace.times == [0.0, 0.1, 0.2]
+    assert trace.rows["a"] == [(1.0, 2.0), (1e308, 1e308), (-1.5, 3.0)]
+    assert all(type(v) is float for row in trace.rows["a"] for v in row)
 
 
 def test_load_rejects_bad_json(tmp_path):
