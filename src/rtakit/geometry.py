@@ -94,7 +94,24 @@ def _not_numbers(what: str, x) -> GeometryError:
     )
 
 
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+def plain_finite(values) -> bool:
+    """Whether every entry of the sequence is exactly a float or an int (so
+    not a bool) and finite as a float: one type test of the whole sequence
+    and one finiteness test of its sum, which is finite only if every entry
+    is. False for finite numbers whose sum overflows, so a caller falls
+    back to a test per entry."""
+    try:
+        return _PLAIN_NUMBERS.issuperset(map(type, values)) and math.isfinite(sum(values))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _vector(x, what: str = "vector") -> np.ndarray:
+    if type(x) is list and x and plain_finite(x):  # a wire payload's: no numpy dispatch
+        return np.array(x, dtype=float)
     try:
         v = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:

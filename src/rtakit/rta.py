@@ -28,7 +28,9 @@ one-step prediction under the executed modes is the executed next sample.
 A decision reads the ego's and each anchor's predicted positions as one
 array, the leading `workspace_dim` components of its rows, and
 `boxes_from_prediction` builds every reach box of the horizon in one
-expression, as two (n, dim) corner stacks.
+expression, as two (n, dim) corner stacks. A set test that meets a
+non-finite predicted position fails the decision with an error naming the
+agent, the ego or the anchor, and the predicted time.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ import numpy as np
 from .agents import Mode
 from .evaluation import Collector
 from . import geometry
-from .geometry import box_intersects
+from .geometry import GeometryError, box_intersects
 from .scenario import Scenario, grid_steps, predict
 from .trace import ExecutionTrace
 
@@ -82,17 +84,25 @@ class RtaLogic:
         over the whole predicted horizon: a static set as the scenario built
         it, an anchored set as a stack of one set per predicted step, moved
         along the anchor's predicted positions. A set anchored to the ego is
-        skipped."""
+        skipped. The set test rejects a non-finite position; the error then
+        names the agent, the ego or the anchor, and the predicted time."""
         scenario = self.scenario
+        dim = scenario.workspace_dim
         for spec in scenario.config.unsafe_sets:
             set_def = scenario.static_sets.get(spec.set_id)
-            if set_def is None:
-                if spec.anchor_id == self.ego_id:
-                    continue
-                path = _positions(pred, spec.anchor_id, scenario.workspace_dim)
-                set_def = geometry.update_relative(spec, path)
-            if hits(set_def):
-                return True
+            anchor = spec.anchor_id if set_def is None else None
+            if anchor == self.ego_id:
+                continue
+            try:
+                if anchor is not None:
+                    set_def = geometry.update_relative(spec, _positions(pred, anchor, dim))
+                if hits(set_def):
+                    return True
+            except GeometryError:
+                for aid in (self.ego_id, anchor):
+                    if aid is not None:
+                        _check_finite_positions(pred, aid, dim)
+                raise
         return False
 
 
@@ -152,6 +162,15 @@ def _positions(pred: ExecutionTrace, agent_id: str, dim: int) -> np.ndarray:
     """(n, dim) workspace positions of an agent at every predicted step:
     the leading `dim` components of its rows, read as one array."""
     return np.array(pred.rows[agent_id])[:, :dim]
+
+
+def _check_finite_positions(pred: ExecutionTrace, agent_id: str, dim: int) -> None:
+    """Raise ValueError naming the agent and the first predicted time at
+    which its position is not finite, if there is one."""
+    for t, row in zip(pred.times, pred.rows[agent_id]):
+        if not all(map(math.isfinite, row[:dim])):
+            raise ValueError(f"predicted position of agent {agent_id!r} at t={t:g} "
+                             f"is not finite: {list(row[:dim])}")
 
 
 def boxes_from_prediction(pred: ExecutionTrace, ego_id: str, dim: int, bloat_rate: float,

@@ -15,8 +15,9 @@ trace module): a step that writes into its `state` or into a
 ScenarioRuntimeError naming the agent and t. So does a `remember` that
 raises, a step that returns the wrong number of components, checked on
 every step, and an executed step that returns a non-finite state, checked
-once per tick by `execute`; a non-finite predicted state surfaces through
-the geometry of the decision that reads it.
+once per tick by `execute`. A non-finite predicted position that a
+decision's set test reads (the ego's, or an anchor's) fails that decision
+with an error naming the agent and the predicted time (see the rta module).
 
 Execution and prediction are one rollout: `advance` is the only step of
 either. An agent's memory (see the agents module) is the fold of its

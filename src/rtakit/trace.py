@@ -22,19 +22,26 @@ These columns are the read API; the constructor makes them all, empty.
 Rows are immutable, so a trace, a prefix cut from it and a prediction
 seeded from it share them without copies; payloads are shared the same way
 and must not be mutated. `append_sample` is the one way to add a sample.
-`to_dict` builds the wire rows; `from_dict` checks and splits them in one
-walk.
+`to_dict` builds the wire rows. `from_dict` checks and splits them in one
+pass per column: an agent's state block, its mode column, a set's rows,
+timestamps and payload types are each tested whole, and one payload is
+parsed per run of equal payloads. A column that fails its pass is read
+again entry by entry, a walk that only names the first offending entry, so
+every error is the walk's.
 """
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain, compress, islice
+from operator import itemgetter, lt, ne
 from pathlib import Path
 
 from .agents import Mode
-from .geometry import GeometryError, SET_KINDS, SetDef, set_from_payload
+from .geometry import GeometryError, SET_KINDS, SetDef, plain_finite, set_from_payload
 
 MODE_NAMES = tuple(m.value for m in Mode)
+_MODE_BY_NAME = {m.value: m for m in Mode}
 _NAME_BY_MODE_ID = {id(m): m.value for m in Mode}
 
 
@@ -140,7 +147,7 @@ class ExecutionTrace:
             "agents": {
                 aid: {
                     "state_trace": [[t, *row] for t, row in zip(times, rows)],
-                    "mode_trace": [m.value for m in self.modes[aid]],
+                    "mode_trace": mode_names(self.modes[aid]),
                 }
                 for aid, rows in self.rows.items()
             },
@@ -156,7 +163,7 @@ class ExecutionTrace:
     @classmethod
     def from_dict(cls, doc) -> "ExecutionTrace":
         """Check a raw document against the wire format and build its trace
-        in the same walk. Raises TraceSchemaError naming the first
+        in the same pass. Raises TraceSchemaError naming the first
         offending path."""
         if not isinstance(doc, dict):
             raise TraceSchemaError("<document>", f"expected an object, got {type(doc).__name__}")
@@ -187,12 +194,10 @@ class ExecutionTrace:
                     f"{path}.mode_trace",
                     f"length must be {len(times) - 1} (one fewer than state_trace), got {len(modes)}",
                 )
-            for i, name in enumerate(modes):
-                if name not in MODE_NAMES:
-                    raise TraceSchemaError(
-                        f"{path}.mode_trace[{i}]", f"unknown mode {name!r}, expected one of {MODE_NAMES}"
-                    )
-            out.modes[aid] = [Mode(name) for name in modes]
+            try:
+                out.modes[aid] = list(map(_MODE_BY_NAME.__getitem__, modes))
+            except (KeyError, TypeError):  # an unknown or unhashable name
+                out.modes[aid] = _walk_modes(f"{path}.mode_trace", modes)
         unsafe = doc["unsafe"]
         if not isinstance(unsafe, dict):
             raise TraceSchemaError("unsafe", "must be an object")
@@ -261,29 +266,44 @@ def _check_numbers(row, rpath: str) -> None:
 
 
 _PLAIN_NUMBERS = frozenset((float, int))
-
-
-def _plain_finite(row: list) -> bool:
-    """Whether every entry is exactly a float or an int (so not a bool) and
-    finite as a float: one type test and one finiteness test for the whole
-    row. False leaves the row to `_check_numbers`, which also passes
-    subclasses of int and float."""
-    try:
-        return _PLAIN_NUMBERS.issuperset(map(type, row)) and all(map(math.isfinite, row))
-    except OverflowError:  # an int too large for a float
-        return False
+_NESTED = frozenset((float, int, list))
+_LIST = frozenset((list,))
 
 
 def _read_states(path: str, states) -> tuple[list[float], list[tuple[float, ...]]]:
-    """The timestamps and state rows of an agent's wire `state_trace`."""
+    """The timestamps and state rows of an agent's wire `state_trace`. The
+    block is tested in one pass: every row a list of one width >= 2, every
+    entry exactly a float or an int (so not a bool), all finite, and the
+    timestamps strictly increasing. A block that fails is read by
+    `_walk_states`."""
+    if (type(states) is list and states and _LIST.issuperset(map(type, states))
+            and len(states[0]) >= 2 and len(set(map(len, states))) == 1):
+        columns = list(zip(*states))
+        kinds = set(map(type, chain.from_iterable(columns)))
+        try:  # the sum is finite only if every entry is
+            finite = kinds <= _PLAIN_NUMBERS and math.isfinite(sum(chain.from_iterable(columns)))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if finite:
+            if int in kinds:
+                columns = [tuple(map(float, column)) for column in columns]
+            times = list(columns[0])
+            if all(map(lt, times, islice(times, 1, None))):
+                return times, list(zip(*columns[1:]))
+    return _walk_states(path, states)
+
+
+def _walk_states(path: str, states) -> tuple[list[float], list[tuple[float, ...]]]:
+    """`_read_states` row by row, which names the first bad entry; it also
+    reads rows that one pass cannot, such as numpy floats or finite numbers
+    whose sum overflows."""
     if not isinstance(states, list) or not states:
         raise TraceSchemaError(path, "must be a nonempty list")
     times, rows = [], []
     for i, row in enumerate(states):
         if not isinstance(row, list) or len(row) < 2:
             raise TraceSchemaError(f"{path}[{i}]", "must be a list [t, s0, ...] with >= 2 entries")
-        if not _plain_finite(row):
-            _check_numbers(row, f"{path}[{i}]")
+        _check_numbers(row, f"{path}[{i}]")
         width = len(states[0])  # row 0 passed the checks above
         if len(row) != width:
             raise TraceSchemaError(f"{path}[{i}]",
@@ -295,13 +315,63 @@ def _read_states(path: str, states) -> tuple[list[float], list[tuple[float, ...]
     return times, rows
 
 
+def _walk_modes(path: str, names: list) -> list[Mode]:
+    """The modes of a wire `mode_trace`, name by name, which names the
+    first unknown one."""
+    for i, name in enumerate(names):
+        if name not in MODE_NAMES:
+            raise TraceSchemaError(
+                f"{path}[{i}]", f"unknown mode {name!r}, expected one of {MODE_NAMES}"
+            )
+    return [Mode(name) for name in names]
+
+
+def _plain_payloads(payloads: list) -> bool:
+    """Whether every payload is a list of floats, ints and lists of them,
+    to any depth, so that `non_number_entry` finds nothing in it: one type
+    test per nesting level of the whole column."""
+    if not _LIST.issuperset(map(type, payloads)):
+        return False
+    level = payloads
+    while level:
+        entries = list(chain.from_iterable(level))
+        types = list(map(type, entries))
+        kinds = set(types)
+        if not kinds <= _NESTED:
+            return False
+        level = list(compress(entries, map(_LIST.__contains__, types))) if list in kinds else ()
+    return True
+
+
 def _read_payloads(path: str, kind: str, rows, grid: list[float]) -> list:
     """The payloads of a set's wire `state_trace`, one per sample of the
-    grid. A payload equal to the one before it is not parsed again."""
+    grid. The column is tested in one pass: every row a pair, the
+    timestamps the grid's, every payload of plain number types (see
+    `_plain_payloads`). One payload is parsed per run of equal payloads,
+    and all must have one dimension. A column that fails is read by
+    `_walk_payloads`."""
     if not isinstance(rows, list) or not rows:
         raise TraceSchemaError(path, "must be a nonempty list")
     if len(rows) != len(grid):
         raise TraceSchemaError(path, f"expected {len(grid)} samples to match agents, got {len(rows)}")
+    if _LIST.issuperset(map(type, rows)) and set(map(len, rows)) == {2}:
+        times = list(map(itemgetter(0), rows))
+        payloads = list(map(itemgetter(1), rows))
+        if plain_finite(times) and times == grid and _plain_payloads(payloads):
+            changed = compress(range(1, len(payloads)),
+                               map(ne, islice(payloads, 1, None), payloads))
+            try:
+                dims = {set_from_payload(kind, payloads[k]).dim for k in chain((0,), changed)}
+            except GeometryError:
+                dims = set()
+            if len(dims) == 1:
+                return payloads
+    return _walk_payloads(path, kind, rows, grid)
+
+
+def _walk_payloads(path: str, kind: str, rows: list, grid: list[float]) -> list:
+    """`_read_payloads` row by row, which names the first bad entry. A
+    payload equal to the one before it is not parsed again."""
     dim = parsed = None
     for i, row in enumerate(rows):
         rpath = f"{path}[{i}]"
@@ -328,6 +398,6 @@ def _read_payloads(path: str, kind: str, rows, grid: list[float]) -> list:
 
 
 def validate_trace_dict(doc) -> None:
-    """Check a raw document against the wire format: the walk of
-    `ExecutionTrace.from_dict`, its trace dropped."""
+    """Check a raw document against the wire format: `ExecutionTrace.from_dict`
+    with its trace dropped."""
     ExecutionTrace.from_dict(doc)

@@ -1,5 +1,5 @@
-"""Shared test fixtures: independent oracles, scenario builders and a
-per-row reference evaluator.
+"""Shared test fixtures: independent oracles, scenario builders, a
+per-entry reference trace loader and a per-row reference evaluator.
 
 The polytope distance oracle is a refining grid search (pure sampling,
 nothing shared with the projection solver under test).
@@ -27,8 +27,10 @@ from rtakit import (
     RtaBinding,
     ScenarioConfig,
     SimRta,
+    TraceSchemaError,
     set_from_payload,
 )
+from rtakit.geometry import GeometryError, SET_KINDS
 
 
 def grid_distance_oracle(A, b, query, feasible_point, rounds=9, batch=4096, seed=0):
@@ -172,6 +174,142 @@ def config_docs():
                 ops = ops[:8]
             for op, doc in ops:
                 yield pytest.param(doc, id=f"{name}-{seed}-{op}")
+
+
+# -- per-entry reference loader ------------------------------------------------------
+#
+# `ExecutionTrace.from_dict` as one walk over every entry, each row, mode name
+# and payload tested on its own. The column-wise loader must build the same
+# columns from any document, and raise the same error, path and message.
+
+def _ref_finite_number(x) -> bool:
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _ref_check_numbers(row, rpath: str) -> None:
+    for j, v in enumerate(row):
+        if not _ref_finite_number(v):
+            raise TraceSchemaError(f"{rpath}[{j}]", f"expected a finite number, got {v!r}")
+
+
+def _ref_non_number(payload):
+    """(index path, entry) of the first non-int, non-float entry, or None."""
+    if type(payload) is not list:
+        return "", payload
+    for j, v in enumerate(payload):
+        if type(v) is not float and type(v) is not int:
+            bad = _ref_non_number(v)
+            if bad is not None:
+                return f"[{j}]{bad[0]}", bad[1]
+    return None
+
+
+def _ref_states(path: str, states):
+    if not isinstance(states, list) or not states:
+        raise TraceSchemaError(path, "must be a nonempty list")
+    times, rows = [], []
+    for i, row in enumerate(states):
+        if not isinstance(row, list) or len(row) < 2:
+            raise TraceSchemaError(f"{path}[{i}]", "must be a list [t, s0, ...] with >= 2 entries")
+        _ref_check_numbers(row, f"{path}[{i}]")
+        width = len(states[0])
+        if len(row) != width:
+            raise TraceSchemaError(f"{path}[{i}]",
+                                   f"row length {len(row)} != {width} of earlier rows")
+        times.append(float(row[0]))
+        rows.append(tuple(map(float, row[1:])))
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise TraceSchemaError(path, "timestamps must be strictly increasing")
+    return times, rows
+
+
+def _ref_payloads(path: str, kind: str, rows, grid: list[float]) -> list:
+    if not isinstance(rows, list) or not rows:
+        raise TraceSchemaError(path, "must be a nonempty list")
+    if len(rows) != len(grid):
+        raise TraceSchemaError(path, f"expected {len(grid)} samples to match agents, got {len(rows)}")
+    dim = parsed = None
+    for i, row in enumerate(rows):
+        rpath = f"{path}[{i}]"
+        if not isinstance(row, list) or len(row) != 2:
+            raise TraceSchemaError(rpath, "must be a pair [t, definition]")
+        _ref_check_numbers(row[:1], rpath)
+        if float(row[0]) != grid[i]:
+            raise TraceSchemaError(rpath, f"timestamp {row[0]} differs from agent grid {grid[i]}")
+        payload = row[1]
+        bad = _ref_non_number(payload)
+        if bad is not None:
+            raise TraceSchemaError(f"{rpath}[1]{bad[0]}", f"expected a number, got {bad[1]!r}")
+        if payload == parsed:
+            continue
+        try:
+            sd = set_from_payload(kind, payload)
+        except GeometryError as exc:
+            raise TraceSchemaError(rpath, str(exc)) from exc
+        parsed = payload
+        if dim is not None and sd.dim != dim:
+            raise TraceSchemaError(rpath, f"set dimension changed from {dim} to {sd.dim}")
+        dim = sd.dim
+    return [row[1] for row in rows]
+
+
+def reference_from_dict(doc) -> ExecutionTrace:
+    """The trace of a wire document, read entry by entry."""
+    names = tuple(m.value for m in Mode)
+    if not isinstance(doc, dict):
+        raise TraceSchemaError("<document>", f"expected an object, got {type(doc).__name__}")
+    if set(doc) != {"agents", "unsafe"}:
+        raise TraceSchemaError(
+            "<document>", f"top-level keys must be exactly 'agents' and 'unsafe', got {sorted(doc)}"
+        )
+    agents = doc["agents"]
+    if not isinstance(agents, dict) or not agents:
+        raise TraceSchemaError("agents", "must be a nonempty object")
+    out = ExecutionTrace()
+    for aid, entry in agents.items():
+        path = f"agents.{aid}"
+        if not isinstance(entry, dict) or set(entry) != {"state_trace", "mode_trace"}:
+            raise TraceSchemaError(path, "must have exactly 'state_trace' and 'mode_trace'")
+        times, out.rows[aid] = _ref_states(f"{path}.state_trace", entry["state_trace"])
+        if not out.times:
+            out.times, grid_owner = times, aid
+        elif times != out.times:
+            raise TraceSchemaError(
+                f"{path}.state_trace", f"timestamps differ from agent {grid_owner!r}"
+            )
+        modes = entry["mode_trace"]
+        if not isinstance(modes, list):
+            raise TraceSchemaError(f"{path}.mode_trace", "must be a list")
+        if len(modes) != len(times) - 1:
+            raise TraceSchemaError(
+                f"{path}.mode_trace",
+                f"length must be {len(times) - 1} (one fewer than state_trace), got {len(modes)}",
+            )
+        for i, name in enumerate(modes):
+            if name not in names:
+                raise TraceSchemaError(
+                    f"{path}.mode_trace[{i}]", f"unknown mode {name!r}, expected one of {names}"
+                )
+        out.modes[aid] = [Mode(name) for name in modes]
+    unsafe = doc["unsafe"]
+    if not isinstance(unsafe, dict):
+        raise TraceSchemaError("unsafe", "must be an object")
+    for sid, entry in unsafe.items():
+        path = f"unsafe.{sid}"
+        if not isinstance(entry, dict) or set(entry) != {"type", "state_trace"}:
+            raise TraceSchemaError(path, "must have exactly 'type' and 'state_trace'")
+        kind = entry["type"]
+        if kind not in SET_KINDS:
+            raise TraceSchemaError(f"{path}.type", f"unknown set type {kind!r}")
+        out.kinds[sid] = kind
+        out.unsafe[sid] = _ref_payloads(f"{path}.state_trace", kind, entry["state_trace"],
+                                        out.times)
+    return out
 
 
 # -- per-row reference evaluation ----------------------------------------------------

@@ -139,9 +139,10 @@ class NonfiniteAcc(GoalAcc):
 
 
 def test_nonfinite_prediction_failure_reports_the_time():
-    # Used to read "RTA logic for agent 'ego' failed: point must be finite",
-    # without the time of the decision. The decision at t=0.3 is the first
-    # whose 0.5 s prediction passes position 5.
+    # Used to read "RTA logic for agent 'ego' failed at t=0.3: point must be
+    # finite", naming neither the agent whose prediction went NaN nor the
+    # predicted time. The decision at t=0.3 is the first whose 0.5 s
+    # prediction passes position 5, at t=0.8.
     ego = NonfiniteAcc("ego", AccParams(), lambda view: [100.0, 0.0])
     config = ScenarioConfig(
         agents=[AgentSpec(ego, [0.0, 1.0], Mode.UNTRUSTED, RtaBinding(SimRta(horizon=0.5)))],
@@ -149,7 +150,26 @@ def test_nonfinite_prediction_failure_reports_the_time():
         dt=0.1, horizon=2.0, workspace_dim=1,
     )
     with pytest.raises(RtaError, match=r"^RTA logic for agent 'ego' failed at t=0\.3: "
-                                       r"point must be finite"):
+                                       r"predicted position of agent 'ego' at t=0\.8 "
+                                       r"is not finite: \[nan\]$"):
+        execute(build_scenario(config))
+
+
+@pytest.mark.parametrize("logic", [SimRta, ReachRta])
+def test_nonfinite_anchor_prediction_names_the_anchor(logic):
+    # Only the anchor's predicted position goes NaN; the ego's stays finite.
+    # This used to read "... failed at t=0.3: anchor position must be finite".
+    lead = NonfiniteAcc("lead", AccParams(), lambda view: [100.0, 0.0])
+    ego = GoalAcc("ego", AccParams(), lambda view: [-100.0, 0.0])
+    config = ScenarioConfig(
+        agents=[AgentSpec(ego, [0.0, 0.0], Mode.UNTRUSTED, RtaBinding(logic(horizon=0.5))),
+                AgentSpec(lead, [0.0, 1.0], Mode.UNTRUSTED)],
+        unsafe_sets=[RelativeSetSpec("lead_ball", Ball([0.0], 1.0), [0.0], "lead")],
+        dt=0.1, horizon=2.0, workspace_dim=1,
+    )
+    with pytest.raises(RtaError, match=r"^RTA logic for agent 'ego' failed at t=0\.3: "
+                                       r"predicted position of agent 'lead' at t=0\.8 "
+                                       r"is not finite: \[nan\]$"):
         execute(build_scenario(config))
 
 
