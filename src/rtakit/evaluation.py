@@ -14,7 +14,8 @@ explicitly. Velocities are backward finite differences of the recorded
 positions (set velocities likewise, of each set's reference point). An
 evaluation builds these as columns once, reading each set's payloads
 through `unsafe_def` once per run of equal payloads, and stacks each set's
-definitions row by row (`geometry.stack_sets`). It then measures each agent
+definitions row by row (`geometry.stack_sets`); another agent is a target
+too, a point moved along its positions. It then measures each agent
 against each target with one geometry call over the whole column: every
 distance and time to collision of a pair at once, each sample rounded as
 it would be alone.
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import SetDef, ball_entry_time, row_norms, stack_sets
+from .geometry import PointSet, SetDef, stack_sets
 from .trace import ExecutionTrace, mode_names
 
 
@@ -104,36 +105,45 @@ def _workspace_dim(trace, metadata: ScenarioMetadata | None) -> int:
             "workspace dimension is unknown: no unsafe sets to infer it from; "
             "pass ScenarioMetadata(workspace_dim=...)"
         )
+    if metadata.workspace_dim < 1:  # a slice [:, :dim] would take a wrong width silently
+        raise EvalError(f"workspace dimension must be at least 1, got {metadata.workspace_dim}")
     return metadata.workspace_dim
 
 
 class _Samples:
     """The columns of a trace that one evaluation reads, built once: per
-    agent its (n, dim) positions and velocities, per set its definitions as
-    row-aligned stacks and the velocity of its reference point at every
-    sample of `window`."""
+    agent its (n, dim) positions and velocities, and per target (a set, or
+    an agent as a moving point) its definitions as row-aligned stacks and
+    the velocity of its reference point at every sample of `window`."""
 
     def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None,
                  agent_ids: list[str], set_ids: list[str], window: slice = slice(None)):
         self.ts = ts = trace.times[window]
+        if not ts:
+            raise EvalError("trace holds no samples (no data)")
         dim = _workspace_dim(trace, metadata) if agent_ids else 0
         self.positions = {aid: _positions(trace.rows[aid][window], aid, dim) for aid in agent_ids}
         self.velocities = {aid: _velocities(ts, x) for aid, x in self.positions.items()}
-        self.set_stacks, self.set_velocities = {}, {}
+        self.targets = {aid: ([(len(x), PointSet(x[0]).moved_to(x))], self.velocities[aid])
+                        for aid, x in self.positions.items()}
         for sid in set_ids:
-            self.set_stacks[sid], refs = _set_column(trace, sid, range(len(trace.times))[window])
-            self.set_velocities[sid] = _velocities(ts, refs)
+            stacks, refs = _set_column(trace, sid, range(len(trace.times))[window])
+            for _, stack in stacks:
+                if agent_ids and stack.dim != dim:
+                    raise EvalError(f"unsafe set {sid!r} has dimension {stack.dim}, "
+                                    f"but the workspace has dimension {dim}")
+            self.targets[sid] = stacks, _velocities(ts, refs)
 
 
 def _positions(rows: list[tuple[float, ...]], agent_id: str, dim: int) -> np.ndarray:
     """The leading `dim` state components of the agent's rows."""
-    width = len(rows[0]) if rows else dim
+    width = len(rows[0])
     if width < dim:
         raise EvalError(
             f"agent {agent_id!r} state has {width} components, "
             f"cannot project {dim} position components"
         )
-    return np.array(rows, dtype=float).reshape(len(rows), width)[:, :dim]
+    return np.array(rows, dtype=float)[:, :dim]
 
 
 def _set_column(trace: ExecutionTrace, set_id: str,
@@ -173,10 +183,7 @@ def _per_stack(stacks: list[tuple[int, SetDef]], method: str, *columns: np.ndarr
 
 def _distances(s: _Samples, agent_id: str, target_id: str) -> list[float]:
     """The agent's distance to the target at every sample."""
-    pos = s.positions[agent_id]
-    if target_id in s.set_stacks:
-        return _per_stack(s.set_stacks[target_id], "distance", pos).tolist()
-    return row_norms(pos - s.positions[target_id]).tolist()
+    return _per_stack(s.targets[target_id][0], "distance", s.positions[agent_id]).tolist()
 
 
 def distance_series(trace: ExecutionTrace, agent_id: str, target_id: str,
@@ -205,12 +212,9 @@ def _grid_index(ts: list[float], t: float) -> int:
 
 def _ttcs(s: _Samples, agent_id: str, target_id: str) -> list[float]:
     """The agent's time to collision with the target from every sample."""
-    pos, vel = s.positions[agent_id], s.velocities[agent_id]
-    if target_id in s.set_stacks:
-        rel_vel = vel - s.set_velocities[target_id]
-        return _per_stack(s.set_stacks[target_id], "entry_time", pos, rel_vel).tolist()
-    return ball_entry_time(pos - s.positions[target_id],
-                           vel - s.velocities[target_id], 0.0).tolist()
+    stacks, target_vel = s.targets[target_id]
+    rel_vel = s.velocities[agent_id] - target_vel
+    return _per_stack(stacks, "entry_time", s.positions[agent_id], rel_vel).tolist()
 
 
 def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
@@ -366,8 +370,6 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
     "no data".
     """
     timings = timings or {}
-    if not trace.times:
-        raise EvalError("trace holds no samples (no data)")
     agent_ids, set_ids = list(trace.rows), list(trace.unsafe)
     # Positions only if there is something to measure them against.
     measured = agent_ids if set_ids or len(agent_ids) > 1 else []

@@ -19,8 +19,9 @@ with no feasible point raises GeometryError there.
 
 Each set also gives its `reference()` point, the one `moved_to` places, and
 `entry_time(pos, vel)`, the first time a straight-line course enters it, in
-closed form but for a polytope's intersection of half-space times, which
-runs one course at a time; evaluation's time to collision reads both.
+closed form; evaluation's time to collision reads both. A point or ball
+solves a quadratic (`ball_entry_time`); a hyperrectangle, as its 2 * dim
+faces, and a polytope intersect their half-space times in one slab function.
 
 Axis-aligned boxes (the reach boxes of ReachRta) are tested against every
 set kind by `box_intersects`. It is exact in closed form for point, ball and
@@ -140,12 +141,6 @@ def _points(x, dim: int, what: str) -> np.ndarray:
     return v
 
 
-def _norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; equals np.linalg.norm(d, axis=1) bit
-    for bit, without its dispatch."""
-    return np.sqrt((d * d).sum(axis=1))
-
-
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row k is a[k] @ b[k] for stacks (n, dim), rounded as that one
     product is: matmul of 1 x dim by dim x 1 blocks runs the same BLAS dot
@@ -184,6 +179,22 @@ def ball_entry_time(rel_pos: np.ndarray, rel_vel: np.ndarray, radius) -> np.ndar
     # b >= 0: both roots <= 0, the approaching times are in the past.
     never = (a == 0.0) | missed | (b >= 0.0)
     return np.where(c <= 0.0, 0.0, np.where(never, np.inf, np.where(root < 0.0, 0.0, root)))
+
+
+def _slab_entry_time(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per row k of the stacks (n, faces), the smallest tau >= 0 with
+    h[k] * tau <= g[k] on every face; inf where there is none. For the
+    course P + V tau against {x : Ax <= b}, g = b - A P and h = A V: each
+    face bounds tau from one side, and the bounds are intersected
+    (Cyrus and Beck, 1978). A face the course runs parallel to (h == 0)
+    holds for every tau or none."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # h == 0 faces are masked
+        tau = g / h
+    t_lo = np.where(h < 0.0, tau, -np.inf).max(axis=1)
+    t_lo = np.where(t_lo > 0.0, t_lo, 0.0)  # the floor: a -0.0 bound gives 0.0
+    t_hi = np.where(h > 0.0, tau, np.inf).min(axis=1)
+    blocked = ((h == 0.0) & (g < 0.0)).any(axis=1)
+    return np.where(blocked | ~(t_lo <= t_hi), np.inf, t_lo)
 
 
 def _one_or_rows(values: np.ndarray, one: bool):
@@ -267,7 +278,8 @@ class SetDef:
         P = _points(points, self.dim, "point")
         if P.ndim == 1:
             self._one(what)
-        return self._queries(P, "point"), P.ndim == 1
+            return P[None, :], True
+        return self._row_aligned(P, "point"), False
 
     def _courses(self, pos, vel) -> tuple[np.ndarray, np.ndarray, bool]:
         """Positions and velocities as (n, dim) stacks, and whether they
@@ -282,8 +294,9 @@ class SetDef:
         """`x` as an (n, dim) stack, row-aligned with this set if it is one;
         one vector (dim,) is a stack of one."""
         q = _points(x, self.dim, what)
-        if q.ndim == 1:
-            q = q[None, :]
+        return self._row_aligned(q[None, :] if q.ndim == 1 else q, what)
+
+    def _row_aligned(self, q: np.ndarray, what: str) -> np.ndarray:
         if self.rows is not None and q.shape[0] != self.rows:
             raise GeometryError(
                 f"{what} stack of {q.shape[0]} against a stack of {self.rows} sets"
@@ -341,7 +354,7 @@ class PointSet(SetDef):
 
     def _box_gaps(self, lo, hi):
         c = self.coords
-        return _norms(c - np.minimum(np.maximum(c, lo), hi))
+        return row_norms(c - np.minimum(np.maximum(c, lo), hi))
 
     def _payload(self):
         return [float(c) for c in self.coords]
@@ -365,7 +378,7 @@ class Ball(SetDef):
 
     def contains(self, points) -> bool:
         P = self._queries(points, "point")
-        return bool((_norms(P - self.center) <= self.radius).any())
+        return bool((row_norms(P - self.center) <= self.radius).any())
 
     def distance(self, points):
         P, one = self._measured(points, "a distance")
@@ -385,7 +398,7 @@ class Ball(SetDef):
 
     def _box_gaps(self, lo, hi):
         c = self.center
-        return _norms(c - np.minimum(np.maximum(c, lo), hi)) - self.radius
+        return row_norms(c - np.minimum(np.maximum(c, lo), hi)) - self.radius
 
     def _payload(self):
         return [[float(c) for c in self.center], self.radius]
@@ -408,7 +421,8 @@ class Hyperrectangle(SetDef):
         self.lower = _vector(lower, "lower corner")
         self.upper = _vector(upper, "upper corner")
         if self.lower.shape != self.upper.shape:
-            raise DimensionMismatch(self.lower.shape[0], self.upper.shape[0])
+            raise GeometryError(f"lower corner has {self.lower.shape[0]} coordinates "
+                                f"but upper corner has {self.upper.shape[0]}")
         if (self.lower > self.upper).any():
             raise GeometryError(
                 f"lower corner must not exceed upper corner: "
@@ -433,23 +447,13 @@ class Hyperrectangle(SetDef):
         return (self.lower + self.upper) / 2.0
 
     def entry_time(self, pos, vel):
-        """The per-axis slab times, intersected; a course standing still
-        on an axis never enters unless it is inside that axis's slab."""
+        """The slab times of the 2 * dim faces x <= upper and -x <= -lower."""
         P, V, one = self._courses(pos, vel)
-        t_lo, t_hi = np.zeros(P.shape[0]), np.full(P.shape[0], np.inf)
-        outside = np.zeros(P.shape[0], dtype=bool)
-        for p, v, lo, hi in zip(P.T, V.T, self.lower.T, self.upper.T):
-            still = v == 0.0
-            outside |= still & ~((lo <= p) & (p <= hi))
-            with np.errstate(divide="ignore", invalid="ignore"):  # `still` drops them
-                a, b = (lo - p) / v, (hi - p) / v
-            a, b = np.where(a > b, b, a), np.where(a > b, a, b)
-            t_lo = np.where(~still & (a > t_lo), a, t_lo)
-            t_hi = np.where(~still & (b < t_hi), b, t_hi)
-        return _one_or_rows(np.where(outside | ~(t_lo <= t_hi), np.inf, t_lo), one)
+        g = np.concatenate((self.upper - P, P - self.lower), axis=1)
+        return _one_or_rows(_slab_entry_time(g, np.concatenate((V, -V), axis=1)), one)
 
     def _box_gaps(self, lo, hi):
-        return _norms(np.maximum(0.0, np.maximum(self.lower - hi, lo - self.upper)))
+        return row_norms(np.maximum(0.0, np.maximum(self.lower - hi, lo - self.upper)))
 
     def _payload(self):
         return [[float(c) for c in self.lower], [float(c) for c in self.upper]]
@@ -571,25 +575,12 @@ class Polytope(SetDef):
         return np.linalg.lstsq(self.A, self.b, rcond=None)[0]
 
     def entry_time(self, pos, vel):
-        """The half-space times, intersected: row i holds while
-        (A vel)_i tau <= (b - A pos)_i. One course at a time."""
+        """The slab times of the rows: row i holds while
+        (A vel)_i tau <= (b - A pos)_i. matmul of A by (dim, 1) blocks
+        rounds row k as A @ pos[k] alone, where pos @ A.T does not."""
         P, V, one = self._courses(pos, vel)
-        taus = [s._entry_time(p, v) for s, p, v in zip(self._sets(len(P)), P, V)]
-        return _one_or_rows(np.array(taus), one)
-
-    def _entry_time(self, pos: np.ndarray, vel: np.ndarray) -> float:
-        g = self.b - self.A @ pos
-        h = self.A @ vel
-        t_lo, t_hi = 0.0, math.inf
-        for gi, hi in zip(g, h):
-            if hi == 0.0:
-                if gi < 0.0:
-                    return math.inf
-            elif hi > 0.0:
-                t_hi = min(t_hi, gi / hi)
-            else:
-                t_lo = max(t_lo, gi / hi)
-        return t_lo if t_lo <= t_hi else math.inf
+        g = self.b - np.matmul(self.A, P[:, :, None])[:, :, 0]
+        return _one_or_rows(_slab_entry_time(g, np.matmul(self.A, V[:, :, None])[:, :, 0]), one)
 
     def _meets_boxes(self, lo, hi) -> bool:
         A = self.A

@@ -9,10 +9,11 @@ Wire format (JSON), stable so external simulators can produce it:
                          "state_trace": [[t, <payload>], ...]},
                 ...}}
 
-Invariants: all state traces share one strictly increasing timestamp grid;
-each agent's mode trace has exactly one entry fewer than its state trace
-(a mode labels the transition out of each state); unsafe payloads follow
-the layouts documented in the geometry module.
+Invariants: no set id is also an agent id, so an id names one target; all
+state traces share one strictly increasing timestamp grid; each agent's
+mode trace has exactly one entry fewer than its state trace (a mode labels
+the transition out of each state); unsafe payloads follow the layouts
+documented in the geometry module.
 
 In memory an ExecutionTrace is columnar: one `times` list shared by every
 agent and set, one list of state rows per agent in `rows` (a row is a tuple
@@ -72,9 +73,11 @@ class ExecutionTrace:
             self.rows[aid] = []
         self.modes: dict[str, list[Mode]] = {aid: [] for aid in self.rows}
         self.kinds: dict[str, str] = dict(kinds or {})
-        for kind in self.kinds.values():
+        for sid, kind in self.kinds.items():
             if kind not in SET_KINDS:
                 raise ValueError(f"unknown set type {kind!r}")
+            if sid in self.rows:
+                raise ValueError(f"unsafe set id {sid!r} is also an agent id")
         self.unsafe: dict[str, list] = {sid: [] for sid in self.kinds}
         # (samples folded, agent memory after them), kept by
         # `Scenario.memory`; in process only, never serialized.
@@ -205,6 +208,8 @@ class ExecutionTrace:
             path = f"unsafe.{sid}"
             if not isinstance(entry, dict) or set(entry) != {"type", "state_trace"}:
                 raise TraceSchemaError(path, "must have exactly 'type' and 'state_trace'")
+            if sid in out.rows:
+                raise TraceSchemaError(path, "set id is also an agent id")
             kind = entry["type"]
             if kind not in SET_KINDS:
                 raise TraceSchemaError(f"{path}.type", f"unknown set type {kind!r}")

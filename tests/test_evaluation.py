@@ -290,6 +290,31 @@ def test_workspace_dim_required_without_sets():
     trace = make_trace({"a": [[0.0, 0.0, 1.0]], "b": [[0.0, 3.0, 1.0]]})
     with pytest.raises(EvalError, match="workspace"):
         distance_series(trace, "a", "b", metadata=None)
+    for dim in (0, -1):
+        with pytest.raises(EvalError, match=f"must be at least 1, got {dim}"):
+            distance_series(trace, "a", "b", ScenarioMetadata(workspace_dim=dim))
+
+
+WIDE = ("point", [[1.0, 2.0]] * 2)  # a 2-D set
+WIDE_MESSAGE = "unsafe set 'wide' has dimension 2, but the workspace has dimension 1"
+
+
+def test_sets_of_different_dimensions_are_named(tmp_path, capsys):
+    trace = make_trace({"a": [[0.0, 0.0], [0.1, 0.5]]}, {"a": [Mode.UNTRUSTED]},
+                       sets={"u": ("point", [[3.0]] * 2), "wide": WIDE})
+    with pytest.raises(EvalError, match=WIDE_MESSAGE):
+        build_report(trace)
+    trace.dump(tmp_path / "trace.json")
+    assert cli_main(["eval", str(tmp_path / "trace.json"), "--out", str(tmp_path / "r")]) == 2
+    assert WIDE_MESSAGE in capsys.readouterr().err
+
+
+def test_a_set_off_the_given_workspace_dimension_is_named():
+    trace = make_trace({"a": [[0.0, 0.0, 1.0], [0.1, 0.5, 1.0]]}, sets={"wide": WIDE})
+    with pytest.raises(EvalError, match=WIDE_MESSAGE):
+        distance_series(trace, "a", "wide", META1)
+    with pytest.raises(EvalError, match=WIDE_MESSAGE):
+        ttc(trace, "a", "wide", 0.1, META1)
 
 
 # -- report over a shipped scenario -------------------------------------------------

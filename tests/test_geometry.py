@@ -91,6 +91,35 @@ def test_distance_polytope_matches_rect_for_box_encoding():
     assert UNIT_SQUARE.distance([2.0, 2.0]) == pytest.approx(rect.distance([2.0, 2.0]), abs=1e-6)
 
 
+def _half_spaces(box):
+    """The box as a polytope: A = [I; -I], b = [upper; -lower]."""
+    eye = np.eye(box.dim)
+    return Polytope(np.vstack((eye, -eye)), np.concatenate((box.upper, -box.lower)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_entry_time_of_a_box_and_its_half_space_form_are_bit_identical(dim):
+    rng = np.random.default_rng(61 + dim)
+    box = Hyperrectangle(-rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim))
+    P, V = _courses(box, rng)  # zero-velocity axes, standing still, inside
+    axis = rng.integers(dim, size=len(P[5::6]))
+    P[5::6][np.arange(len(axis)), axis] = box.upper[axis]  # starting on a face
+    V[5::12] = 0.0  # standing still on it
+    poly = _half_spaces(box)
+    taus = box.entry_time(P, V)
+    assert taus.tobytes() == poly.entry_time(P, V).tobytes()
+    assert {0.0, math.inf} < set(taus.tolist())  # inside, never and a finite entry
+    one = np.array([box.entry_time(p, v) for p, v in zip(P, V)])
+    assert one.tobytes() == np.array([poly.entry_time(p, v) for p, v in zip(P, V)]).tobytes()
+    assert one.tobytes() == taus.tobytes()
+    # A stack of boxes whose corners move unevenly, and its half-space forms.
+    boxes = [Hyperrectangle(box.lower + rng.uniform(-1.0, 1.0, dim),
+                            box.upper + rng.uniform(1.0, 2.0, dim)) for _ in P]
+    (_, box_stack), = stack_sets(boxes)
+    (_, poly_stack), = stack_sets([_half_spaces(b) for b in boxes])
+    assert box_stack.entry_time(P, V).tobytes() == poly_stack.entry_time(P, V).tobytes()
+
+
 def test_distance_polytope_box_encoding_randomized():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -208,6 +237,13 @@ def test_nonfinite_radius_rejected(radius):
 def test_rect_inverted_corners_rejected():
     with pytest.raises(GeometryError):
         Hyperrectangle([1.0], [0.0])
+
+
+def test_rect_corners_of_different_lengths_name_both():
+    with pytest.raises(GeometryError, match="lower corner has 2 coordinates "
+                                            "but upper corner has 3") as err:
+        Hyperrectangle([0.0, 0.0], [1.0, 1.0, 1.0])
+    assert not isinstance(err.value, DimensionMismatch)  # no point is involved
 
 
 def test_empty_polytope_rejected():

@@ -132,6 +132,14 @@ def test_unknown_set_type_rejected():
     assert err.value.path == "unsafe.u1.type"
 
 
+def test_a_set_id_that_is_also_an_agent_id_is_rejected():
+    doc = two_agent_doc()
+    doc["unsafe"]["leader"] = doc["unsafe"].pop("u1")
+    with pytest.raises(TraceSchemaError, match="set id is also an agent id") as err:
+        ExecutionTrace.from_dict(doc)
+    assert err.value.path == "unsafe.leader"
+
+
 def test_malformed_set_payload_rejected():
     doc = two_agent_doc()
     doc["unsafe"]["u1"]["state_trace"][0][1] = [[10.0]]
@@ -291,6 +299,8 @@ def test_constructor_makes_every_column_and_checks_it():
         ExecutionTrace(["a", "a"])
     with pytest.raises(ValueError, match="unknown set type 'cone'"):
         ExecutionTrace(["a"], {"wall": "cone"})
+    with pytest.raises(ValueError, match="unsafe set id 'a' is also an agent id"):
+        ExecutionTrace(["a"], {"a": "ball"})
 
 
 def test_from_dict_is_one_walk(monkeypatch):
