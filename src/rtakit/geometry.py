@@ -14,8 +14,9 @@ stay stable. Every operation here is a pure function of its inputs.
 
 Distance is closed-form for point, ball and hyperrectangle. For a polytope
 it is the distance to the nearest point, which `Polytope.project` finds
-exactly at every size with one nonnegative least-squares solve; a payload
-with no feasible point raises GeometryError there.
+exactly at every size with one nonnegative least-squares solve per point
+outside, and one KKT solve per set of active rows; a payload with no
+feasible point raises GeometryError there.
 
 Each set also gives its `reference()` point, the one `moved_to` places, and
 `entry_time(pos, vel)`, the first time a straight-line course enters it, in
@@ -41,9 +42,10 @@ whether the set touches any of the boxes. One point is a stack of one, so
 an RTA logic tests a whole predicted horizon against a set in one call.
 `distance` and `entry_time` take one point (one course) and answer with a
 float, or a stack (n, dim) and answer with an (n,) array, row k for query
-k; so evaluation measures a whole trace against a set in one call. Each row
-rounds as the same query alone does (see `row_dots`). `box_distance` takes
-one box.
+k; so evaluation measures a whole trace against a set in one call.
+`Polytope.project` takes one point and answers with its nearest point
+(dim,), or a stack and answers with an (n, dim) stack. Each row rounds as
+the same query alone does (see `row_dots`). `box_distance` takes one box.
 
 Row-aligned stacks: `moved_to` (and `update_relative`) also take an (n, dim)
 stack of references and return one set of n rows, row k moved to reference
@@ -54,12 +56,13 @@ points or boxes, row k against row k, and answer "any k". So an anchored set
 is tested against a predicted horizon in one call, each predicted step
 against the set where the anchor is predicted at that step. `distance` and
 `entry_time` measure it against exactly n queries, row k against row k.
-`stack_sets` stacks n parsed definitions the same way, from their own
-arrays (a ball's radius then has one entry per row), so evaluation measures
-a set whose payload changes along a trace in one call. A stacked set is not
-a wire payload: `payload`, `project` and another `moved_to` take one set
-and raise GeometryError on a stack, and so do `distance` and `entry_time`
-of one (dim,) query.
+`Polytope.project` projects query row k onto set row k. `stack_sets`
+stacks n parsed definitions the same way, from their own arrays (a ball's
+radius then has one entry per row), so evaluation measures a set whose
+payload changes along a trace in one call. A stacked set is not a wire
+payload: `payload` and another `moved_to` take one set and raise
+GeometryError on a stack, and so do `distance`, `entry_time` and
+`project` of one (dim,) query.
 """
 from __future__ import annotations
 
@@ -264,13 +267,6 @@ class SetDef:
             raise GeometryError(
                 f"{what} takes one {self.kind}, got a stack of {self.rows}"
             )
-
-    def _check_point(self, point) -> np.ndarray:
-        self._one("a distance")
-        p = _vector(point, "point")
-        if p.shape[0] != self.dim:
-            raise DimensionMismatch(self.dim, p.shape[0])
-        return p
 
     def _measured(self, points, what: str) -> tuple[np.ndarray, bool]:
         """`points` as an (n, dim) stack (see `_queries`), and whether it
@@ -515,52 +511,59 @@ class Polytope(SetDef):
         P = self._queries(points, "point")
         return bool((P @ self.A.T <= self.b).all(axis=1).any())
 
-    def project(self, point) -> np.ndarray:
-        """Nearest point of the polytope to `point`.
+    def project(self, points) -> np.ndarray:
+        """Nearest point of the polytope to the point (dim,), or to each
+        point of a stack (n, dim), point k onto set k of a stack. Row k
+        rounds as that point alone does: every product with the points is
+        a matmul of per-row blocks (see `entry_time`).
 
         Least-distance programming (Lawson and Hanson, 1974, ch. 23): the
         nonnegative least-squares problem min ||E u - e_{n+1}||, u >= 0, with
         E = [-A^T; (A p - b)^T] has its positive multipliers on the rows
         active at the nearest point. The point is then the projection of p
-        onto those rows' hyperplanes, from the KKT system of the rows.
+        onto those rows' hyperplanes, from the KKT system of the rows, solved
+        once for all points with the same active rows.
         """
         from scipy.optimize import nnls
 
-        p = self._check_point(point)
-        if self.contains(p):
-            return p.copy()
-        A, b = self.A, self.b
-        E = np.vstack([-A.T, (A @ p - b)[None, :]])
-        f = np.zeros(self.dim + 1)
-        f[-1] = 1.0
-        active = np.flatnonzero(nnls(E, f)[0] > 0)
-        rows = A[active]
-        gram = rows @ rows.T
-        rhs = rows @ p - b[active]
-        try:
-            lam = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:  # dependent rows: more than `dim` faces meet there
-            lam = np.linalg.lstsq(gram, rhs)[0]
-        x = p - rows.T @ lam
-        if not (A @ x <= b + 1e-9 * (1.0 + float(np.max(np.abs(b))))).all():
-            raise GeometryError("polytope projection found no feasible point; "
-                                "Ax <= b may have no solution")
-        return x
+        P, one = self._measured(points, "a projection")
+        A = self.A
+        b = np.broadcast_to(self.b, (len(P), len(A)))  # row k's offsets
+        X = P.copy()
+        out = np.flatnonzero(~(np.matmul(P[:, None, :], A.T)[:, 0, :] <= b).all(axis=1))
+        if out.size:
+            Q, b = P[out], b[out]
+            E = np.empty((len(out), self.dim + 1, len(A)))  # each point's own matrix
+            E[:, :-1] = -A.T
+            E[:, -1] = np.matmul(A, Q[:, :, None])[:, :, 0] - b
+            f = np.zeros(self.dim + 1)
+            f[-1] = 1.0
+            groups: dict[bytes, list[int]] = {}  # the points of each active set
+            for k, Ek in enumerate(E):
+                groups.setdefault((nnls(Ek, f)[0] > 0).tobytes(), []).append(k)
+            for key, ks in groups.items():
+                active = np.frombuffer(key, dtype=bool)
+                rows = A[active]
+                gram = rows @ rows.T
+                rhs = np.matmul(rows, Q[ks][:, :, None]) - b[ks][:, active, None]
+                try:
+                    lam = np.linalg.solve(np.broadcast_to(gram, (len(ks),) + gram.shape), rhs)
+                except np.linalg.LinAlgError:  # dependent rows: more than `dim` faces meet there
+                    lam = np.array([np.linalg.lstsq(gram, r[:, 0])[0] for r in rhs])[:, :, None]
+                X[out[ks]] = Q[ks] - np.matmul(rows.T, lam)[:, :, 0]
+            tol = 1e-9 * (1.0 + np.abs(b).max(axis=1))
+            if not (np.matmul(A, X[out][:, :, None])[:, :, 0] <= b + tol[:, None]).all():
+                raise GeometryError("polytope projection found no feasible point; "
+                                    "Ax <= b may have no solution")
+        return X[0] if one else X
 
     def _stacks_with(self, other) -> bool:
         return np.array_equal(other.A, self.A)
 
-    def _sets(self, n: int) -> list["Polytope"]:
-        """The n sets of a stack, one by one; this set n times if it is one."""
-        if self.rows is None:
-            return [self] * n
-        return [self._with(None, b=b) for b in self.b]
-
     def distance(self, points):
-        """One projection per point: `project` has no stack form."""
+        """The norm of each point's offset from its projection."""
         P, one = self._measured(points, "a distance")
-        d = [float(np.linalg.norm(p - s.project(p))) for s, p in zip(self._sets(len(P)), P)]
-        return _one_or_rows(np.array(d), one)
+        return _one_or_rows(row_norms(P - self.project(P)), one)
 
     def moved_to(self, reference) -> "Polytope":
         ref = self._destination(reference)

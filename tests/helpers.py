@@ -2,7 +2,8 @@
 per-entry reference trace loader and a per-row reference evaluator.
 
 The polytope distance oracle is a refining grid search (pure sampling,
-nothing shared with the projection solver under test).
+nothing shared with the projection solver under test); `ref_project` is the
+one-point-at-a-time projection that the stacked solver must equal bit for bit.
 """
 from __future__ import annotations
 
@@ -353,7 +354,36 @@ def ref_distance(s, p) -> float:
         return max(0.0, float(np.linalg.norm(p - s.center)) - s.radius)
     if isinstance(s, Hyperrectangle):
         return float(np.linalg.norm(p - np.clip(p, s.lower, s.upper)))
-    return float(np.linalg.norm(p - s.project(p)))
+    return float(np.linalg.norm(p - ref_project(s, p)))
+
+
+def ref_project(s, p) -> np.ndarray:
+    """Nearest point of one (unstacked) polytope to one point, one solve
+    at a time: membership, the NNLS active set, the KKT solve of the
+    active rows (lstsq where they are dependent), then the feasibility
+    guard."""
+    from scipy.optimize import nnls
+
+    p = np.asarray(p, dtype=float)
+    if s.contains(p):
+        return p.copy()
+    A, b = s.A, s.b
+    E = np.vstack([-A.T, (A @ p - b)[None, :]])
+    f = np.zeros(s.dim + 1)
+    f[-1] = 1.0
+    active = np.flatnonzero(nnls(E, f)[0] > 0)
+    rows = A[active]
+    gram = rows @ rows.T
+    rhs = rows @ p - b[active]
+    try:
+        lam = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        lam = np.linalg.lstsq(gram, rhs)[0]
+    x = p - rows.T @ lam
+    if not (A @ x <= b + 1e-9 * (1.0 + float(np.max(np.abs(b))))).all():
+        raise GeometryError("polytope projection found no feasible point; "
+                            "Ax <= b may have no solution")
+    return x
 
 
 def ref_entry_time(s, pos, vel) -> float:

@@ -25,6 +25,7 @@ from helpers import (
     ref_ball_entry_time,
     ref_distance,
     ref_entry_time,
+    ref_project,
 )
 
 UNIT_SQUARE = Polytope(
@@ -476,6 +477,110 @@ def test_distance_to_an_empty_polytope_payload_is_a_geometry_error():
     poly = set_from_payload("polytope", [[[1.0], [-1.0]], [-1.0, -1.0]])
     with pytest.raises(GeometryError, match="no feasible point"):
         poly.distance([0.0])
+
+
+# -- projection of a stack: every row as that point alone -------------------------
+
+def _projection_queries(rng, A, b, sets):
+    """One point per set, row k for set k: inside the base set, far
+    outside, or on set k's boundary as the one-at-a-time projection of an
+    outside point, which rounding leaves just inside or just outside."""
+    P = rng.normal(scale=3.0, size=(len(sets), A.shape[1]))
+    P[0::4] = rng.uniform(-0.35, 0.35, size=P[0::4].shape) * (
+        np.abs(b).min() / np.abs(A).sum(axis=1).max())
+    P[1::4] *= 10.0
+    P[2::4] = [ref_project(s, p) for s, p in zip(sets[2::4], P[2::4])]
+    return P
+
+
+def _assert_projects_as_one_at_a_time(s, P, sets):
+    want = np.array([ref_project(one, p) for one, p in zip(sets, P)])
+    assert s.project(P).tobytes() == want.tobytes()
+    dist = np.array([float(np.linalg.norm(p - x)) for p, x in zip(P, want)])
+    assert s.distance(P).tobytes() == dist.tobytes()
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_projection_is_bit_identical_to_one_point_at_a_time(seed):
+    rng = np.random.default_rng(300 + seed)
+    kinds = set()
+    for _ in range(12):
+        dim, m = int(rng.integers(1, 4)), int(rng.integers(1, 41))
+        A, b = random_polytope(rng, dim, m)
+        scale = rng.uniform(0.2, 5.0, size=(m, 1))
+        poly = Polytope(A * scale, b * scale[:, 0])
+        n = 22
+        one_set = [poly] * n
+        P = _projection_queries(rng, poly.A, poly.b, one_set)
+        dist = _assert_projects_as_one_at_a_time(poly, P, one_set)
+        kinds |= {"inside" if d == 0.0 else "outside" for d in dist}
+        refs = rng.normal(scale=0.2, size=(n, dim))
+        stack, ones = poly.moved_to(refs), [poly.moved_to(r) for r in refs]
+        assert len({bk.tobytes() for bk in stack.b}) == n  # b varies row by row
+        _assert_projects_as_one_at_a_time(stack, _projection_queries(rng, poly.A, poly.b, ones), ones)
+    assert kinds == {"inside", "outside"}
+
+
+def test_stacked_projection_onto_faces_that_meet_at_one_point(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    # Four faces meet at the pyramid's apex (0, 0, 2), more than the dimension.
+    pyramid = Polytope([[2.0, 0.0, 1.0], [-2.0, 0.0, 1.0], [0.0, 2.0, 1.0],
+                        [0.0, -2.0, 1.0], [0.0, 0.0, -1.0]], [2.0, 2.0, 2.0, 2.0, 0.0])
+    P = np.array([[0.0, 0.0, 7.0], [0.0, 0.0, 3.5], [0.0, 0.0, 1.0], [0.0, 0.0, 12.0]])
+    _assert_projects_as_one_at_a_time(pyramid, P, [pyramid] * len(P))
+    assert pyramid.project(P)[[0, 1, 3]] == pytest.approx(np.tile([0.0, 0.0, 2.0], (3, 1)), abs=1e-12)
+    # Five faces cut the plane down to the origin; from (0, 6) the NNLS keeps
+    # three of them active, a singular Gram matrix: the per-row lstsq branch.
+    cone = Polytope([[2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [0.0, -1.0], [-1.0, -1.0]],
+                    [0.0] * 5)
+    P = np.array([[0.0, 6.0], [3.0, 1.0], [0.0, 0.0], [0.0, 6.0], [-2.0, 5.0]])
+    calls.clear()
+    want = np.array([ref_project(cone, p) for p in P])
+    assert len(calls) == 2
+    calls.clear()
+    assert cone.project(P).tobytes() == want.tobytes()
+    assert len(calls) == 2  # the two rows at (0, 6), one group
+    assert want[0] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+def test_projection_of_one_point_is_a_stack_of_one():
+    rng = np.random.default_rng(17)
+    A, b = random_polytope(rng, 3, 12)
+    poly = Polytope(A, b)
+    for p in rng.normal(scale=4.0, size=(20, 3)):
+        one = poly.project(p)
+        assert one.shape == (3,)
+        assert one.tobytes() == poly.project(p[None, :])[0].tobytes()
+        assert one.tobytes() == ref_project(poly, p).tobytes()
+
+
+def test_distance_makes_one_projection_per_stack(monkeypatch):
+    calls = []
+    project = Polytope.project
+    monkeypatch.setattr(Polytope, "project", lambda s, P: calls.append(len(P)) or project(s, P))
+    P = np.random.default_rng(19).normal(scale=3.0, size=(50, 2))
+    UNIT_SQUARE.distance(P)
+    UNIT_SQUARE.moved_to(P).distance(P[::-1])
+    assert calls == [50, 50]
+
+
+def test_projection_of_a_stack_keeps_the_guards():
+    empty = set_from_payload("polytope", [[[1.0], [-1.0]], [-1.0, -1.0]])
+    for call in (empty.project, empty.distance):
+        with pytest.raises(GeometryError, match="no feasible point"):
+            call([[0.0], [5.0], [-3.0]])
+    P = np.array([[0.25, 0.5], [1.0, 0.0], [0.0, 1.0], [0.75, 0.75]])  # inside or on a face
+    X = UNIT_SQUARE.project(P)
+    assert X.tobytes() == P.tobytes() and X is not P
+    assert UNIT_SQUARE.distance(P).tobytes() == np.zeros(4).tobytes()
+    stack = UNIT_SQUARE.moved_to(np.zeros((2, 2)))
+    with pytest.raises(GeometryError, match="a projection takes one polytope, got a stack of 2"):
+        stack.project([0.0, 0.0])
+    with pytest.raises(GeometryError, match="point stack of 3 against a stack of 2 sets"):
+        stack.project(np.zeros((3, 2)))
 
 
 # -- stacks: one call answers "any" over the rows ----------------------------------
