@@ -17,13 +17,17 @@ memory. A custom goal comes from a subclass that overrides `goal_state`
 
 State layout convention: the leading `position_dim` components are the
 workspace position, which unsafe sets, decisions and distance metrics read.
-A step's `state` is the trace's own row, a tuple of floats.
+A step's `state` is the trace's own row, a tuple of floats, and the view's
+two mappings are read-only: a step that assigns into either fails, as any
+step error does, naming the agent and t.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from enum import Enum
+from operator import add
 from typing import NamedTuple
 
 
@@ -33,19 +37,30 @@ class Mode(Enum):
     NORMAL = "NORMAL"
 
 
+# A member read through the class costs an enum lookup; the steps compare
+# against these by identity.
+_SAFETY, _UNTRUSTED, _NORMAL = Mode.SAFETY, Mode.UNTRUSTED, Mode.NORMAL
+
+
 class View(NamedTuple):
     """One tick as every agent's step sees it, by agent id: each agent's
     pre-step state, and the memory of each agent that keeps one. A state is
-    the trace's own row, a read-only tuple of floats."""
+    the trace's own row, a read-only tuple of floats; in a step the scenario
+    runs, both mappings are read-only too."""
 
-    states: dict[str, tuple[float, ...]]
-    memory: dict[str, object]
+    states: Mapping[str, tuple[float, ...]]
+    memory: Mapping[str, object]
+
+
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = (a + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if w == -math.pi else w
+    """Wrap an angle to (-pi, pi]. `DubinsCarAgent._drive`, which car and
+    plane steps run, inlines this expression."""
+    w = (a + _PI) % _TWO_PI - _PI
+    return _PI if w == -_PI else w
 
 
 def _check_finite(params) -> None:
@@ -163,31 +178,33 @@ class AccAgent(AgentModel):
 
     def command(self, mode: Mode, state, view: View) -> float:
         """Acceleration command for the given mode, clamped to +-a_max."""
-        if mode is Mode.NORMAL:
+        if mode is _NORMAL:
             return 0.0
         goal = self.goal_state(view)
         if goal is None:
             raise ValueError(f"agent {self.agent_id!r} has no goal provider")
         p, v = state
-        if mode is Mode.SAFETY:
-            a = self.params.k1 * (goal[0] - p) + self.params.k2 * (goal[1] - v)
-        elif mode is Mode.UNTRUSTED:
+        params = self.params
+        if mode is _SAFETY:
+            a = params.k1 * (goal[0] - p) + params.k2 * (goal[1] - v)
+        elif mode is _UNTRUSTED:
             err = goal[0] - p
-            a = math.copysign(self.params.a_max, err) if err != 0.0 else 0.0
+            a = math.copysign(params.a_max, err) if err != 0.0 else 0.0
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        if abs(a) > self.params.a_max:
-            a = math.copysign(self.params.a_max, a)
+        if abs(a) > params.a_max:
+            a = math.copysign(params.a_max, a)
         return a
 
     def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
         a = self.command(mode, state, view)
         p, v = state
+        v_max = self.params.v_max
         p_next = p + v * dt
         v_next = v + a * dt
-        if abs(v_next) >= self.params.v_max:
-            v_next = math.copysign(self.params.v_max, v_next)
+        if abs(v_next) >= v_max:
+            v_next = math.copysign(v_max, v_next)
         return [p_next, v_next]
 
 
@@ -270,53 +287,55 @@ class DubinsCarAgent(AgentModel):
 
     def goal_position(self, view: View) -> list[float] | None:
         if self.leader_id is not None:
-            lead = self._leader_state(view)[:self.position_dim]
+            lead = self._leader_state(view)
             if self.formation_offset is None:
-                return list(lead)
-            return [g + o for g, o in zip(lead, self.formation_offset)]
+                return list(lead[:self.position_dim])
+            return list(map(add, lead, self.formation_offset))
         if self.waypoints:
             return self.waypoints[view.memory[self.agent_id]]
         return None
 
-    def _steering(self, mode, x, y, heading, speed, view):
-        """Turn rate, target speed and the goal steered to (or None).
+    def _drive(self, params, mode, x, y, heading, speed, dt, view):
+        """One Euler step of [x, y, heading, speed], and the goal steered to
+        (or None): the heading turns toward the goal at k_heading times the
+        bearing error, the speed follows a proportional loop to the mode's
+        target speed.
 
         Coasting NORMAL reads no goal. Only UNTRUSTED needs one: without a
         goal, SAFETY and tracking NORMAL hold their heading.
         """
-        if mode is Mode.NORMAL:
+        if mode is _NORMAL:
             target = speed
-            if self.params.nominal != "track":
-                return 0.0, target, None
-        elif mode is Mode.SAFETY:
-            target = self.params.v_safe
-        elif mode is Mode.UNTRUSTED:
-            target = self.params.v_cruise
+            goal = self.goal_position(view) if params.nominal == "track" else None
+        elif mode is _SAFETY:
+            target = params.v_safe
+            goal = self.goal_position(view)
+        elif mode is _UNTRUSTED:
+            target = params.v_cruise
+            goal = self.goal_position(view)
+            if goal is None:
+                raise ValueError(f"agent {self.agent_id!r} has no goal provider")
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        goal = self.goal_position(view)
         if goal is None:
-            if mode is Mode.UNTRUSTED:
-                raise ValueError(f"agent {self.agent_id!r} has no goal provider")
-            return 0.0, target, None
-        bearing = math.atan2(goal[1] - y, goal[0] - x)
-        return self.params.k_heading * wrap_angle(bearing - heading), target, goal
-
-    def _planar_step(self, x, y, heading, speed, omega, v_target, dt) -> list[float]:
-        """One Euler step of [x, y, heading, speed] under turn rate omega and
-        the proportional speed loop toward v_target."""
-        accel = self.params.k_speed * (v_target - speed)
-        x_next = x + speed * math.cos(heading) * dt
-        y_next = y + speed * math.sin(heading) * dt
-        heading_next = wrap_angle(heading + omega * dt)
-        v_next = min(max(speed + accel * dt, 0.0), self.params.v_max)
-        return [x_next, y_next, heading_next, v_next]
+            omega = 0.0
+        else:
+            w = (math.atan2(goal[1] - y, goal[0] - x) - heading + _PI) % _TWO_PI - _PI
+            omega = params.k_heading * (_PI if w == -_PI else w)
+        h = (heading + omega * dt + _PI) % _TWO_PI - _PI
+        # min(max(v, 0.0), v_max), without the two builtin calls
+        v = speed + params.k_speed * (target - speed) * dt
+        if v < 0.0:
+            v = 0.0
+        elif v > params.v_max:
+            v = params.v_max
+        return [x + speed * math.cos(heading) * dt, y + speed * math.sin(heading) * dt,
+                _PI if h == -_PI else h, v], goal
 
     def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
         x, y, heading, speed = state
-        omega, v_target, _ = self._steering(mode, x, y, heading, speed, view)
-        return self._planar_step(x, y, heading, speed, omega, v_target, dt)
+        return self._drive(self.params, mode, x, y, heading, speed, dt, view)[0]
 
 
 @dataclass(frozen=True)
@@ -355,25 +374,21 @@ class DubinsPlaneAgent(DubinsCarAgent):
     state_dim = 6
     position_dim = 3
 
-    def _gamma_target(self, mode, x, y, z, gamma, goal) -> float:
-        if mode is Mode.SAFETY:
-            return self.params.pitch_up
-        if goal is None:
-            return gamma
-        horizontal = math.hypot(goal[0] - x, goal[1] - y)
-        raw = math.atan2(goal[2] - z, horizontal) if horizontal > 0 else 0.0
-        return min(max(raw, -self.params.gamma_max), self.params.gamma_max)
-
     def step(self, mode, state, dt, view) -> list[float]:
         dt = _check_dt(dt)
+        params = self.params
         x, y, z, heading, gamma, speed = state
-        omega, v_target, goal = self._steering(mode, x, y, heading, speed, view)
-        x_next, y_next, heading_next, v_next = self._planar_step(
-            x, y, heading, speed, omega, v_target, dt
+        (x_next, y_next, heading_next, v_next), goal = self._drive(
+            params, mode, x, y, heading, speed, dt, view
         )
-        gamma_rate = self.params.k_gamma * wrap_angle(
-            self._gamma_target(mode, x, y, z, gamma, goal) - gamma
-        )
-        z_next = z + speed * math.sin(gamma) * dt
-        gamma_next = wrap_angle(gamma + gamma_rate * dt)
-        return [x_next, y_next, z_next, heading_next, gamma_next, v_next]
+        if mode is _SAFETY:
+            target = params.pitch_up
+        elif goal is None:
+            target = gamma
+        else:
+            horizontal = math.hypot(goal[0] - x, goal[1] - y)
+            raw = math.atan2(goal[2] - z, horizontal) if horizontal > 0 else 0.0
+            target = min(max(raw, -params.gamma_max), params.gamma_max)
+        gamma_rate = params.k_gamma * wrap_angle(target - gamma)
+        return [x_next, y_next, z + speed * math.sin(gamma) * dt, heading_next,
+                wrap_angle(gamma + gamma_rate * dt), v_next]

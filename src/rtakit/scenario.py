@@ -10,12 +10,13 @@ ExecutionTrace on the exact grid t_k = k*dt, k = 0..floor(T/dt):
     anchor states, then the tick is appended as one sample.
 
 The view holds the trace's own rows, which are immutable tuples (see the
-trace module): a step that writes into its `state` or into a
-`view.states` value fails, as any step error does, with a
-ScenarioRuntimeError naming the agent and t. So does a `remember` that
-raises, a step that returns the wrong number of components, checked on
-every step, and an executed step that returns a non-finite state, checked
-once per tick by `execute`. A non-finite predicted position that a
+trace module), in read-only mappings: a step that writes into its `state`,
+into a `view.states` value or into `view.states` or `view.memory`
+themselves fails, as any step error does, with a ScenarioRuntimeError
+naming the agent and t. So does a `remember` that raises, a step that
+returns the wrong number of components, checked on every step, and an
+executed step that returns a non-finite state, checked once per tick by
+`execute`. A non-finite predicted position that a
 decision's set test reads (the ego's, or an anchor's) fails that decision
 with an error naming the agent and the predicted time (see the rta module).
 
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .agents import AgentModel, Mode, View
 from .geometry import GeometryError, RelativeSetSpec, SetDef, update_relative
@@ -98,11 +101,13 @@ class Scenario:
                 self.static_sets[s.set_id] = s.base
         # A static set's payload never changes, so every sample shares one.
         self._static_payloads = {sid: s.payload() for sid, s in self.static_sets.items()}
-        self._models = [(spec.model.agent_id, spec.model) for spec in config.agents]
-        self._initial_memory = {
+        # What `advance` reads of each agent, in stepping order.
+        self._table = [(spec.model.agent_id, spec.model, spec.model.state_dim)
+                       for spec in config.agents]
+        self._initial_memory = MappingProxyType({
             aid: spec.model.initial_memory for aid, spec in self.agents_by_id.items()
             if spec.model.initial_memory is not None
-        }
+        })
 
     def current_mode(self, trace: ExecutionTrace, agent_id: str) -> Mode:
         """Last decided mode, falling back to the configured initial mode."""
@@ -132,13 +137,13 @@ class Scenario:
             payloads[sid] = moved.payload()
         return payloads
 
-    def memory(self, trace: ExecutionTrace) -> dict[str, object]:
+    def memory(self, trace: ExecutionTrace) -> Mapping[str, object]:
         """The memory of every agent that keeps one (its model's
         `initial_memory` is not None) after the trace's last sample: the
-        fold of its model's `remember` over the recorded rows. Rows folded
-        before are not folded again, and each row makes a new dict, so a
-        returned dict never changes. While no agent keeps memory it is the
-        scenario's one empty dict."""
+        fold of its model's `remember` over the recorded rows, as a
+        read-only mapping. Rows folded before are not folded again, and each
+        fold makes a new mapping, so a returned one never changes. While no
+        agent keeps memory it is the scenario's one empty mapping."""
         if not self._initial_memory:
             return self._initial_memory
         n = len(trace.times)
@@ -154,6 +159,7 @@ class Scenario:
                         raise ScenarioRuntimeError(
                             f"agent {aid!r} remember failed at t={trace.times[k]:g}: {exc}"
                         ) from exc
+            memory = MappingProxyType(memory)
             trace.memory = (n, memory)
         return memory
 
@@ -163,21 +169,22 @@ class Scenario:
         payloads of the unsafe sets the trace holds, re-resolved, as one
         sample."""
         rows = trace.rows
-        states = {aid: rows[aid][-1] for aid, _ in self._models}
-        view = View(states, self.memory(trace))
+        table = self._table
+        states = {aid: rows[aid][-1] for aid, _, _ in table}
+        view = View(MappingProxyType(states), self.memory(trace))
         dt = self.dt
         next_states = {}
-        for aid, model in self._models:
+        for aid, model, state_dim in table:
             try:
                 nxt = tuple(map(float, model.step(modes[aid], states[aid], dt, view)))
             except Exception as exc:
                 raise ScenarioRuntimeError(
                     f"agent {aid!r} step failed at t={k * dt:g}: {exc}"
                 ) from exc
-            if len(nxt) != model.state_dim:
+            if len(nxt) != state_dim:
                 raise ScenarioRuntimeError(
                     f"agent {aid!r} step at t={k * dt:g} returned {len(nxt)} components, "
-                    f"expected {model.state_dim}"
+                    f"expected {state_dim}"
                 )
             next_states[aid] = nxt
         t_next = (k + 1) * dt

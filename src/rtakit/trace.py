@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from itertools import chain, compress, islice
 from operator import itemgetter, lt, ne
 from pathlib import Path
@@ -81,7 +82,7 @@ class ExecutionTrace:
         self.unsafe: dict[str, list] = {sid: [] for sid in self.kinds}
         # (samples folded, agent memory after them), kept by
         # `Scenario.memory`; in process only, never serialized.
-        self.memory: tuple[int, dict] | None = None
+        self.memory: tuple[int, Mapping[str, object]] | None = None
 
     def append_sample(self, t: float, states: dict, modes: dict | None = None,
                       payloads: dict | None = None):

@@ -9,15 +9,18 @@ import pytest
 from rtakit import (
     AccAgent,
     AccParams,
+    AgentSpec,
     DubinsCarAgent,
     DubinsCarParams,
     DubinsPlaneAgent,
     DubinsPlaneParams,
     Mode,
+    ScenarioConfig,
     View,
     build_scenario,
     config_from_dict,
     execute,
+    forward_simulate,
 )
 from rtakit.agents import wrap_angle
 from helpers import acc_euler_step, config_docs
@@ -278,6 +281,42 @@ def test_plane_horizontal_step_is_the_car_step(nominal):
             assert [p_next[0], p_next[1], p_next[3], p_next[5]] == c_next
 
 
+class FixedGoalCar(DubinsCarAgent):
+    def goal_position(self, view):
+        return [6.0, 3.0]
+
+
+class FixedGoalPlane(DubinsPlaneAgent):
+    def goal_position(self, view):
+        return [6.0, 3.0, 12.0]
+
+
+@pytest.mark.parametrize("model, base, init", [
+    (FixedGoalCar, DubinsCarAgent, [0.0, 0.0, math.pi, 1.0]),
+    (FixedGoalPlane, DubinsPlaneAgent, [0.0, 0.0, 10.0, math.pi, -0.2, 1.0]),
+], ids=["car", "plane"])
+def test_an_overridden_goal_position_is_the_goal_steered_to(model, base, init):
+    """A subclass's goal_position is what execution and a decision's
+    prediction steer to: both equal a built-in agent whose one waypoint is
+    that goal, and the agent closes on it."""
+    def run(agent):
+        config = ScenarioConfig(agents=[AgentSpec(agent, list(init), Mode.UNTRUSTED)],
+                                dt=0.1, horizon=4.0, workspace_dim=model.position_dim)
+        scenario = build_scenario(config)
+        trace = execute(scenario)
+        return trace, forward_simulate(trace.prefix(10), scenario, 2.0, "a")
+
+    custom = model("a")
+    goal = custom.goal_position(None)
+    builtin = base("a", waypoints=[goal])
+    (trace, pred), (twin, twin_pred) = run(custom), run(builtin)
+    assert trace.rows == twin.rows
+    assert pred.rows == twin_pred.rows
+    dim = model.position_dim
+    for rows in (trace.rows["a"], pred.rows["a"]):
+        assert math.dist(rows[-1][:dim], goal) < math.dist(rows[0][:dim], goal) - 1.0
+
+
 # -- shared properties ---------------------------------------------------------
 
 def test_steps_are_deterministic():
@@ -298,6 +337,25 @@ def test_wrap_angle_range():
         # same direction on the circle
         assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-9)
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
+
+
+def test_step_angles_wrap_as_wrap_angle_does():
+    # -pi maps to pi, the closed end of (-pi, pi]; heading and gamma alike
+    car = DubinsCarAgent("car")
+    state = [0.0, 0.0, -math.pi, 1.0]
+    assert car.step(Mode.NORMAL, state, 0.1, View({"car": state}, {}))[2] == math.pi
+    plane = DubinsPlaneAgent("plane")
+    state = [0.0, 0.0, 10.0, -math.pi, -math.pi, 1.0]
+    got = plane.step(Mode.NORMAL, state, 0.1, plane_view(state))
+    assert got[3] == got[4] == math.pi
+    rng = np.random.default_rng(8)
+    car = DubinsCarAgent("car", waypoints=[[0.0, 0.0]])
+    for _ in range(200):
+        state = [*rng.uniform(-5, 5, size=2), rng.uniform(-12, 12), 1.0]
+        bearing = math.atan2(-state[1], -state[0])  # to the waypoint at the origin
+        omega = car.params.k_heading * wrap_angle(bearing - state[2])
+        got = car.step(Mode.UNTRUSTED, state, 0.1, View({"car": state}, {"car": 0}))
+        assert got[2] == wrap_angle(state[2] + omega * 0.1)
 
 
 # -- what a step reads ---------------------------------------------------------

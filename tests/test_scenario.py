@@ -4,10 +4,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rtakit import (
     AccAgent,
+    AgentModel,
     AgentSpec,
     Ball,
     DubinsCarAgent,
@@ -26,6 +28,7 @@ from rtakit import (
     build_scenario,
     execute,
     parse_scenario_config,
+    predict,
     snapshot,
     validate_trace_dict,
 )
@@ -365,13 +368,80 @@ def test_step_output_of_the_wrong_width_fails_at_its_tick():
         execute(build_scenario(config))
 
 
+def test_prediction_from_a_trace_with_an_agent_the_scenario_lacks_names_the_agents():
+    # A prediction's samples go through append_sample's key check.
+    scenario = build_scenario(acc_scenario_config())
+    trace = ExecutionTrace(["follower", "leader", "extra"])
+    trace.append_sample(0.0, {"follower": [0.0, 1.0], "leader": [5.0, 1.0], "extra": [0.0, 0.0]})
+    modes = dict.fromkeys(trace.rows, Mode.NORMAL)
+    with pytest.raises(ValueError, match=r"sample has states for \['follower', 'leader'\], "
+                                         r"trace holds agents \['extra', 'follower', 'leader'\]"):
+        predict(scenario, trace, modes, 2)
+    assert len(trace.times) == 1
+
+
+class Counter(AgentModel):
+    """Moves by its speed each step and speeds up by one, so a state that
+    starts on integers stays on them; `form` shapes what a step returns."""
+
+    model_name = "counter"
+    state_dim = 2
+    position_dim = 1
+
+    def __init__(self, agent_id, form):
+        super().__init__(agent_id)
+        self.form = form
+
+    def step(self, mode, state, dt, view):
+        p, v = state
+        return self.form([p + v, v + 1.0])
+
+
+def counter_run(form):
+    """The executed trace of a Counter under SimRta, and a prediction from
+    its middle sample."""
+    config = ScenarioConfig(
+        agents=[AgentSpec(Counter("c", form), [0.0, 1.0], Mode.UNTRUSTED, sim_rta_binding())],
+        unsafe_sets=[StaticSetSpec("far", Ball([1e6], 1.0))],
+        dt=0.5, horizon=3.0, workspace_dim=1,
+    )
+    scenario = build_scenario(config)
+    trace = execute(scenario)
+    return trace, predict(scenario, trace.prefix(3), {"c": Mode.SAFETY}, 4)
+
+
+@pytest.mark.parametrize("form", [
+    lambda xs: [int(x) for x in xs],
+    lambda xs: [np.float64(x) for x in xs],
+    tuple,
+    np.array,
+], ids=["ints", "numpy-float64", "tuple", "numpy-array"])
+def test_step_output_is_stored_as_a_tuple_of_floats(form):
+    """Whatever numbers a step returns are stored as Python floats, in
+    executed and predicted samples alike, and write the bytes a
+    float-returning step writes."""
+    trace, pred = counter_run(form)
+    twin, twin_pred = counter_run(lambda xs: [float(x) for x in xs])
+    for rows in (trace.rows["c"], pred.rows["c"]):
+        assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
+    assert trace.to_json() == twin.to_json()
+    assert pred.rows == twin_pred.rows
+    assert pred.rows["c"][-1] == (28.0, 8.0)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda state, view: state.__setitem__(1, 0.0),
     lambda state, view: view.states["leader"].__setitem__(0, 0.0),
-], ids=["state", "view-states"])
+    lambda state, view: view.states.__setitem__("leader", (0.0, 0.0)),
+    lambda state, view: view.memory.__setitem__("x", 1),
+], ids=["state", "view-states", "view-states-entry", "view-memory"])
 def test_a_step_cannot_change_recorded_rows(mutate):
-    """A step that writes into the rows it is given either leaves the trace
-    as a step that does not would, or fails naming the agent and t."""
+    """A step that writes into the rows or the view it is given either
+    leaves the trace as a step that does not would, or fails naming the
+    agent and t; either way the scenario runs as before afterwards. The
+    follower steps before the leader, so a view entry it replaced would be
+    the leader's pre-step state; a memory entry it added would go into the
+    scenario's shared empty memory."""
     twin = execute(build_scenario(acc_scenario_config())).to_json()
     config = acc_scenario_config()
     follower = config.agents[0].model
@@ -383,12 +453,15 @@ def test_a_step_cannot_change_recorded_rows(mutate):
         return nxt
 
     follower.step = step
+    scenario = build_scenario(config)
     try:
-        got = execute(build_scenario(config)).to_json()
+        got = execute(scenario).to_json()
     except ScenarioRuntimeError as exc:
         assert str(exc).startswith("agent 'follower' step failed at t=0: ")
     else:
         assert got == twin
+    follower.step = real
+    assert execute(scenario).to_json() == twin
 
 
 # -- snapshot ---------------------------------------------------------------------
