@@ -12,13 +12,14 @@ Workspace positions are the leading `workspace_dim` state components; the
 dimension is inferred from the unsafe-set definitions unless supplied
 explicitly. Velocities are backward finite differences of the recorded
 positions (set velocities likewise, of each set's reference point). An
-evaluation builds these as columns once, reading each set's payloads
-through `unsafe_def` once per run of equal payloads, and stacks each set's
-definitions row by row (`geometry.stack_sets`); another agent is a target
-too, a point moved along its positions. It then measures each agent
-against each target with one geometry call over the whole column: every
-distance and time to collision of a pair at once, each sample rounded as
-it would be alone.
+evaluation builds these as columns once, parsing each set's payloads as
+one column into row-aligned stacks (`geometry.parse_column`). It then
+measures every agent against a set with one `distance` and one
+`entry_time` call per stack, the stack's rows repeated once per agent
+(`geometry.repeat_rows`), and every ordered pair of agents with one call
+of each, the other agent a point moved along its positions. Each sample
+rounds as it would alone, so the numbers equal measuring pair by pair and
+sample by sample.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import PointSet, SetDef, stack_sets
+from .geometry import PointSet, parse_column, repeat_rows
 from .trace import ExecutionTrace, mode_names
 
 
@@ -112,9 +113,9 @@ def _workspace_dim(trace, metadata: ScenarioMetadata | None) -> int:
 
 class _Samples:
     """The columns of a trace that one evaluation reads, built once: per
-    agent its (n, dim) positions and velocities, and per target (a set, or
-    an agent as a moving point) its definitions as row-aligned stacks and
-    the velocity of its reference point at every sample of `window`."""
+    agent its (n, dim) positions and velocities, and per set its
+    definitions as row-aligned stacks and the velocity of its reference
+    point at every sample of `window`."""
 
     def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None,
                  agent_ids: list[str], set_ids: list[str], window: slice = slice(None)):
@@ -124,15 +125,16 @@ class _Samples:
         dim = _workspace_dim(trace, metadata) if agent_ids else 0
         self.positions = {aid: _positions(trace.rows[aid][window], aid, dim) for aid in agent_ids}
         self.velocities = {aid: _velocities(ts, x) for aid, x in self.positions.items()}
-        self.targets = {aid: ([(len(x), PointSet(x[0]).moved_to(x))], self.velocities[aid])
-                        for aid, x in self.positions.items()}
+        self.sets = {}
         for sid in set_ids:
-            stacks, refs = _set_column(trace, sid, range(len(trace.times))[window])
+            stacks = parse_column(trace.kinds[sid], trace.unsafe[sid][window])
             for _, stack in stacks:
                 if agent_ids and stack.dim != dim:
                     raise EvalError(f"unsafe set {sid!r} has dimension {stack.dim}, "
                                     f"but the workspace has dimension {dim}")
-            self.targets[sid] = stacks, _velocities(ts, refs)
+            refs = np.concatenate([np.broadcast_to(stack.reference(), (n, stack.dim))
+                                   for n, stack in stacks])
+            self.sets[sid] = stacks, _velocities(ts, refs)
 
 
 def _positions(rows: list[tuple[float, ...]], agent_id: str, dim: int) -> np.ndarray:
@@ -146,22 +148,6 @@ def _positions(rows: list[tuple[float, ...]], agent_id: str, dim: int) -> np.nda
     return np.array(rows, dtype=float)[:, :dim]
 
 
-def _set_column(trace: ExecutionTrace, set_id: str,
-                samples: range) -> tuple[list[tuple[int, SetDef]], np.ndarray]:
-    """The set's definitions at the samples, stacked by `stack_sets`, and
-    its reference point at each. A payload equal to the one before it is not
-    read through `unsafe_def` again."""
-    defs, refs, last = [], [], None
-    for k in samples:
-        payload = trace.unsafe[set_id][k]
-        if not defs or payload != last:
-            set_def, last = trace.unsafe_def(set_id, k), payload
-            ref = set_def.reference()
-        defs.append(set_def)
-        refs.append(ref)
-    return stack_sets(defs), np.array(refs)
-
-
 def _velocities(ts: list[float], x: np.ndarray) -> np.ndarray:
     """Backward finite differences of the rows of x: row k is
     (x_j - x_{j-1}) / (t_j - t_{j-1}) with j = max(k, 1); zero for a
@@ -172,25 +158,57 @@ def _velocities(ts: list[float], x: np.ndarray) -> np.ndarray:
     return np.concatenate((d[:1], d))
 
 
-def _per_stack(stacks: list[tuple[int, SetDef]], method: str, *columns: np.ndarray) -> np.ndarray:
-    """`method` of each stack over its rows of the columns, joined."""
-    parts, k = [], 0
+# A course list is what one target measures m agents (or m agent pairs)
+# against: per stack of the target, its sets with rows repeated once per
+# agent, and the agents' positions and velocities relative to the target
+# over those samples, joined agent after agent.
+
+def _set_courses(s: _Samples, agent_ids: list[str], set_id: str) -> list[tuple]:
+    """The courses of the agents against a set."""
+    stacks, set_vel = s.sets[set_id]
+    m = len(agent_ids)
+    P = np.stack([s.positions[aid] for aid in agent_ids])
+    V = np.stack([s.velocities[aid] for aid in agent_ids]) - set_vel
+    courses, k = [], 0
     for n, stack in stacks:
-        parts.append(getattr(stack, method)(*(c[k:k + n] for c in columns)))
+        courses.append((repeat_rows(stack, m), P[:, k:k + n].reshape(m * n, -1),
+                        V[:, k:k + n].reshape(m * n, -1)))
         k += n
-    return np.concatenate(parts)
+    return courses
 
 
-def _distances(s: _Samples, agent_id: str, target_id: str) -> list[float]:
-    """The agent's distance to the target at every sample."""
-    return _per_stack(s.targets[target_id][0], "distance", s.positions[agent_id]).tolist()
+def _pair_courses(s: _Samples, pairs: list[tuple[str, str]]) -> list[tuple]:
+    """The courses of ordered agent pairs (a, b), a against b as a point
+    moved along b's positions: one point stack for all pairs."""
+    P = np.concatenate([s.positions[a] for a, _ in pairs])
+    Q = np.concatenate([s.positions[b] for _, b in pairs])
+    V = np.concatenate([s.velocities[a] - s.velocities[b] for a, b in pairs])
+    return [(PointSet(Q[0]).moved_to(Q), P, V)]
+
+
+def _courses(s: _Samples, agent_id: str, target_id: str) -> list[tuple]:
+    """The courses of one agent against one target, a set or an agent."""
+    if target_id in s.sets:
+        return _set_courses(s, [agent_id], target_id)
+    return _pair_courses(s, [(agent_id, target_id)])
+
+
+def _distances(courses: list[tuple], m: int) -> np.ndarray:
+    """The distance of each of the m courses at every sample, (m, n)."""
+    return np.concatenate([sets.distance(P).reshape(m, -1) for sets, P, _ in courses], axis=1)
+
+
+def _ttcs(courses: list[tuple], m: int) -> np.ndarray:
+    """The time to collision of each of the m courses from every sample, (m, n)."""
+    return np.concatenate([sets.entry_time(P, V).reshape(m, -1) for sets, P, V in courses],
+                          axis=1)
 
 
 def distance_series(trace: ExecutionTrace, agent_id: str, target_id: str,
                     metadata: ScenarioMetadata | None = None) -> list[tuple[float, float]]:
     """Per-timestamp distance from an agent to an unsafe set or another agent."""
     s = _Samples(trace, metadata, *_pair(trace, agent_id, target_id))
-    return list(zip(s.ts, _distances(s, agent_id, target_id)))
+    return list(zip(s.ts, _distances(_courses(s, agent_id, target_id), 1)[0].tolist()))
 
 
 def _pair(trace: ExecutionTrace, agent_id: str, target_id: str) -> tuple[list[str], list[str]]:
@@ -210,13 +228,6 @@ def _grid_index(ts: list[float], t: float) -> int:
     raise EvalError(f"t={t:g} is not on the trace's timestamp grid")
 
 
-def _ttcs(s: _Samples, agent_id: str, target_id: str) -> list[float]:
-    """The agent's time to collision with the target from every sample."""
-    stacks, target_vel = s.targets[target_id]
-    rel_vel = s.velocities[agent_id] - target_vel
-    return _per_stack(stacks, "entry_time", s.positions[agent_id], rel_vel).tolist()
-
-
 def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
         metadata: ScenarioMetadata | None = None) -> float:
     """Time to collision from grid time t under constant-velocity
@@ -233,7 +244,7 @@ def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
     k = _grid_index(trace.times, t)
     lo = max(k - 1, 0)  # the backward difference at k reads samples lo and lo + 1
     s = _Samples(trace, metadata, agent_ids, set_ids, slice(lo, lo + 2))
-    return _ttcs(s, agent_id, target_id)[k - lo]
+    return float(_ttcs(_courses(s, agent_id, target_id), 1)[0, k - lo])
 
 
 def controller_usage(trace: ExecutionTrace, agent_id: str) -> tuple[dict[str, float], int]:
@@ -342,12 +353,16 @@ class EvalReport:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
+        stamps = {}  # each distinct time column's `repr(t) + ","`, formatted once
 
         def _write(name: str, series, text=repr):
             """`time,value` rows: repr of each time, `text` of each value."""
             path = outdir / name
             times, values = zip(*series) if series else ((), ())
-            rows = map(",".join, zip(map(repr, times), map(text, values)))
+            column = stamps.get(times)
+            if column is None:
+                column = stamps[times] = [repr(t) + "," for t in times]
+            rows = map(str.__add__, column, map(text, values))
             path.write_text("\n".join(("time,value", *rows)) + "\n")
             written.append(path)
 
@@ -375,23 +390,35 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
     measured = agent_ids if set_ids or len(agent_ids) > 1 else []
     samples = _Samples(trace, metadata, measured, set_ids)
     ts = samples.ts
+    # Per agent, by target id: the distance at every sample, and the least
+    # time to collision over them.
+    set_d, set_ttc, agent_d, agent_ttc = ({aid: {} for aid in agent_ids} for _ in range(4))
+    m = len(measured)
+    for sid in set_ids:
+        courses = _set_courses(samples, measured, sid)
+        for aid, d, t in zip(measured, _distances(courses, m).tolist(),
+                             _ttcs(courses, m).tolist()):
+            set_d[aid][sid], set_ttc[aid][sid] = d, min(t)
+    pairs = [(aid, other) for aid in measured for other in measured if other != aid]
+    if pairs:
+        courses = _pair_courses(samples, pairs)
+        for (aid, other), d, t in zip(pairs, _distances(courses, len(pairs)).tolist(),
+                                      _ttcs(courses, len(pairs)).tolist()):
+            agent_d[aid][other], agent_ttc[aid][other] = d, min(t)
     agents = {}
     for aid in agent_ids:
         usage, switches = controller_usage(trace, aid)
-        others = [other for other in agent_ids if other != aid]
-        set_d = {sid: _distances(samples, aid, sid) for sid in set_ids}
-        agent_d = {other: _distances(samples, aid, other) for other in others}
         agents[aid] = AgentReport(
             agent_id=aid,
             timing=computation_time_stats(timings.get(aid, [])),
             usage=usage,
             switch_count=switches,
-            set_distances={k: list(zip(ts, d)) for k, d in set_d.items()},
-            agent_distances={k: list(zip(ts, d)) for k, d in agent_d.items()},
-            min_set_distance={k: min(d) for k, d in set_d.items()},
-            min_agent_distance={k: min(d) for k, d in agent_d.items()},
-            min_set_ttc={sid: min(_ttcs(samples, aid, sid)) for sid in set_ids},
-            min_agent_ttc={other: min(_ttcs(samples, aid, other)) for other in others},
+            set_distances={k: list(zip(ts, d)) for k, d in set_d[aid].items()},
+            agent_distances={k: list(zip(ts, d)) for k, d in agent_d[aid].items()},
+            min_set_distance={k: min(d) for k, d in set_d[aid].items()},
+            min_agent_distance={k: min(d) for k, d in agent_d[aid].items()},
+            min_set_ttc=set_ttc[aid],
+            min_agent_ttc=agent_ttc[aid],
             mode_series=list(zip(ts, mode_names(trace.modes[aid]))),
         )
     return EvalReport(
@@ -399,4 +426,3 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
         n_samples=len(trace.times),
         duration=(ts[-1] - ts[0]) if len(ts) > 1 else 0.0,
     )
-

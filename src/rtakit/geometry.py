@@ -59,7 +59,10 @@ against the set where the anchor is predicted at that step. `distance` and
 `Polytope.project` projects query row k onto set row k. `stack_sets`
 stacks n parsed definitions the same way, from their own arrays (a ball's
 radius then has one entry per row), so evaluation measures a set whose
-payload changes along a trace in one call. A stacked set is not a wire
+payload changes along a trace in one call. `parse_column` builds the same
+stacks from a column of payloads, one array per field over the runs of
+equal payloads, and `repeat_rows` repeats a stack's rows so that several
+agents are measured against it in one call. A stacked set is not a wire
 payload: `payload` and another `moved_to` take one set and raise
 GeometryError on a stack, and so do `distance`, `entry_time` and
 `project` of one (dim,) query.
@@ -68,6 +71,8 @@ from __future__ import annotations
 
 import math
 import reprlib
+from itertools import chain, compress, islice
+from operator import ne, sub
 
 import numpy as np
 
@@ -230,7 +235,8 @@ class SetDef:
         raise NotImplementedError
 
     def reference(self) -> np.ndarray:
-        """The set's reference point (dim,), whose motion is the set's."""
+        """The set's reference point (dim,), whose motion is the set's; for
+        a stack of n sets, the (n, dim) stack of their points."""
         raise NotImplementedError
 
     def entry_time(self, pos, vel):
@@ -574,8 +580,15 @@ class Polytope(SetDef):
 
     def reference(self) -> np.ndarray:
         """The translation t with A t nearest b, in the least-squares sense:
-        `moved_to(r)` moves it by r when A has full column rank."""
-        return np.linalg.lstsq(self.A, self.b, rcond=None)[0]
+        `moved_to(r)` moves it by r when A has full column rank. A stack
+        solves once per run of equal offset rows, each as that set alone:
+        one solve over several offset rows rounds differently."""
+        if self.rows is None:
+            return np.linalg.lstsq(self.A, self.b, rcond=None)[0]
+        b = self.b
+        starts = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]).any(axis=1)])
+        refs = [np.linalg.lstsq(self.A, b[k], rcond=None)[0] for k in starts]
+        return np.repeat(refs, np.diff(np.r_[starts, len(b)]), axis=0)
 
     def entry_time(self, pos, vel):
         """The slab times of the rows: row i holds while
@@ -660,6 +673,128 @@ def stack_sets(defs: list[SetDef]) -> list[tuple[int, SetDef]]:
             fields = {f: np.array([getattr(d, f) for d in run]) for f in first._row_fields}
             stacks.append((len(run), run[0]._with(len(run), **fields)))
             start = k
+    return stacks
+
+
+_SET_CLASSES = {cls.kind: cls for cls in (PointSet, Ball, Hyperrectangle, Polytope)}
+
+
+def repeat_rows(set_def: SetDef, m: int) -> SetDef:
+    """A stack of n sets as a stack of m * n, row j * n + k set k, so that
+    m queries per set are measured in one call; one set stays itself. A row
+    field that is one value for the whole stack (a moved ball's radius)
+    stays one value."""
+    if set_def.rows is None:
+        return set_def
+    fields = {}
+    for name in set_def._row_fields:
+        value = getattr(set_def, name)
+        if np.ndim(value):
+            fields[name] = np.tile(value, (m,) + (1,) * (value.ndim - 1))
+    return set_def._with(set_def.rows * m, **fields)
+
+
+def parse_column(kind: str, payloads: list) -> list[tuple[int, SetDef]]:
+    """The sets of a nonempty column of payloads, one per sample, as the
+    row-aligned stacks that `stack_sets` makes of one `set_from_payload`
+    per run of equal payloads; a column of one run gives that set
+    unstacked. One pass over the runs' first payloads builds each field
+    with one array and runs the constructors' checks on the arrays. A
+    column that pass cannot take (a ragged or nested payload, an entry not
+    exactly a float or an int, a value a constructor rejects) is parsed
+    run by run, so it gives the same sets, or raises the same error."""
+    stacks = _column_stacks(kind, payloads)
+    if stacks is not None:
+        return stacks
+    defs, last = [], None
+    for payload in payloads:
+        if not defs or payload != last:
+            set_def, last = set_from_payload(kind, payload), payload
+        defs.append(set_def)
+    return stack_sets(defs)
+
+
+_LIST = frozenset((list,))
+# The fields each kind's payload lists, and how deep each nests its numbers.
+_PAYLOAD_FIELDS = {
+    "point": (("coords", 1),),
+    "ball": (("center", 1), ("radius", 0)),
+    "hyperrectangle": (("lower", 1), ("upper", 1)),
+    "polytope": (("A", 2), ("b", 1)),
+}
+
+
+def _plain_array(values: list, depth: int) -> np.ndarray | None:
+    """The values as one float array (len(values), ...) if each is a
+    rectangular list nested `depth` deep (a number at depth 0) of exactly
+    floats and ints, not bools, all finite as floats; else None."""
+    shape = [len(values)]
+    for _ in range(depth):
+        if not _LIST.issuperset(map(type, values)) or len(lengths := set(map(len, values))) != 1:
+            return None
+        shape.append(lengths.pop())
+        values = list(chain.from_iterable(values))
+    if not plain_finite(values):
+        return None
+    try:
+        return np.array(values, dtype=float).reshape(shape)
+    except OverflowError:  # ints too large for a float, whose sum is not
+        return None
+
+
+def _column_stacks(kind: str, payloads: list) -> list[tuple[int, SetDef]] | None:
+    """`parse_column`'s one pass, or None for a column it cannot take."""
+    layout = _PAYLOAD_FIELDS.get(kind)
+    if layout is None:
+        return None
+    starts = [0, *compress(range(1, len(payloads)), map(ne, islice(payloads, 1, None), payloads))]
+    heads = [payloads[k] for k in starts]
+    if len(layout) == 1:
+        parts = [heads]
+    elif _LIST.issuperset(map(type, heads)) and set(map(len, heads)) == {2}:
+        parts = list(zip(*heads))
+    else:
+        return None
+    arrays = [_plain_array(part, depth) for part, (_, depth) in zip(parts, layout)]
+    if any(a is None for a in arrays):
+        return None
+    fields = dict(zip((name for name, _ in layout), arrays))
+    dim = arrays[0].shape[-1]
+    if dim < 1:
+        return None
+    if kind == "polytope" and fields["b"].shape[1] != fields["A"].shape[1]:
+        return None
+    if kind == "ball" and (fields["radius"] < 0.0).any():
+        return None
+    if kind == "hyperrectangle" and (fields["lower"].shape != fields["upper"].shape
+                                     or (fields["lower"] > fields["upper"]).any()):
+        return None
+    cls = _SET_CLASSES[kind]
+
+    def one(i: int) -> SetDef:
+        """The set of run i, as `set_from_payload` builds it."""
+        out = object.__new__(cls)
+        out.__dict__.update({name: a[i] for name, a in fields.items()}, dim=dim)
+        if kind == "ball":
+            out.radius = float(out.radius)
+        return out
+
+    if len(starts) == 1:
+        return [(len(payloads), one(0))]
+    # A stack's rows share the dimension (the arrays are rectangular) and,
+    # for a polytope, the constraint matrix: a run whose matrix differs from
+    # the one before begins a new stack.
+    breaks = []
+    if kind == "polytope":
+        A = fields["A"]
+        breaks = (np.flatnonzero((A[1:] != A[:-1]).any(axis=(1, 2))) + 1).tolist()
+    bounds = [*starts, len(payloads)]  # run k covers samples bounds[k] to bounds[k + 1]
+    stacks = []
+    for i, j in zip([0, *breaks], [*breaks, len(starts)]):
+        counts = list(map(sub, bounds[i + 1:j + 1], bounds[i:j]))
+        rows = {name: np.repeat(fields[name][i:j], counts, axis=0) for name in cls._row_fields}
+        n = bounds[j] - bounds[i]
+        stacks.append((n, one(i)._with(n, **rows)))
     return stacks
 
 

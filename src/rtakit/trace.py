@@ -25,10 +25,10 @@ seeded from it share them without copies; payloads are shared the same way
 and must not be mutated. `append_sample` is the one way to add a sample.
 `to_dict` builds the wire rows. `from_dict` checks and splits them in one
 pass per column: an agent's state block, its mode column, a set's rows,
-timestamps and payload types are each tested whole, and one payload is
-parsed per run of equal payloads. A column that fails its pass is read
-again entry by entry, a walk that only names the first offending entry, so
-every error is the walk's.
+timestamps and payload types are each tested whole, and a set's payloads
+are parsed as one column (`geometry.parse_column`). A column that fails
+its pass is read again entry by entry, a walk that only names the first
+offending entry, so every error is the walk's.
 """
 from __future__ import annotations
 
@@ -36,11 +36,11 @@ import json
 import math
 from collections.abc import Mapping
 from itertools import chain, compress, islice
-from operator import itemgetter, lt, ne
+from operator import itemgetter, lt
 from pathlib import Path
 
 from .agents import Mode
-from .geometry import GeometryError, SET_KINDS, SetDef, plain_finite, set_from_payload
+from .geometry import GeometryError, SET_KINDS, SetDef, parse_column, plain_finite, set_from_payload
 
 MODE_NAMES = tuple(m.value for m in Mode)
 _MODE_BY_NAME = {m.value: m for m in Mode}
@@ -118,8 +118,12 @@ class ExecutionTrace:
         return list(self.times)
 
     def unsafe_def(self, set_id: str, k: int) -> SetDef:
-        """Sample k's payload of the set, parsed. Kept because the benchmark's
-        tracer wraps it by name to count the payloads a read parses."""
+        """Sample k's payload of the set, parsed: a read of one sample, as
+        `snapshot` and `ScenarioMetadata.from_trace` make. Evaluation and
+        `from_dict` parse a set's whole column at once
+        (`geometry.parse_column`) and do not come here. Kept by this name
+        because the benchmark's tracer wraps it to count the payloads a
+        read parses."""
         return set_from_payload(self.kinds[set_id], self.unsafe[set_id][k])
 
     def prefix(self, k: int) -> "ExecutionTrace":
@@ -353,9 +357,9 @@ def _read_payloads(path: str, kind: str, rows, grid: list[float]) -> list:
     """The payloads of a set's wire `state_trace`, one per sample of the
     grid. The column is tested in one pass: every row a pair, the
     timestamps the grid's, every payload of plain number types (see
-    `_plain_payloads`). One payload is parsed per run of equal payloads,
-    and all must have one dimension. A column that fails is read by
-    `_walk_payloads`."""
+    `_plain_payloads`). The payloads are parsed as one column
+    (`geometry.parse_column`), and all must have one dimension. A column
+    that fails is read by `_walk_payloads`."""
     if not isinstance(rows, list) or not rows:
         raise TraceSchemaError(path, "must be a nonempty list")
     if len(rows) != len(grid):
@@ -364,10 +368,8 @@ def _read_payloads(path: str, kind: str, rows, grid: list[float]) -> list:
         times = list(map(itemgetter(0), rows))
         payloads = list(map(itemgetter(1), rows))
         if plain_finite(times) and times == grid and _plain_payloads(payloads):
-            changed = compress(range(1, len(payloads)),
-                               map(ne, islice(payloads, 1, None), payloads))
             try:
-                dims = {set_from_payload(kind, payloads[k]).dim for k in chain((0,), changed)}
+                dims = {stack.dim for _, stack in parse_column(kind, payloads)}
             except GeometryError:
                 dims = set()
             if len(dims) == 1:

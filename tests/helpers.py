@@ -1,5 +1,6 @@
 """Shared test fixtures: independent oracles, scenario builders, a
-per-entry reference trace loader and a per-row reference evaluator.
+per-entry reference trace loader, a per-row reference evaluator, and a
+per-run column parse with the per-pair report built on it.
 
 The polytope distance oracle is a refining grid search (pure sampling,
 nothing shared with the projection solver under test); `ref_project` is the
@@ -29,9 +30,13 @@ from rtakit import (
     ScenarioConfig,
     SimRta,
     TraceSchemaError,
+    computation_time_stats,
+    controller_usage,
     set_from_payload,
 )
-from rtakit.geometry import GeometryError, SET_KINDS
+from rtakit.evaluation import AgentReport, EvalError, EvalReport
+from rtakit.geometry import GeometryError, SET_KINDS, stack_sets
+from rtakit.trace import mode_names
 
 
 def grid_distance_oracle(A, b, query, feasible_point, rounds=9, batch=4096, seed=0):
@@ -174,6 +179,17 @@ def config_docs():
             if name == "acc-sweep":
                 ops = ops[:8]
             for op, doc in ops:
+                yield pytest.param(doc, id=f"{name}-{seed}-{op}")
+
+
+def every_document():
+    """The shipped configs and every benchmark workload document at seeds 1
+    and 2, as pytest params named after each."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield pytest.param(json.loads(path.read_text()), id=path.name)
+    for name, generate in sorted(workloads.WORKLOADS.items()):
+        for seed in (1, 2):
+            for op, doc in generate(seed):
                 yield pytest.param(doc, id=f"{name}-{seed}-{op}")
 
 
@@ -486,4 +502,156 @@ def reference_eval_files(trace, timings=None) -> dict[str, str]:
     summary = {"n_samples": len(ts), "duration": ts[-1] - ts[0] if len(ts) > 1 else 0.0,
                "agents": agents}
     files["summary.json"] = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    return files
+
+
+# -- per-run column parse and per-pair reference report -------------------------------
+#
+# A set's column parsed one `set_from_payload` per run of equal payloads and
+# stacked by `stack_sets`, and `build_report`, `distance_series` and `ttc` as
+# they measured with that column: each agent against each target in calls of
+# its own, and each CSV formatted row by row. The column parse and the
+# one-call-per-target report must equal these byte for byte.
+
+def _ref_defs(kind: str, payloads: list) -> list:
+    """One definition per payload, parsed once per run of equal payloads."""
+    defs, last = [], None
+    for payload in payloads:
+        if not defs or payload != last:
+            set_def, last = set_from_payload(kind, payload), payload
+        defs.append(set_def)
+    return defs
+
+
+def ref_column(kind: str, payloads: list) -> list:
+    """The column's stacks, parsed run by run."""
+    return stack_sets(_ref_defs(kind, payloads))
+
+
+def assert_same_stacks(got: list, want: list) -> None:
+    """Stacks of the same sizes, classes and attributes: arrays of the same
+    dtype, shape and values, and everything else equal and of one type."""
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert type(a) is type(b) and vars(a).keys() == vars(b).keys()
+        for name, x in vars(a).items():
+            y = vars(b)[name]
+            assert type(x) is type(y), name
+            if isinstance(x, np.ndarray):
+                assert (x.dtype, x.shape) == (y.dtype, y.shape) and np.array_equal(x, y), name
+            else:
+                assert x == y, name
+
+
+class _RefSamples:
+    """Positions, velocities and per-target stacks, as the report read them
+    before it measured a target in one call."""
+
+    def __init__(self, trace, metadata, agent_ids, set_ids, window=slice(None)):
+        self.ts = ts = trace.times[window]
+        if not ts:
+            raise EvalError("trace holds no samples (no data)")
+        dim = 0
+        if agent_ids:
+            dim = metadata.workspace_dim if metadata and metadata.workspace_dim else None
+            if dim is None:
+                dim = trace.unsafe_def(next(iter(trace.unsafe)), 0).dim
+        self.positions = {aid: np.array(trace.rows[aid][window], dtype=float)[:, :dim]
+                          for aid in agent_ids}
+        self.velocities = {aid: _ref_velocity_column(ts, x) for aid, x in self.positions.items()}
+        self.targets = {aid: ([(len(x), PointSet(x[0]).moved_to(x))], self.velocities[aid])
+                        for aid, x in self.positions.items()}
+        for sid in set_ids:
+            defs = _ref_defs(trace.kinds[sid], trace.unsafe[sid][window])
+            refs = np.array([d.reference() for d in defs])
+            self.targets[sid] = stack_sets(defs), _ref_velocity_column(ts, refs)
+
+
+def _ref_velocity_column(ts, x):
+    if len(ts) < 2:
+        return np.zeros_like(x)
+    d = np.diff(x, axis=0) / np.diff(ts)[:, None]
+    return np.concatenate((d[:1], d))
+
+
+def _ref_per_stack(stacks, method, *columns):
+    parts, k = [], 0
+    for n, stack in stacks:
+        parts.append(getattr(stack, method)(*(c[k:k + n] for c in columns)))
+        k += n
+    return np.concatenate(parts)
+
+
+def _ref_distances(s, agent_id, target_id):
+    return _ref_per_stack(s.targets[target_id][0], "distance", s.positions[agent_id]).tolist()
+
+
+def _ref_ttcs(s, agent_id, target_id):
+    stacks, target_vel = s.targets[target_id]
+    rel_vel = s.velocities[agent_id] - target_vel
+    return _ref_per_stack(stacks, "entry_time", s.positions[agent_id], rel_vel).tolist()
+
+
+def _ref_ids(trace, agent_id, target_id):
+    if target_id in trace.unsafe:
+        return [agent_id], [target_id]
+    return [agent_id, target_id], []
+
+
+def ref_distance_series(trace, agent_id, target_id, metadata=None):
+    s = _RefSamples(trace, metadata, *_ref_ids(trace, agent_id, target_id))
+    return list(zip(s.ts, _ref_distances(s, agent_id, target_id)))
+
+
+def ref_ttc(trace, agent_id, target_id, t, metadata=None):
+    k = next(k for k, tk in enumerate(trace.times) if abs(tk - t) <= 1e-9)
+    lo = max(k - 1, 0)
+    s = _RefSamples(trace, metadata, *_ref_ids(trace, agent_id, target_id), slice(lo, lo + 2))
+    return _ref_ttcs(s, agent_id, target_id)[k - lo]
+
+
+def ref_build_report(trace, metadata=None, timings=None) -> EvalReport:
+    timings = timings or {}
+    agent_ids, set_ids = list(trace.rows), list(trace.unsafe)
+    measured = agent_ids if set_ids or len(agent_ids) > 1 else []
+    s = _RefSamples(trace, metadata, measured, set_ids)
+    ts = s.ts
+    agents = {}
+    for aid in agent_ids:
+        usage, switches = controller_usage(trace, aid)
+        others = [other for other in agent_ids if other != aid]
+        set_d = {sid: _ref_distances(s, aid, sid) for sid in set_ids}
+        agent_d = {other: _ref_distances(s, aid, other) for other in others}
+        agents[aid] = AgentReport(
+            agent_id=aid,
+            timing=computation_time_stats(timings.get(aid, [])),
+            usage=usage,
+            switch_count=switches,
+            set_distances={k: list(zip(ts, d)) for k, d in set_d.items()},
+            agent_distances={k: list(zip(ts, d)) for k, d in agent_d.items()},
+            min_set_distance={k: min(d) for k, d in set_d.items()},
+            min_agent_distance={k: min(d) for k, d in agent_d.items()},
+            min_set_ttc={sid: min(_ref_ttcs(s, aid, sid)) for sid in set_ids},
+            min_agent_ttc={other: min(_ref_ttcs(s, aid, other)) for other in others},
+            mode_series=list(zip(ts, mode_names(trace.modes[aid]))),
+        )
+    return EvalReport(agents=agents, n_samples=len(trace.times),
+                      duration=(ts[-1] - ts[0]) if len(ts) > 1 else 0.0)
+
+
+def ref_csv_files(report: EvalReport) -> dict[str, str]:
+    """The CSV files `EvalReport.write_csv` writes, by file name, each row
+    formatted on its own."""
+    files = {}
+
+    def write(name, series, text=repr):
+        files[name] = "\n".join(["time,value"] + [f"{t!r},{text(v)}" for t, v in series]) + "\n"
+
+    for aid, r in report.agents.items():
+        for target, series in r.set_distances.items():
+            write(f"{aid}__dist_set__{target}.csv", series)
+        for target, series in r.agent_distances.items():
+            write(f"{aid}__dist_agent__{target}.csv", series)
+        if r.mode_series:
+            write(f"{aid}__mode.csv", r.mode_series, str)
     return files

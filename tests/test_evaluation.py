@@ -21,10 +21,21 @@ from rtakit import (
     ttc,
 )
 from rtabench import workloads
+from rtakit import evaluation, geometry
 from rtakit import trace as trace_module
 from rtakit.cli import main as cli_main
 from rtakit.evaluation import EvalError
-from helpers import acc_scenario_config, make_trace, reference_eval_files, sim_rta_binding
+from helpers import (
+    acc_scenario_config,
+    every_document,
+    make_trace,
+    ref_build_report,
+    ref_csv_files,
+    ref_distance_series,
+    ref_ttc,
+    reference_eval_files,
+    sim_rta_binding,
+)
 
 META1 = ScenarioMetadata(workspace_dim=1)
 META2 = ScenarioMetadata(workspace_dim=2)
@@ -348,20 +359,29 @@ def test_report_reads_each_sample_once(dubins_run, monkeypatch):
 
 def test_report_parses_a_static_set_once(dubins_run, monkeypatch):
     """A loaded trace holds an equal payload per sample, not a shared one;
-    the report still reads the static building once and the anchored
-    leader ball once per sample."""
+    the report still parses each set's column once, as one column, with no
+    `set_from_payload` per sample or per run: not of the static building,
+    and not of the anchored leader ball that moves every sample."""
     _, executed = dubins_run
     trace = ExecutionTrace.from_dict(json.loads(executed.to_json()))
-    parsed = {}
-    real = trace_module.set_from_payload
+    want = build_report(executed, META2).to_dict()
+    parsed, columns = [], {}
+    real_parse, real_column = geometry.set_from_payload, evaluation.parse_column
 
-    def counted(kind, payload):
-        parsed[kind] = parsed.get(kind, 0) + 1
-        return real(kind, payload)
+    def parse(kind, payload):
+        parsed.append(kind)
+        return real_parse(kind, payload)
 
-    monkeypatch.setattr(trace_module, "set_from_payload", counted)
-    build_report(trace, META2)
-    assert parsed == {"hyperrectangle": 1, "ball": len(trace.times)}
+    def column(kind, payloads):
+        columns[kind] = columns.get(kind, 0) + 1
+        return real_column(kind, payloads)
+
+    for module in (geometry, trace_module):
+        monkeypatch.setattr(module, "set_from_payload", parse)
+    monkeypatch.setattr(evaluation, "parse_column", column)
+    assert build_report(trace, META2).to_dict() == want
+    assert parsed == []
+    assert columns == {"hyperrectangle": 1, "ball": 1}
 
 
 def test_report_minima_equal_public_metrics_over_grid(dubins_run):
@@ -504,3 +524,41 @@ def test_report_of_benchmark_document_equals_the_per_row_reference(doc, tmp_path
     executed = execute(build_scenario(config_from_dict(doc)))
     trace = ExecutionTrace.from_dict(json.loads(executed.to_json()))
     assert eval_files(trace, tmp_path) == reference_eval_files(trace)
+
+
+# -- one call per target equals the per-pair report, byte for byte ------------------
+
+def assert_report_equals_the_per_pair_reference(trace, tmp_path, timings=None, grid=3):
+    """The summary, its text and every CSV equal the report that measured
+    each agent and target on its own; so do `distance_series` of every pair
+    and its `ttc` at `grid` times spread over the trace."""
+    got, want = build_report(trace, timings=timings), ref_build_report(trace, timings=timings)
+    assert (json.dumps(got.to_dict(), sort_keys=True)
+            == json.dumps(want.to_dict(), sort_keys=True))
+    assert got.to_text() == want.to_text()
+    assert {path.name: path.read_text() for path in got.write_csv(tmp_path)} == ref_csv_files(want)
+    ts = trace.times
+    times = sorted({ts[k * (len(ts) - 1) // max(grid - 1, 1)] for k in range(grid)})
+    for aid in trace.rows:
+        for target in (*trace.unsafe, *(other for other in trace.rows if other != aid)):
+            assert (repr(distance_series(trace, aid, target))
+                    == repr(ref_distance_series(trace, aid, target)))
+            for t in times:
+                assert repr(ttc(trace, aid, target, t)) == repr(ref_ttc(trace, aid, target, t))
+
+
+@pytest.mark.parametrize("doc", every_document())
+def test_report_equals_the_per_pair_reference(doc, tmp_path):
+    """As `rtakit eval` reads the trace, at the first, middle and last
+    sample."""
+    executed = execute(build_scenario(config_from_dict(doc)))
+    trace = ExecutionTrace.from_dict(json.loads(executed.to_json()))
+    assert_report_equals_the_per_pair_reference(trace, tmp_path)
+
+
+@pytest.mark.parametrize("make", HAND_MADE.values(), ids=HAND_MADE.keys())
+def test_hand_made_report_equals_the_per_pair_reference(make, tmp_path):
+    """In memory, at every sample."""
+    trace = make()
+    timings = {aid: [0.001] for aid in trace.rows}
+    assert_report_equals_the_per_pair_reference(trace, tmp_path, timings, len(trace.times))

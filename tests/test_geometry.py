@@ -18,11 +18,20 @@ from rtakit import (
     set_from_payload,
     update_relative,
 )
-from rtakit.geometry import ball_entry_time, row_dots, row_norms, stack_sets
+from rtakit.geometry import (
+    ball_entry_time,
+    parse_column,
+    repeat_rows,
+    row_dots,
+    row_norms,
+    stack_sets,
+)
 from helpers import (
+    assert_same_stacks,
     grid_distance_oracle,
     random_polytope,
     ref_ball_entry_time,
+    ref_column,
     ref_distance,
     ref_entry_time,
     ref_project,
@@ -1015,6 +1024,35 @@ def test_stack_sets_stacks_the_definitions_own_arrays(s):
     assert stack.entry_time(P, V).tolist() == [
         ref_entry_time(d, p, v) for d, p, v in zip(defs, P, V)]
     assert stack_sets([defs[0]] * 3) == [(3, defs[0])]
+
+
+@pytest.mark.parametrize("s", EXACT_SETS, ids=EXACT_IDS)
+def test_repeated_rows_measure_as_the_stack_row_by_row(s):
+    """A moved stack and a parsed column, their rows repeated for three
+    queries per set: row j * n + k measures as row k of the stack does. A
+    moved ball keeps its one radius, and a parsed column's reference points
+    are each set's own."""
+    rng = np.random.default_rng(61)
+    P, V = _courses(s, rng, n=12)
+    refs = s.reference() + rng.uniform(-1.0, 1.0, size=(len(P), s.dim))
+    payloads = [s.moved_to(r).payload() for r in refs[:6] for _ in range(2)]  # runs of two
+    (_, column), = parse_column(s.kind, payloads)
+    assert_same_stacks([(len(P), column)], ref_column(s.kind, payloads))
+    assert column.reference().tolist() == [
+        set_from_payload(s.kind, p).reference().tolist() for p in payloads]
+    for stack in (s.moved_to(refs), column):
+        tiled = repeat_rows(stack, 3)
+        assert tiled.rows == 3 * len(P)
+        shifts = [0.0, 0.5, -0.25]
+        Q = np.concatenate([P + shift for shift in shifts])
+        W = np.concatenate([V * (1.0 + shift) for shift in shifts])
+        assert tiled.distance(Q).tolist() == np.concatenate(
+            [stack.distance(P + shift) for shift in shifts]).tolist()
+        assert tiled.entry_time(Q, W).tolist() == np.concatenate(
+            [stack.entry_time(P + shift, V * (1.0 + shift)) for shift in shifts]).tolist()
+    if isinstance(s, Ball):
+        assert type(repeat_rows(s.moved_to(refs), 3).radius) is float
+    assert repeat_rows(s, 3) is s
 
 
 def test_stack_sets_ends_a_stack_where_the_polytope_matrix_changes():

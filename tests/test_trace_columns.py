@@ -8,17 +8,24 @@ timestamp column and a payload column of every set kind."""
 import copy
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rtabench import workloads
 from rtakit import ExecutionTrace, Mode, TraceSchemaError, build_scenario, config_from_dict, execute
+from rtakit import geometry
 from rtakit import trace as trace_module
-from helpers import reference_from_dict
+from rtakit.geometry import GeometryError, parse_column
+from rtakit.evaluation import build_report
+from helpers import (
+    assert_same_stacks,
+    every_document,
+    make_trace,
+    ref_build_report,
+    ref_column,
+    reference_from_dict,
+)
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N = 51
 DEEP = 45
 
@@ -166,15 +173,6 @@ def test_documents_one_pass_cannot_take_load_as_the_reference(where, value):
     assert_same_columns(ExecutionTrace.from_dict(doc), reference_from_dict(doc))
 
 
-def _every_document():
-    for path in sorted(CONFIGS.glob("*.json")):
-        yield pytest.param(json.loads(path.read_text()), id=path.name)
-    for name, generate in sorted(workloads.WORKLOADS.items()):
-        for seed in (1, 2):
-            for op, doc in generate(seed):
-                yield pytest.param(doc, id=f"{name}-{seed}-{op}")
-
-
 def no_walk(monkeypatch):
     """Make the per-entry walks fail, so a load must take the column passes."""
     def walk(*args):
@@ -184,21 +182,24 @@ def no_walk(monkeypatch):
         monkeypatch.setattr(trace_module, name, walk)
 
 
-@pytest.mark.parametrize("doc", _every_document())
+@pytest.mark.parametrize("doc", every_document())
 def test_executed_trace_loads_as_the_reference(doc, monkeypatch):
-    """The same columns, by the column passes alone, and one payload parse
-    per run of equal payloads."""
+    """The same columns, by the column passes alone: each set's payloads
+    parsed as one column, with no payload parsed on its own."""
     wire = json.loads(execute(build_scenario(config_from_dict(doc))).to_json())
     want = reference_from_dict(wire)
     no_walk(monkeypatch)
-    parses = []
-    parse = trace_module.set_from_payload
-    monkeypatch.setattr(trace_module, "set_from_payload",
-                        lambda kind, payload: parses.append(payload) or parse(kind, payload))
+    parses, columns = [], []
+    parse, column = trace_module.set_from_payload, trace_module.parse_column
+    for module in (geometry, trace_module):
+        monkeypatch.setattr(module, "set_from_payload",
+                            lambda kind, payload: parses.append(payload) or parse(kind, payload))
+    monkeypatch.setattr(trace_module, "parse_column",
+                        lambda kind, payloads: columns.append(kind) or column(kind, payloads))
     got = ExecutionTrace.from_dict(wire)
     assert_same_columns(got, want)
-    runs = sum(1 + sum(a != b for a, b in zip(p, p[1:])) for p in want.unsafe.values())
-    assert len(parses) == runs
+    assert parses == []
+    assert columns == list(want.kinds.values())
 
 
 def test_long_document_loads_as_the_reference(monkeypatch):
@@ -207,3 +208,103 @@ def test_long_document_loads_as_the_reference(monkeypatch):
     trace = ExecutionTrace.from_dict(doc)
     assert_same_columns(trace, reference_from_dict(doc))
     assert trace.modes["ego"][30] is Mode.SAFETY
+
+
+# -- the column parse against the per-run parse ------------------------------------
+
+SQUARE = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+TRIANGLE = [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+STEPS = range(6)
+
+
+def _balls(radius=lambda k: 1.5, center=lambda k: [0.5 * k, 1.0]):
+    return [[center(k), radius(k)] for k in STEPS]
+
+
+def _boxes(lower_x=lambda k: 0.5 * k):
+    return [[[lower_x(k), -1.0], [0.5 * k + 1.0, 1.0]] for k in STEPS]
+
+
+COLUMNS = {  # kind, payload per sample, whether the one pass takes the column
+    "ball-moves": ("ball", _balls(), True),
+    "ball-int-radius": ("ball", _balls(radius=lambda k: 2), True),
+    "box-moves": ("hyperrectangle", _boxes(), True),
+    "point-still": ("point", [[3.0, 0.25]] * len(STEPS), True),
+    "polytope-matrix-changes": ("polytope", [[SQUARE, [1.0, 1.0, 1.0, 1.0 + 0.5 * k]]
+                                             for k in range(3)]
+                                + [[[[2.0, 0.0], *SQUARE[1:]], [4.0, 1.0, 1.0, 1.0]]] * 3, True),
+    "ball-ragged-centres": ("ball", _balls(center=lambda k: [0.5 * k, 1.0] + [0.0] * (k == 3)),
+                            False),
+    "ball-int-past-float": ("ball", _balls(radius=lambda k: 10 ** 400 if k == 2 else 1.5), False),
+    "ball-negative-radius-last": ("ball", _balls(radius=lambda k: -1.0 if k == 5 else 1.5), False),
+    "box-lower-above-upper": ("hyperrectangle", _boxes(lambda k: 9.0 if k == 2 else 0.5 * k),
+                              False),
+    "ball-numpy-floats": ("ball", _balls(center=lambda k: [np.float64(0.5 * k), 1.0]), False),
+    "polytope-rows-change": ("polytope", [[TRIANGLE, [2.0, 0.0, 0.0]]] * 3
+                             + [[SQUARE, [1.0, 1.0, 1.0, 1.0 + 0.5 * k]] for k in range(3)], False),
+}
+
+
+@pytest.mark.parametrize("kind, payloads, one_pass", COLUMNS.values(), ids=COLUMNS.keys())
+def test_column_parse_equals_the_per_run_parse(kind, payloads, one_pass, monkeypatch):
+    """The same stacks, or the same error; a column the one pass cannot take
+    is parsed run by run, and one it can take with no per-run parse."""
+    try:
+        want, error = ref_column(kind, payloads), None
+    except GeometryError as exc:
+        want, error = None, str(exc)
+    parses = []
+    parse = geometry.set_from_payload
+    monkeypatch.setattr(geometry, "set_from_payload",
+                        lambda kind, payload: parses.append(payload) or parse(kind, payload))
+    if error is None:
+        assert_same_stacks(parse_column(kind, payloads), want)
+    else:
+        with pytest.raises(GeometryError) as got:
+            parse_column(kind, payloads)
+        assert str(got.value) == error
+    assert bool(parses) != one_pass
+
+
+def _column_doc(kind, payloads):
+    """One agent and one set, with the set's payloads given per sample."""
+    ts = [0.1 * k for k in range(len(payloads))]
+    return {"agents": {"ego": {"state_trace": [[t, 0.5 - t, 2.0] for t in ts],
+                               "mode_trace": ["UNTRUSTED"] * (len(ts) - 1)}},
+            "unsafe": {"set": {"type": kind,
+                               "state_trace": [[t, p] for t, p in zip(ts, payloads)]}}}
+
+
+@pytest.mark.parametrize("kind, payloads, one_pass", COLUMNS.values(), ids=COLUMNS.keys())
+def test_column_loads_as_the_reference(kind, payloads, one_pass):
+    doc = _column_doc(kind, payloads)
+    try:
+        want = reference_from_dict(doc)
+    except TraceSchemaError as exc:
+        with pytest.raises(TraceSchemaError) as got:
+            ExecutionTrace.from_dict(doc)
+        assert (got.value.path, str(got.value)) == (exc.path, str(exc))
+    else:
+        assert_same_columns(ExecutionTrace.from_dict(doc), want)
+
+
+@pytest.mark.parametrize("kind, payloads, one_pass", COLUMNS.values(), ids=COLUMNS.keys())
+def test_column_of_an_in_memory_trace_evaluates_as_the_reference(kind, payloads, one_pass):
+    """An in-memory trace is not checked by a load: its report equals the
+    per-pair report, or raises the same error. A centre that changes
+    dimension is the exception: the per-pair report stacked the reference
+    points first, and numpy refused the ragged rows without naming the set."""
+    doc = _column_doc(kind, payloads)
+    trace = make_trace({"ego": doc["agents"]["ego"]["state_trace"]}, sets={"set": (kind, payloads)})
+    try:
+        want = ref_build_report(trace)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_report(trace)
+        if isinstance(exc, GeometryError):
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        else:
+            assert str(got.value) == ("unsafe set 'set' has dimension 3, "
+                                      "but the workspace has dimension 2")
+    else:
+        assert build_report(trace).to_dict() == want.to_dict()
