@@ -13,13 +13,12 @@ dimension is inferred from the unsafe-set definitions unless supplied
 explicitly. Velocities are backward finite differences of the recorded
 positions (set velocities likewise, of each set's reference point). An
 evaluation builds these as columns once, parsing each set's payloads as
-one column into row-aligned stacks (`geometry.parse_column`). It then
-measures every agent against a set with one `distance` and one
+one column into row-aligned stacks (`geometry.parse_column`); another
+agent is a target too, as one point moved along its positions. It then
+measures every agent against a target with one `distance` and one
 `entry_time` call per stack, the stack's rows repeated once per agent
-(`geometry.repeat_rows`), and every ordered pair of agents with one call
-of each, the other agent a point moved along its positions. Each sample
-rounds as it would alone, so the numbers equal measuring pair by pair and
-sample by sample.
+(`geometry.repeat_rows`). Each sample rounds as it would alone, so the
+numbers equal measuring pair by pair and sample by sample.
 """
 from __future__ import annotations
 
@@ -113,28 +112,33 @@ def _workspace_dim(trace, metadata: ScenarioMetadata | None) -> int:
 
 class _Samples:
     """The columns of a trace that one evaluation reads, built once: per
-    agent its (n, dim) positions and velocities, and per set its
-    definitions as row-aligned stacks and the velocity of its reference
-    point at every sample of `window`."""
+    agent its (n, dim) positions and velocities, and per target its
+    row-aligned stacks and the velocity of their reference point at every
+    sample of `window`. A set's stacks are its parsed column; an agent's,
+    a point moved along its positions, which must be among `agent_ids`."""
 
     def __init__(self, trace: ExecutionTrace, metadata: ScenarioMetadata | None,
-                 agent_ids: list[str], set_ids: list[str], window: slice = slice(None)):
+                 agent_ids: list[str], target_ids: list[str], window: slice = slice(None)):
         self.ts = ts = trace.times[window]
         if not ts:
             raise EvalError("trace holds no samples (no data)")
         dim = _workspace_dim(trace, metadata) if agent_ids else 0
         self.positions = {aid: _positions(trace.rows[aid][window], aid, dim) for aid in agent_ids}
         self.velocities = {aid: _velocities(ts, x) for aid, x in self.positions.items()}
-        self.sets = {}
-        for sid in set_ids:
-            stacks = parse_column(trace.kinds[sid], trace.unsafe[sid][window])
+        self.targets = {}
+        for tid in target_ids:
+            if tid in trace.rows:
+                x = self.positions[tid]
+                self.targets[tid] = [(len(x), PointSet(x[0]).moved_to(x))], self.velocities[tid]
+                continue
+            stacks = parse_column(trace.kinds[tid], trace.unsafe[tid][window])
             for _, stack in stacks:
                 if agent_ids and stack.dim != dim:
-                    raise EvalError(f"unsafe set {sid!r} has dimension {stack.dim}, "
+                    raise EvalError(f"unsafe set {tid!r} has dimension {stack.dim}, "
                                     f"but the workspace has dimension {dim}")
             refs = np.concatenate([np.broadcast_to(stack.reference(), (n, stack.dim))
                                    for n, stack in stacks])
-            self.sets[sid] = stacks, _velocities(ts, refs)
+            self.targets[tid] = stacks, _velocities(ts, refs)
 
 
 def _positions(rows: list[tuple[float, ...]], agent_id: str, dim: int) -> np.ndarray:
@@ -158,39 +162,21 @@ def _velocities(ts: list[float], x: np.ndarray) -> np.ndarray:
     return np.concatenate((d[:1], d))
 
 
-# A course list is what one target measures m agents (or m agent pairs)
-# against: per stack of the target, its sets with rows repeated once per
-# agent, and the agents' positions and velocities relative to the target
-# over those samples, joined agent after agent.
-
-def _set_courses(s: _Samples, agent_ids: list[str], set_id: str) -> list[tuple]:
-    """The courses of the agents against a set."""
-    stacks, set_vel = s.sets[set_id]
+def _courses(s: _Samples, agent_ids: list[str], target_id: str) -> list[tuple]:
+    """What the target measures the m agents against: per stack of the
+    target, its sets with rows repeated once per agent, and the agents'
+    positions and velocities relative to the target over those samples,
+    joined agent after agent."""
+    stacks, target_vel = s.targets[target_id]
     m = len(agent_ids)
     P = np.stack([s.positions[aid] for aid in agent_ids])
-    V = np.stack([s.velocities[aid] for aid in agent_ids]) - set_vel
+    V = np.stack([s.velocities[aid] for aid in agent_ids]) - target_vel
     courses, k = [], 0
     for n, stack in stacks:
         courses.append((repeat_rows(stack, m), P[:, k:k + n].reshape(m * n, -1),
                         V[:, k:k + n].reshape(m * n, -1)))
         k += n
     return courses
-
-
-def _pair_courses(s: _Samples, pairs: list[tuple[str, str]]) -> list[tuple]:
-    """The courses of ordered agent pairs (a, b), a against b as a point
-    moved along b's positions: one point stack for all pairs."""
-    P = np.concatenate([s.positions[a] for a, _ in pairs])
-    Q = np.concatenate([s.positions[b] for _, b in pairs])
-    V = np.concatenate([s.velocities[a] - s.velocities[b] for a, b in pairs])
-    return [(PointSet(Q[0]).moved_to(Q), P, V)]
-
-
-def _courses(s: _Samples, agent_id: str, target_id: str) -> list[tuple]:
-    """The courses of one agent against one target, a set or an agent."""
-    if target_id in s.sets:
-        return _set_courses(s, [agent_id], target_id)
-    return _pair_courses(s, [(agent_id, target_id)])
 
 
 def _distances(courses: list[tuple], m: int) -> np.ndarray:
@@ -208,17 +194,17 @@ def distance_series(trace: ExecutionTrace, agent_id: str, target_id: str,
                     metadata: ScenarioMetadata | None = None) -> list[tuple[float, float]]:
     """Per-timestamp distance from an agent to an unsafe set or another agent."""
     s = _Samples(trace, metadata, *_pair(trace, agent_id, target_id))
-    return list(zip(s.ts, _distances(_courses(s, agent_id, target_id), 1)[0].tolist()))
+    return list(zip(s.ts, _distances(_courses(s, [agent_id], target_id), 1)[0].tolist()))
 
 
 def _pair(trace: ExecutionTrace, agent_id: str, target_id: str) -> tuple[list[str], list[str]]:
-    """The agent ids and set ids read to measure an agent against a target."""
+    """The agent ids and target ids read to measure an agent against a target."""
     _check_agent(trace, agent_id)
     if target_id in trace.unsafe:
         return [agent_id], [target_id]
     if target_id not in trace.rows:
         raise EvalError(f"unknown target id {target_id!r}")
-    return [agent_id, target_id], []
+    return [agent_id, target_id], [target_id]
 
 
 def _grid_index(ts: list[float], t: float) -> int:
@@ -240,11 +226,11 @@ def ttc(trace: ExecutionTrace, agent_id: str, target_id: str, t: float,
     agent-vs-agent TTC with the ball's radius as the collision distance.
     Against an agent, collision means the two positions meeting.
     """
-    agent_ids, set_ids = _pair(trace, agent_id, target_id)
+    agent_ids, target_ids = _pair(trace, agent_id, target_id)
     k = _grid_index(trace.times, t)
     lo = max(k - 1, 0)  # the backward difference at k reads samples lo and lo + 1
-    s = _Samples(trace, metadata, agent_ids, set_ids, slice(lo, lo + 2))
-    return float(_ttcs(_courses(s, agent_id, target_id), 1)[0, k - lo])
+    s = _Samples(trace, metadata, agent_ids, target_ids, slice(lo, lo + 2))
+    return float(_ttcs(_courses(s, [agent_id], target_id), 1)[0, k - lo])
 
 
 def controller_usage(trace: ExecutionTrace, agent_id: str) -> tuple[dict[str, float], int]:
@@ -388,23 +374,20 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
     agent_ids, set_ids = list(trace.rows), list(trace.unsafe)
     # Positions only if there is something to measure them against.
     measured = agent_ids if set_ids or len(agent_ids) > 1 else []
-    samples = _Samples(trace, metadata, measured, set_ids)
+    samples = _Samples(trace, metadata, measured, set_ids + measured)
     ts = samples.ts
     # Per agent, by target id: the distance at every sample, and the least
     # time to collision over them.
     set_d, set_ttc, agent_d, agent_ttc = ({aid: {} for aid in agent_ids} for _ in range(4))
-    m = len(measured)
-    for sid in set_ids:
-        courses = _set_courses(samples, measured, sid)
-        for aid, d, t in zip(measured, _distances(courses, m).tolist(),
-                             _ttcs(courses, m).tolist()):
-            set_d[aid][sid], set_ttc[aid][sid] = d, min(t)
-    pairs = [(aid, other) for aid in measured for other in measured if other != aid]
-    if pairs:
-        courses = _pair_courses(samples, pairs)
-        for (aid, other), d, t in zip(pairs, _distances(courses, len(pairs)).tolist(),
-                                      _ttcs(courses, len(pairs)).tolist()):
-            agent_d[aid][other], agent_ttc[aid][other] = d, min(t)
+    for target in samples.targets:  # sets in trace order, then agents
+        others = [aid for aid in measured if aid != target]
+        if not others:
+            continue
+        dists, ttcs = (set_d, set_ttc) if target in trace.unsafe else (agent_d, agent_ttc)
+        courses = _courses(samples, others, target)
+        for aid, d, t in zip(others, _distances(courses, len(others)).tolist(),
+                             _ttcs(courses, len(others)).tolist()):
+            dists[aid][target], ttcs[aid][target] = d, min(t)
     agents = {}
     for aid in agent_ids:
         usage, switches = controller_usage(trace, aid)

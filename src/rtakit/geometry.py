@@ -119,8 +119,6 @@ def plain_finite(values) -> bool:
 
 
 def _vector(x, what: str = "vector") -> np.ndarray:
-    if type(x) is list and x and plain_finite(x):  # a wire payload's: no numpy dispatch
-        return np.array(x, dtype=float)
     try:
         v = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:

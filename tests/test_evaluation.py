@@ -384,6 +384,37 @@ def test_report_parses_a_static_set_once(dubins_run, monkeypatch):
     assert columns == {"hyperrectangle": 1, "ball": 1}
 
 
+@pytest.mark.parametrize("case", ["dubins-formation-1", "dubins.json"])
+def test_report_measures_a_target_over_at_most_every_agent_and_sample(case, request,
+                                                                      monkeypatch):
+    """Each `distance` and `entry_time` call of a report measures one target
+    against the other agents, so its rows grow with agents x samples, not
+    with agent pairs x samples; every agent is one point target."""
+    if case == "dubins.json":
+        _, trace = request.getfixturevalue("dubins_run")
+    else:
+        (_, doc), = workloads.WORKLOADS["dubins-formation"](1)
+        trace = execute(build_scenario(config_from_dict(doc)))
+    assert "point" not in trace.kinds.values()  # each point call measures an agent
+    calls = []  # (kind, method, rows) per call
+
+    def wrap(cls, name):
+        real = getattr(cls, name)
+
+        def counted(self, points, *args):
+            calls.append((self.kind, name, len(np.atleast_2d(points))))
+            return real(self, points, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls in (geometry.PointSet, geometry.Ball, geometry.Hyperrectangle, geometry.Polytope):
+        wrap(cls, "distance")
+        wrap(cls, "entry_time")
+    build_report(trace)
+    assert max(rows for *_, rows in calls) <= len(trace.rows) * len(trace.times)
+    assert [call[:2] for call in calls].count(("point", "distance")) == len(trace.rows)
+
+
 def test_report_minima_equal_public_metrics_over_grid(dubins_run):
     _, trace = dubins_run
     meta = ScenarioMetadata.from_trace(trace)
@@ -528,11 +559,13 @@ def test_report_of_benchmark_document_equals_the_per_row_reference(doc, tmp_path
 
 # -- one call per target equals the per-pair report, byte for byte ------------------
 
-def assert_report_equals_the_per_pair_reference(trace, tmp_path, timings=None, grid=3):
+def assert_report_equals_the_per_pair_reference(trace, tmp_path, timings=None, grid=3,
+                                                metadata=None):
     """The summary, its text and every CSV equal the report that measured
     each agent and target on its own; so do `distance_series` of every pair
     and its `ttc` at `grid` times spread over the trace."""
-    got, want = build_report(trace, timings=timings), ref_build_report(trace, timings=timings)
+    got = build_report(trace, metadata, timings)
+    want = ref_build_report(trace, metadata, timings)
     assert (json.dumps(got.to_dict(), sort_keys=True)
             == json.dumps(want.to_dict(), sort_keys=True))
     assert got.to_text() == want.to_text()
@@ -541,10 +574,11 @@ def assert_report_equals_the_per_pair_reference(trace, tmp_path, timings=None, g
     times = sorted({ts[k * (len(ts) - 1) // max(grid - 1, 1)] for k in range(grid)})
     for aid in trace.rows:
         for target in (*trace.unsafe, *(other for other in trace.rows if other != aid)):
-            assert (repr(distance_series(trace, aid, target))
-                    == repr(ref_distance_series(trace, aid, target)))
+            assert (repr(distance_series(trace, aid, target, metadata))
+                    == repr(ref_distance_series(trace, aid, target, metadata)))
             for t in times:
-                assert repr(ttc(trace, aid, target, t)) == repr(ref_ttc(trace, aid, target, t))
+                assert (repr(ttc(trace, aid, target, t, metadata))
+                        == repr(ref_ttc(trace, aid, target, t, metadata)))
 
 
 @pytest.mark.parametrize("doc", every_document())
@@ -556,9 +590,22 @@ def test_report_equals_the_per_pair_reference(doc, tmp_path):
     assert_report_equals_the_per_pair_reference(trace, tmp_path)
 
 
-@pytest.mark.parametrize("make", HAND_MADE.values(), ids=HAND_MADE.keys())
-def test_hand_made_report_equals_the_per_pair_reference(make, tmp_path):
+def _agents_only_trace():
+    """No sets, so every target is an agent and the workspace dimension
+    comes from the metadata: `head` meets `ego` at sample 5 and `wing`
+    flies beside it."""
+    return make_trace({"ego": _course(T8, [-2.0, 0.0], [4.0, 0.0]),
+                       "head": _course(T8, [2.0, 0.0], [-4.0, 0.0]),
+                       "wing": _course(T8, [-2.0, 1.0], [4.0, 0.0])})
+
+
+@pytest.mark.parametrize("make, metadata",
+                         [*((make, None) for make in HAND_MADE.values()),
+                          (_agents_only_trace, META2)],
+                         ids=[*HAND_MADE, "agents-only"])
+def test_hand_made_report_equals_the_per_pair_reference(make, metadata, tmp_path):
     """In memory, at every sample."""
     trace = make()
     timings = {aid: [0.001] for aid in trace.rows}
-    assert_report_equals_the_per_pair_reference(trace, tmp_path, timings, len(trace.times))
+    assert_report_equals_the_per_pair_reference(trace, tmp_path, timings, len(trace.times),
+                                                metadata)
