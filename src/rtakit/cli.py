@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import parse_scenario_config
 from .evaluation import EvalError, build_report
 from .scenario import build_scenario, execute, snapshot
-from .trace import ExecutionTrace, is_finite_number
+from .trace import ExecutionTrace, is_finite_number, replace_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,9 +70,8 @@ def cmd_run(args) -> int:
     print(f"exec time: {elapsed:.6f} s")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     trace.dump(out_path)
-    _timings_path(out_path).write_text(
-        json.dumps({"exec_time": elapsed, "timings": timings}, sort_keys=True) + "\n"
-    )
+    replace_text(_timings_path(out_path),
+                 json.dumps({"exec_time": elapsed, "timings": timings}, sort_keys=True) + "\n")
     print(f"trace written to {out_path}")
     if args.seed_check:
         repeat, _, _ = _run_once(config_path)
@@ -98,10 +97,9 @@ def cmd_eval(args) -> int:
     elapsed = time.perf_counter() - start
     print(f"eval time: {elapsed:.6f} s")
     written = report.write_csv(outdir)  # first: it rejects ids that cannot name a file
-    (outdir / "summary.txt").write_text(report.to_text())
-    (outdir / "summary.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    replace_text(outdir / "summary.txt", report.to_text())
+    replace_text(outdir / "summary.json",
+                 json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     print(f"summary and {len(written)} series written to {outdir}")
     return EXIT_OK
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import PointSet, parse_column, repeat_rows
-from .trace import ExecutionTrace, mode_names
+from .trace import ExecutionTrace, mode_names, replace_text
 
 
 class EvalError(ValueError):
@@ -330,7 +330,9 @@ class EvalReport:
 
     def write_csv(self, outdir) -> list[Path]:
         """One (time, value) CSV per agent/metric/target series, named
-        after the ids; an id that is not one path component is rejected."""
+        after the ids; an id that is not one path component is rejected.
+        Each file is replaced, not rewritten in place (see README, "Outputs
+        are replaced")."""
         for aid, r in self.agents.items():
             for ident in (aid, *r.set_distances, *r.agent_distances):
                 if ident in ("", ".", "..") or Path(ident).name != ident:
@@ -349,7 +351,7 @@ class EvalReport:
             if column is None:
                 column = stamps[times] = [repr(t) + "," for t in times]
             rows = map(str.__add__, column, map(text, values))
-            path.write_text("\n".join(("time,value", *rows)) + "\n")
+            replace_text(path, "\n".join(("time,value", *rows)) + "\n")
             written.append(path)
 
         for aid, r in self.agents.items():

@@ -679,10 +679,10 @@ _SET_CLASSES = {cls.kind: cls for cls in (PointSet, Ball, Hyperrectangle, Polyto
 
 def repeat_rows(set_def: SetDef, m: int) -> SetDef:
     """A stack of n sets as a stack of m * n, row j * n + k set k, so that
-    m queries per set are measured in one call; one set stays itself. A row
-    field that is one value for the whole stack (a moved ball's radius)
-    stays one value."""
-    if set_def.rows is None:
+    m queries per set are measured in one call; one set, or a stack
+    repeated once, stays itself. A row field that is one value for the
+    whole stack (a moved ball's radius) stays one value."""
+    if set_def.rows is None or m == 1:
         return set_def
     fields = {}
     for name in set_def._row_fields:

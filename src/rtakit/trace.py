@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Mapping
 from itertools import chain, compress, islice
 from operator import itemgetter, lt
@@ -51,6 +52,24 @@ def mode_names(modes: list[Mode]) -> list[str]:
     """The name of each mode, looked up by identity: `Mode.value` is a
     descriptor call, too slow to make once per sample."""
     return list(map(_NAME_BY_MODE_ID.__getitem__, map(id, modes)))
+
+
+def replace_text(path, text: str) -> None:
+    """Write `text` to `path`. A regular file there (through a symlinked
+    path: its target, so the link stays) is removed and a fresh one
+    created, not truncated and rewritten, so a hard link or an open reader
+    of the old file keeps the old bytes. Anything else at the path (a
+    device, a FIFO) is opened and written as before, and so is a file the
+    directory does not let us remove. Every file rtakit writes is written
+    here."""
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    if os.path.isfile(target):
+        try:
+            os.unlink(target)
+        except OSError:  # e.g. a sticky or read-only directory: truncate instead
+            pass
+    with open(path, "w") as f:
+        f.write(text)
 
 
 class TraceSchemaError(ValueError):
@@ -224,10 +243,15 @@ class ExecutionTrace:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        # `to_dict` builds a fresh tree; only set payloads are the caller's
+        # objects, and a cycle in one ends in RecursionError, not ValueError.
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
 
     def dump(self, path):
-        Path(path).write_text(self.to_json() + "\n")
+        """Write the trace as one line of `to_json`; the file is replaced,
+        not rewritten in place (see README, "Outputs are replaced")."""
+        replace_text(path, self.to_json() + "\n")
 
     @classmethod
     def load(cls, path) -> "ExecutionTrace":

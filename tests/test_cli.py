@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,64 @@ def test_eval_round_trip(tmp_path, capsys):
     assert list(outdir.glob("*__dist_set__*.csv"))
     # timing samples from the run's timings file are folded in
     assert summary["agents"]["follower"]["timing"]["count"] == 50
+
+
+def test_rerun_replaces_trace_and_timings_files(tmp_path):
+    """A second run into the same path: a reader opened on the old trace
+    or timings file, and a hard link to either, keep the old bytes."""
+    out, timings = tmp_path / "trace.json", tmp_path / "trace.timings.json"
+    assert main(["run", "--config", str(CONFIGS / "dubins.json"), "--out", str(out)]) == 0
+    old = {path: path.read_bytes() for path in (out, timings)}
+    for path in old:
+        os.link(path, path.with_suffix(".old"))
+    readers = {path: open(path, "rb") for path in old}
+    try:
+        assert main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(out)]) == 0
+        for path, reader in readers.items():
+            assert reader.read() == old[path]
+    finally:
+        for reader in readers.values():
+            reader.close()
+    for path in old:
+        assert path.with_suffix(".old").read_bytes() == old[path]
+    assert len(out.read_bytes()) < len(old[out])  # acc's trace is the shorter
+    validate_trace_dict(json.loads(out.read_text()))
+    assert json.loads(timings.read_text())["timings"] == {}
+
+
+def test_reeval_replaces_summary_and_csv_files(tmp_path):
+    """A second eval into the same directory: readers opened on the old
+    summary.json and on an old CSV keep the old bytes; each new file holds
+    exactly what a fresh directory gets."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["run", "--config", str(CONFIGS / "acc_sim_rta.json"), "--out", str(first)]) == 0
+    assert main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(second)]) == 0
+    outdir, fresh = tmp_path / "report", tmp_path / "fresh"
+    assert main(["eval", str(first), "--out", str(outdir)]) == 0
+    summary, csv = outdir / "summary.json", outdir / "follower__dist_set__unsafe1.csv"
+    old = {path: path.read_bytes() for path in (summary, csv)}
+    readers = {path: open(path, "rb") for path in old}
+    try:
+        assert main(["eval", str(second), "--out", str(outdir)]) == 0
+        for path, reader in readers.items():
+            assert reader.read() == old[path]
+    finally:
+        for reader in readers.values():
+            reader.close()
+    assert main(["eval", str(second), "--out", str(fresh)]) == 0
+    for path in fresh.iterdir():
+        assert (outdir / path.name).read_bytes() == path.read_bytes()
+    assert summary.read_bytes() != old[summary]
+
+
+@pytest.mark.parametrize("name", ["summary.json", "follower__mode.csv"])
+def test_eval_onto_a_directory_is_a_runtime_error(tmp_path, capsys, name):
+    out = tmp_path / "trace.json"
+    assert main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(out)]) == 0
+    (tmp_path / "report" / name).mkdir(parents=True)
+    assert main(["eval", str(out), "--out", str(tmp_path / "report")]) == 3
+    assert name in capsys.readouterr().err
+    assert (tmp_path / "report" / name).is_dir()
 
 
 def test_eval_external_trace(tmp_path):

@@ -1053,6 +1053,8 @@ def test_repeated_rows_measure_as_the_stack_row_by_row(s):
     if isinstance(s, Ball):
         assert type(repeat_rows(s.moved_to(refs), 3).radius) is float
     assert repeat_rows(s, 3) is s
+    for stack in (s.moved_to(refs), column):  # one agent per target: no copy
+        assert repeat_rows(stack, 1) is stack
 
 
 def test_stack_sets_ends_a_stack_where_the_polytope_matrix_changes():

@@ -1,6 +1,8 @@
 """Trace wire format: serialization round trips and schema validation."""
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,9 @@ from rtakit import (
     validate_trace_dict,
 )
 from rtakit import trace as trace_module
-from helpers import make_trace
+from rtakit.config import config_from_dict
+from rtakit.trace import replace_text
+from helpers import config_docs, make_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -318,3 +322,115 @@ def test_wire_round_trip_of_shipped_config_traces(name):
     trace = execute(build_scenario(parse_scenario_config(CONFIGS / f"{name}.json")))
     text = trace.to_json()
     assert ExecutionTrace.from_dict(json.loads(text)).to_json() == text
+
+
+@pytest.mark.parametrize("doc", config_docs())
+def test_to_json_is_the_checked_dump_of_to_dict(doc):
+    trace = execute(build_scenario(config_from_dict(doc)))
+    assert trace.to_json() == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def test_to_json_of_numpy_rows_and_integer_payloads():
+    trace = ExecutionTrace(["a"], {"wall": "ball", "box": "hyperrectangle"})
+    for k in range(3):
+        trace.append_sample(0.5 * k, {"a": (np.float64(k), np.float64(-1.25))},
+                            None if k == 0 else {"a": Mode.SAFETY},
+                            {"wall": [[10 + k], 7], "box": [[0, 1], [2, 3]]})
+    text = trace.to_json()
+    assert text == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert '"state_trace":[[0.0,[[10],7]]' in text
+    assert ExecutionTrace.from_dict(json.loads(text)).to_json() == text
+
+
+# -- output files are replaced, not rewritten in place ----------------------------------
+
+def long_and_short_traces():
+    """A trace of three samples and one of a single sample: a dump of the
+    second is shorter than a dump of the first."""
+    rows = [[0.0, 0.0, 1.0], [0.1, 0.1, 1.0], [0.2, 0.2, 1.0]]
+    return (make_trace({"ego": rows}, {"ego": [Mode.NORMAL] * 2}),
+            make_trace({"ego": rows[:1]}))
+
+
+def test_dump_leaves_an_open_reader_and_a_hard_link_the_old_bytes(tmp_path):
+    """The path then holds exactly the new, shorter dump."""
+    long, short = long_and_short_traces()
+    path, link = tmp_path / "trace.json", tmp_path / "link.json"
+    long.dump(path)
+    old = path.read_bytes()
+    os.link(path, link)
+    with open(path, "rb") as reader:
+        short.dump(path)
+        assert reader.read() == old
+    assert link.read_bytes() == old
+    assert path.read_bytes() == (short.to_json() + "\n").encode()
+
+
+def test_dump_through_a_symlink_keeps_the_link(tmp_path):
+    long, short = long_and_short_traces()
+    target, path = tmp_path / "target.json", tmp_path / "trace.json"
+    long.dump(target)
+    path.symlink_to(target)
+    short.dump(path)
+    assert path.is_symlink() and os.readlink(path) == str(target)
+    assert target.read_text() == short.to_json() + "\n"
+
+
+def test_dump_through_a_dangling_symlink_writes_its_target(tmp_path):
+    _, short = long_and_short_traces()
+    target, path = tmp_path / "target.json", tmp_path / "trace.json"
+    path.symlink_to(target)
+    short.dump(path)
+    assert path.is_symlink() and target.read_text() == short.to_json() + "\n"
+
+
+def test_dump_onto_a_directory_or_a_symlink_loop_raises(tmp_path):
+    _, short = long_and_short_traces()
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        short.dump(tmp_path / "dir")
+    assert (tmp_path / "dir").is_dir()
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    with pytest.raises(OSError):
+        short.dump(tmp_path / "a")
+    assert (tmp_path / "a").is_symlink() and (tmp_path / "b").is_symlink()
+
+
+def test_replace_text_gives_a_read_only_file_default_permissions(tmp_path):
+    path = tmp_path / "out.txt"
+    replace_text(path, "first\n")
+    fresh = stat.S_IMODE(path.stat().st_mode)
+    path.chmod(0o444)
+    replace_text(path, "second\n")
+    assert path.read_text() == "second\n"
+    assert stat.S_IMODE(path.stat().st_mode) == fresh
+
+
+def test_dump_into_a_fifo_writes_to_its_reader(tmp_path):
+    """Only a regular file is replaced: a FIFO stays, and its reader gets the dump."""
+    _, short = long_and_short_traces()
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a writer's open then does not block
+    try:
+        short.dump(fifo)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.read(reader, 1 << 16) == (short.to_json() + "\n").encode()
+    finally:
+        os.close(reader)
+
+
+def test_replace_text_truncates_a_file_it_may_not_remove(tmp_path, monkeypatch):
+    """Where the directory refuses the removal, the file is rewritten in
+    place as before: a hard link then sees the new bytes."""
+    path, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    replace_text(path, "a longer first text\n")
+    os.link(path, link)
+
+    def refuse(target):
+        raise PermissionError(13, "Permission denied", str(target))
+
+    monkeypatch.setattr(trace_module.os, "unlink", refuse)
+    replace_text(path, "second\n")
+    assert path.read_text() == link.read_text() == "second\n"
