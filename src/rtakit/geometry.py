@@ -9,8 +9,12 @@ distance queries, can be translated, and serializes to a compact payload:
     hyperrectangle  -> [[lo0, ...], [hi0, ...]]
     polytope        -> [[[a00, ...], [a10, ...], ...], [b0, b1, ...]]
 
-The payload layout is a wire contract shared with the trace format and must
-stay stable. Every operation here is a pure function of its inputs.
+Each class's `_fields` is its row of this table: the payload's fields in
+order, named as its constructor's leading parameters, each with how deep its
+numbers nest (0 a number, 1 a list, 2 a list of lists); a payload of one
+field is that field bare. `payload`, `set_from_payload` and `parse_column`
+read the layout there. It is a wire contract shared with the trace format
+and must stay stable. Every operation here is a pure function of its inputs.
 
 Distance is closed-form for point, ball and hyperrectangle. For a polytope
 it is the distance to the nearest point, which `Polytope.project` finds
@@ -75,8 +79,6 @@ from itertools import chain, compress, islice
 from operator import ne, sub
 
 import numpy as np
-
-SET_KINDS = ("point", "ball", "hyperrectangle", "polytope")
 
 
 class GeometryError(ValueError):
@@ -169,22 +171,18 @@ def ball_entry_time(rel_pos: np.ndarray, rel_vel: np.ndarray, radius) -> np.ndar
     c = row_dots(rel_pos, rel_pos) - radius * radius
     a = row_dots(rel_vel, rel_vel)
     b = 2.0 * row_dots(rel_pos, rel_vel)
-    disc = b * b - 4.0 * a * c
-    # Grazing contact can dip just below zero in floats.
-    tolerance = -1e-12 * np.maximum(np.maximum(b * b, np.abs(4.0 * a * c)), 1.0)
-    grazing = (disc < 0.0) & (disc > tolerance)
-    missed = (disc < 0.0) & ~grazing
-    # Rows where a == 0 or the course misses divide by zero or take a root
-    # of a negative number; `never` drops them.
+    bb, ac4 = b * b, 4.0 * a * c
+    disc = bb - ac4
+    # Grazing contact can dip just below zero in floats; a NaN (overflowed)
+    # discriminant meets nothing. b >= 0: the course does not approach.
+    tolerance = -1e-12 * np.maximum(np.maximum(bb, np.abs(ac4)), 1.0)
+    meets = (disc > tolerance) & (b < 0.0) & (a != 0.0)
+    # A course that starts outside (c > 0), approaches and meets the sphere
+    # has two positive roots, c/q and q/a. Rows it drops may divide by zero.
     with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(np.where(grazing, 0.0, disc))
-        q = -0.5 * (b - sq)
-        lo, hi = c / q, q / a
-    first, second = np.where(hi < lo, hi, lo), np.where(hi < lo, lo, hi)
-    root = np.where(first >= -1e-12, first, np.where(second >= -1e-12, second, np.inf))
-    # b >= 0: both roots <= 0, the approaching times are in the past.
-    never = (a == 0.0) | missed | (b >= 0.0)
-    return np.where(c <= 0.0, 0.0, np.where(never, np.inf, np.where(root < 0.0, 0.0, root)))
+        q = -0.5 * (b - np.sqrt(np.maximum(disc, 0.0)))
+        root = np.minimum(c / q, q / a)
+    return np.where(c <= 0.0, 0.0, np.where(meets, root, np.inf))
 
 
 def _slab_entry_time(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -214,6 +212,7 @@ class SetDef:
     kind: str = "abstract"
     dim: int = 0
     rows: int | None = None  # n for a row-aligned stack of n sets (see module docstring)
+    _fields: tuple[tuple[str, int], ...] = ()  # (name, nesting depth) per payload field
     _row_fields: tuple[str, ...] = ()  # the arrays a stack holds one row of per set
 
     def contains(self, points) -> bool:
@@ -261,10 +260,9 @@ class SetDef:
     def payload(self):
         """Serializable definition payload (see module docstring)."""
         self._one("a payload")
-        return self._payload()
-
-    def _payload(self):
-        raise NotImplementedError
+        out = [getattr(self, name).tolist() if depth else getattr(self, name)
+               for name, depth in self._fields]
+        return out if len(out) > 1 else out[0]
 
     def _one(self, what: str) -> None:
         if self.rows is not None:
@@ -327,6 +325,7 @@ class PointSet(SetDef):
     """A single unsafe point. Its reference point is itself."""
 
     kind = "point"
+    _fields = (("coords", 1),)
     _row_fields = ("coords",)
 
     def __init__(self, coords):
@@ -356,9 +355,6 @@ class PointSet(SetDef):
         c = self.coords
         return row_norms(c - np.minimum(np.maximum(c, lo), hi))
 
-    def _payload(self):
-        return [float(c) for c in self.coords]
-
     def __repr__(self):
         return f"PointSet({self.coords.tolist()})"
 
@@ -367,6 +363,7 @@ class Ball(SetDef):
     """Closed Euclidean ball. Its reference point is the center."""
 
     kind = "ball"
+    _fields = (("center", 1), ("radius", 0))
     _row_fields = ("center", "radius")  # a stack's radius is a scalar or one per row
 
     def __init__(self, center, radius):
@@ -400,9 +397,6 @@ class Ball(SetDef):
         c = self.center
         return row_norms(c - np.minimum(np.maximum(c, lo), hi)) - self.radius
 
-    def _payload(self):
-        return [[float(c) for c in self.center], self.radius]
-
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
@@ -415,6 +409,7 @@ class Hyperrectangle(SetDef):
     """
 
     kind = "hyperrectangle"
+    _fields = (("lower", 1), ("upper", 1))
     _row_fields = ("lower", "upper")
 
     def __init__(self, lower, upper):
@@ -455,9 +450,6 @@ class Hyperrectangle(SetDef):
     def _box_gaps(self, lo, hi):
         return row_norms(np.maximum(0.0, np.maximum(self.lower - hi, lo - self.upper)))
 
-    def _payload(self):
-        return [[float(c) for c in self.lower], [float(c) for c in self.upper]]
-
     def __repr__(self):
         return f"Hyperrectangle({self.lower.tolist()}, {self.upper.tolist()})"
 
@@ -475,6 +467,7 @@ class Polytope(SetDef):
     """
 
     kind = "polytope"
+    _fields = (("A", 2), ("b", 1))
     _row_fields = ("b",)  # a stack's rows share A
 
     def __init__(self, A, b, check_feasible: bool = True):
@@ -609,12 +602,6 @@ class Polytope(SetDef):
         return any(Polytope(A, bk, check_feasible=False)._feasible(list(zip(l, h)))
                    for l, h, bk in zip(lo, hi, b))
 
-    def _payload(self):
-        return [
-            [[float(c) for c in row] for row in self.A],
-            [float(c) for c in self.b],
-        ]
-
     def __repr__(self):
         return f"Polytope(A={self.A.tolist()}, b={self.b.tolist()})"
 
@@ -675,6 +662,7 @@ def stack_sets(defs: list[SetDef]) -> list[tuple[int, SetDef]]:
 
 
 _SET_CLASSES = {cls.kind: cls for cls in (PointSet, Ball, Hyperrectangle, Polytope)}
+SET_KINDS = tuple(_SET_CLASSES)
 
 
 def repeat_rows(set_def: SetDef, m: int) -> SetDef:
@@ -713,13 +701,6 @@ def parse_column(kind: str, payloads: list) -> list[tuple[int, SetDef]]:
 
 
 _LIST = frozenset((list,))
-# The fields each kind's payload lists, and how deep each nests its numbers.
-_PAYLOAD_FIELDS = {
-    "point": (("coords", 1),),
-    "ball": (("center", 1), ("radius", 0)),
-    "hyperrectangle": (("lower", 1), ("upper", 1)),
-    "polytope": (("A", 2), ("b", 1)),
-}
 
 
 def _plain_array(values: list, depth: int) -> np.ndarray | None:
@@ -742,21 +723,21 @@ def _plain_array(values: list, depth: int) -> np.ndarray | None:
 
 def _column_stacks(kind: str, payloads: list) -> list[tuple[int, SetDef]] | None:
     """`parse_column`'s one pass, or None for a column it cannot take."""
-    layout = _PAYLOAD_FIELDS.get(kind)
-    if layout is None:
+    cls = _SET_CLASSES.get(kind)
+    if cls is None:
         return None
     starts = [0, *compress(range(1, len(payloads)), map(ne, islice(payloads, 1, None), payloads))]
     heads = [payloads[k] for k in starts]
-    if len(layout) == 1:
+    if len(cls._fields) == 1:
         parts = [heads]
-    elif _LIST.issuperset(map(type, heads)) and set(map(len, heads)) == {2}:
+    elif _LIST.issuperset(map(type, heads)) and set(map(len, heads)) == {len(cls._fields)}:
         parts = list(zip(*heads))
     else:
         return None
-    arrays = [_plain_array(part, depth) for part, (_, depth) in zip(parts, layout)]
+    arrays = [_plain_array(part, depth) for part, (_, depth) in zip(parts, cls._fields)]
     if any(a is None for a in arrays):
         return None
-    fields = dict(zip((name for name, _ in layout), arrays))
+    fields = dict(zip((name for name, _ in cls._fields), arrays))
     dim = arrays[0].shape[-1]
     if dim < 1:
         return None
@@ -767,14 +748,12 @@ def _column_stacks(kind: str, payloads: list) -> list[tuple[int, SetDef]] | None
     if kind == "hyperrectangle" and (fields["lower"].shape != fields["upper"].shape
                                      or (fields["lower"] > fields["upper"]).any()):
         return None
-    cls = _SET_CLASSES[kind]
 
     def one(i: int) -> SetDef:
         """The set of run i, as `set_from_payload` builds it."""
         out = object.__new__(cls)
-        out.__dict__.update({name: a[i] for name, a in fields.items()}, dim=dim)
-        if kind == "ball":
-            out.radius = float(out.radius)
+        out.__dict__.update({name: fields[name][i] if depth else float(fields[name][i])
+                             for name, depth in cls._fields}, dim=dim)
         return out
 
     if len(starts) == 1:
@@ -798,27 +777,22 @@ def _column_stacks(kind: str, payloads: list) -> list[tuple[int, SetDef]] | None
 
 def set_from_payload(kind: str, payload) -> SetDef:
     """Rebuild a SetDef from its wire payload."""
+    if kind not in SET_KINDS:  # compared, not hashed: a config's kind may be any JSON value
+        raise GeometryError(f"unknown set type {kind!r}; expected one of {', '.join(SET_KINDS)}")
+    cls = _SET_CLASSES[kind]
     try:
-        if kind == "point":
-            return PointSet(payload)
-        if kind == "ball":
-            center, radius = payload
-            return Ball(center, radius)
-        if kind == "hyperrectangle":
-            lower, upper = payload
-            return Hyperrectangle(lower, upper)
-        if kind == "polytope":
-            A, b = payload
-            # No emptiness LP: a trace payload was checked when its set was
-            # built, and a config caller (config._build_unsafe) runs the check.
-            return Polytope(A, b, check_feasible=False)
+        if len(cls._fields) == 1:
+            return cls(payload)
+        first, second = payload  # every other kind lists two fields
+        # No emptiness LP: a trace payload was checked when its set was built,
+        # and a config caller (config._build_unsafe) runs the check.
+        if cls is Polytope:
+            return Polytope(first, second, check_feasible=False)
+        return cls(first, second)
     except GeometryError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise GeometryError(f"malformed {kind} payload: {exc}") from exc
-    raise GeometryError(
-        f"unknown set type {kind!r}; expected one of {', '.join(SET_KINDS)}"
-    )
 
 
 def _box_corners(set_def: SetDef, lower, upper) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ from rtakit import (
     set_from_payload,
 )
 from rtakit.evaluation import AgentReport, EvalError, EvalReport
-from rtakit.geometry import GeometryError, SET_KINDS, stack_sets
+from rtakit.geometry import GeometryError, SET_KINDS, row_dots, stack_sets
 from rtakit.trace import mode_names
 
 
@@ -360,6 +360,28 @@ def ref_ball_entry_time(rel_pos, rel_vel, radius: float) -> float:
         if root >= -1e-12:
             return max(root, 0.0)
     return math.inf
+
+
+def ref_ball_entry_rows(rel_pos, rel_vel, radius) -> np.ndarray:
+    """`geometry.ball_entry_time` written as one `np.where` per case of the
+    scalar quadratic (grazing, missed, the smaller root, the larger one, a
+    negative root), for stacks (n, dim). The fused form must equal it bit
+    for bit, also on rows that overflow: a NaN discriminant gives inf."""
+    c = row_dots(rel_pos, rel_pos) - radius * radius
+    a = row_dots(rel_vel, rel_vel)
+    b = 2.0 * row_dots(rel_pos, rel_vel)
+    disc = b * b - 4.0 * a * c
+    tolerance = -1e-12 * np.maximum(np.maximum(b * b, np.abs(4.0 * a * c)), 1.0)
+    grazing = (disc < 0.0) & (disc > tolerance)
+    missed = (disc < 0.0) & ~grazing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(np.where(grazing, 0.0, disc))
+        q = -0.5 * (b - sq)
+        lo, hi = c / q, q / a
+    first, second = np.where(hi < lo, hi, lo), np.where(hi < lo, lo, hi)
+    root = np.where(first >= -1e-12, first, np.where(second >= -1e-12, second, np.inf))
+    never = (a == 0.0) | missed | (b >= 0.0)
+    return np.where(c <= 0.0, 0.0, np.where(never, np.inf, np.where(root < 0.0, 0.0, root)))
 
 
 def ref_distance(s, p) -> float:

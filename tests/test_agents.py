@@ -199,6 +199,20 @@ def test_car_waypoint_advances_after_capture():
     assert car.remember(captured, far_state) == captured
 
 
+def test_car_with_a_leader_and_no_offset_steers_at_the_leader():
+    """No formation_offset: the goal is the leader's position itself, and
+    the car steps as a car whose one waypoint is that position."""
+    lead = [3.0, 4.0, 0.5, 1.0]
+    car = DubinsCarAgent("car", leader_id="lead")
+    view = View({"car": [0.0, 0.0, 0.0, 1.0], "lead": lead}, {})
+    assert car.goal_position(view) == [3.0, 4.0]
+    twin = DubinsCarAgent("car", waypoints=[[3.0, 4.0]])
+    twin_view = View({"car": [0.0, 0.0, 0.0, 1.0]}, {"car": 0})
+    for mode in (Mode.UNTRUSTED, Mode.SAFETY):
+        assert car.step(mode, [0.0, 0.0, 0.0, 1.0], 0.1, view) == \
+            twin.step(mode, [0.0, 0.0, 0.0, 1.0], 0.1, twin_view)
+
+
 def test_car_safety_without_goal_holds_heading_and_slows():
     car = DubinsCarAgent("car", DubinsCarParams(v_safe=0.5))
     state = [1.0, 2.0, 0.3, 2.0]

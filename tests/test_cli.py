@@ -109,6 +109,28 @@ def test_run_dangling_anchor(tmp_path, capsys):
     assert "anchor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["agents"][1].update(mode="AUTOPILOT"), "agents[1].mode: unknown mode 'AUTOPILOT'"),
+    (lambda d: d["agents"][0]["rta"].update(type="shield"),
+     "agents[0].rta.type: unknown RTA type 'shield'; expected sim, reach, or none"),
+    (lambda d: d["unsafe_sets"][0].pop("anchor"), "unsafe_sets[0]: offset given without an anchor"),
+    (lambda d: d["unsafe_sets"][0].update(type=["ball"]),
+     "unsafe_sets[0].definition: unknown set type ['ball']; "
+     "expected one of point, ball, hyperrectangle, polytope"),
+], ids=["unknown-mode", "unknown-rta-type", "offset-without-anchor", "unhashable-set-type"])
+def test_run_names_an_unknown_mode_rta_type_or_set_type_and_an_offset_without_anchor(
+        tmp_path, capsys, edit, message):
+    doc = acc_doc()
+    edit(doc)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == message
+    code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_dangling_leader(tmp_path, capsys):
     # Used to pass config and fail at the first step, exit 3.
     doc = acc_doc()

@@ -328,6 +328,20 @@ def test_a_set_off_the_given_workspace_dimension_is_named():
         ttc(trace, "a", "wide", 0.1, META1)
 
 
+def test_agent_rows_narrower_than_the_workspace_are_named(tmp_path, capsys):
+    trace = make_trace({"a": [[0.0, 0.0, 1.0], [0.1, 0.1, 1.0]]}, {"a": [Mode.UNTRUSTED]},
+                       sets={"u": ("point", [[3.0, 0.0, 0.0]] * 2)})
+    message = "agent 'a' state has 2 components, cannot project 3 position components"
+    with pytest.raises(EvalError) as err:
+        build_report(trace)
+    assert str(err.value) == message
+    with pytest.raises(EvalError, match=message):
+        distance_series(trace, "a", "u", ScenarioMetadata(workspace_dim=3))
+    trace.dump(tmp_path / "trace.json")
+    assert cli_main(["eval", str(tmp_path / "trace.json"), "--out", str(tmp_path / "r")]) == 2
+    assert message in capsys.readouterr().err
+
+
 # -- report over a shipped scenario -------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
 """Unsafe-set geometry: membership, distance, translation, payloads."""
+import inspect
+import json
 import math
 
 import numpy as np
@@ -19,6 +21,8 @@ from rtakit import (
     update_relative,
 )
 from rtakit.geometry import (
+    SET_KINDS,
+    _SET_CLASSES,
     ball_entry_time,
     parse_column,
     repeat_rows,
@@ -30,6 +34,7 @@ from helpers import (
     assert_same_stacks,
     grid_distance_oracle,
     random_polytope,
+    ref_ball_entry_rows,
     ref_ball_entry_time,
     ref_column,
     ref_distance,
@@ -290,8 +295,39 @@ def test_ball_payload_layout_is_center_then_radius():
 
 
 def test_unknown_payload_kind_rejected():
-    with pytest.raises(GeometryError):
+    """The same error payload by payload and as a column."""
+    with pytest.raises(GeometryError) as one:
         set_from_payload("ellipsoid", [[0.0], 1.0])
+    with pytest.raises(GeometryError) as column:
+        parse_column("ellipsoid", [[[0.0], 1.0]] * 3)
+    assert type(column.value) is type(one.value) is GeometryError
+    assert str(column.value) == str(one.value) == (
+        "unknown set type 'ellipsoid'; expected one of point, ball, hyperrectangle, polytope")
+
+
+@pytest.mark.parametrize("s, wire", [
+    (PointSet([1, 2.5]), "[1.0, 2.5]"),
+    (Ball([5, 6.0], 7), "[[5.0, 6.0], 7.0]"),
+    (Hyperrectangle([0, -0.0], [1.0, 2]), "[[0.0, -0.0], [1.0, 2.0]]"),
+    (UNIT_SQUARE, "[[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 0.0, 1.0, 0.0]]"),
+], ids=SET_KINDS)
+def test_payload_fields_are_the_constructor_s_leading_parameters(s, wire):
+    """Each kind's payload layout is declared once, as `_fields`: its names
+    are the constructor's leading parameters, in order, and the payload
+    lists those fields as floats (a one-field payload is that field bare),
+    which parse back to the same set."""
+    names = [name for name, _ in type(s)._fields]
+    assert list(inspect.signature(type(s)).parameters)[:len(names)] == names
+    assert json.dumps(s.payload()) == wire
+    assert json.dumps(set_from_payload(s.kind, json.loads(wire)).payload()) == wire
+    (_, parsed), = parse_column(s.kind, [json.loads(wire)] * 2)
+    assert json.dumps(parsed.payload()) == wire
+    assert all(type(getattr(parsed, name)) is float for name, depth in type(s)._fields if not depth)
+
+
+def test_set_kinds_are_the_set_classes():
+    assert SET_KINDS == tuple(_SET_CLASSES) == ("point", "ball", "hyperrectangle", "polytope")
+    assert all(cls.kind == kind for kind, cls in _SET_CLASSES.items())
 
 
 def test_malformed_payload_rejected():
@@ -951,6 +987,61 @@ def test_ball_entry_time_of_random_rows_equals_the_scalar_quadratic():
         # the same radius for every row
         want = [ref_ball_entry_time(p, v, 1.25) for p, v in zip(P, V)]
         assert ball_entry_time(P, V, 1.25).tolist() == want
+
+
+def _edge_rows(rng, dim, n):
+    """Courses (n, dim) and radii (n,) of each case the quadratic's fused
+    form folds together: grazing within the tolerance, a == 0 (also where
+    a underflows but b does not), c <= 0, b >= 0, and overflow (b * b, 4ac
+    or the radius squared past the largest float)."""
+    u = rng.normal(size=(n, dim))
+    u /= row_norms(u)[:, None]
+    side = rng.normal(size=(n, dim))
+    side -= row_dots(side, u)[:, None] * u
+    side = side / row_norms(side)[:, None] if dim > 1 else np.zeros((n, dim))
+    radii = rng.uniform(0.1, 10.0, n)
+    # A tangent: the course passes the centre at exactly the radius.
+    tangent = radii[:, None] * side - rng.uniform(0.5, 20.0, (n, 1)) * u
+    speed = rng.uniform(1e-7, 10.0, (n, 1))
+    scale = 10.0 ** rng.integers(150, 160, (n, 1))
+    rows = [
+        (tangent, speed * u, radii * (1.0 - 1e-14)),
+        (tangent, speed * u, radii),
+        (-5.0 * u, np.zeros((n, dim)), radii),                     # a == 0
+        (-5.0 * u, 1e-170 * u, radii),                             # a underflows to 0
+        (0.5 * radii[:, None] * u, speed * u, radii),              # inside: c < 0
+        (radii[:, None] * u, -speed * u, radii),                   # on the sphere: c == 0
+        (5.0 * radii[:, None] * u, speed * u, radii),              # b > 0
+        (5.0 * radii[:, None] * u, speed * side, radii),           # b == 0 beside it
+        (-scale * u, 1e3 * u, radii),                              # 4ac and b * b overflow
+        (-scale * u, speed * u, 10.0 ** rng.integers(154, 300, n)),  # so may the radius
+    ]
+    P, V, R = (np.concatenate(parts) for parts in zip(*rows))
+    return P, V, R
+
+
+def test_ball_entry_time_equals_the_case_by_case_rows_bit_for_bit():
+    """The fused quadratic against its case-by-case form, on random rows and
+    on each case's edge rows; overflowing rows warn, so numpy is told not
+    to. A NaN discriminant gives inf, as the case-by-case form does."""
+    rng = np.random.default_rng(45)
+    for dim in (1, 2, 3):
+        V = rng.uniform(-2.0, 2.0, size=(4000, dim))
+        V[::7] = 0.0
+        random = (rng.uniform(-4.0, 4.0, size=(4000, dim)), V, rng.uniform(0.0, 2.0, size=4000))
+        P, V, R = edge = _edge_rows(rng, dim, 500)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in (random, edge):
+                for radius in (rows[2], 1.25):
+                    want = ref_ball_entry_rows(rows[0], rows[1], radius)
+                    assert ball_entry_time(rows[0], rows[1], radius).tobytes() == want.tobytes()
+            want = ref_ball_entry_rows(P, V, R)
+            b = 2.0 * row_dots(P, V)
+            nan_disc = np.isnan(b * b - 4.0 * row_dots(V, V) * (row_dots(P, P) - R * R))
+            branches = {_branch(p, v, r) for p, v, r in zip(P, V, R.tolist())}
+        assert branches >= {"inside", "a == 0", "b >= 0", "root", *(["grazing"] if dim > 1 else [])}
+        assert nan_disc.any() and np.isposinf(want[nan_disc]).all()
+        assert (want == 0.0).any() and np.isfinite(want).any() and np.isposinf(want).any()
 
 
 # Sets of each kind in 1-D, 2-D and 3-D.

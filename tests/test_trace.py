@@ -158,6 +158,17 @@ def test_unsafe_sample_count_must_match():
         validate_trace_dict(doc)
 
 
+@pytest.mark.parametrize("path", ["agents.ego", "agents.leader", "unsafe.u1"])
+def test_an_empty_state_trace_is_named(path):
+    doc = two_agent_doc()
+    group, name = path.split(".")
+    doc[group][name]["state_trace"] = []
+    with pytest.raises(TraceSchemaError) as err:
+        validate_trace_dict(doc)
+    assert err.value.path == f"{path}.state_trace"
+    assert str(err.value) == f"{path}.state_trace: must be a nonempty list"
+
+
 def test_bool_is_not_a_number():
     doc = two_agent_doc()
     doc["agents"]["ego"]["state_trace"][0][1] = True

@@ -242,6 +242,10 @@ COLUMNS = {  # kind, payload per sample, whether the one pass takes the column
     "ball-numpy-floats": ("ball", _balls(center=lambda k: [np.float64(0.5 * k), 1.0]), False),
     "polytope-rows-change": ("polytope", [[TRIANGLE, [2.0, 0.0, 0.0]]] * 3
                              + [[SQUARE, [1.0, 1.0, 1.0, 1.0 + 0.5 * k]] for k in range(3)], False),
+    # Rectangular columns that the one pass reads but a constructor rejects.
+    "ball-zero-dimension": ("ball", _balls(center=lambda k: [], radius=lambda k: 1.0 + k), False),
+    "polytope-offset-short": ("polytope", [[SQUARE, [1.0, 1.0, 1.0 + 0.5 * k]] for k in STEPS],
+                              False),
 }
 
 
@@ -264,6 +268,23 @@ def test_column_parse_equals_the_per_run_parse(kind, payloads, one_pass, monkeyp
             parse_column(kind, payloads)
         assert str(got.value) == error
     assert bool(parses) != one_pass
+
+
+@pytest.mark.parametrize("column, message", [
+    ("ball-zero-dimension", "ball center must be a nonempty 1-D vector, got shape (0,)"),
+    ("polytope-offset-short", "constraint matrix has 4 rows but offset vector has length 3"),
+])
+def test_a_column_a_constructor_rejects_raises_its_error_naming_the_row(column, message):
+    kind, payloads, _ = COLUMNS[column]
+    for parse in (lambda: geometry.set_from_payload(kind, payloads[0]),
+                  lambda: parse_column(kind, payloads)):
+        with pytest.raises(GeometryError) as err:
+            parse()
+        assert (type(err.value), str(err.value)) == (GeometryError, message)
+    with pytest.raises(TraceSchemaError) as err:
+        ExecutionTrace.from_dict(_column_doc(kind, payloads))
+    assert (err.value.path, str(err.value)) == (
+        "unsafe.set.state_trace[0]", f"unsafe.set.state_trace[0]: {message}")
 
 
 def _column_doc(kind, payloads):
