@@ -46,7 +46,9 @@ class View(NamedTuple):
     """One tick as every agent's step sees it, by agent id: each agent's
     pre-step state, and the memory of each agent that keeps one. A state is
     the trace's own row, a read-only tuple of floats; in a step the scenario
-    runs, both mappings are read-only too."""
+    runs, both mappings are read-only too. The scenario builds each view as
+    `tuple.__new__(View, (states, memory))`: the same object as `View(states,
+    memory)`, without the Python frame of the NamedTuple constructor."""
 
     states: Mapping[str, tuple[float, ...]]
     memory: Mapping[str, object]
@@ -171,9 +173,12 @@ class AccAgent(AgentModel):
         self.leader_id = leader_id
 
     def goal_state(self, view: View) -> list[float] | None:
-        if self.leader_id is None:
+        leader = self.leader_id
+        if leader is None:
             return None
-        lead = self._leader_state(view)
+        lead = view.states.get(leader)  # `_leader_state`, inlined
+        if lead is None:
+            raise ValueError(f"agent {self.agent_id!r}: leader {leader!r} missing from the view")
         return [lead[0] - self.params.follow_distance, lead[1]]
 
     def command(self, mode: Mode, state, view: View) -> float:
@@ -197,7 +202,9 @@ class AccAgent(AgentModel):
         return a
 
     def step(self, mode, state, dt, view) -> list[float]:
-        dt = _check_dt(dt)
+        dt = float(dt)  # `_check_dt`, inlined
+        if dt <= 0.0:
+            raise ValueError(f"time step must be positive, got {dt}")
         a = self.command(mode, state, view)
         p, v = state
         v_max = self.params.v_max

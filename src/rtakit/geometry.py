@@ -132,8 +132,9 @@ def _vector(x, what: str = "vector") -> np.ndarray:
     return v
 
 
-def _points(x, dim: int, what: str) -> np.ndarray:
-    """`x` as one vector (dim,) or a stack (n, dim), whichever it is."""
+def _points(x, dim: int, what: str, finite: bool = True) -> np.ndarray:
+    """`x` as one vector (dim,) or a stack (n, dim), whichever it is; with
+    `finite` set, every entry finite."""
     try:
         v = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -144,7 +145,7 @@ def _points(x, dim: int, what: str) -> np.ndarray:
         )
     if v.shape[-1] != dim:
         raise DimensionMismatch(dim, v.shape[-1])
-    if not np.isfinite(v).all():
+    if finite and not np.isfinite(v).all():
         raise GeometryError(f"{what} must be finite")
     return v
 
@@ -229,6 +230,13 @@ class SetDef:
     def moved_to(self, reference) -> "SetDef":
         """Translate the set so its reference point sits at `reference`
         (dim,); an (n, dim) stack of references gives a stack of n sets."""
+        self._one("moved_to")
+        return self._at(_points(reference, self.dim, "reference"))
+
+    def _at(self, ref: np.ndarray) -> "SetDef":
+        """`moved_to` a reference (dim,) or stack (n, dim) already checked
+        finite and of this set's dimension; a field derived from it that
+        is not finite raises GeometryError (see `_moved`)."""
         raise NotImplementedError
 
     def reference(self) -> np.ndarray:
@@ -301,10 +309,6 @@ class SetDef:
             )
         return q
 
-    def _destination(self, reference) -> np.ndarray:
-        self._one("moved_to")
-        return _points(reference, self.dim, "reference")
-
     def _moved(self, ref: np.ndarray, **fields: np.ndarray) -> "SetDef":
         """This set with the arrays that depend on its position replaced; a
         stack of n sets if `ref` is an (n, dim) stack of references."""
@@ -340,8 +344,7 @@ class PointSet(SetDef):
         P, one = self._measured(points, "a distance")
         return _one_or_rows(row_norms(P - self.coords), one)
 
-    def moved_to(self, reference) -> "PointSet":
-        ref = self._destination(reference)
+    def _at(self, ref) -> "PointSet":
         return self._moved(ref, coords=ref)
 
     def reference(self) -> np.ndarray:
@@ -382,8 +385,7 @@ class Ball(SetDef):
         gap = row_norms(P - self.center) - self.radius
         return _one_or_rows(np.where(gap > 0.0, gap, 0.0), one)
 
-    def moved_to(self, reference) -> "Ball":
-        ref = self._destination(reference)
+    def _at(self, ref) -> "Ball":
         return self._moved(ref, center=ref)
 
     def reference(self) -> np.ndarray:
@@ -433,8 +435,7 @@ class Hyperrectangle(SetDef):
         P, one = self._measured(points, "a distance")
         return _one_or_rows(row_norms(P - np.clip(P, self.lower, self.upper)), one)
 
-    def moved_to(self, reference) -> "Hyperrectangle":
-        ref = self._destination(reference)
+    def _at(self, ref) -> "Hyperrectangle":
         half = (self.upper - self.lower) / 2.0
         return self._moved(ref, lower=ref - half, upper=ref + half)
 
@@ -562,8 +563,7 @@ class Polytope(SetDef):
         P, one = self._measured(points, "a distance")
         return _one_or_rows(row_norms(P - self.project(P)), one)
 
-    def moved_to(self, reference) -> "Polytope":
-        ref = self._destination(reference)
+    def _at(self, ref) -> "Polytope":
         # Translation of a nonempty polytope stays nonempty; no LP. A @ ref is
         # summed elementwise, not by a matrix product, so row k of a stack
         # rounds exactly as the set moved to reference k alone.
@@ -636,9 +636,19 @@ class RelativeSetSpec:
 
 def update_relative(spec: RelativeSetSpec, anchor_position) -> SetDef:
     """Resolve a relative set against the anchor's position (dim,), or
-    against an (n, dim) stack of positions as a row-aligned stack of n sets."""
-    pos = _points(anchor_position, spec.offset.shape[0], "anchor position")
-    return spec.base.moved_to(pos + spec.offset)
+    against an (n, dim) stack of positions as a row-aligned stack of n sets:
+    `spec.base.moved_to(anchor_position + offset)`, with the same errors.
+    One finiteness test covers the position and the reference: the offset
+    is finite, so their sum is finite only where the position is."""
+    pos = _points(anchor_position, spec.offset.shape[0], "anchor position", finite=False)
+    ref = pos + spec.offset
+    base = spec.base
+    if not np.isfinite(ref).all():
+        if not np.isfinite(pos).all():
+            raise GeometryError("anchor position must be finite")
+        return base.moved_to(ref)  # raises as it does on a reference that overflowed
+    base._one("moved_to")
+    return base._at(ref)
 
 
 def stack_sets(defs: list[SetDef]) -> list[tuple[int, SetDef]]:
@@ -723,9 +733,9 @@ def _plain_array(values: list, depth: int) -> np.ndarray | None:
 
 def _column_stacks(kind: str, payloads: list) -> list[tuple[int, SetDef]] | None:
     """`parse_column`'s one pass, or None for a column it cannot take."""
-    cls = _SET_CLASSES.get(kind)
-    if cls is None:
+    if kind not in SET_KINDS:  # compared, not hashed, as in `set_from_payload`
         return None
+    cls = _SET_CLASSES[kind]
     starts = [0, *compress(range(1, len(payloads)), map(ne, islice(payloads, 1, None), payloads))]
     heads = [payloads[k] for k in starts]
     if len(cls._fields) == 1:

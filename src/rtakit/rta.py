@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,8 +181,18 @@ def boxes_from_prediction(pred: ExecutionTrace, ego_id: str, dim: int, bloat_rat
     predicted step k (k = 0 is the current state) is bloat_rate * k * dt,
     rounded as that scalar product is."""
     pos = _positions(pred, ego_id, dim)
-    r = (bloat_rate * np.arange(len(pos)) * dt)[:, None]
+    r = _reach_radii(bloat_rate, len(pos), dt)
     return pos - r, pos + r
+
+
+@lru_cache(maxsize=64)
+def _reach_radii(bloat_rate: float, n: int, dt: float) -> np.ndarray:
+    """The (n, 1) column of reach-box half-widths bloat_rate * k * dt,
+    k = 0..n-1: the same for every decision of a binding, so it is made
+    once and shared, read-only."""
+    r = (bloat_rate * np.arange(n) * dt)[:, None]
+    r.flags.writeable = False
+    return r
 
 
 class ReachRta(RtaLogic):

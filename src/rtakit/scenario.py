@@ -21,8 +21,12 @@ decision's set test reads (the ego's, or an anchor's) fails that decision
 with an error naming the agent and the predicted time (see the rta module).
 
 Execution and prediction are one rollout: `advance` is the only step of
-either. An agent's memory (see the agents module) is the fold of its
-`remember` over the trace's recorded rows. The fold is kept on the trace in
+either. A sample with set payloads goes through
+`ExecutionTrace.append_sample`; a sample of a trace without sets, as every
+prediction is, `advance` appends to the trace's columns itself, under the
+same agent-key check, so that a rollout step runs in one Python frame
+besides the agents' steps. An agent's memory (see the agents module) is
+the fold of its `remember` over the trace's recorded rows. The fold is kept on the trace in
 process only, never in the wire format, and is extended by the rows added
 since it was last taken, so a trace built by `advance`, loaded from a file,
 built by hand or cut by `prefix` gets the same memory.
@@ -50,6 +54,10 @@ from types import MappingProxyType
 from .agents import AgentModel, Mode, View
 from .geometry import GeometryError, RelativeSetSpec, SetDef, update_relative
 from .trace import ExecutionTrace, is_finite_number
+
+
+# Builds a `View` without its NamedTuple constructor, a Python frame per tick.
+_new_tuple = tuple.__new__
 
 
 class ScenarioError(ValueError):
@@ -167,11 +175,18 @@ class Scenario:
         """One tick from sample k: step all agents from one view of the
         pre-step sample, then append their states, their modes and the
         payloads of the unsafe sets the trace holds, re-resolved, as one
-        sample."""
+        sample. A trace without sets (a prediction) gets its sample here,
+        under `append_sample`'s agent-key check and message; while no agent
+        keeps memory, no memory fold runs."""
         rows = trace.rows
         table = self._table
-        states = {aid: rows[aid][-1] for aid, _, _ in table}
-        view = View(MappingProxyType(states), self.memory(trace))
+        states = {}
+        for aid, _, _ in table:
+            states[aid] = rows[aid][-1]
+        memory = self._initial_memory
+        if memory:
+            memory = self.memory(trace)
+        view = _new_tuple(View, (MappingProxyType(states), memory))
         dt = self.dt
         next_states = {}
         for aid, model, state_dim in table:
@@ -188,8 +203,17 @@ class Scenario:
                 )
             next_states[aid] = nxt
         t_next = (k + 1) * dt
-        payloads = self._payloads(next_states, t_next) if trace.unsafe else None
-        trace.append_sample(t_next, next_states, modes, payloads)
+        if trace.unsafe:
+            trace.append_sample(t_next, next_states, modes, self._payloads(next_states, t_next))
+            return
+        if next_states.keys() != rows.keys():
+            raise ValueError(f"sample has states for {sorted(next_states)}, "
+                             f"trace holds agents {sorted(rows)}")
+        trace.times.append(t_next)
+        for aid, column in rows.items():
+            column.append(next_states[aid])
+        for aid, column in trace.modes.items():
+            column.append(modes[aid])
 
 
 def grid_steps(horizon: float, dt: float) -> int:

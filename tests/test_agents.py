@@ -10,12 +10,16 @@ from rtakit import (
     AccAgent,
     AccParams,
     AgentSpec,
+    Ball,
     DubinsCarAgent,
     DubinsCarParams,
     DubinsPlaneAgent,
     DubinsPlaneParams,
     Mode,
+    RelativeSetSpec,
+    RtaBinding,
     ScenarioConfig,
+    SimRta,
     View,
     build_scenario,
     config_from_dict,
@@ -329,6 +333,55 @@ def test_an_overridden_goal_position_is_the_goal_steered_to(model, base, init):
     dim = model.position_dim
     for rows in (trace.rows["a"], pred.rows["a"]):
         assert math.dist(rows[-1][:dim], goal) < math.dist(rows[0][:dim], goal) - 1.0
+
+
+POST = 4.0  # where the built-in twin's standing leader puts the goal, behind it
+
+
+class PostGoalAcc(AccAgent):
+    """No leader: the goal is standing at POST, from goal_state."""
+
+    def goal_state(self, view):
+        return [POST, 0.0]
+
+
+class HalfCommandAcc(AccAgent):
+    """Half the built-in command: AccParams(k1=0.5, k2=1.0, a_max=8.0) to
+    the bit, as halving a float is exact."""
+
+    def command(self, mode, state, view):
+        return 0.5 * super().command(mode, state, view)
+
+
+@pytest.mark.parametrize("custom, builtin", [
+    (lambda: PostGoalAcc("ego"), lambda: AccAgent("ego", leader_id="post")),
+    (lambda: HalfCommandAcc("ego", leader_id="post"),
+     lambda: AccAgent("ego", AccParams(k1=0.5, k2=1.0, a_max=8.0), leader_id="post")),
+], ids=["goal_state", "command"])
+def test_an_overridden_acc_goal_state_or_command_is_what_the_agent_steers_by(custom, builtin):
+    """An AccAgent subclass's goal_state or command is what execution and a
+    decision's prediction steer by: every executed and predicted row and
+    every decided mode equal those of the equivalent built-in agent, which
+    follows a leader that stands still (NORMAL, at rest) follow_distance
+    ahead of POST. SimRta switches the ego between both controllers."""
+    def run(ego):
+        post = AccAgent("post")
+        config = ScenarioConfig(
+            agents=[AgentSpec(ego, [-6.0, 2.0], Mode.UNTRUSTED, RtaBinding(SimRta(horizon=1.0))),
+                    AgentSpec(post, [POST + post.params.follow_distance, 0.0], Mode.NORMAL)],
+            unsafe_sets=[RelativeSetSpec("wall", Ball([0.0], 1.0), [-5.0], "post")],
+            dt=0.1, horizon=4.0, workspace_dim=1)
+        scenario = build_scenario(config)
+        trace = execute(scenario)
+        return trace, [forward_simulate(trace.prefix(k), scenario, 1.0, "ego")
+                       for k in range(0, len(trace.times), 5)]
+
+    (trace, preds), (twin, twin_preds) = run(custom()), run(builtin())
+    assert trace.rows == twin.rows
+    assert trace.modes == twin.modes
+    assert [p.rows for p in preds] == [p.rows for p in twin_preds]
+    assert set(trace.modes["ego"]) == {Mode.SAFETY, Mode.UNTRUSTED}
+    assert abs(trace.rows["ego"][-1][0] - POST) < abs(trace.rows["ego"][0][0] - POST) - 5.0
 
 
 # -- shared properties ---------------------------------------------------------

@@ -305,6 +305,19 @@ def test_unknown_payload_kind_rejected():
         "unknown set type 'ellipsoid'; expected one of point, ball, hyperrectangle, polytope")
 
 
+@pytest.mark.parametrize("kind", [["ball"], {"type": "ball"}], ids=["list", "dict"])
+def test_an_unhashable_kind_is_an_unknown_set_type(kind):
+    """A kind that cannot be hashed is the same GeometryError payload by
+    payload and as a column, where a column raised TypeError."""
+    with pytest.raises(GeometryError) as one:
+        set_from_payload(kind, [[0.0], 1.0])
+    with pytest.raises(GeometryError) as column:
+        parse_column(kind, [[[0.0], 1.0]] * 3)
+    assert type(column.value) is type(one.value) is GeometryError
+    assert str(column.value) == str(one.value) == (
+        f"unknown set type {kind!r}; expected one of point, ball, hyperrectangle, polytope")
+
+
 @pytest.mark.parametrize("s, wire", [
     (PointSet([1, 2.5]), "[1.0, 2.5]"),
     (Ball([5, 6.0], 7), "[[5.0, 6.0], 7.0]"),
@@ -796,6 +809,91 @@ def test_row_k_of_a_moved_stack_tests_as_the_set_moved_to_reference_k(s, boundar
         if isinstance(s, Polytope):  # row k's offsets round as the set moved alone
             assert np.array_equal(stack.b, [one.b for one in ones])
     assert outcomes == {True, False}
+
+
+def _field_bytes(s, k=None) -> dict:
+    """Each payload field of a set as raw bytes, so that equal is equal bit
+    for bit (-0.0 included); with k, of row k of a stack, where a row field
+    held once for all rows (a moved ball's radius) is that one value."""
+    out = {}
+    for name, depth in s._fields:
+        value = np.asarray(getattr(s, name), dtype=float)
+        if k is not None and name in s._row_fields and value.ndim > depth:
+            value = value[k]
+        out[name] = value.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("s", [s for s, _ in MOVED_SETS], ids=MOVED_KINDS)
+def test_update_relative_of_a_stack_is_n_single_moves_bit_for_bit(s):
+    """Row k of `update_relative(spec, positions)` is `moved_to(positions[k]
+    + offset)` bit for bit, and so is `update_relative` of that one
+    position; a stack's shared fields (a polytope's A) are the set's."""
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        scale = 10.0 ** rng.integers(-3, 6)
+        spec = RelativeSetSpec("s", s, rng.uniform(-2.0, 2.0, 2) * scale, "a")
+        positions = rng.uniform(-5.0, 5.0, (n, 2)) * scale
+        stack = update_relative(spec, positions)
+        assert stack.rows == n and stack.dim == s.dim and stack.kind == s.kind
+        for k, position in enumerate(positions):
+            one = s.moved_to(position + spec.offset)
+            assert _field_bytes(update_relative(spec, position)) == _field_bytes(one)
+            assert _field_bytes(stack, k) == _field_bytes(one)
+
+
+@pytest.mark.parametrize("s", [s for s, _ in MOVED_SETS], ids=MOVED_KINDS)
+def test_update_relative_names_what_is_wrong_with_the_anchor(s):
+    """A non-finite anchor position, one of the wrong dimension or shape, a
+    stacked base set and a reference that overflows each raise their own
+    error, for every kind (a moved field that overflows: the next test).
+    The decision and tick errors that name the agent around the first are
+    pinned in test_rta.py and test_scenario.py
+    (`test_nonfinite_anchor_prediction_names_the_anchor`,
+    `test_nonfinite_anchor_names_the_set_the_anchor_and_t`)."""
+    spec = RelativeSetSpec("s", s, [0.5, -0.25], "a")
+    for bad in ([math.nan, 0.0], [0.0, math.inf], [[0.0, 0.0], [-math.inf, 1.0]],
+                [[math.nan, math.inf]]):
+        with pytest.raises(GeometryError, match="^anchor position must be finite$"):
+            update_relative(spec, bad)
+    for bad in ([1.0], [[1.0, 2.0, 3.0]], np.zeros((4, 1))):
+        with pytest.raises(DimensionMismatch, match="^dimension mismatch: set has dimension 2, "
+                                                    f"point has dimension {np.shape(bad)[-1]}$"):
+            update_relative(spec, bad)
+    for bad in ([], np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(GeometryError, match="^anchor position must be a nonempty vector "
+                                                "or \\(n, dim\\) stack"):
+            update_relative(spec, bad)
+    with pytest.raises(GeometryError, match="^anchor position must be numbers"):
+        update_relative(spec, [[0.0, 1.0], [2.0]])
+    with pytest.raises(GeometryError, match=f"^moved_to takes one {s.kind}, got a stack of 2$"):
+        update_relative(RelativeSetSpec("s", s.moved_to(np.zeros((2, 2))), [0.0, 0.0], "a"),
+                        [0.0, 0.0])
+    with np.errstate(over="ignore"):  # the overflows below are the point
+        huge = RelativeSetSpec("s", s, [1e308, 0.0], "a")
+        for position in ([1e308, 0.0], [[0.0, 0.0], [1e308, 0.0]]):
+            with pytest.raises(GeometryError, match="^reference must be finite$"):
+                update_relative(huge, position)
+
+
+@pytest.mark.parametrize("s, position, field", [
+    (Hyperrectangle([0.0, 0.0], [1e308, 1.0]), [1.5e308, 0.0], "upper"),
+    (Hyperrectangle([0.0, 0.0], [1e308, 1.0]), [[0.0, 0.0], [-1.5e308, 0.0]], "lower"),
+    (Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1e308, 1e308, 1.0, 1.0]),
+     [1e308, 0.0], "b"),
+    (Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1e308, 1e308, 1.0, 1.0]),
+     [[0.0, 0.0], [-1e308, 0.0]], "b"),
+], ids=["box-upper", "box-lower-stack", "polytope-b", "polytope-b-stack"])
+def test_update_relative_rejects_a_moved_field_that_overflows(s, position, field):
+    """A derived field (box corners, polytope offsets) is still tested: a
+    finite anchor and reference whose moved set holds an inf raise
+    GeometryError, as `moved_to` does."""
+    spec = RelativeSetSpec("s", s, [0.0, 0.0], "a")
+    for move in (lambda: update_relative(spec, position), lambda: s.moved_to(position)):
+        with np.errstate(over="ignore"), pytest.raises(
+                GeometryError, match=f"^moved {s.kind} {field} must be finite$"):
+            move()
 
 
 @pytest.mark.parametrize("s", [s for s, _ in STACK_SETS], ids=STACK_KINDS)

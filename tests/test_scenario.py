@@ -26,6 +26,7 @@ from rtakit import (
     StaticSetSpec,
     build_report,
     build_scenario,
+    config_from_dict,
     execute,
     parse_scenario_config,
     predict,
@@ -203,6 +204,31 @@ def test_shipped_config_traces_are_byte_identical(name):
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == SHIPPED_TRACE_SHA256[name]
 
 
+# The seed-1 digest of each rtabench workload, as its runs print it ("trace
+# sha256 (all operations)"): `Runner.workload_digest` over the SHA-256 of
+# each operation's trace file, `to_json() + "\n"`. A speed-up keeps these
+# too; CHANGES.md cites them.
+WORKLOAD_SHA256 = {
+    "acc-sweep": "880a149438affe47f6674f87e326970ab48e099049fa088d8c4fd5247690c517",
+    "dubins-formation": "0eee63ae8f5ae56b973ff19fd90b3d8a3602073da39ce583eb236b4ed996dcd9",
+    "gcas-ridge": "28271b9c6ce3b01f42067560f1d30e54c4cb1bfd4b4b4171f8dccbd66f9070da",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))
+def test_benchmark_workload_traces_are_byte_identical(workload):
+    """Every executed trace of an rtabench workload at seed 1, byte for
+    byte, hashed as the benchmark hashes them."""
+    from rtabench import rounds, workloads
+
+    ops = workloads.WORKLOADS[workload](1)
+    runner = rounds.Runner(workload, ops, validator=None)
+    for name, doc in ops:
+        text = execute(build_scenario(config_from_dict(doc))).to_json() + "\n"
+        runner.digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert runner.workload_digest() == WORKLOAD_SHA256[workload]
+
+
 # SHA-256 of the files `rtakit eval` writes for each shipped config's trace,
 # with the fixed timings of `eval_output_digest`: summary.json, summary.txt
 # and every CSV series, by file name. A change to how eval reads the trace
@@ -369,7 +395,7 @@ def test_step_output_of_the_wrong_width_fails_at_its_tick():
 
 
 def test_prediction_from_a_trace_with_an_agent_the_scenario_lacks_names_the_agents():
-    # A prediction's samples go through append_sample's key check.
+    # A prediction's samples get append_sample's key check and message.
     scenario = build_scenario(acc_scenario_config())
     trace = ExecutionTrace(["follower", "leader", "extra"])
     trace.append_sample(0.0, {"follower": [0.0, 1.0], "leader": [5.0, 1.0], "extra": [0.0, 0.0]})
