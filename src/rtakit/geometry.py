@@ -18,9 +18,12 @@ and must stay stable. Every operation here is a pure function of its inputs.
 
 Distance is closed-form for point, ball and hyperrectangle. For a polytope
 it is the distance to the nearest point, which `Polytope.project` finds
-exactly at every size with one nonnegative least-squares solve per point
-outside, and one KKT solve per set of active rows; a payload with no
-feasible point raises GeometryError there.
+exactly at every size: a batched active-set pass picks and certifies the
+active faces of the points outside, with one KKT solve per candidate set of
+faces, and a point at a degenerate contact (more than `dim` faces meeting,
+or a multiplier or slack within a margin of zero) takes its faces from one
+nonnegative least-squares solve. A payload with no feasible point raises
+GeometryError there.
 
 Each set also gives its `reference()` point, the one `moved_to` places, and
 `entry_time(pos, vel)`, the first time a straight-line course enters it, in
@@ -36,8 +39,10 @@ otherwise decides with a linear feasibility program. `box_distance` gives
 the box gap in closed form and has none for a polytope.
 
 scipy is imported inside `Polytope._feasible` (the emptiness and box LPs)
-and `Polytope.project` only, so a process whose sets hold no polytope never
-loads it; importing scipy.optimize costs about half a second.
+and for the degenerate points of `Polytope.project` only, so a process whose
+sets hold no polytope never loads it, and neither does an eval whose
+polytope distances are all certified; importing scipy.optimize costs about
+half a second.
 
 Membership and the box test take one query or a stack of them: `contains`
 takes a point (dim,) or points (n, dim) and answers whether the set holds
@@ -455,6 +460,88 @@ class Hyperrectangle(SetDef):
         return f"Hyperrectangle({self.lower.tolist()}, {self.upper.tolist()})"
 
 
+def _kkt_points(A: np.ndarray, face: np.ndarray, Q: np.ndarray, b: np.ndarray,
+                unique: bool = False):
+    """The projections x (n, dim) of the points Q (n, dim) onto the
+    hyperplanes of the faces `face` (a mask over the rows of A), row k
+    onto offsets b[k], and their multipliers (n, faces): one solve of the
+    faces' KKT system over all n points. Where the faces are dependent
+    (more than `dim` meet there, so their Gram matrix is singular) each
+    point takes the least-squares multipliers, or with `unique` the answer
+    is None."""
+    if unique and face.sum() > A.shape[1]:  # the solve may miss the singularity
+        return None
+    rows = A[face]
+    gram = rows @ rows.T
+    rhs = np.matmul(rows, Q[:, :, None]) - b[:, face, None]
+    try:
+        lam = np.linalg.solve(np.broadcast_to(gram, (len(Q),) + gram.shape), rhs)
+    except np.linalg.LinAlgError:
+        if unique:
+            return None
+        lam = np.array([np.linalg.lstsq(gram, r[:, 0])[0] for r in rhs])[:, :, None]
+    return Q - np.matmul(rows.T, lam)[:, :, 0], lam[:, :, 0]
+
+
+def _active_set_pass(A: np.ndarray, Q: np.ndarray, b: np.ndarray, over: np.ndarray,
+                     tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projections of the points Q (n, dim), each outside {x : A x <= b[k]},
+    by a dual active-set method in the style of Goldfarb and Idnani (1983),
+    batched over the points that share a candidate set of faces.
+
+    Point k starts from the faces it violates, over[k] = A q - b[k] > 0, or
+    from the most violated one where they outnumber `dim`, and each round
+    solves the faces' KKT system (`_kkt_points`). Where a multiplier is not
+    positive it drops the face with the smallest one; otherwise, where an
+    inactive face is violated by more than tol[k], it adds the one with the
+    least slack, first dropping the smallest multiplier's face if `dim`
+    faces are active. A point is certified when every multiplier and every
+    other face's slack exceeds tol[k]: the optimum's faces are then unique,
+    so the least-distance NNLS returns them too, and the point keeps that
+    solve's x. A point at a KKT point within the margin (a degenerate
+    contact), whose faces outnumber `dim` or are dependent, or still moving
+    after 3 rounds per face, is not certified. Returns the projections, rows
+    not certified unset, and the mask of certified rows."""
+    dim = A.shape[1]
+    active = over > 0.0
+    many = np.flatnonzero(active.sum(axis=1) > dim)
+    active[many] = False
+    active[many, over[many].argmax(axis=1)] = True
+    X = np.empty_like(Q)
+    certified = np.zeros(len(Q), dtype=bool)
+    live = np.ones(len(Q), dtype=bool)
+    for _ in range(3 * len(A)):
+        todo = np.flatnonzero(live)
+        if not todo.size:
+            break
+        while todo.size:  # one KKT solve per distinct set of faces
+            face = active[todo[0]].copy()
+            same = (active[todo] == face).all(axis=1)
+            ks, todo = todo[same], todo[~same]
+            solved = _kkt_points(A, face, Q[ks], b[ks], unique=True)
+            if solved is None:
+                live[ks] = False
+                continue
+            x, lam = solved
+            slack = np.where(face, np.inf, b[ks] - np.matmul(A, x[:, :, None])[:, :, 0])
+            least = slack.argmin(axis=1)
+            least_slack = slack[np.arange(len(ks)), least]
+            lam_min = lam.min(axis=1, initial=np.inf)
+            t = tol[ks]
+            drop = lam_min <= 0.0
+            add = ~drop & (least_slack < -t)
+            stop = ~drop & ~add  # a KKT point, up to the margin
+            sure = stop & (lam_min > t) & (least_slack > t)
+            X[ks[sure]] = x[sure]
+            certified[ks[sure]] = True
+            live[ks[stop]] = False
+            drop |= add & (face.sum() == dim)  # a full set makes room first
+            if drop.any():
+                active[ks[drop], np.flatnonzero(face)[lam[drop].argmin(axis=1)]] = False
+            active[ks[add], least[add]] = True
+    return X, certified
+
+
 class Polytope(SetDef):
     """Convex polytope {x : Ax <= b} in half-space form.
 
@@ -515,44 +602,45 @@ class Polytope(SetDef):
         rounds as that point alone does: every product with the points is
         a matmul of per-row blocks (see `entry_time`).
 
-        Least-distance programming (Lawson and Hanson, 1974, ch. 23): the
-        nonnegative least-squares problem min ||E u - e_{n+1}||, u >= 0, with
-        E = [-A^T; (A p - b)^T] has its positive multipliers on the rows
-        active at the nearest point. The point is then the projection of p
-        onto those rows' hyperplanes, from the KKT system of the rows, solved
-        once for all points with the same active rows.
+        The nearest point is the projection of p onto the hyperplanes of
+        the faces active there, from the KKT system of those faces, solved
+        once for all points with the same active faces. A batched
+        active-set pass (`_active_set_pass`) finds and certifies the faces
+        of each point outside. A point it cannot certify, a degenerate
+        contact such as more than `dim` faces meeting, takes its faces from
+        least-distance programming (Lawson and Hanson, 1974, ch. 23): the
+        nonnegative least-squares problem min ||E u - e_{n+1}||, u >= 0,
+        with E = [-A^T; (A p - b)^T], has its positive multipliers on the
+        active faces. Only those points import scipy.
         """
-        from scipy.optimize import nnls
-
         P, one = self._measured(points, "a projection")
         A = self.A
         b = np.broadcast_to(self.b, (len(P), len(A)))  # row k's offsets
         X = P.copy()
-        out = np.flatnonzero(~(np.matmul(P[:, None, :], A.T)[:, 0, :] <= b).all(axis=1))
+        AP = np.matmul(P[:, None, :], A.T)[:, 0, :]
+        out = np.flatnonzero(~(AP <= b).all(axis=1))
         if out.size:
             Q, b = P[out], b[out]
-            E = np.empty((len(out), self.dim + 1, len(A)))  # each point's own matrix
-            E[:, :-1] = -A.T
-            E[:, -1] = np.matmul(A, Q[:, :, None])[:, :, 0] - b
-            f = np.zeros(self.dim + 1)
-            f[-1] = 1.0
-            groups: dict[bytes, list[int]] = {}  # the points of each active set
-            for k, Ek in enumerate(E):
-                groups.setdefault((nnls(Ek, f)[0] > 0).tobytes(), []).append(k)
-            for key, ks in groups.items():
-                active = np.frombuffer(key, dtype=bool)
-                rows = A[active]
-                gram = rows @ rows.T
-                rhs = np.matmul(rows, Q[ks][:, :, None]) - b[ks][:, active, None]
-                try:
-                    lam = np.linalg.solve(np.broadcast_to(gram, (len(ks),) + gram.shape), rhs)
-                except np.linalg.LinAlgError:  # dependent rows: more than `dim` faces meet there
-                    lam = np.array([np.linalg.lstsq(gram, r[:, 0])[0] for r in rhs])[:, :, None]
-                X[out[ks]] = Q[ks] - np.matmul(rows.T, lam)[:, :, 0]
             tol = 1e-9 * (1.0 + np.abs(b).max(axis=1))
-            if not (np.matmul(A, X[out][:, :, None])[:, :, 0] <= b + tol[:, None]).all():
+            Y, certified = _active_set_pass(A, Q, b, AP[out] - b, tol)
+            rest = np.flatnonzero(~certified)
+            if rest.size:
+                from scipy.optimize import nnls
+
+                E = np.empty((len(rest), self.dim + 1, len(A)))  # each point's own matrix
+                E[:, :-1] = -A.T
+                E[:, -1] = np.matmul(A, Q[rest][:, :, None])[:, :, 0] - b[rest]
+                f = np.zeros(self.dim + 1)
+                f[-1] = 1.0
+                groups: dict[bytes, list[int]] = {}  # the points of each active set
+                for k, Ek in zip(rest, E):
+                    groups.setdefault((nnls(Ek, f)[0] > 0).tobytes(), []).append(k)
+                for key, ks in groups.items():
+                    Y[ks] = _kkt_points(A, np.frombuffer(key, dtype=bool), Q[ks], b[ks])[0]
+            if not (np.matmul(A, Y[:, :, None])[:, :, 0] <= b + tol[:, None]).all():
                 raise GeometryError("polytope projection found no feasible point; "
                                     "Ax <= b may have no solution")
+            X[out] = Y
         return X[0] if one else X
 
     def _stacks_with(self, other) -> bool:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog, minimize
 
 from rtakit import (
@@ -580,16 +581,64 @@ def test_stacked_projection_is_bit_identical_to_one_point_at_a_time(seed):
     assert kinds == {"inside", "outside"}
 
 
+def _normal_cone_boundary_queries(rng, poly, n):
+    """Points whose projection has a multiplier or an inactive slack within
+    a few ulps of zero: boundary points x (the one-at-a-time projections of
+    points outside), x pushed out along the normals of a proper subset of
+    the faces through it, so the faces left out touch the projection with
+    zero slack, and x pushed out along every such normal with one of them
+    scaled to a few ulps, so its multiplier is nearly zero, or to just
+    above the certificate's margin."""
+    A, b = poly.A, poly.b
+    queries = []
+    while len(queries) < n:
+        q = rng.normal(scale=6.0, size=poly.dim)
+        if poly.contains(q):
+            continue
+        x = ref_project(poly, q)
+        tight = np.flatnonzero(np.abs(A @ x - b) <= 1e-12 * (1.0 + np.abs(b).max()))
+        mu = rng.uniform(0.1, 2.0, size=len(tight))
+        queries.append(x)
+        if len(tight) > 1:
+            keep = rng.random(len(tight)) < 0.5
+            keep[rng.integers(len(tight))] = False
+            queries.append(x + (mu * keep) @ A[tight])
+        tiny = mu.copy()
+        tiny[rng.integers(len(tight))] = rng.choice([1.0, 2.0, 4.0, 1e8]) * np.finfo(float).eps
+        queries.append(x + tiny @ A[tight])
+    return np.array(queries)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_projection_near_a_degenerate_contact_is_bit_identical_to_one_point_at_a_time(seed):
+    # The active-set certificate keeps a point only with every multiplier and
+    # every other slack clear of zero; anywhere closer the NNLS may pick other
+    # faces, and the point must take them as the one-point reference does.
+    rng = np.random.default_rng(700 + seed)
+    for _ in range(10):
+        dim, m = int(rng.integers(1, 4)), int(rng.integers(1, 41))
+        A, b = random_polytope(rng, dim, m)
+        scale = rng.uniform(0.2, 5.0, size=(m, 1))
+        poly = Polytope(A * scale, b * scale[:, 0])
+        P = _normal_cone_boundary_queries(rng, poly, 30)
+        _assert_projects_as_one_at_a_time(poly, P, [poly] * len(P))
+
+
 def test_stacked_projection_onto_faces_that_meet_at_one_point(monkeypatch):
-    calls = []
-    lstsq = np.linalg.lstsq
+    calls, solved = [], []
+    lstsq, nnls = np.linalg.lstsq, scipy.optimize.nnls
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    # Each NNLS call records its point's row A p - b, so the rows that miss
+    # the active-set certificate are named.
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda E, f: solved.append(E[-1].tolist()) or nnls(E, f))
     # Four faces meet at the pyramid's apex (0, 0, 2), more than the dimension.
     pyramid = Polytope([[2.0, 0.0, 1.0], [-2.0, 0.0, 1.0], [0.0, 2.0, 1.0],
                         [0.0, -2.0, 1.0], [0.0, 0.0, -1.0]], [2.0, 2.0, 2.0, 2.0, 0.0])
     P = np.array([[0.0, 0.0, 7.0], [0.0, 0.0, 3.5], [0.0, 0.0, 1.0], [0.0, 0.0, 12.0]])
     _assert_projects_as_one_at_a_time(pyramid, P, [pyramid] * len(P))
+    solved.clear()
     assert pyramid.project(P)[[0, 1, 3]] == pytest.approx(np.tile([0.0, 0.0, 2.0], (3, 1)), abs=1e-12)
+    assert solved == [(pyramid.A @ p - pyramid.b).tolist() for p in P[[0, 1, 3]]]  # the apex rows
     # Five faces cut the plane down to the origin; from (0, 6) the NNLS keeps
     # three of them active, a singular Gram matrix: the per-row lstsq branch.
     cone = Polytope([[2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [0.0, -1.0], [-1.0, -1.0]],
@@ -599,8 +648,11 @@ def test_stacked_projection_onto_faces_that_meet_at_one_point(monkeypatch):
     want = np.array([ref_project(cone, p) for p in P])
     assert len(calls) == 2
     calls.clear()
+    solved.clear()
     assert cone.project(P).tobytes() == want.tobytes()
     assert len(calls) == 2  # the two rows at (0, 6), one group
+    # Every point outside projects onto the origin, where all five faces meet.
+    assert solved == [(cone.A @ p - cone.b).tolist() for p in P[[0, 1, 3, 4]]]
     assert want[0] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 

@@ -63,3 +63,31 @@ def test_scipy_is_loaded_only_by_a_polytope_scenario(tmp_path):
     assert main(["eval", str(trace), "--out", str(tmp_path / "gcas")]) == 0
     assert trace.read_bytes() == (tmp_path / "fresh/gcas.json").read_bytes()
     assert _reports(tmp_path / "gcas") == _reports(tmp_path / "fresh/gcas")
+
+
+_RUN = """
+import sys
+from rtakit import cli
+sys.exit(cli.main(["run", "--config", "configs/gcas.json", "--out", sys.argv[1]]))
+"""
+
+_EVAL = """
+import json, sys
+from rtakit import cli
+code = cli.main(["eval", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, "scipy" in sys.modules]))
+"""
+
+
+def test_eval_of_a_polytope_trace_does_not_load_scipy(tmp_path):
+    # Every gcas ground distance is certified without NNLS, and a trace's
+    # payloads skip the emptiness LP, so eval alone never needs scipy.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    trace = tmp_path / "gcas.json"
+    for script, *args in ((_RUN, trace), (_EVAL, trace, tmp_path / "fresh")):
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert main(["eval", str(trace), "--out", str(tmp_path / "inproc")]) == 0
+    assert _reports(tmp_path / "fresh") == _reports(tmp_path / "inproc")
