@@ -32,8 +32,9 @@ def _timings_path(trace_path: Path) -> Path:
     return trace_path.with_name(trace_path.stem + ".timings.json")
 
 
-def _load_timings(path: Path) -> dict[str, list[float]]:
-    """The agent id -> decision durations map of a timings file."""
+def _load_timings(path: Path, trace: ExecutionTrace) -> dict[str, list[float]]:
+    """The agent id -> decision durations map of a timings file: one
+    duration per decision the trace records for each agent it names."""
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -46,6 +47,11 @@ def _load_timings(path: Path) -> dict[str, list[float]]:
         ):
             raise EvalError(f"{path}: timings.{aid}: expected a list of finite, "
                             f"nonnegative numbers")
+        if aid not in trace.modes:
+            raise EvalError(f"{path}: timings.{aid}: the trace has no agent {aid!r}")
+        if len(durations) != len(trace.modes[aid]):
+            raise EvalError(f"{path}: timings.{aid}: {len(durations)} durations, but the trace "
+                            f"records {len(trace.modes[aid])} decisions of agent {aid!r}")
     return doc["timings"]
 
 
@@ -88,7 +94,7 @@ def cmd_eval(args) -> int:
     timings = {}
     timings_path = Path(args.timings) if args.timings else _timings_path(trace_path)
     if timings_path.exists():
-        timings = _load_timings(timings_path)
+        timings = _load_timings(timings_path, trace)
     elif args.timings:
         raise EvalError(f"timings file not found: {timings_path}")
     outdir = Path(args.out)

@@ -169,15 +169,17 @@ def _build_unsafe(entry: dict, index: int):
     set_id = _id(_object(entry, where, UNSAFE_SET_KEYS), where)
     kind = _require(entry, "type", where)
     definition = _require(entry, "definition", where)
+    # A list's entries first, so a bad one is named by its path; the parse
+    # names what a non-list definition lacks.
+    bad = non_number_entry(definition) if isinstance(definition, list) else None
+    if bad is not None:
+        raise ConfigError(f"{where}.definition{bad[0]}: expected a number, got {bad[1]!r}")
     try:
         base = set_from_payload(kind, definition)
         if isinstance(base, Polytope):  # unchecked payload: rebuild with the emptiness LP
             base = Polytope(base.A, base.b)
     except GeometryError as exc:
         raise ConfigError(f"{where}.definition: {exc}") from exc
-    bad = non_number_entry(definition)
-    if bad is not None:
-        raise ConfigError(f"{where}.definition{bad[0]}: expected a number, got {bad[1]!r}")
     anchor = entry.get("anchor")
     offset = entry.get("offset")
     if anchor is None and offset is None:

@@ -1,12 +1,13 @@
 """Decision timing collection and post-hoc evaluation of executed traces.
 
-Metrics: per-decision computation time (avg/min/max), distance from unsafe
-sets and from other agents, time to collision under constant-velocity
-extrapolation, controller usage percentages, and switch counts. All
-post-hoc operations are read-only over an immutable trace, and the trace
-is their only input besides the decision durations: a trace held in
-memory and the same trace written and loaded by `rtakit eval` report the
-same numbers.
+Metrics: per-decision computation time (avg/min/max), controller usage
+percentages and switch counts, and against every target (an unsafe set or
+another agent) the distance at each sample and the least time to collision
+under constant-velocity extrapolation. A report keeps the sample grid once
+and one distance column per target; only the files it writes tell sets
+from agents. Evaluation reads an immutable trace and the decision
+durations, nothing else: a trace held in memory and the same trace written
+and loaded by `rtakit eval` report the same numbers.
 
 Workspace positions are the leading `workspace_dim` state components; the
 dimension is inferred from the unsafe-set definitions unless supplied
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -250,28 +251,43 @@ def controller_usage(trace: ExecutionTrace, agent_id: str) -> tuple[dict[str, fl
 
 @dataclass
 class AgentReport:
+    """One agent's metrics; per target id, its distance column (row k at
+    `EvalReport.times[k]`), least distance and least time to collision."""
+
     agent_id: str
     timing: TimingStats
     usage: dict[str, float]
     switch_count: int
-    set_distances: dict[str, list[tuple[float, float]]]
-    agent_distances: dict[str, list[tuple[float, float]]]
-    min_set_distance: dict[str, float]
-    min_agent_distance: dict[str, float]
-    min_set_ttc: dict[str, float]
-    min_agent_ttc: dict[str, float]
-    mode_series: list[tuple[float, str]] = field(default_factory=list)
+    modes: list[str]
+    distances: dict[str, list[float]]
+    min_distance: dict[str, float]
+    min_ttc: dict[str, float]
 
 
 @dataclass
 class EvalReport:
+    """Every agent's metrics over the sample grid `times`; `set_ids` names
+    the targets that are unsafe sets, the others are agents."""
+
     agents: dict[str, AgentReport]
-    n_samples: int
-    duration: float
+    times: list[float]
+    set_ids: list[str]
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.times)
+
+    @property
+    def duration(self) -> float:
+        return self.times[-1] - self.times[0]
 
     def to_dict(self) -> dict:
         def _num(x):
             return None if x is None or math.isinf(x) else x
+
+        def _targets(values: dict[str, float], sets: bool) -> dict:
+            """The sets' or the other agents' entries of a per-target mapping."""
+            return {k: _num(v) for k, v in values.items() if (k in self.set_ids) == sets}
 
         return {
             "n_samples": self.n_samples,
@@ -286,10 +302,10 @@ class EvalReport:
                     },
                     "usage_percent": dict(r.usage),
                     "switch_count": r.switch_count,
-                    "min_distance_to_sets": {k: _num(v) for k, v in r.min_set_distance.items()},
-                    "min_distance_to_agents": {k: _num(v) for k, v in r.min_agent_distance.items()},
-                    "min_ttc_to_sets": {k: _num(v) for k, v in r.min_set_ttc.items()},
-                    "min_ttc_to_agents": {k: _num(v) for k, v in r.min_agent_ttc.items()},
+                    "min_distance_to_sets": _targets(r.min_distance, True),
+                    "min_distance_to_agents": _targets(r.min_distance, False),
+                    "min_ttc_to_sets": _targets(r.min_ttc, True),
+                    "min_ttc_to_agents": _targets(r.min_ttc, False),
                 }
                 for aid, r in self.agents.items()
             },
@@ -315,17 +331,11 @@ class EvalReport:
                 lines.append(f"  switches: {r.switch_count}")
             else:
                 lines.append("  controller usage: no data")
-            for label, dists, ttcs in (
-                ("unsafe set", r.min_set_distance, r.min_set_ttc),
-                ("agent", r.min_agent_distance, r.min_agent_ttc),
-            ):
-                for target in dists:
-                    ttc_val = ttcs.get(target, math.inf)
-                    ttc_str = "inf" if math.isinf(ttc_val) else f"{ttc_val:.6g} s"
-                    lines.append(
-                        f"  vs {label} {target!r}: min distance {dists[target]:.6g}, "
-                        f"min TTC {ttc_str}"
-                    )
+            for target, d in r.min_distance.items():
+                label = "unsafe set" if target in self.set_ids else "agent"
+                ttc_val = r.min_ttc[target]
+                ttc_str = "inf" if math.isinf(ttc_val) else f"{ttc_val:.6g} s"
+                lines.append(f"  vs {label} {target!r}: min distance {d:.6g}, min TTC {ttc_str}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, outdir) -> list[Path]:
@@ -334,34 +344,23 @@ class EvalReport:
         Each file is replaced, not rewritten in place (see README, "Outputs
         are replaced")."""
         for aid, r in self.agents.items():
-            for ident in (aid, *r.set_distances, *r.agent_distances):
+            for ident in (aid, *r.distances):
                 if ident in ("", ".", "..") or Path(ident).name != ident:
                     raise EvalError(f"id {ident!r} is not a single path component, "
                                     f"so it cannot name a CSV file")
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-        stamps = {}  # each distinct time column's `repr(t) + ","`, formatted once
-
-        def _write(name: str, series, text=repr):
-            """`time,value` rows: repr of each time, `text` of each value."""
-            path = outdir / name
-            times, values = zip(*series) if series else ((), ())
-            column = stamps.get(times)
-            if column is None:
-                column = stamps[times] = [repr(t) + "," for t in times]
-            rows = map(str.__add__, column, map(text, values))
-            replace_text(path, "\n".join(("time,value", *rows)) + "\n")
-            written.append(path)
-
+        files = []  # (path, values); a mode column is one row shorter than `times`
         for aid, r in self.agents.items():
-            for target, series in r.set_distances.items():
-                _write(f"{aid}__dist_set__{target}.csv", series)
-            for target, series in r.agent_distances.items():
-                _write(f"{aid}__dist_agent__{target}.csv", series)
-            if r.mode_series:
-                _write(f"{aid}__mode.csv", r.mode_series, str)
-        return written
+            for target, column in r.distances.items():
+                kind = "set" if target in self.set_ids else "agent"
+                files.append((outdir / f"{aid}__dist_{kind}__{target}.csv", map(repr, column)))
+            if r.modes:
+                files.append((outdir / f"{aid}__mode.csv", r.modes))
+        stamps = [repr(t) + "," for t in self.times]
+        for path, values in files:
+            replace_text(path, "\n".join(("time,value", *map(str.__add__, stamps, values))) + "\n")
+        return [path for path, _ in files]
 
 
 def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None,
@@ -377,15 +376,13 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
     # Positions only if there is something to measure them against.
     measured = agent_ids if set_ids or len(agent_ids) > 1 else []
     samples = _Samples(trace, metadata, measured, set_ids + measured)
-    ts = samples.ts
     # Per agent, by target id: the distance at every sample, and the least
     # time to collision over them.
-    set_d, set_ttc, agent_d, agent_ttc = ({aid: {} for aid in agent_ids} for _ in range(4))
+    dists, ttcs = ({aid: {} for aid in agent_ids} for _ in range(2))
     for target in samples.targets:  # sets in trace order, then agents
         others = [aid for aid in measured if aid != target]
         if not others:
             continue
-        dists, ttcs = (set_d, set_ttc) if target in trace.unsafe else (agent_d, agent_ttc)
         courses = _courses(samples, others, target)
         for aid, d, t in zip(others, _distances(courses, len(others)).tolist(),
                              _ttcs(courses, len(others)).tolist()):
@@ -398,16 +395,9 @@ def build_report(trace: ExecutionTrace, metadata: ScenarioMetadata | None = None
             timing=computation_time_stats(timings.get(aid, [])),
             usage=usage,
             switch_count=switches,
-            set_distances={k: list(zip(ts, d)) for k, d in set_d[aid].items()},
-            agent_distances={k: list(zip(ts, d)) for k, d in agent_d[aid].items()},
-            min_set_distance={k: min(d) for k, d in set_d[aid].items()},
-            min_agent_distance={k: min(d) for k, d in agent_d[aid].items()},
-            min_set_ttc=set_ttc[aid],
-            min_agent_ttc=agent_ttc[aid],
-            mode_series=list(zip(ts, mode_names(trace.modes[aid]))),
+            modes=mode_names(trace.modes[aid]),
+            distances=dists[aid],
+            min_distance={k: min(d) for k, d in dists[aid].items()},
+            min_ttc=ttcs[aid],
         )
-    return EvalReport(
-        agents=agents,
-        n_samples=len(trace.times),
-        duration=(ts[-1] - ts[0]) if len(ts) > 1 else 0.0,
-    )
+    return EvalReport(agents=agents, times=samples.ts, set_ids=set_ids)

@@ -641,24 +641,19 @@ def ref_build_report(trace, metadata=None, timings=None) -> EvalReport:
     agents = {}
     for aid in agent_ids:
         usage, switches = controller_usage(trace, aid)
-        others = [other for other in agent_ids if other != aid]
-        set_d = {sid: _ref_distances(s, aid, sid) for sid in set_ids}
-        agent_d = {other: _ref_distances(s, aid, other) for other in others}
+        targets = [*set_ids, *(other for other in agent_ids if other != aid)]
+        distances = {k: _ref_distances(s, aid, k) for k in targets}
         agents[aid] = AgentReport(
             agent_id=aid,
             timing=computation_time_stats(timings.get(aid, [])),
             usage=usage,
             switch_count=switches,
-            set_distances={k: list(zip(ts, d)) for k, d in set_d.items()},
-            agent_distances={k: list(zip(ts, d)) for k, d in agent_d.items()},
-            min_set_distance={k: min(d) for k, d in set_d.items()},
-            min_agent_distance={k: min(d) for k, d in agent_d.items()},
-            min_set_ttc={sid: min(_ref_ttcs(s, aid, sid)) for sid in set_ids},
-            min_agent_ttc={other: min(_ref_ttcs(s, aid, other)) for other in others},
-            mode_series=list(zip(ts, mode_names(trace.modes[aid]))),
+            modes=mode_names(trace.modes[aid]),
+            distances=distances,
+            min_distance={k: min(d) for k, d in distances.items()},
+            min_ttc={k: min(_ref_ttcs(s, aid, k)) for k in targets},
         )
-    return EvalReport(agents=agents, n_samples=len(trace.times),
-                      duration=(ts[-1] - ts[0]) if len(ts) > 1 else 0.0)
+    return EvalReport(agents=agents, times=ts, set_ids=set_ids)
 
 
 def ref_csv_files(report: EvalReport) -> dict[str, str]:
@@ -670,10 +665,9 @@ def ref_csv_files(report: EvalReport) -> dict[str, str]:
         files[name] = "\n".join(["time,value"] + [f"{t!r},{text(v)}" for t, v in series]) + "\n"
 
     for aid, r in report.agents.items():
-        for target, series in r.set_distances.items():
-            write(f"{aid}__dist_set__{target}.csv", series)
-        for target, series in r.agent_distances.items():
-            write(f"{aid}__dist_agent__{target}.csv", series)
-        if r.mode_series:
-            write(f"{aid}__mode.csv", r.mode_series, str)
+        for target, column in r.distances.items():
+            kind = "set" if target in report.set_ids else "agent"
+            write(f"{aid}__dist_{kind}__{target}.csv", zip(report.times, column))
+        if r.modes:
+            write(f"{aid}__mode.csv", zip(report.times, r.modes), str)
     return files

@@ -325,8 +325,13 @@ def test_run_rejects_nonfinite_numbers(tmp_path, capsys, setter, where, value):
     ("definition", [[True], 7.0], "unsafe_sets[0].definition[0][0]: expected a number"),
     ("definition", [["0.5"], 7.0], "unsafe_sets[0].definition[0][0]: expected a number"),
     ("definition", [[0.0], "7"], "unsafe_sets[0].definition[1]: expected a number"),
+    ("definition", [[None], 7.0], "unsafe_sets[0].definition[0][0]: expected a number, got None"),
+    ("definition", [["x"], 7.0], "unsafe_sets[0].definition[0][0]: expected a number, got 'x'"),
+    ("definition", [[{}], 7.0], "unsafe_sets[0].definition[0][0]: expected a number, got {}"),
+    ("definition", 5, "unsafe_sets[0].definition: malformed ball payload: cannot unpack"),
     ("offset", [False], "unsafe_sets[0].offset[0]: expected a finite number"),
-], ids=["bool-center", "string-center", "string-radius", "bool-offset"])
+], ids=["bool-center", "string-center", "string-radius", "null-center", "word-center",
+        "object-center", "non-list", "bool-offset"])
 def test_config_set_numbers_must_be_numbers(key, value, where):
     doc = acc_doc()
     doc["unsafe_sets"][0][key] = value
@@ -551,6 +556,28 @@ def test_eval_rejects_malformed_timings_file(tmp_path, capsys, text):
     code = main(["eval", str(out), "--out", str(tmp_path / "r"), "--timings", str(bad)])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timings, message", [
+    ("gcas", "timings.plane: the trace has no agent 'plane'"),
+    ({"timings": {"follower": [0.001]}},
+     "timings.follower: 1 durations, but the trace records 50 decisions of agent 'follower'"),
+], ids=["another-run", "too-few"])
+def test_eval_rejects_timings_of_another_run(tmp_path, capsys, timings, message):
+    """A timings file must name agents of the trace, one duration per decision."""
+    out = tmp_path / "trace.json"
+    assert main(["run", "--config", str(CONFIGS / "acc_sim_rta.json"), "--out", str(out)]) == 0
+    foreign = tmp_path / "foreign.timings.json"
+    if timings == "gcas":
+        assert main(["run", "--config", str(CONFIGS / "gcas.json"),
+                     "--out", str(tmp_path / "foreign.json")]) == 0
+    else:
+        foreign.write_text(json.dumps(timings))
+    capsys.readouterr()
+    code = main(["eval", str(out), "--out", str(tmp_path / "r"), "--timings", str(foreign)])
+    assert code == 2
+    assert f"{foreign}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_eval_of_an_empty_polytope_payload_is_a_validation_error(tmp_path, capsys):

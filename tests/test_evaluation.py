@@ -251,7 +251,7 @@ def test_summary_of_rta_run():
     report = build_report(trace, timings={"follower": binding.collector.durations})
     follower = report.agents["follower"]
     assert follower.usage.get("SAFETY", 0.0) > 0.0
-    assert follower.min_set_distance["unsafe1"] >= 0.0
+    assert follower.min_distance["unsafe1"] >= 0.0
     assert follower.timing.has_data
     assert sum(follower.usage.values()) == pytest.approx(100.0, abs=1e-9)
 
@@ -261,7 +261,7 @@ def test_summary_single_sample_has_no_data_fields():
     ego = report.agents["ego"]
     assert ego.usage == {}
     assert not ego.timing.has_data
-    assert ego.min_set_distance["ball"] == pytest.approx(3.0)
+    assert ego.min_distance["ball"] == pytest.approx(3.0)
 
 
 def test_report_of_empty_trace_raises_no_data():
@@ -434,20 +434,17 @@ def test_report_minima_equal_public_metrics_over_grid(dubins_run):
     meta = ScenarioMetadata.from_trace(trace)
     report = build_report(trace, meta)
     ts = trace.timestamps()
+    assert (report.times, report.set_ids) == (ts, list(trace.unsafe))
     for aid, r in report.agents.items():
-        others = [other for other in trace.rows if other != aid]
-        for targets, series, min_dist, min_ttc in (
-            (list(trace.unsafe), r.set_distances, r.min_set_distance, r.min_set_ttc),
-            (others, r.agent_distances, r.min_agent_distance, r.min_agent_ttc),
-        ):
-            assert list(series) == list(min_dist) == list(min_ttc) == targets
-            for target in targets:
-                want = distance_series(trace, aid, target, meta)
-                assert series[target] == want
-                assert min_dist[target] == min(v for _, v in want)
-                assert min_ttc[target] == min(
-                    ttc(trace, aid, target, t, meta) for t in ts
-                )
+        targets = [*trace.unsafe, *(other for other in trace.rows if other != aid)]
+        assert list(r.distances) == list(r.min_distance) == list(r.min_ttc) == targets
+        for target in targets:
+            want = distance_series(trace, aid, target, meta)
+            assert list(zip(report.times, r.distances[target])) == want
+            assert r.min_distance[target] == min(v for _, v in want)
+            assert r.min_ttc[target] == min(
+                ttc(trace, aid, target, t, meta) for t in ts
+            )
 
 
 @pytest.mark.parametrize("name", ["acc", "acc_sim_rta", "dubins", "gcas"])

@@ -266,6 +266,31 @@ def test_shipped_config_eval_outputs_are_byte_identical(name, tmp_path):
     assert eval_output_digest(trace, tmp_path / "report") == SHIPPED_EVAL_SHA256[name]
 
 
+# The eval output of every rtabench workload at seed 1: `Runner.workload_digest`
+# over each operation's `eval_output_digest`. It covers what the shipped
+# configs do not: the 5-agent formation's agent pairs and the anchored-ball
+# columns of the ACC sweep.
+WORKLOAD_EVAL_SHA256 = {
+    "acc-sweep": "fc02d80d59e035428c35d9e90cca597adf39029d21fa98c1fb075d6e4a8c9c1c",
+    "dubins-formation": "e16494194eb6728c6a9a443bb3c3ce497cd59788d2a1a6bbaa4be6b9c4467f37",
+    "gcas-ridge": "1d7617198ededee9f9b9c51dd0a0863c268266016f5e827ea9065ad33f90a328",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_EVAL_SHA256))
+def test_benchmark_workload_eval_outputs_are_byte_identical(workload, tmp_path):
+    """The eval output of every rtabench workload at seed 1, byte for byte.
+    Pinned on Python 3.11 with glibc 2.36."""
+    from rtabench import rounds, workloads
+
+    ops = workloads.WORKLOADS[workload](1)
+    runner = rounds.Runner(workload, ops, validator=None)
+    for name, doc in ops:
+        trace = execute(build_scenario(config_from_dict(doc)))
+        runner.digests[name] = eval_output_digest(trace, tmp_path / name)
+    assert runner.workload_digest() == WORKLOAD_EVAL_SHA256[workload]
+
+
 def test_timestamps_are_exact_grid_multiples():
     trace = execute(build_scenario(acc_scenario_config(dt=0.1, horizon=5.0)))
     ts = trace.timestamps()
