@@ -176,7 +176,7 @@ def _build_unsafe(entry: dict, index: int):
         raise ConfigError(f"{where}.definition{bad[0]}: expected a number, got {bad[1]!r}")
     try:
         base = set_from_payload(kind, definition)
-        if isinstance(base, Polytope):  # unchecked payload: rebuild with the emptiness LP
+        if isinstance(base, Polytope):  # unchecked payload: rebuild with the emptiness check
             base = Polytope(base.A, base.b)
     except GeometryError as exc:
         raise ConfigError(f"{where}.definition: {exc}") from exc

@@ -18,12 +18,13 @@ and must stay stable. Every operation here is a pure function of its inputs.
 
 Distance is closed-form for point, ball and hyperrectangle. For a polytope
 it is the distance to the nearest point, which `Polytope.project` finds
-exactly at every size: a batched active-set pass picks and certifies the
-active faces of the points outside, with one KKT solve per candidate set of
-faces, and a point at a degenerate contact (more than `dim` faces meeting,
-or a multiplier or slack within a margin of zero) takes its faces from one
-nonnegative least-squares solve. A payload with no feasible point raises
-GeometryError there.
+exactly at every size. One solver answers every polytope question: the dual
+active-set method of Goldfarb and Idnani (`_nearest_points`), batched over
+the points that share a set of active faces, finds the nearest point of
+{Ax <= b} to each query, and whether the program is feasible, within one
+tolerance, 1e-9 * (1 + max|b|). A polytope's emptiness check, its
+projection and its box test are three uses of it, so a payload with no
+feasible point raises GeometryError in `project`.
 
 Each set also gives its `reference()` point, the one `moved_to` places, and
 `entry_time(pos, vel)`, the first time a straight-line course enters it, in
@@ -35,14 +36,9 @@ Axis-aligned boxes (the reach boxes of ReachRta) are tested against every
 set kind by `box_intersects`. It is exact in closed form for point, ball and
 hyperrectangle. For a polytope it first tries two exact shortcuts (a row
 whose minimum over the box exceeds its offset; the box centre inside) and
-otherwise decides with a linear feasibility program. `box_distance` gives
-the box gap in closed form and has none for a polytope.
-
-scipy is imported inside `Polytope._feasible` (the emptiness and box LPs)
-and for the degenerate points of `Polytope.project` only, so a process whose
-sets hold no polytope never loads it, and neither does an eval whose
-polytope distances are all certified; importing scipy.optimize costs about
-half a second.
+otherwise projects the box centre onto the polytope cut by the box: the box
+meets the polytope if that program is feasible. `box_distance` gives the
+box gap in closed form and has none for a polytope.
 
 Membership and the box test take one query or a stack of them: `contains`
 takes a point (dim,) or points (n, dim) and answers whether the set holds
@@ -460,98 +456,121 @@ class Hyperrectangle(SetDef):
         return f"Hyperrectangle({self.lower.tolist()}, {self.upper.tolist()})"
 
 
-def _kkt_points(A: np.ndarray, face: np.ndarray, Q: np.ndarray, b: np.ndarray,
-                unique: bool = False):
+def _kkt_points(A: np.ndarray, face: np.ndarray, Q: np.ndarray, b: np.ndarray):
     """The projections x (n, dim) of the points Q (n, dim) onto the
-    hyperplanes of the faces `face` (a mask over the rows of A), row k
-    onto offsets b[k], and their multipliers (n, faces): one solve of the
-    faces' KKT system over all n points. Where the faces are dependent
-    (more than `dim` meet there, so their Gram matrix is singular) each
-    point takes the least-squares multipliers, or with `unique` the answer
-    is None."""
-    if unique and face.sum() > A.shape[1]:  # the solve may miss the singularity
-        return None
+    hyperplanes of the independent faces `face` (a mask over the rows of
+    A), row k onto offsets b[k], and their multipliers (n, faces): one
+    solve of the faces' KKT system over all n points."""
     rows = A[face]
     gram = rows @ rows.T
     rhs = np.matmul(rows, Q[:, :, None]) - b[:, face, None]
-    try:
-        lam = np.linalg.solve(np.broadcast_to(gram, (len(Q),) + gram.shape), rhs)
-    except np.linalg.LinAlgError:
-        if unique:
-            return None
-        lam = np.array([np.linalg.lstsq(gram, r[:, 0])[0] for r in rhs])[:, :, None]
+    lam = np.linalg.solve(np.broadcast_to(gram, (len(Q),) + gram.shape), rhs)
     return Q - np.matmul(rows.T, lam)[:, :, 0], lam[:, :, 0]
 
 
-def _active_set_pass(A: np.ndarray, Q: np.ndarray, b: np.ndarray, over: np.ndarray,
-                     tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projections of the points Q (n, dim), each outside {x : A x <= b[k]},
-    by a dual active-set method in the style of Goldfarb and Idnani (1983),
-    batched over the points that share a candidate set of faces.
+def _nearest_points(A: np.ndarray, Q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest point of {x : A x <= b[k]} to each point Q[k] (n, dim),
+    and whether row k's program is feasible, by the dual method of
+    Goldfarb and Idnani (1983) batched over the rows that share a set of
+    active faces.
 
-    Point k starts from the faces it violates, over[k] = A q - b[k] > 0, or
-    from the most violated one where they outnumber `dim`, and each round
-    solves the faces' KKT system (`_kkt_points`). Where a multiplier is not
-    positive it drops the face with the smallest one; otherwise, where an
-    inactive face is violated by more than tol[k], it adds the one with the
-    least slack, first dropping the smallest multiplier's face if `dim`
-    faces are active. A point is certified when every multiplier and every
-    other face's slack exceeds tol[k]: the optimum's faces are then unique,
-    so the least-distance NNLS returns them too, and the point keeps that
-    solve's x. A point at a KKT point within the margin (a degenerate
-    contact), whose faces outnumber `dim` or are dependent, or still moving
-    after 3 rounds per face, is not certified. Returns the projections, rows
-    not certified unset, and the mask of certified rows."""
-    dim = A.shape[1]
-    active = over > 0.0
-    many = np.flatnonzero(active.sum(axis=1) > dim)
-    active[many] = False
-    active[many, over[many].argmax(axis=1)] = True
-    X = np.empty_like(Q)
-    certified = np.zeros(len(Q), dtype=bool)
-    live = np.ones(len(Q), dtype=bool)
-    for _ in range(3 * len(A)):
+    Row k starts from its unconstrained minimum Q[k]: inside, it is done
+    and feasible; outside, its first full step adds its most violated face
+    with a nonzero normal. Each round, a row at the projection onto its
+    faces (`_kkt_points`, so its final point is that solve's) picks its
+    most violated face; a row with none is done and feasible. A row with a
+    face to add, picked now or before, steps towards it: the point moves
+    along the face's normal within the active faces' hyperplanes while the
+    multipliers move to keep the gradient balanced. A full step reaches
+    the face and adds it; a partial step stops where a multiplier reaches
+    zero, drops that face and keeps the face to add. A face whose normal
+    depends on the active faces' (so the point cannot move) and whose dual
+    direction has no positive component admits no step: the row is
+    infeasible if the face is violated by more than tol[k] =
+    1e-9 * (1 + max|b[k]|), and otherwise the face is waived until its
+    violation exceeds that. Every per-row product rounds as that row alone
+    does. Raises GeometryError after 3 rounds per face."""
+    n, m = Q.shape[0], A.shape[0]
+    tol = 1e-9 * (1.0 + np.abs(b).max(axis=1))
+    X = Q.copy()
+    lam = np.zeros((n, m))  # the multipliers of the active faces
+    over = np.matmul(Q[:, None, :], A.T)[:, 0, :] - b
+    feasible = ~(over > 0.0).any(axis=1)
+    live = ~feasible
+    # The first full step, to the most violated face with a nonzero normal.
+    steps = np.where(A.any(axis=1), over, -np.inf)
+    first = steps.argmax(axis=1)
+    out = np.flatnonzero(steps[np.arange(n), first] > 0.0)
+    active = np.zeros((n, m), dtype=bool)
+    active[out, first[out]] = True
+    waived = np.zeros((n, m), dtype=bool)
+    adding = np.full(n, -1)  # the face each row steps towards, -1 if it must pick one
+    for _ in range(3 * m):
         todo = np.flatnonzero(live)
         if not todo.size:
-            break
-        while todo.size:  # one KKT solve per distinct set of faces
+            return X, feasible
+        while todo.size:  # one group per set of active faces
             face = active[todo[0]].copy()
             same = (active[todo] == face).all(axis=1)
             ks, todo = todo[same], todo[~same]
-            solved = _kkt_points(A, face, Q[ks], b[ks], unique=True)
-            if solved is None:
-                live[ks] = False
-                continue
-            x, lam = solved
-            slack = np.where(face, np.inf, b[ks] - np.matmul(A, x[:, :, None])[:, :, 0])
-            least = slack.argmin(axis=1)
-            least_slack = slack[np.arange(len(ks)), least]
-            lam_min = lam.min(axis=1, initial=np.inf)
-            t = tol[ks]
-            drop = lam_min <= 0.0
-            add = ~drop & (least_slack < -t)
-            stop = ~drop & ~add  # a KKT point, up to the margin
-            sure = stop & (lam_min > t) & (least_slack > t)
-            X[ks[sure]] = x[sure]
-            certified[ks[sure]] = True
-            live[ks[stop]] = False
-            drop |= add & (face.sum() == dim)  # a full set makes room first
-            if drop.any():
-                active[ks[drop], np.flatnonzero(face)[lam[drop].argmin(axis=1)]] = False
-            active[ks[add], least[add]] = True
-    return X, certified
+            fi = np.flatnonzero(face)
+            pick = ks[adding[ks] < 0]
+            if pick.size:
+                X[pick], lam[pick[:, None], fi] = _kkt_points(A, face, Q[pick], b[pick])
+                over = np.matmul(X[pick][:, None, :], A.T)[:, 0, :] - b[pick]
+                over[(over <= np.where(waived[pick], tol[pick, None], 0.0)) | face] = -np.inf
+                adding[pick] = over.argmax(axis=1)
+                done = pick[over.max(axis=1) == -np.inf]
+                feasible[done] = True
+                live[done] = False
+                ks = ks[live[ks]]
+                if not ks.size:
+                    continue
+            p = adding[ks]
+            ap, rows = A[p], A[face]
+            gram = rows @ rows.T
+            r = np.linalg.solve(np.broadcast_to(gram, (len(ks),) + gram.shape),
+                                np.matmul(rows, ap[:, :, None]))[:, :, 0]
+            z = ap - np.matmul(rows.T, r[:, :, None])[:, :, 0]  # the primal direction
+            zz = row_dots(z, z)
+            # The point can move: the face's normal is not in the span of the active ones.
+            moves = (zz > 1e-20 * row_dots(ap, ap)) & (fi.size < A.shape[1])
+            over_p = row_dots(ap, X[ks]) - b[ks, p]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_full = np.where(moves, np.maximum(over_p, 0.0) / zz, np.inf)
+                ratio = np.where(r > 0.0, np.maximum(lam[ks[:, None], fi], 0.0) / r, np.inf)
+            t_part = ratio.min(axis=1, initial=np.inf)
+            t = np.minimum(t_full, t_part)
+            stuck = np.isinf(t)
+            live[ks[stuck & (over_p > tol[ks])]] = False
+            waived[ks[stuck], p[stuck]] = True
+            adding[ks[stuck]] = -1
+            go = ~stuck
+            ks, p, t, z, r, moves = ks[go], p[go], t[go], z[go], r[go], moves[go]
+            full = t_full[go] <= t_part[go]
+            X[ks] -= np.where(moves, t, 0.0)[:, None] * z
+            lam[ks[:, None], fi] -= t[:, None] * r
+            active[ks[full], p[full]] = True
+            adding[ks[full]] = -1
+            part = ~full
+            if part.any():
+                drop = fi[ratio[go][part].argmin(axis=1)]
+                active[ks[part], drop] = False
+    if live.any():
+        raise GeometryError(f"polytope active-set method did not settle in {3 * m} rounds")
+    return X, feasible
 
 
 class Polytope(SetDef):
     """Convex polytope {x : Ax <= b} in half-space form.
 
     The base definition is interpreted in the anchor frame: translating by t
-    maps b to b + A t. Nonemptiness is checked at construction with a linear
-    feasibility program.
+    maps b to b + A t. Nonemptiness is checked at construction, by
+    projecting the origin (`_nearest_points`): a polytope empty by more
+    than 1e-9 * (1 + max|b|) raises GeometryError.
 
-    Payloads read back from traces skip that check, so `project` checks its
-    answer: a point that violates Ax <= b beyond 1e-9 * (1 + max|b|)
-    raises GeometryError.
+    Payloads read back from traces skip that check, so `project` raises
+    GeometryError where its program is infeasible by the same test.
     """
 
     kind = "polytope"
@@ -573,24 +592,8 @@ class Polytope(SetDef):
         if not np.isfinite(self.A).all():
             raise GeometryError("constraint matrix must be finite")
         self.dim = self.A.shape[1]
-        if check_feasible and not self._feasible():
+        if check_feasible and not _nearest_points(self.A, np.zeros((1, self.dim)), self.b[None])[1][0]:
             raise GeometryError("polytope is empty: Ax <= b has no solution")
-
-    def _feasible(self, bounds=None) -> bool:
-        """Whether some x with Ax <= b lies within the per-axis bounds
-        (default: unbounded), by a HiGHS linear feasibility program."""
-        from scipy.optimize import linprog
-
-        res = linprog(
-            c=np.zeros(self.dim),
-            A_ub=self.A,
-            b_ub=self.b,
-            bounds=bounds if bounds is not None else [(None, None)] * self.dim,
-            method="highs",
-        )
-        if res.status not in (0, 2):  # neither feasible nor infeasible
-            raise GeometryError(f"polytope feasibility program failed: {res.message}")
-        return res.status == 0
 
     def contains(self, points) -> bool:
         P = self._queries(points, "point")
@@ -604,43 +607,15 @@ class Polytope(SetDef):
 
         The nearest point is the projection of p onto the hyperplanes of
         the faces active there, from the KKT system of those faces, solved
-        once for all points with the same active faces. A batched
-        active-set pass (`_active_set_pass`) finds and certifies the faces
-        of each point outside. A point it cannot certify, a degenerate
-        contact such as more than `dim` faces meeting, takes its faces from
-        least-distance programming (Lawson and Hanson, 1974, ch. 23): the
-        nonnegative least-squares problem min ||E u - e_{n+1}||, u >= 0,
-        with E = [-A^T; (A p - b)^T], has its positive multipliers on the
-        active faces. Only those points import scipy.
+        once for all points with the same active faces. The dual method of
+        `_nearest_points` finds each point's faces; a point inside keeps
+        no face and is its own projection.
         """
         P, one = self._measured(points, "a projection")
-        A = self.A
-        b = np.broadcast_to(self.b, (len(P), len(A)))  # row k's offsets
-        X = P.copy()
-        AP = np.matmul(P[:, None, :], A.T)[:, 0, :]
-        out = np.flatnonzero(~(AP <= b).all(axis=1))
-        if out.size:
-            Q, b = P[out], b[out]
-            tol = 1e-9 * (1.0 + np.abs(b).max(axis=1))
-            Y, certified = _active_set_pass(A, Q, b, AP[out] - b, tol)
-            rest = np.flatnonzero(~certified)
-            if rest.size:
-                from scipy.optimize import nnls
-
-                E = np.empty((len(rest), self.dim + 1, len(A)))  # each point's own matrix
-                E[:, :-1] = -A.T
-                E[:, -1] = np.matmul(A, Q[rest][:, :, None])[:, :, 0] - b[rest]
-                f = np.zeros(self.dim + 1)
-                f[-1] = 1.0
-                groups: dict[bytes, list[int]] = {}  # the points of each active set
-                for k, Ek in zip(rest, E):
-                    groups.setdefault((nnls(Ek, f)[0] > 0).tobytes(), []).append(k)
-                for key, ks in groups.items():
-                    Y[ks] = _kkt_points(A, np.frombuffer(key, dtype=bool), Q[ks], b[ks])[0]
-            if not (np.matmul(A, Y[:, :, None])[:, :, 0] <= b + tol[:, None]).all():
-                raise GeometryError("polytope projection found no feasible point; "
-                                    "Ax <= b may have no solution")
-            X[out] = Y
+        X, feasible = _nearest_points(self.A, P, np.broadcast_to(self.b, (len(P), len(self.A))))
+        if not feasible.all():
+            raise GeometryError("polytope projection found no feasible point; "
+                                "Ax <= b may have no solution")
         return X[0] if one else X
 
     def _stacks_with(self, other) -> bool:
@@ -652,7 +627,7 @@ class Polytope(SetDef):
         return _one_or_rows(row_norms(P - self.project(P)), one)
 
     def _at(self, ref) -> "Polytope":
-        # Translation of a nonempty polytope stays nonempty; no LP. A @ ref is
+        # Translation of a nonempty polytope stays nonempty; no check. A @ ref is
         # summed elementwise, not by a matrix product, so row k of a stack
         # rounds exactly as the set moved to reference k alone.
         return self._moved(ref, b=self.b + (self.A * ref[..., None, :]).sum(axis=-1))
@@ -678,17 +653,24 @@ class Polytope(SetDef):
         return _one_or_rows(_slab_entry_time(g, np.matmul(self.A, V[:, :, None])[:, :, 0]), one)
 
     def _meets_boxes(self, lo, hi) -> bool:
+        """Whether any box [lo[k], hi[k]] meets set k: two exact shortcuts,
+        then one batched program over the boxes they leave, each projecting
+        its centre onto {Ax <= b_k, lo[k] <= x <= hi[k]}."""
         A = self.A
         # A row whose minimum over a box exceeds its offset separates the two.
         row_min = (A * np.where(A > 0, lo[:, None, :], hi[:, None, :])).sum(axis=2)
         b = np.broadcast_to(self.b, row_min.shape)  # row k's offsets
         live = ~(row_min > b).any(axis=1)
+        if not live.any():
+            return False
         lo, hi, b = lo[live], hi[live], b[live]
-        if (((lo + hi) / 2.0) @ A.T <= b).all(axis=1).any():
+        centre = (lo + hi) / 2.0
+        if (centre @ A.T <= b).all(axis=1).any():
             return True
         # Box k's program runs on row k's offsets, which a stack of sets varies.
-        return any(Polytope(A, bk, check_feasible=False)._feasible(list(zip(l, h)))
-                   for l, h, bk in zip(lo, hi, b))
+        eye = np.eye(self.dim)
+        return bool(_nearest_points(np.vstack((A, eye, -eye)), centre,
+                                    np.hstack((b, hi, -lo)))[1].any())
 
     def __repr__(self):
         return f"Polytope(A={self.A.tolist()}, b={self.b.tolist()})"
@@ -882,8 +864,8 @@ def set_from_payload(kind: str, payload) -> SetDef:
         if len(cls._fields) == 1:
             return cls(payload)
         first, second = payload  # every other kind lists two fields
-        # No emptiness LP: a trace payload was checked when its set was built,
-        # and a config caller (config._build_unsafe) runs the check.
+        # No emptiness check: a trace payload was checked when its set was
+        # built, and a config caller (config._build_unsafe) runs the check.
         if cls is Polytope:
             return Polytope(first, second, check_feasible=False)
         return cls(first, second)
@@ -927,11 +909,11 @@ def box_intersects(set_def: SetDef, lower, upper) -> bool:
     Point, ball and hyperrectangle: the closed-form gap of `box_distance`
     is exactly zero. Polytope {Ax <= b}: disjoint if some row's minimum over
     the box, sum_i a_i * (lo_i if a_i > 0 else hi_i), exceeds b; touching if
-    the box centre satisfies Ax <= b; otherwise a linear feasibility program
-    (HiGHS) over Ax <= b with lo <= x <= hi decides, within the solver's
-    feasibility tolerance. On a stack the centre test runs on every box not
-    ruled out before any program does, so a stack never needs more programs
-    than testing its boxes one by one.
+    the box centre satisfies Ax <= b; otherwise the program Ax <= b with
+    lo <= x <= hi decides, feasible within 1e-9 * (1 + the largest |offset|
+    or |corner|). On a stack the centre test runs on every box not ruled out
+    before any program does, so a stack never needs more programs than
+    testing its boxes one by one.
     """
     lo, hi = _box_corners(set_def, lower, upper)
     return set_def._meets_boxes(lo, hi)

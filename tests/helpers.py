@@ -3,8 +3,9 @@ per-entry reference trace loader, a per-row reference evaluator, and a
 per-run column parse with the per-pair report built on it.
 
 The polytope distance oracle is a refining grid search (pure sampling,
-nothing shared with the projection solver under test); `ref_project` is the
-one-point-at-a-time projection that the stacked solver must equal bit for bit.
+nothing shared with the projection solver under test); `ref_project` is a
+one-point-at-a-time projection by NNLS, which the solver must equal bit for
+bit wherever `ref_faces_are_clear`, and to within rounding elsewhere.
 """
 from __future__ import annotations
 
@@ -395,16 +396,15 @@ def ref_distance(s, p) -> float:
     return float(np.linalg.norm(p - ref_project(s, p)))
 
 
-def ref_project(s, p) -> np.ndarray:
-    """Nearest point of one (unstacked) polytope to one point, one solve
-    at a time: membership, the NNLS active set, the KKT solve of the
-    active rows (lstsq where they are dependent), then the feasibility
-    guard."""
+def _ref_nnls_projection(s, p):
+    """Nearest point of one (unstacked) polytope to one point p outside
+    it, one solve at a time: the active faces from least-distance
+    programming (Lawson and Hanson, 1974, ch. 23), an NNLS independent of
+    rtakit's dual active-set method, then the KKT solve of those faces
+    (lstsq where they are dependent). Returns the point, the faces and
+    their multipliers."""
     from scipy.optimize import nnls
 
-    p = np.asarray(p, dtype=float)
-    if s.contains(p):
-        return p.copy()
     A, b = s.A, s.b
     E = np.vstack([-A.T, (A @ p - b)[None, :]])
     f = np.zeros(s.dim + 1)
@@ -417,11 +417,38 @@ def ref_project(s, p) -> np.ndarray:
         lam = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         lam = np.linalg.lstsq(gram, rhs)[0]
-    x = p - rows.T @ lam
-    if not (A @ x <= b + 1e-9 * (1.0 + float(np.max(np.abs(b))))).all():
+    return p - rows.T @ lam, active, lam
+
+
+def ref_project(s, p) -> np.ndarray:
+    """Nearest point of one (unstacked) polytope to one point, one solve
+    at a time: membership, `_ref_nnls_projection`, then the feasibility
+    guard."""
+    p = np.asarray(p, dtype=float)
+    if s.contains(p):
+        return p.copy()
+    x = _ref_nnls_projection(s, p)[0]
+    if not (s.A @ x <= s.b + 1e-9 * (1.0 + float(np.max(np.abs(s.b))))).all():
         raise GeometryError("polytope projection found no feasible point; "
                             "Ax <= b may have no solution")
     return x
+
+
+def ref_faces_are_clear(s, p) -> bool:
+    """Whether the reference's projection of p has unique faces with a
+    margin: p inside, or at most `dim` independent faces whose every
+    multiplier, and every other face's slack, exceeds 1e-9 * (1 + max|b|).
+    Any active-set method then picks those faces."""
+    p = np.asarray(p, dtype=float)
+    if s.contains(p):
+        return True
+    x, active, lam = _ref_nnls_projection(s, p)
+    rows = s.A[active]
+    if len(active) > s.dim or np.linalg.matrix_rank(rows) < len(active):
+        return False
+    margin = 1e-9 * (1.0 + float(np.max(np.abs(s.b))))
+    slack = np.delete(s.b - s.A @ x, active)
+    return lam.min(initial=np.inf) > margin and slack.min(initial=np.inf) > margin
 
 
 def ref_entry_time(s, pos, vel) -> float:

@@ -596,16 +596,25 @@ def test_eval_of_an_empty_polytope_payload_is_a_validation_error(tmp_path, capsy
     assert "polytope projection found no feasible point" in capsys.readouterr().err
 
 
-def test_run_of_a_config_with_an_empty_polytope_is_a_validation_error(tmp_path, capsys):
+# z <= 0 and z >= 1, and z <= -1e-8 and z >= 1e-8, empty by 2e-8: beyond the
+# 1e-9 * (1 + max|b|) tolerance that every polytope question shares. The slab
+# |z| <= 5e-11, 1e-10 thin, is not empty: it runs and is measured.
+@pytest.mark.parametrize("b, code", [([0, -1], 2), ([-1e-8, -1e-8], 2), ([5e-11, 5e-11], 0)],
+                         ids=["empty-by-1", "empty-by-2e-8", "1e-10-thin"])
+def test_run_of_a_config_with_an_empty_polytope_is_a_validation_error(tmp_path, capsys, b, code):
     doc = json.loads((CONFIGS / "gcas.json").read_text())
-    # z <= 0 and z >= 1: no point satisfies both
-    doc["unsafe_sets"].append({"id": "empty", "type": "polytope",
-                               "definition": [[[0, 0, 1], [0, 0, -1]], [0, -1]]})
+    doc["unsafe_sets"].append({"id": "slab", "type": "polytope",
+                               "definition": [[[0, 0, 1], [0, 0, -1]], b]})
     out = tmp_path / "t.json"
-    assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "unsafe_sets[1].definition" in err and "polytope is empty" in err
-    assert not out.exists()
+    assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == code
+    if code:
+        assert "unsafe_sets[1].definition: polytope is empty" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert main(["eval", str(out), "--out", str(tmp_path / "r")]) == 0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert all(0.0 < agent["min_distance_to_sets"]["slab"] < math.inf
+               for agent in summary["agents"].values())
 
 
 def test_run_rejects_a_horizon_shorter_than_a_step(tmp_path, capsys):

@@ -601,25 +601,6 @@ def test_report_equals_the_per_pair_reference(doc, tmp_path):
     assert_report_equals_the_per_pair_reference(trace, tmp_path)
 
 
-GCAS_DOCUMENTS = [p for p in every_document() if p.id == "gcas.json" or p.id.startswith("gcas-ridge-")]
-
-
-@pytest.mark.parametrize("doc", GCAS_DOCUMENTS)
-def test_gcas_reports_project_without_nnls(doc, monkeypatch):
-    """The ground and ridge distances of the aircraft traces are all
-    certified by the active-set pass, so none reaches the NNLS fallback."""
-    import scipy.optimize
-
-    def refuse(*args):
-        raise AssertionError("nnls called")
-
-    trace = ExecutionTrace.from_dict(json.loads(execute(build_scenario(config_from_dict(doc))).to_json()))
-    monkeypatch.setattr(scipy.optimize, "nnls", refuse)
-    agents = build_report(trace).to_dict()["agents"]
-    distances = [d for a in agents.values() for d in a["min_distance_to_sets"].values()]
-    assert distances and all(0.0 < d < math.inf for d in distances)
-
-
 def _agents_only_trace():
     """No sets, so every target is an agent and the workspace dimension
     comes from the metadata: `head` meets `ego` at sample 5 and `wing`

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import linprog, minimize
 
 from rtakit import (
@@ -21,6 +20,7 @@ from rtakit import (
     set_from_payload,
     update_relative,
 )
+from rtakit import geometry
 from rtakit.geometry import (
     SET_KINDS,
     _SET_CLASSES,
@@ -40,6 +40,7 @@ from helpers import (
     ref_column,
     ref_distance,
     ref_entry_time,
+    ref_faces_are_clear,
     ref_project,
 )
 
@@ -262,10 +263,25 @@ def test_rect_corners_of_different_lengths_name_both():
     assert not isinstance(err.value, DimensionMismatch)  # no point is involved
 
 
-def test_empty_polytope_rejected():
-    # x <= -1 and x >= 1 cannot both hold
-    with pytest.raises(GeometryError):
-        Polytope([[1.0], [-1.0]], [-1.0, -1.0])
+@pytest.mark.parametrize("b, distance", [
+    ([-1.0, -1.0], None),  # x <= -1 and x >= 1 cannot both hold
+    ([-1e-8, -1e-8], None),  # empty by 2e-8
+    ([5e-11, 5e-11], 5.0 - 5e-11),  # 1e-10 thin
+    ([-1e-10, -1e-10], 5.0 + 1e-10),  # empty by 2e-10, within the tolerance
+])
+def test_empty_polytope_rejected(b, distance):
+    # The emptiness check, the box test and the projection share one
+    # tolerance, 1e-9 * (1 + max|b|): a polytope beyond it is empty to all
+    # three, and one within it is built, meets a box and is measured.
+    payload = set_from_payload("polytope", [[[1.0], [-1.0]], b])  # skips the check
+    assert box_intersects(payload, [-1.0], [1.0]) == (distance is not None)
+    if distance is not None:
+        assert Polytope([[1.0], [-1.0]], b).distance([5.0]) == pytest.approx(distance, rel=0.0, abs=1e-15)
+        return
+    with pytest.raises(GeometryError, match="polytope is empty"):
+        Polytope([[1.0], [-1.0]], b)
+    with pytest.raises(GeometryError, match="no feasible point"):
+        payload.distance([5.0])
 
 
 def test_polytope_row_count_mismatch_rejected():
@@ -475,6 +491,56 @@ def test_polytope_box_test_agrees_with_lp_reference():
     assert outcomes == {True, False}
 
 
+def _lp_nonempty(A, b):
+    """Reference: is {Ax <= b} nonempty? One HiGHS program."""
+    res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b, bounds=[(None, None)] * A.shape[1],
+                  method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def _is_built(A, b):
+    try:
+        Polytope(A, b)
+    except GeometryError as exc:
+        assert "polytope is empty" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("A, b, nonempty", [
+    ([[0.0, 0.0]], [-1.0], False),  # a zero row with b < 0
+    ([[0.0, 0.0], [1.0, 0.0]], [0.0, 2.0], True),  # a zero row with b >= 0
+    ([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.5], False),  # opposite parallel half-spaces
+    ([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0], True),  # they meet in a line
+    ([[0.0, 3.0, -4.0]], [-7.0], True),  # a single unbounded row
+    ([[2.0]], [-3.0], True),  # 1-D
+    ([[2.0], [-1.0], [1.0]], [-3.0, 2.0, 5.0], True),
+    ([[2.0], [-1.0]], [-3.0, 1.0], False),
+])
+def test_polytope_emptiness_edge_cases(A, b, nonempty):
+    A, b = np.array(A), np.array(b)
+    assert _lp_nonempty(A, b) == nonempty
+    assert _is_built(A, b) == nonempty
+
+
+def test_polytope_emptiness_agrees_with_lp_reference():
+    rng = np.random.default_rng(2025)
+    outcomes = set()
+    for k in range(400):
+        dim, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        A = rng.normal(size=(m, dim))
+        if k % 4 == 1:  # opposite pairs
+            A = np.vstack([A, -A * rng.uniform(0.5, 2.0, size=(m, 1))])
+        if k % 4 == 2:
+            A[rng.integers(m)] = 0.0
+        b = rng.uniform(-2.0, 2.0, size=len(A))
+        want = _lp_nonempty(A, b)
+        assert _is_built(A, b) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 # -- projection: one exact path at every size ------------------------------------
 
 def _slsqp_projection(A, b, p):
@@ -553,10 +619,22 @@ def _projection_queries(rng, A, b, sets):
 
 
 def _assert_projects_as_one_at_a_time(s, P, sets):
-    want = np.array([ref_project(one, p) for one, p in zip(sets, P)])
-    assert s.project(P).tobytes() == want.tobytes()
-    dist = np.array([float(np.linalg.norm(p - x)) for p, x in zip(P, want)])
+    """The stack projects and measures each row bit for bit as that point
+    alone does, and as the NNLS reference does wherever the reference's
+    faces are clear of a degenerate contact. At a degenerate contact the
+    two methods may keep other faces of one point: within 1e-14 of it,
+    relative to 1 + max|b|."""
+    got = s.project(P)
+    alone = np.array([one.project(p) for one, p in zip(sets, P)])
+    assert got.tobytes() == alone.tobytes()
+    dist = np.array([float(np.linalg.norm(p - x)) for p, x in zip(P, alone)])
     assert s.distance(P).tobytes() == dist.tobytes()
+    for one, p, x in zip(sets, P, got):
+        want = ref_project(one, p)
+        if ref_faces_are_clear(one, p):
+            assert x.tobytes() == want.tobytes()
+        else:
+            assert np.abs(x - want).max() <= 1e-14 * (1.0 + np.abs(one.b).max())
     return dist
 
 
@@ -611,9 +689,8 @@ def _normal_cone_boundary_queries(rng, poly, n):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_projection_near_a_degenerate_contact_is_bit_identical_to_one_point_at_a_time(seed):
-    # The active-set certificate keeps a point only with every multiplier and
-    # every other slack clear of zero; anywhere closer the NNLS may pick other
-    # faces, and the point must take them as the one-point reference does.
+    # Within a margin of a multiplier or a slack at zero the faces are not
+    # unique: the dual method may keep other faces than the NNLS reference.
     rng = np.random.default_rng(700 + seed)
     for _ in range(10):
         dim, m = int(rng.integers(1, 4)), int(rng.integers(1, 41))
@@ -624,36 +701,24 @@ def test_projection_near_a_degenerate_contact_is_bit_identical_to_one_point_at_a
         _assert_projects_as_one_at_a_time(poly, P, [poly] * len(P))
 
 
-def test_stacked_projection_onto_faces_that_meet_at_one_point(monkeypatch):
-    calls, solved = [], []
-    lstsq, nnls = np.linalg.lstsq, scipy.optimize.nnls
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-    # Each NNLS call records its point's row A p - b, so the rows that miss
-    # the active-set certificate are named.
-    monkeypatch.setattr(scipy.optimize, "nnls", lambda E, f: solved.append(E[-1].tolist()) or nnls(E, f))
+def test_stacked_projection_onto_faces_that_meet_at_one_point():
     # Four faces meet at the pyramid's apex (0, 0, 2), more than the dimension.
     pyramid = Polytope([[2.0, 0.0, 1.0], [-2.0, 0.0, 1.0], [0.0, 2.0, 1.0],
                         [0.0, -2.0, 1.0], [0.0, 0.0, -1.0]], [2.0, 2.0, 2.0, 2.0, 0.0])
     P = np.array([[0.0, 0.0, 7.0], [0.0, 0.0, 3.5], [0.0, 0.0, 1.0], [0.0, 0.0, 12.0]])
     _assert_projects_as_one_at_a_time(pyramid, P, [pyramid] * len(P))
-    solved.clear()
-    assert pyramid.project(P)[[0, 1, 3]] == pytest.approx(np.tile([0.0, 0.0, 2.0], (3, 1)), abs=1e-12)
-    assert solved == [(pyramid.A @ p - pyramid.b).tolist() for p in P[[0, 1, 3]]]  # the apex rows
-    # Five faces cut the plane down to the origin; from (0, 6) the NNLS keeps
-    # three of them active, a singular Gram matrix: the per-row lstsq branch.
+    X = pyramid.project(P)
+    assert X[[0, 1, 3]] == pytest.approx(np.tile([0.0, 0.0, 2.0], (3, 1)), abs=1e-12)
+    assert X[2].tobytes() == P[2].tobytes()  # inside
+    # Five faces cut the plane down to the origin, and two pairs of them are
+    # opposite: every point outside projects onto the origin.
     cone = Polytope([[2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [0.0, -1.0], [-1.0, -1.0]],
                     [0.0] * 5)
     P = np.array([[0.0, 6.0], [3.0, 1.0], [0.0, 0.0], [0.0, 6.0], [-2.0, 5.0]])
-    calls.clear()
-    want = np.array([ref_project(cone, p) for p in P])
-    assert len(calls) == 2
-    calls.clear()
-    solved.clear()
-    assert cone.project(P).tobytes() == want.tobytes()
-    assert len(calls) == 2  # the two rows at (0, 6), one group
-    # Every point outside projects onto the origin, where all five faces meet.
-    assert solved == [(cone.A @ p - cone.b).tolist() for p in P[[0, 1, 3, 4]]]
-    assert want[0] == pytest.approx([0.0, 0.0], abs=1e-12)
+    _assert_projects_as_one_at_a_time(cone, P, [cone] * len(P))
+    X = cone.project(P)
+    assert X[[0, 1, 3, 4]] == pytest.approx(np.zeros((4, 2)), abs=1e-12)
+    assert X[2].tobytes() == P[2].tobytes()
 
 
 def test_projection_of_one_point_is_a_stack_of_one():
@@ -765,21 +830,21 @@ def test_box_intersects_on_a_stack_is_any_over_its_rows(s, boundary):
     assert outcomes == {True, False}
 
 
-def test_polytope_box_stack_runs_no_more_lps_than_box_by_box(monkeypatch):
-    lps = []
-    real = Polytope._feasible
-    monkeypatch.setattr(Polytope, "_feasible",
-                        lambda self, bounds=None: lps.append(bounds) or real(self, bounds))
+def test_polytope_box_stack_runs_no_more_box_programs_than_box_by_box(monkeypatch):
+    programs = []  # the boxes given to the solver, one program each
+    solve = geometry._nearest_points
+    monkeypatch.setattr(geometry, "_nearest_points",
+                        lambda A, Q, b: programs.append(len(Q)) or solve(A, Q, b))
     lp_only = ([-0.2, 1.05], [0.2, 1.5])  # disjoint; neither shortcut decides it
     centre_in = ([-0.1, -0.1], [0.1, 0.1])
     lo, hi = zip(lp_only, lp_only, centre_in)
     assert any(box_intersects(DIAMOND, l, h) for l, h in zip(lo, hi))
-    assert len(lps) == 2
-    lps.clear()
+    assert sum(programs) == 2
+    programs.clear()
     assert box_intersects(DIAMOND, lo, hi)
-    assert lps == []
+    assert programs == []
     assert not box_intersects(DIAMOND, lo[:2], hi[:2])
-    assert len(lps) == 2
+    assert programs == [2]  # both boxes in one batched call
 
 
 @pytest.mark.parametrize("s", [s for s, _ in STACK_SETS], ids=STACK_KINDS)

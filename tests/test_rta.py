@@ -550,3 +550,60 @@ def test_anchored_sets_resolve_for_executed_samples_only(name, monkeypatch):
                                                    for ego in egos for s in anchored)
     pred = forward_simulate(trace.prefix(0), scenario, 1.0, ego_id=egos[0])
     assert len(pred.times) > 1 and not pred.unsafe
+
+
+def _lp_box_margin(A, b, lo, hi) -> tuple[bool, float]:
+    """HiGHS's verdict on whether {Ax <= b} meets the box [lo, hi], and the
+    program's margin: the least over the box of max_i (a_i x - b_i) / |a_i|,
+    negative where the box reaches inside every row, as a distance."""
+    from scipy.optimize import linprog
+
+    feasible = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b, bounds=list(zip(lo, hi)),
+                       method="highs")
+    norms = np.linalg.norm(A, axis=1)
+    deepest = linprog(np.r_[np.zeros(A.shape[1]), 1.0], A_ub=np.c_[A, -norms], b_ub=b,
+                      bounds=[*zip(lo, hi), (None, None)], method="highs")
+    assert feasible.status in (0, 2) and deepest.status == 0, (feasible.message, deepest.message)
+    return feasible.status == 0, abs(deepest.fun)
+
+
+def test_every_box_program_the_configs_and_ridges_reach_has_highs_verdict(monkeypatch):
+    """Each box that ReachRta's shortcuts leave to the dual active-set
+    method, over the shipped configs and the gcas-ridge documents at seeds
+    1-10, gets HiGHS's verdict, and no program sits near the tolerance."""
+    from rtabench import workloads
+    from rtakit import geometry
+
+    programs, in_box_test = [], []
+    solve, meets = geometry._nearest_points, geometry.Polytope._meets_boxes
+
+    def recorded(A, Q, b):
+        X, feasible = solve(A, Q, b)
+        if in_box_test:
+            programs.extend((A, bk, ok) for bk, ok in zip(b, feasible))
+        return X, feasible
+
+    def box_test(self, lo, hi):
+        in_box_test.append(1)
+        try:
+            return meets(self, lo, hi)
+        finally:
+            in_box_test.pop()
+
+    monkeypatch.setattr(geometry, "_nearest_points", recorded)
+    monkeypatch.setattr(geometry.Polytope, "_meets_boxes", box_test)
+    docs = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))]
+    docs += [doc for seed in range(1, 11) for _, doc in workloads.gcas_ridge(seed)]
+    for doc in docs:
+        execute(build_scenario(config_from_dict(doc)))
+    verdicts, margins = set(), []
+    for A, b, ok in programs:
+        dim = A.shape[1]
+        m = len(A) - 2 * dim  # the polytope's rows, then x <= hi and -x <= -lo
+        want, margin = _lp_box_margin(A[:m], b[:m], -b[m + dim:], b[m:m + dim])
+        assert ok == want
+        verdicts.add(ok)
+        margins.append(margin)
+    print(f"{len(programs)} box programs, smallest margin {min(margins):.3g}")
+    assert verdicts == {True, False}
+    assert min(margins) > 1e-6

@@ -1,93 +1,65 @@
-"""Start-up cost: scipy loads only where a polytope needs it.
+"""rtakit runs without scipy: every polytope question is answered in numpy.
 
-scipy.optimize takes about half a second to import, which every short
-`rtakit run` / `rtakit eval` process would pay. The checks run in a fresh
-interpreter, because this test process has imported scipy already.
+A fresh interpreter, with scipy made unimportable, runs, evaluates and
+snapshots every shipped config and the aircraft ridge documents of the
+benchmark; its traces and reports must equal this process's byte for byte.
 """
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from rtakit.cli import main
+from rtabench import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Prints, one JSON line per stage, whether scipy is loaded after it.
-_STAGES = """
+# Prints one JSON line: per config, the exit codes of run, eval and snapshot.
+_WITHOUT_SCIPY = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from pathlib import Path
+from rtakit import cli
 out = sys.argv[1]
-
-def report(stage, code=None):
-    print(json.dumps([stage, code, "scipy" in sys.modules]), flush=True)
-
-import rtakit
-report("import rtakit")
-from rtakit import cli
-for name in ("acc_sim_rta", "dubins", "gcas"):
-    trace = f"{out}/{name}.json"
-    report(f"run {name}", cli.main(["run", "--config", f"configs/{name}.json", "--out", trace]))
-    report(f"eval {name}", cli.main(["eval", trace, "--out", f"{out}/{name}"]))
+codes = []
+for config in sys.argv[2:]:
+    trace = f"{out}/{Path(config).stem}.json"
+    codes.append([cli.main(["run", "--config", config, "--out", trace]),
+                  cli.main(["eval", trace, "--out", trace[:-len(".json")]]),
+                  cli.main(["snapshot", trace, "--time", "0.5"])])
+print(json.dumps(codes))
 """
 
 
-def _reports(outdir: Path):
-    """Files of an eval report, with the wall-clock decision timings dropped."""
-    files = {p.name: p.read_text() for p in outdir.iterdir() if p.name != "summary.txt"}
-    summary = json.loads(files.pop("summary.json"))
-    for agent in summary["agents"].values():
-        del agent["timing"]
-    return files, summary
+def _files(outdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
 
-def test_scipy_is_loaded_only_by_a_polytope_scenario(tmp_path):
+def test_run_eval_and_snapshot_need_no_scipy(tmp_path):
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    for seed in (1, 2):  # the ridge adds a four-row polytope to gcas's ground
+        for op, doc in workloads.gcas_ridge(seed):
+            configs.append(tmp_path / f"gcas-ridge-{seed}-{op}.json")
+            configs[-1].write_text(json.dumps(doc))
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _STAGES, str(tmp_path / "fresh")],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(fresh), *map(str, configs)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    stages = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert stages == [
-        ["import rtakit", None, False],
-        ["run acc_sim_rta", 0, False],
-        ["eval acc_sim_rta", 0, False],
-        ["run dubins", 0, False],
-        ["eval dubins", 0, False],
-        # gcas's ground is a polytope: the config check runs its emptiness LP
-        ["run gcas", 0, True],
-        ["eval gcas", 0, True],
-    ]
-    # A scipy loaded late reports as one loaded at start-up (this process).
-    trace = tmp_path / "gcas.json"
-    assert main(["run", "--config", str(ROOT / "configs/gcas.json"), "--out", str(trace)]) == 0
-    assert main(["eval", str(trace), "--out", str(tmp_path / "gcas")]) == 0
-    assert trace.read_bytes() == (tmp_path / "fresh/gcas.json").read_bytes()
-    assert _reports(tmp_path / "gcas") == _reports(tmp_path / "fresh/gcas")
-
-
-_RUN = """
-import sys
-from rtakit import cli
-sys.exit(cli.main(["run", "--config", "configs/gcas.json", "--out", sys.argv[1]]))
-"""
-
-_EVAL = """
-import json, sys
-from rtakit import cli
-code = cli.main(["eval", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([code, "scipy" in sys.modules]))
-"""
-
-
-def test_eval_of_a_polytope_trace_does_not_load_scipy(tmp_path):
-    # Every gcas ground distance is certified without NNLS, and a trace's
-    # payloads skip the emptiness LP, so eval alone never needs scipy.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    trace = tmp_path / "gcas.json"
-    for script, *args in ((_RUN, trace), (_EVAL, trace, tmp_path / "fresh")):
-        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
-    assert main(["eval", str(trace), "--out", str(tmp_path / "inproc")]) == 0
-    assert _reports(tmp_path / "fresh") == _reports(tmp_path / "inproc")
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0]] * len(configs), proc.stderr
+    for config in configs:
+        name = config.stem
+        trace = tmp_path / f"{name}.json"
+        assert main(["run", "--config", str(config), "--out", str(trace)]) == 0
+        assert trace.read_bytes() == (fresh / f"{name}.json").read_bytes(), name
+        # The fresh trace with its own timings file, so every report byte compares.
+        assert main(["eval", str(fresh / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+        assert _files(tmp_path / name) == _files(fresh / name), name
+        if name.startswith("gcas"):  # the ground and ridge distances are projections
+            summary = json.loads((fresh / name / "summary.json").read_text())
+            distances = [d for agent in summary["agents"].values()
+                         for d in agent["min_distance_to_sets"].values()]
+            assert distances and all(0.0 < d < math.inf for d in distances), name
