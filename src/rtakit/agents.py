@@ -19,7 +19,10 @@ State layout convention: the leading `position_dim` components are the
 workspace position, which unsafe sets, decisions and distance metrics read.
 A step's `state` is the trace's own row, a tuple of floats, and the view's
 two mappings are read-only: a step that assigns into either fails, as any
-step error does, naming the agent and t.
+step error does, naming the agent and t. A step returns the next state; the
+scenario stores a tuple as it is and any other sequence as a tuple of
+Python floats, so a step that returns a tuple returns floats in it. Every
+built-in step returns a tuple of Python floats.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from enum import Enum
+from numbers import Real
 from operator import add
 from typing import NamedTuple
 
@@ -60,16 +64,23 @@ _TWO_PI = 2.0 * math.pi
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]. `DubinsCarAgent._drive`, which car and
-    plane steps run, inlines this expression."""
+    plane steps run, and `DubinsPlaneAgent.step`, for the flight-path
+    angle, inline this expression."""
     w = (a + _PI) % _TWO_PI - _PI
     return _PI if w == -_PI else w
 
 
 def _check_finite(params) -> None:
+    """Store every numeric field of a frozen params dataclass as a Python
+    float, so that a step's arithmetic and clamps give floats, and reject a
+    non-finite one."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, (int, float)) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        if isinstance(value, Real):
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(params, f.name, value)
 
 
 def _point(values, what: str, dim: int) -> list[float]:
@@ -77,13 +88,6 @@ def _point(values, what: str, dim: int) -> list[float]:
     if len(out) != dim or not all(map(math.isfinite, out)):
         raise ValueError(f"{what} must be position_dim = {dim} finite numbers, got {out}")
     return out
-
-
-def _check_dt(dt: float) -> float:
-    dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    return dt
 
 
 class AgentModel:
@@ -103,7 +107,12 @@ class AgentModel:
             raise ValueError("agent id must be a nonempty string")
         self.agent_id = agent_id
 
-    def step(self, mode: Mode, state, dt: float, view: View) -> list[float]:
+    def step(self, mode: Mode, state, dt: float, view: View) -> tuple[float, ...]:
+        """The state one time step `dt` after `state` under `mode`, seen from
+        `view`, as `state_dim` numbers. The scenario keeps a returned tuple
+        as the trace's row as it is, so a tuple must hold Python floats; any
+        other sequence (a list, a NumPy array) is stored as a tuple of its
+        values converted to floats."""
         raise NotImplementedError
 
     def remember(self, memory, state):
@@ -201,18 +210,19 @@ class AccAgent(AgentModel):
             a = math.copysign(params.a_max, a)
         return a
 
-    def step(self, mode, state, dt, view) -> list[float]:
-        dt = float(dt)  # `_check_dt`, inlined
+    def step(self, mode, state, dt, view) -> tuple[float, ...]:
+        dt = float(dt)
         if dt <= 0.0:
             raise ValueError(f"time step must be positive, got {dt}")
-        a = self.command(mode, state, view)
+        # float(): an overridden `command` or `goal_state` may give NumPy numbers
+        a = float(self.command(mode, state, view))
         p, v = state
         v_max = self.params.v_max
         p_next = p + v * dt
         v_next = v + a * dt
         if abs(v_next) >= v_max:
             v_next = math.copysign(v_max, v_next)
-        return [p_next, v_next]
+        return (p_next, v_next)
 
 
 @dataclass(frozen=True)
@@ -303,10 +313,10 @@ class DubinsCarAgent(AgentModel):
         return None
 
     def _drive(self, params, mode, x, y, heading, speed, dt, view):
-        """One Euler step of [x, y, heading, speed], and the goal steered to
-        (or None): the heading turns toward the goal at k_heading times the
-        bearing error, the speed follows a proportional loop to the mode's
-        target speed.
+        """One Euler step of (x, y, heading, speed), a tuple of floats, and
+        the goal steered to (or None): the heading turns toward the goal at
+        k_heading times the bearing error, the speed follows a proportional
+        loop to the mode's target speed.
 
         Coasting NORMAL reads no goal. Only UNTRUSTED needs one: without a
         goal, SAFETY and tracking NORMAL hold their heading.
@@ -336,11 +346,13 @@ class DubinsCarAgent(AgentModel):
             v = 0.0
         elif v > params.v_max:
             v = params.v_max
-        return [x + speed * math.cos(heading) * dt, y + speed * math.sin(heading) * dt,
-                _PI if h == -_PI else h, v], goal
+        return (x + speed * math.cos(heading) * dt, y + speed * math.sin(heading) * dt,
+                _PI if h == -_PI else h, v), goal
 
-    def step(self, mode, state, dt, view) -> list[float]:
-        dt = _check_dt(dt)
+    def step(self, mode, state, dt, view) -> tuple[float, ...]:
+        dt = float(dt)
+        if dt <= 0.0:
+            raise ValueError(f"time step must be positive, got {dt}")
         x, y, heading, speed = state
         return self._drive(self.params, mode, x, y, heading, speed, dt, view)[0]
 
@@ -381,8 +393,10 @@ class DubinsPlaneAgent(DubinsCarAgent):
     state_dim = 6
     position_dim = 3
 
-    def step(self, mode, state, dt, view) -> list[float]:
-        dt = _check_dt(dt)
+    def step(self, mode, state, dt, view) -> tuple[float, ...]:
+        dt = float(dt)
+        if dt <= 0.0:
+            raise ValueError(f"time step must be positive, got {dt}")
         params = self.params
         x, y, z, heading, gamma, speed = state
         (x_next, y_next, heading_next, v_next), goal = self._drive(
@@ -396,6 +410,9 @@ class DubinsPlaneAgent(DubinsCarAgent):
             horizontal = math.hypot(goal[0] - x, goal[1] - y)
             raw = math.atan2(goal[2] - z, horizontal) if horizontal > 0 else 0.0
             target = min(max(raw, -params.gamma_max), params.gamma_max)
-        gamma_rate = params.k_gamma * wrap_angle(target - gamma)
-        return [x_next, y_next, z + speed * math.sin(gamma) * dt, heading_next,
-                wrap_angle(gamma + gamma_rate * dt), v_next]
+        # `wrap_angle`, inlined for the gamma error and for the new gamma
+        w = (target - gamma + _PI) % _TWO_PI - _PI
+        gamma_rate = params.k_gamma * (_PI if w == -_PI else w)
+        g = (gamma + gamma_rate * dt + _PI) % _TWO_PI - _PI
+        return (x_next, y_next, z + speed * math.sin(gamma) * dt, heading_next,
+                _PI if g == -_PI else g, v_next)

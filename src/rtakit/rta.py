@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import time
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def forward_simulate(trace: ExecutionTrace, scenario: Scenario, horizon: float,
         raise ValueError(
             f"prediction horizon {horizon} must be at least one time step {scenario.dt}"
         )
-    modes = {aid: scenario.current_mode(trace, aid) for aid in trace.rows}
+    modes = scenario.current_modes(trace)
     if ego_id not in modes:
         raise ValueError(f"ego agent {ego_id!r} missing from trace")
     modes[ego_id] = Mode.UNTRUSTED
@@ -161,8 +162,15 @@ class SimRta(RtaLogic):
 
 def _positions(pred: ExecutionTrace, agent_id: str, dim: int) -> np.ndarray:
     """(n, dim) workspace positions of an agent at every predicted step:
-    the leading `dim` components of its rows, read as one array."""
-    return np.array(pred.rows[agent_id])[:, :dim]
+    the leading `dim` components of its rows, read as one array in one
+    pass. `advance` holds every stepped row to the agent's `state_dim`, so
+    only the first row, the input trace's own, can be of another width."""
+    rows = pred.rows[agent_id]
+    n, width = len(rows), len(rows[-1])
+    if len(rows[0]) != width:
+        raise ValueError(f"agent {agent_id!r}: the current state has {len(rows[0])} "
+                         f"components, its predicted states {width}")
+    return np.fromiter(chain.from_iterable(rows), float, n * width).reshape(n, width)[:, :dim]
 
 
 def _check_finite_positions(pred: ExecutionTrace, agent_id: str, dim: int) -> None:

@@ -16,7 +16,10 @@ themselves fails, as any step error does, with a ScenarioRuntimeError
 naming the agent and t. So does a `remember` that raises, a step that
 returns the wrong number of components, checked on every step, and an
 executed step that returns a non-finite state, checked once per tick by
-`execute`. A non-finite predicted position that a
+`execute`. A step's result becomes the trace's row by one rule: a tuple is
+kept as it is, so a step that returns a tuple must return Python floats in
+it (every built-in step does), and any other sequence is converted to a
+tuple of floats. A non-finite predicted position that a
 decision's set test reads (the ego's, or an anchor's) fails that decision
 with an error naming the agent and the predicted time (see the rta module).
 
@@ -117,10 +120,14 @@ class Scenario:
             if spec.model.initial_memory is not None
         })
 
-    def current_mode(self, trace: ExecutionTrace, agent_id: str) -> Mode:
-        """Last decided mode, falling back to the configured initial mode."""
-        modes = trace.modes[agent_id]
-        return modes[-1] if modes else self.agents_by_id[agent_id].init_mode
+    def current_modes(self, trace: ExecutionTrace) -> dict[str, Mode]:
+        """Every agent's last decided mode in the trace, by agent id, falling
+        back to the configured initial mode, in one pass."""
+        agents = self.agents_by_id
+        modes = {}
+        for aid, column in trace.modes.items():
+            modes[aid] = column[-1] if column else agents[aid].init_mode
+        return modes
 
     def initial_trace(self) -> ExecutionTrace:
         trace = ExecutionTrace(self.agents_by_id,
@@ -191,7 +198,9 @@ class Scenario:
         next_states = {}
         for aid, model, state_dim in table:
             try:
-                nxt = tuple(map(float, model.step(modes[aid], states[aid], dt, view)))
+                nxt = model.step(modes[aid], states[aid], dt, view)
+                if type(nxt) is not tuple:
+                    nxt = tuple(map(float, nxt))
             except Exception as exc:
                 raise ScenarioRuntimeError(
                     f"agent {aid!r} step failed at t={k * dt:g}: {exc}"
@@ -328,8 +337,14 @@ def predict(scenario: Scenario, trace: ExecutionTrace,
     sets are in `scenario.static_sets`, and a set of `scenario.anchored` at
     predicted step k is `update_relative(spec, anchor position at k)`. Timestamps
     continue the k*dt grid. The input trace is not touched, apart from
-    extending its memory fold.
+    extending its memory fold. Raises ValueError, before any step, for a
+    negative `n_steps` or for `modes` without an agent of the scenario.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    agents = scenario.agents_by_id.keys()
+    if not agents <= modes.keys():
+        raise ValueError(f"no mode given for agents {sorted(agents - modes.keys())}")
     k0 = int(round(trace.times[-1] / scenario.dt))
     pred = trace.latest()
     pred.memory = (1, scenario.memory(trace))

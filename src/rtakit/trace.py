@@ -90,18 +90,20 @@ class ExecutionTrace:
         """Empty columns for the agents and for the sets, a kind by set id."""
         self.times: list[float] = []
         self.rows: dict[str, list[tuple[float, ...]]] = {}
+        self.modes: dict[str, list[Mode]] = {}
         for aid in agent_ids:
             if aid in self.rows:
                 raise ValueError(f"duplicate agent id {aid!r}")
             self.rows[aid] = []
-        self.modes: dict[str, list[Mode]] = {aid: [] for aid in self.rows}
+            self.modes[aid] = []
         self.kinds: dict[str, str] = dict(kinds or {})
+        self.unsafe: dict[str, list] = {}
         for sid, kind in self.kinds.items():
             if kind not in SET_KINDS:
                 raise ValueError(f"unknown set type {kind!r}")
             if sid in self.rows:
                 raise ValueError(f"unsafe set id {sid!r} is also an agent id")
-        self.unsafe: dict[str, list] = {sid: [] for sid in self.kinds}
+            self.unsafe[sid] = []
         # (samples folded, agent memory after them), kept by
         # `Scenario.memory`; in process only, never serialized.
         self.memory: tuple[int, Mapping[str, object]] | None = None
@@ -165,8 +167,10 @@ class ExecutionTrace:
         and no memory."""
         out = ExecutionTrace()
         out.times = self.times[-1:]
-        out.rows = {aid: rows[-1:] for aid, rows in self.rows.items()}
-        out.modes = {aid: [] for aid in self.rows}
+        rows, modes = out.rows, out.modes
+        for aid, column in self.rows.items():
+            rows[aid] = column[-1:]
+            modes[aid] = []
         return out
 
     # -- serialization ---------------------------------------------------

@@ -41,8 +41,8 @@ def test_acc_untrusted_bang_bang_step():
     agent = AccAgent("ego", AccParams(a_max=1.0), leader_id="leader")
     got = agent.step(Mode.UNTRUSTED, [0.0, 1.0], 0.1, leader_view())
     want = acc_euler_step(0.0, 1.0, -1.0, 0.1, agent.params.v_max)
-    assert got == [want[0], want[1]]
-    assert got == [0.1, 0.9]
+    assert got == (want[0], want[1])
+    assert got == (0.1, 0.9)
 
 
 def test_acc_safety_zero_error_coasts():
@@ -56,7 +56,7 @@ def test_acc_safety_zero_error_coasts():
 
 def test_acc_normal_constant_velocity():
     agent = AccAgent("ego")
-    assert agent.step(Mode.NORMAL, [5.0, 1.0], 0.1, leader_view()) == [5.1, 1.0]
+    assert agent.step(Mode.NORMAL, [5.0, 1.0], 0.1, leader_view()) == (5.1, 1.0)
 
 
 def test_acc_safety_is_fixed_point_of_relative_motion():
@@ -146,7 +146,7 @@ def test_car_nonfinite_wiring_rejected(wiring):
 def test_car_normal_straight_line():
     car = DubinsCarAgent("car")
     got = car.step(Mode.NORMAL, [0.0, 0.0, 0.0, 1.0], 0.1, View({"car": [0, 0, 0, 1]}, {}))
-    assert got == [0.1, 0.0, 0.0, 1.0]
+    assert got == (0.1, 0.0, 0.0, 1.0)
 
 
 def test_car_normal_along_y():
@@ -296,7 +296,7 @@ def test_plane_horizontal_step_is_the_car_step(nominal):
         for mode in Mode:
             p_next = plane.step(mode, p_state, 0.1, plane_view(p_state, "a", 0))
             c_next = car.step(mode, c_state, 0.1, View({"a": c_state}, {"a": 0}))
-            assert [p_next[0], p_next[1], p_next[3], p_next[5]] == c_next
+            assert (p_next[0], p_next[1], p_next[3], p_next[5]) == c_next
 
 
 class FixedGoalCar(DubinsCarAgent):
@@ -385,6 +385,101 @@ def test_an_overridden_acc_goal_state_or_command_is_what_the_agent_steers_by(cus
 
 
 # -- shared properties ---------------------------------------------------------
+
+class NumpyGoalAcc(AccAgent):
+    def goal_state(self, view):
+        return np.array([POST, 0.0])
+
+
+class NumpyCommandAcc(AccAgent):
+    def command(self, mode, state, view):
+        return np.float64(super().command(mode, state, view))
+
+
+class NumpyGoalCar(DubinsCarAgent):
+    def goal_position(self, view):
+        return np.array([6.0, 3.0])
+
+
+class NumpyGoalPlane(DubinsPlaneAgent):
+    def goal_position(self, view):
+        return np.array([6.0, 3.0, 12.0])
+
+
+INT_ACC = dict(k1=1, k2=2, a_max=16, v_max=20, follow_distance=10, collision_distance=7)
+INT_CAR = dict(k_heading=2, k_speed=1, v_max=3, v_cruise=2, v_safe=0, capture_radius=1)
+INT_PLANE = dict(INT_CAR, k_gamma=1, pitch_up=1, gamma_max=1, v_safe=1)
+
+# (agent, whether it has a goal, its leader's state, states to step from):
+# states at and beyond the speed clamps, at the goal, at rest and at -pi.
+STEPPING = [
+    *[(agent, goal, (5.0, 1.0),
+       [(0.0, 1.0), (-5.0, 1.0), (-100.0, 20.0), (100.0, -20.0), (0.0, 25.0)])
+      for agent, goal in [
+          (AccAgent("a", leader_id="leader"), True),
+          (AccAgent("a", AccParams(**INT_ACC), leader_id="leader"), True),
+          (AccAgent("a", AccParams(**INT_ACC)), False),
+          (NumpyGoalAcc("a", AccParams(**INT_ACC)), True),
+          (NumpyCommandAcc("a", AccParams(**INT_ACC), leader_id="leader"), True),
+      ]],
+    *[(agent, goal, (4.0, -2.0, 1.0, 2.0),
+       [(0.0, 0.0, 0.0, 1.0), (1.0, 2.0, -math.pi, 10.0), (0.0, 0.0, math.pi, 0.0),
+        (6.0, 3.0, 0.0, 3.0)])
+      for agent, goal in [
+          (DubinsCarAgent("a"), False),
+          (DubinsCarAgent("a", DubinsCarParams(**INT_CAR)), False),
+          (DubinsCarAgent("a", DubinsCarParams(**INT_CAR, nominal="track"),
+                          waypoints=[[6, 3]]), True),
+          (DubinsCarAgent("a", DubinsCarParams(**INT_CAR), leader_id="leader",
+                          formation_offset=[-1, 0]), True),
+          (NumpyGoalCar("a", DubinsCarParams(**INT_CAR, nominal="track")), True),
+      ]],
+    *[(agent, goal, (4.0, -2.0, 8.0, 0.5, 0.1, 2.0),
+       [(0.0, 0.0, 10.0, 0.0, 0.0, 1.0), (1.0, 2.0, -5.0, -math.pi, -math.pi, 10.0),
+        (6.0, 3.0, 12.0, 0.0, 1.5, 0.0), (0.0, 0.0, 100.0, 1.0, -1.5, 2.0)])
+      for agent, goal in [
+          (DubinsPlaneAgent("a"), False),
+          (DubinsPlaneAgent("a", DubinsPlaneParams(**INT_PLANE)), False),
+          (DubinsPlaneAgent("a", DubinsPlaneParams(**INT_PLANE, nominal="track"),
+                            waypoints=[[6, 3, 12]]), True),
+          (DubinsPlaneAgent("a", DubinsPlaneParams(**INT_PLANE), leader_id="leader"), True),
+          (NumpyGoalPlane("a", DubinsPlaneParams(**INT_PLANE, nominal="track")), True),
+      ]],
+]
+
+
+@pytest.mark.parametrize("agent, has_goal, leader, states", STEPPING,
+                         ids=[f"{type(a).__name__}-{k}" for k, (a, *_) in enumerate(STEPPING)])
+def test_built_in_steps_return_a_tuple_of_python_floats(agent, has_goal, leader, states):
+    """Every built-in step, in every mode it can run, returns a tuple of
+    Python floats, which `advance` keeps as the row as it is: with integer
+    params, at the speed clamps, and with an overridden goal or command
+    that gives NumPy numbers."""
+    runs = 0
+    for state in states:
+        view = View({"a": state, "leader": leader}, {"a": 0})
+        for mode in Mode:
+            if mode is Mode.UNTRUSTED and not has_goal:
+                continue
+            if mode is Mode.SAFETY and not has_goal and isinstance(agent, AccAgent):
+                continue
+            for dt in (0.1, 1.0):
+                got = agent.step(mode, state, dt, view)
+                assert type(got) is tuple and len(got) == agent.state_dim
+                assert [type(v) for v in got] == [float] * agent.state_dim, (mode, state, dt)
+                runs += 1
+    assert runs >= 2 * len(states) * (3 if has_goal else 1)
+
+
+@pytest.mark.parametrize("params_type, ints", [
+    (AccParams, INT_ACC), (DubinsCarParams, INT_CAR), (DubinsPlaneParams, INT_PLANE),
+])
+def test_params_store_every_number_as_a_float(params_type, ints):
+    params = params_type(**ints)
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        assert type(value) is (str if f.name == "nominal" else float), f.name
+    assert {name: getattr(params, name) for name in ints} == ints
 
 def test_steps_are_deterministic():
     view = leader_view()

@@ -87,7 +87,7 @@ def test_memory_folded_from_a_prefix_or_a_loaded_trace_is_the_live_memory(doc, t
     live = scenario.initial_trace()
     path = tmp_path / "trace.json"
     for k in range(scenario.n_steps):
-        modes = {aid: scenario.current_mode(live, aid) for aid in live.rows}
+        modes = scenario.current_modes(live)
         scenario.advance(live, modes, k)
         if k % 25 == 0 or k == scenario.n_steps - 1:
             memory = scenario.memory(live)

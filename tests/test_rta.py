@@ -11,8 +11,10 @@ from rtakit import rta
 from rtakit import (
     AccAgent,
     AccParams,
+    AgentModel,
     AgentSpec,
     Ball,
+    ExecutionTrace,
     Mode,
     ReachRta,
     RelativeSetSpec,
@@ -236,6 +238,36 @@ def test_forward_rejects_short_horizon_and_unknown_ego():
         forward_simulate(trace, scenario, 0.01, ego_id="follower")
     with pytest.raises(ValueError, match="ghost"):
         forward_simulate(trace, scenario, 1.0, ego_id="ghost")
+
+
+class Coaster(AgentModel):
+    """Coasts on its first two components and ignores any others."""
+
+    model_name = "coaster"
+    state_dim = 2
+    position_dim = 1
+
+    def step(self, mode, state, dt, view):
+        return (state[0] + state[1] * dt, state[1])
+
+
+@pytest.mark.parametrize("logic", [SimRta, ReachRta])
+def test_a_decision_from_a_row_of_another_width_names_the_agent(logic):
+    """A hand-made trace whose current row is wider than the model's state:
+    the predicted positions are not read off misaligned rows; the decision
+    fails naming the agent and both widths."""
+    binding = RtaBinding(logic(horizon=0.5))
+    config = ScenarioConfig(agents=[AgentSpec(Coaster("ego"), [0.0, 1.0], Mode.UNTRUSTED,
+                                              binding)],
+                            unsafe_sets=[StaticSetSpec("wall", Ball([10.0], 1.0))],
+                            dt=0.1, horizon=1.0, workspace_dim=1)
+    scenario = build_scenario(config)
+    trace = ExecutionTrace(["ego"], {"wall": "ball"})
+    trace.append_sample(0.0, {"ego": (0.0, 1.0, 5.0)}, None, scenario._payloads({}, 0.0))
+    with pytest.raises(RtaError, match="agent 'ego': the current state has 3 components, "
+                                       "its predicted states 2"):
+        binding.switch(trace)
+    assert binding.switch(scenario.initial_trace()) is Mode.UNTRUSTED
 
 
 # -- SimRta ---------------------------------------------------------------------

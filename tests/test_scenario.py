@@ -431,6 +431,31 @@ def test_prediction_from_a_trace_with_an_agent_the_scenario_lacks_names_the_agen
     assert len(trace.times) == 1
 
 
+def test_prediction_without_a_mode_for_every_agent_names_them():
+    """`predict` checks its modes before any step runs, so the error names
+    the agents without a mode and does not blame a step."""
+    scenario = build_scenario(parse_scenario_config(CONFIGS / "acc_sim_rta.json"))
+    trace = scenario.initial_trace()
+    before = trace.to_json()
+    with pytest.raises(ValueError, match=r"no mode given for agents \['leader'\]"):
+        predict(scenario, trace, {"follower": Mode.UNTRUSTED}, 3)
+    with pytest.raises(ValueError, match=r"no mode given for agents \['follower', 'leader'\]"):
+        predict(scenario, trace, {}, 0)
+    assert trace.to_json() == before
+    pred = predict(scenario, trace, {"follower": Mode.UNTRUSTED, "leader": Mode.NORMAL}, 3)
+    assert len(pred.times) == 4
+
+
+@pytest.mark.parametrize("n_steps", [-1, -5])
+def test_prediction_of_a_negative_step_count_raises(n_steps):
+    scenario = build_scenario(acc_scenario_config())
+    trace = scenario.initial_trace()
+    modes = dict.fromkeys(trace.rows, Mode.NORMAL)
+    with pytest.raises(ValueError, match=rf"n_steps must be nonnegative, got {n_steps}"):
+        predict(scenario, trace, modes, n_steps)
+    assert predict(scenario, trace, modes, 0).rows == trace.rows
+
+
 class Counter(AgentModel):
     """Moves by its speed each step and speeds up by one, so a state that
     starts on integers stays on them; `form` shapes what a step returns."""
@@ -468,9 +493,10 @@ def counter_run(form):
     np.array,
 ], ids=["ints", "numpy-float64", "tuple", "numpy-array"])
 def test_step_output_is_stored_as_a_tuple_of_floats(form):
-    """Whatever numbers a step returns are stored as Python floats, in
-    executed and predicted samples alike, and write the bytes a
-    float-returning step writes."""
+    """A step's result becomes a row by one rule, in executed and predicted
+    samples alike: a tuple (here of floats) is kept as it is, and any other
+    sequence, of ints or NumPy floats or a NumPy array, is stored as a tuple
+    of Python floats. Each writes the bytes a float-returning step writes."""
     trace, pred = counter_run(form)
     twin, twin_pred = counter_run(lambda xs: [float(x) for x in xs])
     for rows in (trace.rows["c"], pred.rows["c"]):
@@ -478,6 +504,23 @@ def test_step_output_is_stored_as_a_tuple_of_floats(form):
     assert trace.to_json() == twin.to_json()
     assert pred.rows == twin_pred.rows
     assert pred.rows["c"][-1] == (28.0, 8.0)
+
+
+def test_a_returned_tuple_is_the_row_itself():
+    """`advance` keeps a tuple a step returns as the row, the same object,
+    in executed and predicted samples; a list is converted."""
+    returned = []
+
+    def keep(xs):
+        returned.append(tuple(xs))
+        return returned[-1]
+
+    trace, pred = counter_run(keep)
+    kept = set(map(id, returned))  # `returned` keeps every id in use
+    for rows in (trace.rows["c"], pred.rows["c"]):
+        assert all(id(row) in kept for row in rows[1:])
+    listed, _ = counter_run(list)
+    assert listed.rows == trace.rows
 
 
 @pytest.mark.parametrize("mutate", [
