@@ -122,15 +122,6 @@ class AgentModel:
         keeping memory means."""
         return memory
 
-    def _leader_state(self, view: View) -> tuple[float, ...]:
-        """Pre-step state of the agent named by `leader_id`."""
-        state = view.states.get(self.leader_id)
-        if state is None:
-            raise ValueError(
-                f"agent {self.agent_id!r}: leader {self.leader_id!r} missing from the view"
-            )
-        return state
-
 
 @dataclass(frozen=True)
 class AccParams:
@@ -185,7 +176,7 @@ class AccAgent(AgentModel):
         leader = self.leader_id
         if leader is None:
             return None
-        lead = view.states.get(leader)  # `_leader_state`, inlined
+        lead = view.states.get(leader)
         if lead is None:
             raise ValueError(f"agent {self.agent_id!r}: leader {leader!r} missing from the view")
         return [lead[0] - self.params.follow_distance, lead[1]]
@@ -303,8 +294,11 @@ class DubinsCarAgent(AgentModel):
         return memory
 
     def goal_position(self, view: View) -> list[float] | None:
-        if self.leader_id is not None:
-            lead = self._leader_state(view)
+        leader = self.leader_id
+        if leader is not None:
+            if (lead := view.states.get(leader)) is None:
+                raise ValueError(f"agent {self.agent_id!r}: leader {leader!r} missing "
+                                 f"from the view")
             if self.formation_offset is None:
                 return list(lead[:self.position_dim])
             return list(map(add, lead, self.formation_offset))

@@ -12,9 +12,10 @@ distance queries, can be translated, and serializes to a compact payload:
 Each class's `_fields` is its row of this table: the payload's fields in
 order, named as its constructor's leading parameters, each with how deep its
 numbers nest (0 a number, 1 a list, 2 a list of lists); a payload of one
-field is that field bare. `payload`, `set_from_payload` and `parse_column`
-read the layout there. It is a wire contract shared with the trace format
-and must stay stable. Every operation here is a pure function of its inputs.
+field is that field bare. `payload`, `row_payloads` (of a stack),
+`set_from_payload` and `parse_column` read the layout there. It is a wire
+contract shared with the trace format and must stay stable. Every operation
+here is a pure function of its inputs.
 
 Distance is closed-form for point, ball and hyperrectangle. For a polytope
 it is the distance to the nearest point, which `Polytope.project` finds
@@ -269,9 +270,18 @@ class SetDef:
     def payload(self):
         """Serializable definition payload (see module docstring)."""
         self._one("a payload")
-        out = [getattr(self, name).tolist() if depth else getattr(self, name)
-               for name, depth in self._fields]
-        return out if len(out) > 1 else out[0]
+        return self.row_payloads()[0]
+
+    def row_payloads(self) -> list:
+        """The payload of each set of a stack (one set: a list of one). A
+        field the rows share (a polytope's A) is one object in every row."""
+        n = 1 if self.rows is None else self.rows
+        columns = []
+        for name, depth in self._fields:
+            value = getattr(self, name)
+            shared = np.ndim(value) == depth  # not one entry per row
+            columns.append([value.tolist() if depth else value] * n if shared else value.tolist())
+        return columns[0] if len(columns) == 1 else list(map(list, zip(*columns)))
 
     def _one(self, what: str) -> None:
         if self.rows is not None:

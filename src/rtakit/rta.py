@@ -13,14 +13,11 @@ returns. Two reference logics ship with the package:
               relative to SimRta by construction.
 
 Both test each unsafe set once per decision, over the whole predicted
-horizon, in config order, and read no set payload from a trace. A static
-set is the definition the bound scenario built (`Scenario.static_sets`). A
-set of `Scenario.anchored` is its base set moved along its anchor's
-predicted positions, a row-aligned stack (see the geometry module):
-predicted step k of the ego is tested against the set where the anchor is
-at step k. A set anchored to the ego itself is skipped, since the ego is
-always at its own set: a leader that carries a ball for its followers is
-not held in SAFETY by that ball.
+horizon, in config order, as `Scenario.unsafe_along` resolves it along the
+prediction: predicted step k of the ego is tested against the set where
+its anchor is at step k. A set anchored to the ego itself is skipped, since
+the ego is always at its own set: a leader that carries a ball for its
+followers is not held in SAFETY by that ball.
 
 The prediction is the closed loop's own rollout (`scenario.predict`): every
 agent steps from the same view and memory as it would in execution, so a
@@ -37,15 +34,13 @@ from __future__ import annotations
 import math
 import time
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .agents import Mode
 from .evaluation import Collector
-from . import geometry
 from .geometry import GeometryError, box_intersects
-from .scenario import Scenario, grid_steps, predict
+from .scenario import Scenario, grid_steps, positions, predict
 from .trace import ExecutionTrace
 
 
@@ -82,23 +77,18 @@ class RtaLogic:
         raise NotImplementedError
 
     def _enters_unsafe(self, pred: ExecutionTrace, hits) -> bool:
-        """Whether `hits(set_def)` holds for some unsafe set, each tested once
-        over the whole predicted horizon: a static set as the scenario built
-        it, an anchored set as a stack of one set per predicted step, moved
-        along the anchor's predicted positions. A set anchored to the ego is
-        skipped. The set test rejects a non-finite position; the error then
-        names the agent, the ego or the anchor, and the predicted time."""
+        """Whether `hits(set_def)` holds for some unsafe set not anchored to
+        the ego, each resolved once along the whole prediction. The set test
+        rejects a non-finite position; the error then names the agent, the
+        ego or the anchor, and the predicted time."""
         scenario = self.scenario
         dim = scenario.workspace_dim
         for spec in scenario.config.unsafe_sets:
-            set_def = scenario.static_sets.get(spec.set_id)
-            anchor = spec.anchor_id if set_def is None else None
+            anchor = getattr(spec, "anchor_id", None)
             if anchor == self.ego_id:
                 continue
             try:
-                if anchor is not None:
-                    set_def = geometry.update_relative(spec, _positions(pred, anchor, dim))
-                if hits(set_def):
+                if hits(scenario.unsafe_along(spec.set_id, pred)):
                     return True
             except GeometryError:
                 for aid in (self.ego_id, anchor):
@@ -154,23 +144,10 @@ class SimRta(RtaLogic):
 
     def decide(self, trace: ExecutionTrace) -> Mode:
         pred = forward_simulate(trace, self.scenario, self.horizon, ego_id=self.ego_id)
-        positions = _positions(pred, self.ego_id, self.scenario.workspace_dim)
-        if self._enters_unsafe(pred, lambda s: s.contains(positions)):
+        ego = positions(pred, self.ego_id, self.scenario.workspace_dim)
+        if self._enters_unsafe(pred, lambda s: s.contains(ego)):
             return Mode.SAFETY
         return Mode.UNTRUSTED
-
-
-def _positions(pred: ExecutionTrace, agent_id: str, dim: int) -> np.ndarray:
-    """(n, dim) workspace positions of an agent at every predicted step:
-    the leading `dim` components of its rows, read as one array in one
-    pass. `advance` holds every stepped row to the agent's `state_dim`, so
-    only the first row, the input trace's own, can be of another width."""
-    rows = pred.rows[agent_id]
-    n, width = len(rows), len(rows[-1])
-    if len(rows[0]) != width:
-        raise ValueError(f"agent {agent_id!r}: the current state has {len(rows[0])} "
-                         f"components, its predicted states {width}")
-    return np.fromiter(chain.from_iterable(rows), float, n * width).reshape(n, width)[:, :dim]
 
 
 def _check_finite_positions(pred: ExecutionTrace, agent_id: str, dim: int) -> None:
@@ -188,7 +165,7 @@ def boxes_from_prediction(pred: ExecutionTrace, ego_id: str, dim: int, bloat_rat
     around the nominal predicted positions; the per-axis inflation at
     predicted step k (k = 0 is the current state) is bloat_rate * k * dt,
     rounded as that scalar product is."""
-    pos = _positions(pred, ego_id, dim)
+    pos = positions(pred, ego_id, dim)
     r = _reach_radii(bloat_rate, len(pos), dt)
     return pos - r, pos + r
 

@@ -6,8 +6,8 @@ ExecutionTrace on the exact grid t_k = k*dt, k = 0..floor(T/dt):
 
     per tick: all RTA decisions are computed from the same pre-step trace,
     then every agent steps from one view of that tick (every agent's state
-    and memory), then relative unsafe sets are re-resolved against the new
-    anchor states, then the tick is appended as one sample.
+    and memory), then the tick is appended as one sample; when the last
+    tick is in, every unsafe set's column is attached.
 
 The view holds the trace's own rows, which are immutable tuples (see the
 trace module), in read-only mappings: a step that writes into its `state`,
@@ -24,27 +24,25 @@ decision's set test reads (the ego's, or an anchor's) fails that decision
 with an error naming the agent and the predicted time (see the rta module).
 
 Execution and prediction are one rollout: `advance` is the only step of
-either. A sample with set payloads goes through
-`ExecutionTrace.append_sample`; a sample of a trace without sets, as every
-prediction is, `advance` appends to the trace's columns itself, under the
-same agent-key check, so that a rollout step runs in one Python frame
-besides the agents' steps. An agent's memory (see the agents module) is
-the fold of its `remember` over the trace's recorded rows. The fold is kept on the trace in
-process only, never in the wire format, and is extended by the rows added
-since it was last taken, so a trace built by `advance`, loaded from a file,
-built by hand or cut by `prefix` gets the same memory.
+either, and appends every sample to the trace's columns itself, under
+`append_sample`'s agent-key check, so that a rollout step runs in one
+Python frame besides the agents' steps. An agent's memory (see the agents
+module) is the fold of its `remember` over the trace's recorded rows. The
+fold is kept on the trace in process only, never in the wire format, and
+is extended by the rows added since it was last taken, so a trace built by
+`advance`, loaded from a file, built by hand or cut by `prefix` gets the
+same memory.
 
-A prediction holds agent states and memory only, no unsafe set, so a set
-payload is resolved only for an executed sample. An executed trace records
-every set. `Scenario` splits the sets once, when it is built: a static set's
-definition goes to `Scenario.static_sets`, an anchored set's spec to
-`Scenario.anchored`. Decisions read the first and move the second along its
-anchor's predicted states (see the rta module).
+A rollout holds agent states and memory only. `Scenario` splits the sets
+when it is built, into `static_sets` (definitions) and `anchored` (specs),
+and `Scenario.unsafe_along` resolves one along any trace. Decisions call
+it on predictions (see the rta module); `execute` calls it on its own
+trace, to attach each set's payload column.
 
 The engine is single-threaded and owns its trace during execution. A static
-set's payload is built once per scenario and appended to every sample of
-every executed trace, so payloads in a trace must not be mutated; apart
-from them, distinct executions share nothing.
+set's payload is built once per execution and shared by every sample of
+the trace, so payloads in a trace must not be mutated; apart from them,
+distinct executions share nothing.
 """
 from __future__ import annotations
 
@@ -52,7 +50,10 @@ import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
+
+import numpy as np
 
 from .agents import AgentModel, Mode, View
 from .geometry import GeometryError, RelativeSetSpec, SetDef, update_relative
@@ -103,15 +104,9 @@ class Scenario:
         self.workspace_dim = int(config.workspace_dim)
         self.agents_by_id = {spec.model.agent_id: spec for spec in config.agents}
         self.n_steps = grid_steps(float(config.horizon), self.dt)
-        self.static_sets: dict[str, SetDef] = {}
-        self.anchored: dict[str, RelativeSetSpec] = {}
-        for s in config.unsafe_sets:
-            if isinstance(s, RelativeSetSpec):
-                self.anchored[s.set_id] = s
-            else:
-                self.static_sets[s.set_id] = s.base
-        # A static set's payload never changes, so every sample shares one.
-        self._static_payloads = {sid: s.payload() for sid, s in self.static_sets.items()}
+        sets = config.unsafe_sets
+        self.anchored = {s.set_id: s for s in sets if isinstance(s, RelativeSetSpec)}
+        self.static_sets = {s.set_id: s.base for s in sets if s.set_id not in self.anchored}
         # What `advance` reads of each agent, in stepping order.
         self._table = [(spec.model.agent_id, spec.model, spec.model.state_dim)
                        for spec in config.agents]
@@ -130,27 +125,19 @@ class Scenario:
         return modes
 
     def initial_trace(self) -> ExecutionTrace:
-        trace = ExecutionTrace(self.agents_by_id,
-                               {s.set_id: s.base.kind for s in self.config.unsafe_sets})
-        states = {aid: spec.init_state for aid, spec in self.agents_by_id.items()}
-        trace.append_sample(0.0, states, None, self._payloads(states, 0.0))
+        """Every agent's initial sample, and no set (see `execute`)."""
+        trace = ExecutionTrace(self.agents_by_id)
+        trace.append_sample(0.0, {aid: spec.init_state for aid, spec in self.agents_by_id.items()})
         return trace
 
-    def _payloads(self, states: dict, t: float) -> dict:
-        """The payload of every unsafe set at t, an anchored set resolved
-        against `states`."""
-        payloads = dict(self._static_payloads)
-        for sid, uspec in self.anchored.items():
-            anchor = uspec.anchor_id
-            try:
-                moved = update_relative(uspec, states[anchor][:self.workspace_dim])
-            except GeometryError as exc:
-                raise ScenarioRuntimeError(
-                    f"unsafe set {sid!r} anchored to agent {anchor!r} failed to "
-                    f"resolve at t={t:g}: {exc}"
-                ) from exc
-            payloads[sid] = moved.payload()
-        return payloads
+    def unsafe_along(self, set_id: str, trace: ExecutionTrace) -> SetDef:
+        """The unsafe set along the trace: a static set as built; an
+        anchored set as the row-aligned stack of its base moved to the
+        anchor's position at each sample, row k at sample k."""
+        spec = self.anchored.get(set_id)
+        if spec is None:
+            return self.static_sets[set_id]
+        return update_relative(spec, positions(trace, spec.anchor_id, self.workspace_dim))
 
     def memory(self, trace: ExecutionTrace) -> Mapping[str, object]:
         """The memory of every agent that keeps one (its model's
@@ -180,11 +167,9 @@ class Scenario:
 
     def advance(self, trace: ExecutionTrace, modes: dict[str, Mode], k: int) -> None:
         """One tick from sample k: step all agents from one view of the
-        pre-step sample, then append their states, their modes and the
-        payloads of the unsafe sets the trace holds, re-resolved, as one
-        sample. A trace without sets (a prediction) gets its sample here,
-        under `append_sample`'s agent-key check and message; while no agent
-        keeps memory, no memory fold runs."""
+        pre-step sample, then append their states and modes as one sample,
+        under `append_sample`'s agent-key check and message. `modes`
+        without an agent raises `predict`'s ValueError, appending nothing."""
         rows = trace.rows
         table = self._table
         states = {}
@@ -196,33 +181,46 @@ class Scenario:
         view = _new_tuple(View, (MappingProxyType(states), memory))
         dt = self.dt
         next_states = {}
-        for aid, model, state_dim in table:
-            try:
-                nxt = model.step(modes[aid], states[aid], dt, view)
-                if type(nxt) is not tuple:
-                    nxt = tuple(map(float, nxt))
-            except Exception as exc:
-                raise ScenarioRuntimeError(
-                    f"agent {aid!r} step failed at t={k * dt:g}: {exc}"
-                ) from exc
-            if len(nxt) != state_dim:
-                raise ScenarioRuntimeError(
-                    f"agent {aid!r} step at t={k * dt:g} returned {len(nxt)} components, "
-                    f"expected {state_dim}"
-                )
-            next_states[aid] = nxt
-        t_next = (k + 1) * dt
-        if trace.unsafe:
-            trace.append_sample(t_next, next_states, modes, self._payloads(next_states, t_next))
-            return
+        try:
+            for aid, model, state_dim in table:
+                mode = modes[aid]
+                try:
+                    nxt = model.step(mode, states[aid], dt, view)
+                    if type(nxt) is not tuple:
+                        nxt = tuple(map(float, nxt))
+                except Exception as exc:
+                    raise ScenarioRuntimeError(
+                        f"agent {aid!r} step failed at t={k * dt:g}: {exc}"
+                    ) from exc
+                if len(nxt) != state_dim:
+                    raise ScenarioRuntimeError(
+                        f"agent {aid!r} step at t={k * dt:g} returned {len(nxt)} components, "
+                        f"expected {state_dim}"
+                    )
+                next_states[aid] = nxt
+        except KeyError:  # only the mode lookup can raise it here
+            raise ValueError(f"no mode given for agents "
+                             f"{sorted(self.agents_by_id.keys() - modes.keys())}") from None
         if next_states.keys() != rows.keys():
             raise ValueError(f"sample has states for {sorted(next_states)}, "
                              f"trace holds agents {sorted(rows)}")
-        trace.times.append(t_next)
+        trace.times.append((k + 1) * dt)
         for aid, column in rows.items():
             column.append(next_states[aid])
         for aid, column in trace.modes.items():
             column.append(modes[aid])
+
+
+def positions(trace: ExecutionTrace, agent_id: str, dim: int) -> np.ndarray:
+    """(n, dim) positions of an agent at every sample, read as one array.
+    `advance` holds every stepped row to the agent's `state_dim`, so only
+    the first row, a prediction's current state, can be of another width."""
+    rows = trace.rows[agent_id]
+    n, width = len(rows), len(rows[-1])
+    if len(rows[0]) != width:
+        raise ValueError(f"agent {agent_id!r}: the current state has {len(rows[0])} "
+                         f"components, its predicted states {width}")
+    return np.fromiter(chain.from_iterable(rows), float, n * width).reshape(n, width)[:, :dim]
 
 
 def grid_steps(horizon: float, dt: float) -> int:
@@ -307,7 +305,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
 
 def execute(scenario: Scenario) -> ExecutionTrace:
-    """Run the closed loop over [0, T] and return the complete trace."""
+    """Run the closed loop over [0, T] and return the complete trace; the
+    set columns, in config order, are attached when the loop ends."""
     trace = scenario.initial_trace()
     for k in range(scenario.n_steps):
         modes = {}
@@ -324,7 +323,29 @@ def execute(scenario: Scenario) -> ExecutionTrace:
                     f"agent {aid!r} step at t={k * scenario.dt:g} returned a non-finite "
                     f"state {list(rows[-1])}"
                 )
+    for spec in scenario.config.unsafe_sets:
+        trace.kinds[spec.set_id] = spec.base.kind
+        trace.unsafe[spec.set_id] = _set_column(scenario, spec, trace)
     return trace
+
+
+def _set_column(scenario: Scenario, spec, trace: ExecutionTrace) -> list:
+    """The set's payload at every sample; a stack that fails to resolve is
+    resolved again sample by sample, to name the first that fails."""
+    try:
+        set_def = scenario.unsafe_along(spec.set_id, trace)
+    except GeometryError:
+        for t, row in zip(trace.times, trace.rows[spec.anchor_id]):
+            try:
+                update_relative(spec, row[:scenario.workspace_dim])
+            except GeometryError as exc:
+                raise ScenarioRuntimeError(
+                    f"unsafe set {spec.set_id!r} anchored to agent {spec.anchor_id!r} "
+                    f"failed to resolve at t={t:g}: {exc}"
+                ) from exc
+        raise
+    # A static set is one set, whose one payload every sample shares.
+    return set_def.row_payloads() if set_def.rows else [set_def.payload()] * len(trace.times)
 
 
 def predict(scenario: Scenario, trace: ExecutionTrace,
@@ -333,12 +354,10 @@ def predict(scenario: Scenario, trace: ExecutionTrace,
 
     Returns a fresh trace of agent states whose first sample is the current
     one (its rows shared with `trace`; rows are immutable), with the agents'
-    memory at that sample and no unsafe set: static
-    sets are in `scenario.static_sets`, and a set of `scenario.anchored` at
-    predicted step k is `update_relative(spec, anchor position at k)`. Timestamps
-    continue the k*dt grid. The input trace is not touched, apart from
-    extending its memory fold. Raises ValueError, before any step, for a
-    negative `n_steps` or for `modes` without an agent of the scenario.
+    memory at that sample and no unsafe set (`Scenario.unsafe_along`
+    resolves one along it). Timestamps continue the k*dt grid. The input
+    trace is untouched but for its memory fold. Raises ValueError, before
+    any step, for a negative `n_steps` or for `modes` lacking an agent.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")

@@ -22,10 +22,10 @@ one kind per set in `kinds` and one list of payloads per set in `unsafe`.
 These columns are the read API; the constructor makes them all, empty.
 Rows are immutable, so a trace, a prefix cut from it and a prediction
 seeded from it share them without copies; payloads are shared the same way
-and must not be mutated. `append_sample` adds a sample; the one other
-writer is `Scenario.advance`, which appends a sample of a trace without
-sets (a prediction's) to the columns in place, under the same agent-key
-check and message.
+and must not be mutated. `append_sample` adds a sample; the other writer
+is the rollout: `Scenario.advance` appends a sample of a trace without sets
+to the columns in place, under the same agent-key check and message, and
+`execute` attaches the set columns when its loop ends.
 `to_dict` builds the wire rows. `from_dict` checks and splits them in one
 pass per column: an agent's state block, its mode column, a set's rows,
 timestamps and payload types are each tested whole, and a set's payloads

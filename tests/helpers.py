@@ -34,6 +34,7 @@ from rtakit import (
     computation_time_stats,
     controller_usage,
     set_from_payload,
+    update_relative,
 )
 from rtakit.evaluation import AgentReport, EvalError, EvalReport
 from rtakit.geometry import GeometryError, SET_KINDS, row_dots, stack_sets
@@ -192,6 +193,22 @@ def every_document():
         for seed in (1, 2):
             for op, doc in generate(seed):
                 yield pytest.param(doc, id=f"{name}-{seed}-{op}")
+
+
+def reference_set_columns(scenario, trace: ExecutionTrace) -> dict[str, list]:
+    """Every set column of an executed trace, by set id in config order,
+    resolved sample by sample: an anchored set's payload at sample k is
+    `update_relative(spec, row k of its anchor[:dim]).payload()`; a static
+    set's one payload is shared by every sample."""
+    dim = scenario.workspace_dim
+    columns = {}
+    for spec in scenario.config.unsafe_sets:
+        if isinstance(spec, RelativeSetSpec):
+            columns[spec.set_id] = [update_relative(spec, row[:dim]).payload()
+                                    for row in trace.rows[spec.anchor_id]]
+        else:
+            columns[spec.set_id] = [spec.base.payload()] * len(trace.times)
+    return columns
 
 
 # -- per-entry reference loader ------------------------------------------------------

@@ -104,6 +104,17 @@ def test_acc_missing_leader_raises():
         agent.step(Mode.UNTRUSTED, [0.0, 0.0], 0.1, leader_view())
 
 
+@pytest.mark.parametrize("agent, state", [
+    (DubinsCarAgent("car", leader_id="ghost"), [0.0, 0.0, 0.0, 1.0]),
+    (DubinsPlaneAgent("plane", leader_id="ghost"), [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+], ids=["car", "plane"])
+def test_dubins_leader_missing_from_the_view_names_the_agent_and_the_leader(agent, state):
+    view = View({agent.agent_id: state}, {})
+    with pytest.raises(ValueError, match=f"agent '{agent.agent_id}': leader 'ghost' "
+                                         f"missing from the view"):
+        agent.step(Mode.UNTRUSTED, state, 0.1, view)
+
+
 def test_acc_nonpositive_dt_raises():
     agent = AccAgent("ego")
     with pytest.raises(ValueError):

@@ -741,5 +741,5 @@ def test_run_step_failure_is_a_runtime_error_naming_agent_and_time(tmp_path, cap
     code = main(["run", "--config", str(CONFIGS / "acc.json"), "--out", str(tmp_path / "t.json")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "anchored to agent 'leader' failed to resolve at t=1.2" in err
+    assert "agent 'leader' step at t=1.1 returned a non-finite state [nan, 1.0]" in err
     assert not (tmp_path / "t.json").exists()

@@ -262,8 +262,8 @@ def test_a_decision_from_a_row_of_another_width_names_the_agent(logic):
                             unsafe_sets=[StaticSetSpec("wall", Ball([10.0], 1.0))],
                             dt=0.1, horizon=1.0, workspace_dim=1)
     scenario = build_scenario(config)
-    trace = ExecutionTrace(["ego"], {"wall": "ball"})
-    trace.append_sample(0.0, {"ego": (0.0, 1.0, 5.0)}, None, scenario._payloads({}, 0.0))
+    trace = ExecutionTrace(["ego"])
+    trace.append_sample(0.0, {"ego": (0.0, 1.0, 5.0)})
     with pytest.raises(RtaError, match="agent 'ego': the current state has 3 components, "
                                        "its predicted states 2"):
         binding.switch(trace)
@@ -561,14 +561,15 @@ def test_decisions_parse_no_set_payload(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["acc_sim_rta.json", "dubins.json"])
 def test_anchored_sets_resolve_for_executed_samples_only(name, monkeypatch):
-    """The executed trace resolves each anchored set once per sample; a
-    decision moves each set not anchored to its ego once, along the whole
-    prediction; a prediction resolves no set."""
+    """The executed trace resolves each anchored set once, along its whole
+    anchor column; a decision moves each set not anchored to its ego once,
+    along the whole prediction; both go through `Scenario.unsafe_along`,
+    and a prediction resolves no set."""
     from rtakit import geometry, scenario as scenario_module
 
     scenario = build_scenario(config_from_dict(json.loads((CONFIGS / name).read_text())))
-    calls = {"resolve": [], "decide": []}
-    for module, key in ((scenario_module, "resolve"), (geometry, "decide")):
+    calls = {"scenario": [], "geometry": []}
+    for module, key in ((scenario_module, "scenario"), (geometry, "geometry")):
         real, seen = module.update_relative, calls[key]
         monkeypatch.setattr(module, "update_relative",
                             lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
@@ -577,9 +578,12 @@ def test_anchored_sets_resolve_for_executed_samples_only(name, monkeypatch):
     egos = [spec.model.agent_id for spec in scenario.config.agents if spec.rta is not None]
     decisions = len(trace.times) - 1
     assert anchored and egos
-    assert len(calls["resolve"]) == len(anchored) * len(trace.times)
-    assert len(calls["decide"]) == decisions * sum(s.anchor_id != ego
-                                                   for ego in egos for s in anchored)
+    assert not calls["geometry"]
+    assert len(calls["scenario"]) == len(anchored) + decisions * sum(
+        s.anchor_id != ego for ego in egos for s in anchored)
+    executed = calls["scenario"][-len(anchored):]
+    assert [spec for spec, _ in executed] == anchored
+    assert all(len(column) == len(trace.times) for _, column in executed)
     pred = forward_simulate(trace.prefix(0), scenario, 1.0, ego_id=egos[0])
     assert len(pred.times) > 1 and not pred.unsafe
 

@@ -14,7 +14,9 @@ from rtakit import (
     Ball,
     DubinsCarAgent,
     ExecutionTrace,
+    Hyperrectangle,
     Mode,
+    Polytope,
     RelativeSetSpec,
     RtaBinding,
     RtaError,
@@ -33,7 +35,7 @@ from rtakit import (
     snapshot,
     validate_trace_dict,
 )
-from helpers import acc_scenario_config, sim_rta_binding
+from helpers import acc_scenario_config, every_document, reference_set_columns, sim_rta_binding
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,7 +54,8 @@ def single_agent_config(dt=0.1, horizon=0.2):
 
 def test_build_resolves_initial_relative_ball():
     scenario = build_scenario(acc_scenario_config())
-    trace = scenario.initial_trace()
+    assert not scenario.initial_trace().unsafe
+    trace = execute(scenario)
     assert trace.unsafe["unsafe1"][0] == [[10.0], 7.0]
 
 
@@ -404,11 +407,11 @@ def test_nonfinite_step_output_fails_at_its_tick():
         execute(build_scenario(config))
 
 
-def test_nonfinite_anchor_names_the_set_the_anchor_and_t():
+def test_nonfinite_anchor_fails_as_its_step_naming_the_agent_and_t():
+    # Execution checks every stepped state before any set is resolved.
     config = with_output(acc_scenario_config(), "leader", 30, lambda s: [math.nan, s[1]])
     with pytest.raises(ScenarioRuntimeError,
-                       match=r"unsafe set 'unsafe1' anchored to agent 'leader' failed to "
-                             r"resolve at t=3.1: anchor position must be finite"):
+                       match=r"agent 'leader' step at t=3 returned a non-finite state \[nan, "):
         execute(build_scenario(config))
 
 
@@ -429,6 +432,49 @@ def test_prediction_from_a_trace_with_an_agent_the_scenario_lacks_names_the_agen
                                          r"trace holds agents \['extra', 'follower', 'leader'\]"):
         predict(scenario, trace, modes, 2)
     assert len(trace.times) == 1
+
+
+@pytest.mark.parametrize("doc", every_document())
+def test_executed_set_columns_are_the_per_sample_resolution(doc):
+    """Each set column of an executed trace, attached when `execute`
+    returns, is the reference resolved sample by sample, in config order
+    and to the JSON byte; a static set's samples share one payload."""
+    scenario = build_scenario(config_from_dict(doc))
+    trace = execute(scenario)
+    want = reference_set_columns(scenario, trace)
+    assert list(trace.unsafe) == list(want)
+    assert trace.kinds == {s.set_id: s.base.kind for s in scenario.config.unsafe_sets}
+    for sid, column in want.items():
+        got = trace.unsafe[sid]
+        assert got == column
+        assert json.dumps(got) == json.dumps(column)
+        if sid in scenario.static_sets:
+            assert all(payload is got[0] for payload in got)
+
+
+def test_advance_without_a_mode_for_every_agent_names_them():
+    """`advance` reports a missing mode as `predict` does, not as a failed
+    step, and appends nothing."""
+    scenario = build_scenario(parse_scenario_config(CONFIGS / "acc_sim_rta.json"))
+    trace = scenario.initial_trace()
+    before = trace.to_json()
+    with pytest.raises(ValueError, match=r"no mode given for agents \['leader'\]"):
+        scenario.advance(trace, {"follower": Mode.UNTRUSTED}, 0)
+    assert trace.to_json() == before
+
+
+@pytest.mark.parametrize("base", [Hyperrectangle([0.0], [1.7e308]),
+                                  Polytope([[1e10], [-1e10]], [1e10, 1e10])],
+                         ids=["hyperrectangle", "polytope"])
+def test_anchored_set_that_overflows_mid_run_names_the_set_the_anchor_and_t(base):
+    """The anchor jumps to a finite 1e308 at t=0.4, where the moved set's
+    corner or offsets overflow: the error names the first such sample."""
+    config = with_output(single_agent_config(horizon=0.6), "solo", 3, lambda s: [1e308, s[1]])
+    config.unsafe_sets = [RelativeSetSpec("zone", base, [0.0], "solo")]
+    with np.errstate(over="ignore"), pytest.raises(
+            ScenarioRuntimeError, match=r"unsafe set 'zone' anchored to agent 'solo' failed to "
+                                        r"resolve at t=0.4: moved \w+ \w+ must be finite"):
+        execute(build_scenario(config))
 
 
 def test_prediction_without_a_mode_for_every_agent_names_them():
