@@ -233,7 +233,9 @@ class SetDef:
         """Translate the set so its reference point sits at `reference`
         (dim,); an (n, dim) stack of references gives a stack of n sets."""
         self._one("moved_to")
-        return self._at(_points(reference, self.dim, "reference"))
+        ref = _points(reference, self.dim, "reference")
+        with np.errstate(over="ignore", invalid="ignore"):  # `_at` names a field that overflows
+            return self._at(ref)
 
     def _at(self, ref: np.ndarray) -> "SetDef":
         """`moved_to` a reference (dim,) or stack (n, dim) already checked
@@ -719,16 +721,18 @@ def update_relative(spec: RelativeSetSpec, anchor_position) -> SetDef:
     against an (n, dim) stack of positions as a row-aligned stack of n sets:
     `spec.base.moved_to(anchor_position + offset)`, with the same errors.
     One finiteness test covers the position and the reference: the offset
-    is finite, so their sum is finite only where the position is."""
+    is finite, so their sum is finite only where the position is. An
+    overflow is that error, never a numpy warning."""
     pos = _points(anchor_position, spec.offset.shape[0], "anchor position", finite=False)
-    ref = pos + spec.offset
     base = spec.base
-    if not np.isfinite(ref).all():
-        if not np.isfinite(pos).all():
-            raise GeometryError("anchor position must be finite")
-        return base.moved_to(ref)  # raises as it does on a reference that overflowed
-    base._one("moved_to")
-    return base._at(ref)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = pos + spec.offset
+        if not np.isfinite(ref).all():
+            if not np.isfinite(pos).all():
+                raise GeometryError("anchor position must be finite")
+            return base.moved_to(ref)  # raises as it does on a reference that overflowed
+        base._one("moved_to")
+        return base._at(ref)
 
 
 def stack_sets(defs: list[SetDef]) -> list[tuple[int, SetDef]]:

@@ -23,9 +23,9 @@ tuple of floats. A non-finite predicted position that a
 decision's set test reads (the ego's, or an anchor's) fails that decision
 with an error naming the agent and the predicted time (see the rta module).
 
-Execution and prediction are one rollout: `advance` is the only step of
-either, and appends every sample to the trace's columns itself, under
-`append_sample`'s agent-key check, so that a rollout step runs in one
+Execution and prediction are one rollout: `initial_trace` writes a trace's
+first sample, and `advance`, the only step of either, appends every later
+one to the trace's columns itself, so that a rollout step runs in one
 Python frame besides the agents' steps. An agent's memory (see the agents
 module) is the fold of its `remember` over the trace's recorded rows. The
 fold is kept on the trace in process only, never in the wire format, and
@@ -125,9 +125,14 @@ class Scenario:
         return modes
 
     def initial_trace(self) -> ExecutionTrace:
-        """Every agent's initial sample, and no set (see `execute`)."""
-        trace = ExecutionTrace(self.agents_by_id)
-        trace.append_sample(0.0, {aid: spec.init_state for aid, spec in self.agents_by_id.items()})
+        """Every agent's initial state as the first sample, a tuple of floats
+        whatever numbers the config gave, with no mode and no set (see
+        `execute`)."""
+        trace = ExecutionTrace()
+        trace.times.append(0.0)
+        for aid, spec in self.agents_by_id.items():
+            trace.rows[aid] = [tuple(map(float, spec.init_state))]
+            trace.modes[aid] = []
         return trace
 
     def unsafe_along(self, set_id: str, trace: ExecutionTrace) -> SetDef:
@@ -167,9 +172,10 @@ class Scenario:
 
     def advance(self, trace: ExecutionTrace, modes: dict[str, Mode], k: int) -> None:
         """One tick from sample k: step all agents from one view of the
-        pre-step sample, then append their states and modes as one sample,
-        under `append_sample`'s agent-key check and message. `modes`
-        without an agent raises `predict`'s ValueError, appending nothing."""
+        pre-step sample, then append their states and modes as one sample.
+        This is the one check of an appended sample's agents: a trace that
+        holds an agent the scenario lacks raises ValueError, as does
+        `modes` without an agent (`predict`'s message); neither appends."""
         rows = trace.rows
         table = self._table
         states = {}

@@ -19,13 +19,12 @@ In memory an ExecutionTrace is columnar: one `times` list shared by every
 agent and set, one list of state rows per agent in `rows` (a row is a tuple
 of floats without its timestamp), one list of modes per agent in `modes`,
 one kind per set in `kinds` and one list of payloads per set in `unsafe`.
-These columns are the read API; the constructor makes them all, empty.
-Rows are immutable, so a trace, a prefix cut from it and a prediction
-seeded from it share them without copies; payloads are shared the same way
-and must not be mutated. `append_sample` adds a sample; the other writer
-is the rollout: `Scenario.advance` appends a sample of a trace without sets
-to the columns in place, under the same agent-key check and message, and
-`execute` attaches the set columns when its loop ends.
+These columns are the read API. The constructor makes them empty and each
+producer writes its own: `Scenario.initial_trace` the first sample,
+`Scenario.advance` every later one, `execute` the set columns, and
+`from_dict`, `prefix` and `latest` theirs. Rows are immutable, so a trace,
+a prefix cut from it and a prediction seeded from it share them without
+copies; payloads are shared the same way and must not be mutated.
 `to_dict` builds the wire rows. `from_dict` checks and splits them in one
 pass per column: an agent's state block, its mode column, a set's rows,
 timestamps and payload types are each tested whole, and a set's payloads
@@ -86,53 +85,16 @@ class TraceSchemaError(ValueError):
 class ExecutionTrace:
     """Mutable during execution, treated as immutable once complete."""
 
-    def __init__(self, agent_ids=(), kinds: dict[str, str] | None = None):
-        """Empty columns for the agents and for the sets, a kind by set id."""
+    def __init__(self):
+        """Empty columns, for a producer to write (see the module docstring)."""
         self.times: list[float] = []
         self.rows: dict[str, list[tuple[float, ...]]] = {}
         self.modes: dict[str, list[Mode]] = {}
-        for aid in agent_ids:
-            if aid in self.rows:
-                raise ValueError(f"duplicate agent id {aid!r}")
-            self.rows[aid] = []
-            self.modes[aid] = []
-        self.kinds: dict[str, str] = dict(kinds or {})
+        self.kinds: dict[str, str] = {}
         self.unsafe: dict[str, list] = {}
-        for sid, kind in self.kinds.items():
-            if kind not in SET_KINDS:
-                raise ValueError(f"unknown set type {kind!r}")
-            if sid in self.rows:
-                raise ValueError(f"unsafe set id {sid!r} is also an agent id")
-            self.unsafe[sid] = []
         # (samples folded, agent memory after them), kept by
         # `Scenario.memory`; in process only, never serialized.
         self.memory: tuple[int, Mapping[str, object]] | None = None
-
-    def append_sample(self, t: float, states: dict, modes: dict | None = None,
-                      payloads: dict | None = None):
-        """Append one sample: every agent's state, by agent id, the mode
-        each agent took into it (None appends no mode, as for a trace's
-        first sample) and, if the trace holds sets, every set's payload by
-        set id. A state is stored as a tuple of floats; a tuple is stored as
-        given, so it must hold floats already."""
-        rows, unsafe = self.rows, self.unsafe
-        if states.keys() != rows.keys():
-            raise ValueError(
-                f"sample has states for {sorted(states)}, trace holds agents {sorted(rows)}"
-            )
-        if unsafe and (payloads is None or payloads.keys() != unsafe.keys()):
-            raise ValueError(f"sample has payloads for {sorted(payloads or ())}, "
-                             f"trace holds sets {sorted(unsafe)}")
-        self.times.append(float(t))
-        for aid, column in rows.items():
-            row = states[aid]
-            column.append(row if type(row) is tuple else tuple(map(float, row)))
-        if modes is not None:
-            for aid, column in self.modes.items():
-                column.append(modes[aid])
-        if unsafe:
-            for sid, column in unsafe.items():
-                column.append(payloads[sid])
 
     # -- access: read the columns; these two stay for the benchmark tracer --
 

@@ -108,13 +108,16 @@ def make_trace(agent_states: dict[str, list[list[float]]],
                modes: dict[str, list[Mode]] | None = None,
                sets: dict[str, tuple[str, list]] | None = None) -> ExecutionTrace:
     """Build a trace from {agent: [[t, s0, s1, ...], ...]} rows and
-    {set: (kind, [payload per sample])} columns."""
-    trace = ExecutionTrace(agent_states, {sid: kind for sid, (kind, _) in (sets or {}).items()})
-    for k, rows in enumerate(zip(*agent_states.values())):
-        taken = {aid: m[k - 1] for aid, m in modes.items()} if modes and k else None
-        payloads = {sid: column[k] for sid, (_, column) in sets.items()} if sets else None
-        trace.append_sample(rows[0][0], {aid: row[1:] for aid, row in zip(agent_states, rows)},
-                            taken, payloads)
+    {set: (kind, [payload per sample])} columns by writing its columns; a
+    row is kept as a tuple of floats, as every producer keeps it."""
+    trace = ExecutionTrace()
+    for aid, rows in agent_states.items():
+        trace.times = [float(row[0]) for row in rows]  # the agents share one grid
+        trace.rows[aid] = [tuple(map(float, row[1:])) for row in rows]
+        trace.modes[aid] = list(modes[aid]) if modes else []
+    for sid, (kind, column) in (sets or {}).items():
+        trace.kinds[sid] = kind
+        trace.unsafe[sid] = list(column)
     return trace
 
 

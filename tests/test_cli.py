@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,34 @@ def test_run_names_an_unknown_mode_rta_type_or_set_type_and_an_offset_without_an
                  "--out", str(tmp_path / "t.json")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, definition, offset, message", [
+    ("ball", [[0.0], 1.0], [1e308], "reference must be finite"),
+    ("hyperrectangle", [[0.0], [1.0]], [1e308], "reference must be finite"),
+    ("polytope", [[[1e300]], [1.0]], [0.0], "moved polytope b must be finite"),
+], ids=["ball", "hyperrectangle", "polytope"])
+@pytest.mark.parametrize("bound", [False, True], ids=["no-rta", "sim-rta"])
+def test_run_of_an_anchored_set_whose_move_overflows_exits_3_without_a_warning(
+        tmp_path, capsys, kind, definition, offset, message, bound):
+    """Agent 'a' sits at 1e308, so moving set 'b' to it overflows. Under
+    warnings-as-errors the run still ends in the runtime error naming the
+    set (or, when a SimRta follower predicts the move first, the decision),
+    not in a numpy RuntimeWarning."""
+    agents = [{"id": "a", "model": "acc", "init": [1e308, 0], "mode": "NORMAL"}]
+    if bound:
+        agents.insert(0, {"id": "f", "model": "acc", "params": {"leader_id": "a"},
+                          "init": [0, 1], "mode": "UNTRUSTED", "rta": {"type": "sim", "horizon": 0.3}})
+    doc = acc_doc(time={"dt": 0.1, "T": 0.5}, agents=agents, unsafe_sets=[
+        {"id": "b", "type": kind, "definition": definition, "anchor": "a", "offset": offset}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "t.json")])
+    where = ("RTA logic for agent 'f' failed" if bound
+             else "unsafe set 'b' anchored to agent 'a' failed to resolve")
+    assert code == 3
+    assert capsys.readouterr().err == f"runtime error: {where} at t=0: {message}\n"
 
 
 def test_run_dangling_leader(tmp_path, capsys):

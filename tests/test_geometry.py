@@ -2,6 +2,7 @@
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -987,7 +988,8 @@ def test_update_relative_names_what_is_wrong_with_the_anchor(s):
     with pytest.raises(GeometryError, match=f"^moved_to takes one {s.kind}, got a stack of 2$"):
         update_relative(RelativeSetSpec("s", s.moved_to(np.zeros((2, 2))), [0.0, 0.0], "a"),
                         [0.0, 0.0])
-    with np.errstate(over="ignore"):  # the overflows below are the point
+    with warnings.catch_warnings():  # an overflow is the GeometryError, not a numpy warning
+        warnings.simplefilter("error")
         huge = RelativeSetSpec("s", s, [1e308, 0.0], "a")
         for position in ([1e308, 0.0], [[0.0, 0.0], [1e308, 0.0]]):
             with pytest.raises(GeometryError, match="^reference must be finite$"):
@@ -1005,11 +1007,12 @@ def test_update_relative_names_what_is_wrong_with_the_anchor(s):
 def test_update_relative_rejects_a_moved_field_that_overflows(s, position, field):
     """A derived field (box corners, polytope offsets) is still tested: a
     finite anchor and reference whose moved set holds an inf raise
-    GeometryError, as `moved_to` does."""
+    GeometryError, as `moved_to` does, and numpy warns of no overflow."""
     spec = RelativeSetSpec("s", s, [0.0, 0.0], "a")
     for move in (lambda: update_relative(spec, position), lambda: s.moved_to(position)):
-        with np.errstate(over="ignore"), pytest.raises(
+        with warnings.catch_warnings(), pytest.raises(
                 GeometryError, match=f"^moved {s.kind} {field} must be finite$"):
+            warnings.simplefilter("error")
             move()
 
 

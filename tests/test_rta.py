@@ -262,8 +262,9 @@ def test_a_decision_from_a_row_of_another_width_names_the_agent(logic):
                             unsafe_sets=[StaticSetSpec("wall", Ball([10.0], 1.0))],
                             dt=0.1, horizon=1.0, workspace_dim=1)
     scenario = build_scenario(config)
-    trace = ExecutionTrace(["ego"])
-    trace.append_sample(0.0, {"ego": (0.0, 1.0, 5.0)})
+    trace = ExecutionTrace()
+    trace.times.append(0.0)
+    trace.rows["ego"], trace.modes["ego"] = [(0.0, 1.0, 5.0)], []
     with pytest.raises(RtaError, match="agent 'ego': the current state has 3 components, "
                                        "its predicted states 2"):
         binding.switch(trace)

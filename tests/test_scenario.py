@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,15 +424,47 @@ def test_step_output_of_the_wrong_width_fails_at_its_tick():
 
 
 def test_prediction_from_a_trace_with_an_agent_the_scenario_lacks_names_the_agents():
-    # A prediction's samples get append_sample's key check and message.
+    # A prediction's samples get advance's agent-key check and message.
     scenario = build_scenario(acc_scenario_config())
-    trace = ExecutionTrace(["follower", "leader", "extra"])
-    trace.append_sample(0.0, {"follower": [0.0, 1.0], "leader": [5.0, 1.0], "extra": [0.0, 0.0]})
+    trace = ExecutionTrace()
+    trace.times.append(0.0)
+    trace.rows.update(follower=[(0.0, 1.0)], leader=[(5.0, 1.0)], extra=[(0.0, 0.0)])
+    trace.modes.update(follower=[], leader=[], extra=[])
     modes = dict.fromkeys(trace.rows, Mode.NORMAL)
     with pytest.raises(ValueError, match=r"sample has states for \['follower', 'leader'\], "
                                          r"trace holds agents \['extra', 'follower', 'leader'\]"):
         predict(scenario, trace, modes, 2)
     assert len(trace.times) == 1
+
+
+def test_initial_rows_are_floats_whatever_numbers_the_config_gave():
+    """Initial states given as tuples of ints give rows of Python floats, so
+    the executed trace is the trace its own dump loads to, byte for byte,
+    and the trace of the same states given as floats."""
+    config = acc_scenario_config()
+    config.agents[0].init_state, config.agents[1].init_state = (0, 1), (5, 1)
+    scenario = build_scenario(config)
+    first = scenario.initial_trace()
+    assert first.rows == {"follower": [(0.0, 1.0)], "leader": [(5.0, 1.0)]}
+    assert {type(v) for rows in first.rows.values() for v in rows[0]} == {float}
+    text = execute(scenario).to_json()
+    assert ExecutionTrace.from_dict(json.loads(text)).to_json() == text
+    assert text == execute(build_scenario(acc_scenario_config())).to_json()
+
+
+@pytest.mark.parametrize("doc", every_document())
+def test_an_initial_trace_is_its_loaded_copy(doc):
+    """`initial_trace` writes the columns `from_dict` reads back from its
+    dump, column by column and type by type (a repr tells an int or a numpy
+    float from a float)."""
+    first = build_scenario(config_from_dict(doc)).initial_trace()
+    loaded = ExecutionTrace.from_dict(json.loads(first.to_json()))
+    assert repr(first.times) == repr(loaded.times)
+    for name in ("rows", "modes", "kinds", "unsafe"):
+        got, want = getattr(first, name), getattr(loaded, name)
+        assert got.keys() == want.keys(), name
+        for key, column in got.items():
+            assert repr(column) == repr(want[key]), (name, key)
 
 
 @pytest.mark.parametrize("doc", every_document())
@@ -471,9 +504,10 @@ def test_anchored_set_that_overflows_mid_run_names_the_set_the_anchor_and_t(base
     corner or offsets overflow: the error names the first such sample."""
     config = with_output(single_agent_config(horizon=0.6), "solo", 3, lambda s: [1e308, s[1]])
     config.unsafe_sets = [RelativeSetSpec("zone", base, [0.0], "solo")]
-    with np.errstate(over="ignore"), pytest.raises(
+    with warnings.catch_warnings(), pytest.raises(
             ScenarioRuntimeError, match=r"unsafe set 'zone' anchored to agent 'solo' failed to "
                                         r"resolve at t=0.4: moved \w+ \w+ must be finite"):
+        warnings.simplefilter("error")
         execute(build_scenario(config))
 
 

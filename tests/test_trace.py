@@ -273,7 +273,9 @@ def test_prefix_slices_states_and_modes():
     assert pre.timestamps() == [0.0, 0.1]
     assert pre.modes["a"] == [Mode.UNTRUSTED]
     # slicing shares no list structure with the source
-    pre.append_sample(0.2, {"a": [9.0]}, {"a": Mode.SAFETY})
+    pre.times.append(0.2)
+    pre.rows["a"].append((9.0,))
+    pre.modes["a"].append(Mode.SAFETY)
     assert trace.rows["a"][2] == (2.0,)
     assert trace.modes["a"] == [Mode.UNTRUSTED, Mode.SAFETY]
 
@@ -285,37 +287,6 @@ def test_latest_shares_the_last_rows():
     assert last.timestamps() == [0.1]
     assert last.rows["a"][0] is trace.rows["a"][-1]
     assert last.modes["a"] == [] and not last.unsafe
-
-
-def test_append_sample_needs_every_agent():
-    trace = make_trace({"a": [[0.0, 0.0]], "b": [[0.0, 5.0]]})
-    with pytest.raises(ValueError, match="trace holds agents"):
-        trace.append_sample(0.1, {"a": [1.0]})
-    assert len(trace.times) == 1
-
-
-def test_append_sample_needs_every_set_payload():
-    trace = ExecutionTrace(["a"], {"wall": "point"})
-    with pytest.raises(ValueError, match="trace holds sets"):
-        trace.append_sample(0.0, {"a": [0.0]})
-    with pytest.raises(ValueError, match="trace holds sets"):
-        trace.append_sample(0.0, {"a": [0.0]}, None, {"door": [1.0]})
-    assert len(trace.times) == 0
-    trace.append_sample(0.0, {"a": [0.0]}, None, {"wall": [3.0]})
-    assert trace.unsafe == {"wall": [[3.0]]} and trace.kinds == {"wall": "point"}
-    assert trace.to_dict()["unsafe"] == {"wall": {"type": "point", "state_trace": [[0.0, [3.0]]]}}
-
-
-def test_constructor_makes_every_column_and_checks_it():
-    trace = ExecutionTrace(["a", "b"], {"wall": "ball"})
-    assert trace.rows == trace.modes == {"a": [], "b": []}
-    assert trace.kinds == {"wall": "ball"} and trace.unsafe == {"wall": []}
-    with pytest.raises(ValueError, match="duplicate agent id 'a'"):
-        ExecutionTrace(["a", "a"])
-    with pytest.raises(ValueError, match="unknown set type 'cone'"):
-        ExecutionTrace(["a"], {"wall": "cone"})
-    with pytest.raises(ValueError, match="unsafe set id 'a' is also an agent id"):
-        ExecutionTrace(["a"], {"a": "ball"})
 
 
 def test_from_dict_is_one_walk(monkeypatch):
@@ -342,11 +313,13 @@ def test_to_json_is_the_checked_dump_of_to_dict(doc):
 
 
 def test_to_json_of_numpy_rows_and_integer_payloads():
-    trace = ExecutionTrace(["a"], {"wall": "ball", "box": "hyperrectangle"})
-    for k in range(3):
-        trace.append_sample(0.5 * k, {"a": (np.float64(k), np.float64(-1.25))},
-                            None if k == 0 else {"a": Mode.SAFETY},
-                            {"wall": [[10 + k], 7], "box": [[0, 1], [2, 3]]})
+    trace = ExecutionTrace()
+    trace.times = [0.5 * k for k in range(3)]
+    trace.rows["a"] = [(np.float64(k), np.float64(-1.25)) for k in range(3)]
+    trace.modes["a"] = [Mode.SAFETY] * 2
+    trace.kinds.update(wall="ball", box="hyperrectangle")
+    trace.unsafe["wall"] = [[[10 + k], 7] for k in range(3)]
+    trace.unsafe["box"] = [[[0, 1], [2, 3]] for _ in range(3)]
     text = trace.to_json()
     assert text == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
     assert '"state_trace":[[0.0,[[10],7]]' in text
