@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import parse_scenario_config
 from .evaluation import EvalError, build_report
 from .scenario import build_scenario, execute, snapshot
-from .trace import ExecutionTrace, is_finite_number, replace_text
+from .trace import ExecutionTrace, is_finite_number, read_json, replace_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,10 +35,7 @@ def _timings_path(trace_path: Path) -> Path:
 def _load_timings(path: Path, trace: ExecutionTrace) -> dict[str, list[float]]:
     """The agent id -> decision durations map of a timings file: one
     duration per decision the trace records for each agent it names."""
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise EvalError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path, EvalError)
     if not isinstance(doc, dict) or not isinstance(doc.get("timings"), dict):
         raise EvalError(f"{path}: expected an object with a 'timings' object")
     for aid, durations in doc["timings"].items():

@@ -24,7 +24,6 @@ its reference point sits at anchor position + offset.
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .agents import AccAgent, DubinsCarAgent, DubinsPlaneAgent, Mode
 from .geometry import GeometryError, Polytope, RelativeSetSpec, set_from_payload
 from .rta import ReachRta, RtaBinding, SimRta
 from .scenario import AgentSpec, ScenarioConfig, StaticSetSpec
-from .trace import is_finite_number, non_number_entry
+from .trace import is_finite_number, non_number_entry, read_json
 
 MODELS = {cls.model_name: cls for cls in (AccAgent, DubinsCarAgent, DubinsPlaneAgent)}
 
@@ -218,8 +217,4 @@ def parse_scenario_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json(path, ConfigError))

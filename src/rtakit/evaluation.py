@@ -14,12 +14,13 @@ dimension is inferred from the unsafe-set definitions unless supplied
 explicitly. Velocities are backward finite differences of the recorded
 positions (set velocities likewise, of each set's reference point). An
 evaluation builds these as columns once, parsing each set's payloads as
-one column into row-aligned stacks (`geometry.parse_column`); another
-agent is a target too, as one point moved along its positions. It then
-measures every agent against a target with one `distance` and one
-`entry_time` call per stack, the stack's rows repeated once per agent
-(`geometry.repeat_rows`). Each sample rounds as it would alone, so the
-numbers equal measuring pair by pair and sample by sample.
+one column into row-aligned stacks of one dimension, checked once against
+the workspace's (`geometry.parse_column`); another agent is a target too,
+as one point moved along its positions. It then measures every agent
+against a target with one `distance` and one `entry_time` call per stack,
+the stack's rows repeated once per agent (`geometry.repeat_rows`). Each
+sample rounds as it would alone, so the numbers equal measuring pair by
+pair and sample by sample.
 """
 from __future__ import annotations
 
@@ -133,10 +134,10 @@ class _Samples:
                 self.targets[tid] = [(len(x), PointSet(x[0]).moved_to(x))], self.velocities[tid]
                 continue
             stacks = parse_column(trace.kinds[tid], trace.unsafe[tid][window])
-            for _, stack in stacks:
-                if agent_ids and stack.dim != dim:
-                    raise EvalError(f"unsafe set {tid!r} has dimension {stack.dim}, "
-                                    f"but the workspace has dimension {dim}")
+            set_dim = stacks[0][1].dim  # a column has one dimension
+            if agent_ids and set_dim != dim:
+                raise EvalError(f"unsafe set {tid!r} has dimension {set_dim}, "
+                                f"but the workspace has dimension {dim}")
             refs = np.concatenate([np.broadcast_to(stack.reference(), (n, stack.dim))
                                    for n, stack in stacks])
             self.targets[tid] = stacks, _velocities(ts, refs)

@@ -62,13 +62,13 @@ points or boxes, row k against row k, and answer "any k". So an anchored set
 is tested against a predicted horizon in one call, each predicted step
 against the set where the anchor is predicted at that step. `distance` and
 `entry_time` measure it against exactly n queries, row k against row k.
-`Polytope.project` projects query row k onto set row k. `stack_sets`
-stacks n parsed definitions the same way, from their own arrays (a ball's
-radius then has one entry per row), so evaluation measures a set whose
-payload changes along a trace in one call. `parse_column` builds the same
-stacks from a column of payloads, one array per field over the runs of
-equal payloads, and `repeat_rows` repeats a stack's rows so that several
-agents are measured against it in one call. A stacked set is not a wire
+`Polytope.project` projects query row k onto set row k. `parse_column`
+builds such stacks from a column of payloads, one row per sample (a ball's
+radius then has one entry per row) and one array per field over the runs
+of equal payloads, so evaluation measures a set whose payload changes
+along a trace in one call; a column has one dimension. `repeat_rows`
+repeats a stack's rows so that several agents are measured against it in
+one call. A stacked set is not a wire
 payload: `payload` and another `moved_to` take one set and raise
 GeometryError on a stack, and so do `distance`, `entry_time` and
 `project` of one (dim,) query.
@@ -77,8 +77,8 @@ from __future__ import annotations
 
 import math
 import reprlib
-from itertools import chain, compress, islice
-from operator import ne, sub
+from itertools import compress, islice
+from operator import ne
 
 import numpy as np
 
@@ -105,21 +105,6 @@ def _not_numbers(what: str, x) -> GeometryError:
     return GeometryError(
         f"{what} must be numbers in a rectangular array, got {reprlib.repr(x)}"
     )
-
-
-_PLAIN_NUMBERS = frozenset((float, int))
-
-
-def plain_finite(values) -> bool:
-    """Whether every entry of the sequence is exactly a float or an int (so
-    not a bool) and finite as a float: one type test of the whole sequence
-    and one finiteness test of its sum, which is finite only if every entry
-    is. False for finite numbers whose sum overflows, so a caller falls
-    back to a test per entry."""
-    try:
-        return _PLAIN_NUMBERS.issuperset(map(type, values)) and math.isfinite(sum(values))
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def _vector(x, what: str = "vector") -> np.ndarray:
@@ -254,11 +239,6 @@ class SetDef:
         (n, dim), the array of their n times, course k against set k of a
         stack."""
         raise NotImplementedError
-
-    def _stacks_with(self, other: "SetDef") -> bool:
-        """Whether `other`, of this kind, can be a row of one stack with
-        this set."""
-        return other.dim == self.dim
 
     def _box_gaps(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Gap between the set and each box of the stacks (n, dim); negative
@@ -630,9 +610,6 @@ class Polytope(SetDef):
                                 "Ax <= b may have no solution")
         return X[0] if one else X
 
-    def _stacks_with(self, other) -> bool:
-        return np.array_equal(other.A, self.A)
-
     def distance(self, points):
         """The norm of each point's offset from its projection."""
         P, one = self._measured(points, "a distance")
@@ -735,26 +712,6 @@ def update_relative(spec: RelativeSetSpec, anchor_position) -> SetDef:
         return base._at(ref)
 
 
-def stack_sets(defs: list[SetDef]) -> list[tuple[int, SetDef]]:
-    """Definitions of one kind as row-aligned stacks, in order, each with
-    the number of definitions it holds: definition k of a stack is its row
-    k, the definitions' own arrays stacked. Definitions that are all one
-    object give that set unstacked, for all of them: points (n, dim) measure
-    against one set. A stack ends where a definition cannot share it: a
-    changed dimension or polytope constraint matrix."""
-    first = defs[0]
-    if all(d is first for d in defs):
-        return [(len(defs), first)]
-    stacks, start = [], 0
-    for k in range(1, len(defs) + 1):
-        if k == len(defs) or not defs[start]._stacks_with(defs[k]):
-            run = defs[start:k]
-            fields = {f: np.array([getattr(d, f) for d in run]) for f in first._row_fields}
-            stacks.append((len(run), run[0]._with(len(run), **fields)))
-            start = k
-    return stacks
-
-
 _SET_CLASSES = {cls.kind: cls for cls in (PointSet, Ball, Hyperrectangle, Polytope)}
 SET_KINDS = tuple(_SET_CLASSES)
 
@@ -775,97 +732,75 @@ def repeat_rows(set_def: SetDef, m: int) -> SetDef:
 
 
 def parse_column(kind: str, payloads: list) -> list[tuple[int, SetDef]]:
-    """The sets of a nonempty column of payloads, one per sample, as the
-    row-aligned stacks that `stack_sets` makes of one `set_from_payload`
-    per run of equal payloads; a column of one run gives that set
-    unstacked. One pass over the runs' first payloads builds each field
-    with one array and runs the constructors' checks on the arrays. A
-    column that pass cannot take (a ragged or nested payload, an entry not
-    exactly a float or an int, a value a constructor rejects) is parsed
-    run by run, so it gives the same sets, or raises the same error."""
-    stacks = _column_stacks(kind, payloads)
+    """The sets of a nonempty column of payloads, one per sample, as
+    row-aligned stacks, each with the number of samples it holds: sample k
+    of a stack is its row k. The column splits into runs of equal payloads,
+    and a stack ends where a polytope's constraint matrix changes from the
+    run before; a column of one run gives that set unstacked. One pass over
+    the runs' first payloads builds each field of a stack with one array
+    and runs the constructors' checks on the arrays, and a column has one
+    dimension. A column that fails raises the error of its first payload
+    that `set_from_payload` rejects, else the change of dimension."""
+    starts = [0, *compress(range(1, len(payloads)), map(ne, islice(payloads, 1, None), payloads))]
+    heads = [payloads[k] for k in starts]
+    try:
+        stacks = _column_stacks(kind, heads, [*starts, len(payloads)])
+    except (TypeError, ValueError, OverflowError):  # ragged, nested or not numbers
+        stacks = None
     if stacks is not None:
         return stacks
-    defs, last = [], None
-    for payload in payloads:
-        if not defs or payload != last:
-            set_def, last = set_from_payload(kind, payload), payload
-        defs.append(set_def)
-    return stack_sets(defs)
+    dims = [set_from_payload(kind, head).dim for head in heads]  # raises the first error
+    changed = [d for d in dims if d != dims[0]]
+    if not changed:  # a payload a constructor unpacks but numpy cannot, such as a generator
+        raise GeometryError(f"malformed {kind} column: its payloads do not stack")
+    raise GeometryError(f"set dimension changed from {dims[0]} to {changed[0]}")
 
 
-_LIST = frozenset((list,))
-
-
-def _plain_array(values: list, depth: int) -> np.ndarray | None:
-    """The values as one float array (len(values), ...) if each is a
-    rectangular list nested `depth` deep (a number at depth 0) of exactly
-    floats and ints, not bools, all finite as floats; else None."""
-    shape = [len(values)]
-    for _ in range(depth):
-        if not _LIST.issuperset(map(type, values)) or len(lengths := set(map(len, values))) != 1:
-            return None
-        shape.append(lengths.pop())
-        values = list(chain.from_iterable(values))
-    if not plain_finite(values):
-        return None
-    try:
-        return np.array(values, dtype=float).reshape(shape)
-    except OverflowError:  # ints too large for a float, whose sum is not
-        return None
-
-
-def _column_stacks(kind: str, payloads: list) -> list[tuple[int, SetDef]] | None:
-    """`parse_column`'s one pass, or None for a column it cannot take."""
+def _column_stacks(kind: str, heads: list, bounds: list[int]) -> list[tuple[int, SetDef]] | None:
+    """`parse_column`'s pass over the first payload of each run, run i
+    covering samples bounds[i] to bounds[i + 1]; None where a check fails."""
     if kind not in SET_KINDS:  # compared, not hashed, as in `set_from_payload`
         return None
     cls = _SET_CLASSES[kind]
-    starts = [0, *compress(range(1, len(payloads)), map(ne, islice(payloads, 1, None), payloads))]
-    heads = [payloads[k] for k in starts]
     if len(cls._fields) == 1:
         parts = [heads]
-    elif _LIST.issuperset(map(type, heads)) and set(map(len, heads)) == {len(cls._fields)}:
+    elif set(map(len, heads)) == {2}:
         parts = list(zip(*heads))
     else:
         return None
-    arrays = [_plain_array(part, depth) for part, (_, depth) in zip(parts, cls._fields)]
-    if any(a is None for a in arrays):
-        return None
-    fields = dict(zip((name for name, _ in cls._fields), arrays))
-    dim = arrays[0].shape[-1]
-    if dim < 1:
-        return None
-    if kind == "polytope" and fields["b"].shape[1] != fields["A"].shape[1]:
-        return None
-    if kind == "ball" and (fields["radius"] < 0.0).any():
-        return None
-    if kind == "hyperrectangle" and (fields["lower"].shape != fields["upper"].shape
-                                     or (fields["lower"] > fields["upper"]).any()):
-        return None
-
-    def one(i: int) -> SetDef:
-        """The set of run i, as `set_from_payload` builds it."""
-        out = object.__new__(cls)
-        out.__dict__.update({name: fields[name][i] if depth else float(fields[name][i])
-                             for name, depth in cls._fields}, dim=dim)
-        return out
-
-    if len(starts) == 1:
-        return [(len(payloads), one(0))]
-    # A stack's rows share the dimension (the arrays are rectangular) and,
-    # for a polytope, the constraint matrix: a run whose matrix differs from
-    # the one before begins a new stack.
-    breaks = []
-    if kind == "polytope":
-        A = fields["A"]
-        breaks = (np.flatnonzero((A[1:] != A[:-1]).any(axis=(1, 2))) + 1).tolist()
-    bounds = [*starts, len(payloads)]  # run k covers samples bounds[k] to bounds[k + 1]
-    stacks = []
-    for i, j in zip([0, *breaks], [*breaks, len(starts)]):
-        counts = list(map(sub, bounds[i + 1:j + 1], bounds[i:j]))
-        rows = {name: np.repeat(fields[name][i:j], counts, axis=0) for name in cls._row_fields}
-        n = bounds[j] - bounds[i]
-        stacks.append((n, one(i)._with(n, **rows)))
+    firsts = [0]  # the first run of each stack
+    if cls is Polytope:  # a stack's rows share A: a run whose A is not the last one's begins one
+        A = parts[0]
+        firsts += [i for i in range(1, len(A)) if A[i] is not A[i - 1] and A[i] != A[i - 1]]
+    stacks, dim = [], None
+    for i, j in zip(firsts, [*firsts[1:], len(heads)]):
+        # Each field nests as deep as the payload says, one more for a field
+        # with a row per run, with no empty axis and every entry finite.
+        fields = {}
+        for (name, depth), part in zip(cls._fields, parts):
+            row = name in cls._row_fields
+            value = fields[name] = np.array(part[i:j] if row else part[i], dtype=float)
+            if value.ndim != depth + row or not value.size or not np.isfinite(value).all():
+                return None
+        first = fields[cls._fields[0][0]]  # its last axis is the dimension
+        dim = first.shape[-1] if dim is None else dim
+        if (first.shape[-1] != dim
+                or kind == "ball" and (fields["radius"] < 0.0).any()
+                or kind == "hyperrectangle" and (first.shape != fields["upper"].shape
+                                                 or (first > fields["upper"]).any())
+                or kind == "polytope" and fields["b"].shape[1] != first.shape[0]):
+            return None
+        out, n = object.__new__(cls), bounds[j] - bounds[i]
+        if len(heads) == 1:  # one run: the set itself, as `set_from_payload` builds it
+            for name, depth in cls._fields:
+                if name in cls._row_fields:
+                    fields[name] = fields[name][0] if depth else float(fields[name][0])
+            out.__dict__.update(fields, dim=dim)
+            return [(n, out)]
+        counts = np.diff(bounds[i:j + 1])
+        out.__dict__.update(fields, dim=dim, rows=n, **{
+            name: np.repeat(fields[name], counts, axis=0) for name in cls._row_fields})
+        stacks.append((n, out))
     return stacks
 
 

@@ -28,9 +28,11 @@ copies; payloads are shared the same way and must not be mutated.
 `to_dict` builds the wire rows. `from_dict` checks and splits them in one
 pass per column: an agent's state block, its mode column, a set's rows,
 timestamps and payload types are each tested whole, and a set's payloads
-are parsed as one column (`geometry.parse_column`). A column that fails
-its pass is read again entry by entry, a walk that only names the first
-offending entry, so every error is the walk's.
+are parsed as one column (`geometry.parse_column`), which has one
+dimension. A column that fails its pass is read again entry by entry, a
+walk that only names the first offending entry, so every error is the
+walk's. Files are UTF-8 text: `read_json` reads every JSON file rtakit
+reads, naming the file in its errors, and `replace_text` writes every file.
 """
 from __future__ import annotations
 
@@ -38,12 +40,13 @@ import json
 import math
 import os
 from collections.abc import Mapping
+from functools import partial
 from itertools import chain, compress, islice
 from operator import itemgetter, lt
 from pathlib import Path
 
 from .agents import Mode
-from .geometry import GeometryError, SET_KINDS, SetDef, parse_column, plain_finite, set_from_payload
+from .geometry import GeometryError, SET_KINDS, SetDef, parse_column, set_from_payload
 
 MODE_NAMES = tuple(m.value for m in Mode)
 _MODE_BY_NAME = {m.value: m for m in Mode}
@@ -70,8 +73,20 @@ def replace_text(path, text: str) -> None:
             os.unlink(target)
         except OSError:  # e.g. a sticky or read-only directory: truncate instead
             pass
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text)
+
+
+def read_json(path, error):
+    """The JSON document of the UTF-8 file at `path`. A file that is not
+    UTF-8 text or not valid JSON raises `error(message)`, the message
+    naming the file; every JSON file rtakit reads is read here."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
 class TraceSchemaError(ValueError):
@@ -225,13 +240,9 @@ class ExecutionTrace:
     @classmethod
     def load(cls, path) -> "ExecutionTrace":
         try:
-            text = Path(path).read_text()
+            doc = read_json(path, partial(TraceSchemaError, "<document>"))
         except FileNotFoundError as exc:
             raise TraceSchemaError("<document>", f"trace file not found: {path}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TraceSchemaError("<document>", f"not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
 
@@ -268,38 +279,37 @@ def _check_numbers(row, rpath: str) -> None:
             raise TraceSchemaError(f"{rpath}[{j}]", f"expected a finite number, got {v!r}")
 
 
-_PLAIN_NUMBERS = frozenset((float, int))
+_FLOAT = frozenset((float,))
 _NESTED = frozenset((float, int, list))
 _LIST = frozenset((list,))
+
+
+def plain_finite(*columns) -> bool:
+    """Whether every entry of the columns is exactly a float (so not an
+    int, a bool or a numpy float) and finite: one type test of them all and
+    one finiteness test of their sum, which is finite only if every entry
+    is. False for finite floats whose sum overflows, which a walk reads."""
+    return _FLOAT.issuperset(map(type, chain(*columns))) and math.isfinite(sum(chain(*columns)))
 
 
 def _read_states(path: str, states) -> tuple[list[float], list[tuple[float, ...]]]:
     """The timestamps and state rows of an agent's wire `state_trace`. The
     block is tested in one pass: every row a list of one width >= 2, every
-    entry exactly a float or an int (so not a bool), all finite, and the
-    timestamps strictly increasing. A block that fails is read by
-    `_walk_states`."""
+    entry a finite float (`plain_finite`), and the timestamps strictly
+    increasing. A block that fails is read by `_walk_states`."""
     if (type(states) is list and states and _LIST.issuperset(map(type, states))
             and len(states[0]) >= 2 and len(set(map(len, states))) == 1):
         columns = list(zip(*states))
-        kinds = set(map(type, chain.from_iterable(columns)))
-        try:  # the sum is finite only if every entry is
-            finite = kinds <= _PLAIN_NUMBERS and math.isfinite(sum(chain.from_iterable(columns)))
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if finite:
-            if int in kinds:
-                columns = [tuple(map(float, column)) for column in columns]
-            times = list(columns[0])
-            if all(map(lt, times, islice(times, 1, None))):
-                return times, list(zip(*columns[1:]))
+        times = list(columns[0])
+        if plain_finite(*columns) and all(map(lt, times, islice(times, 1, None))):
+            return times, list(zip(*columns[1:]))
     return _walk_states(path, states)
 
 
 def _walk_states(path: str, states) -> tuple[list[float], list[tuple[float, ...]]]:
     """`_read_states` row by row, which names the first bad entry; it also
-    reads rows that one pass cannot, such as numpy floats or finite numbers
-    whose sum overflows."""
+    reads rows that one pass cannot, such as ints, numpy floats or finite
+    numbers whose sum overflows, as floats."""
     if not isinstance(states, list) or not states:
         raise TraceSchemaError(path, "must be a nonempty list")
     times, rows = [], []
@@ -351,8 +361,8 @@ def _read_payloads(path: str, kind: str, rows, grid: list[float]) -> list:
     grid. The column is tested in one pass: every row a pair, the
     timestamps the grid's, every payload of plain number types (see
     `_plain_payloads`). The payloads are parsed as one column
-    (`geometry.parse_column`), and all must have one dimension. A column
-    that fails is read by `_walk_payloads`."""
+    (`geometry.parse_column`), which has one dimension. A column that
+    fails is read by `_walk_payloads`."""
     if not isinstance(rows, list) or not rows:
         raise TraceSchemaError(path, "must be a nonempty list")
     if len(rows) != len(grid):
@@ -362,11 +372,10 @@ def _read_payloads(path: str, kind: str, rows, grid: list[float]) -> list:
         payloads = list(map(itemgetter(1), rows))
         if plain_finite(times) and times == grid and _plain_payloads(payloads):
             try:
-                dims = {stack.dim for _, stack in parse_column(kind, payloads)}
-            except GeometryError:
-                dims = set()
-            if len(dims) == 1:
+                parse_column(kind, payloads)
                 return payloads
+            except GeometryError:
+                pass
     return _walk_payloads(path, kind, rows, grid)
 
 

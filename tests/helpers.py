@@ -37,7 +37,7 @@ from rtakit import (
     update_relative,
 )
 from rtakit.evaluation import AgentReport, EvalError, EvalReport
-from rtakit.geometry import GeometryError, SET_KINDS, row_dots, stack_sets
+from rtakit.geometry import GeometryError, SET_KINDS, row_dots
 from rtakit.trace import mode_names
 
 
@@ -592,9 +592,39 @@ def _ref_defs(kind: str, payloads: list) -> list:
     return defs
 
 
+def stack_sets(defs: list) -> list:
+    """Definitions of one kind as row-aligned stacks, in order, each with
+    the number of definitions it holds: definition k of a stack is its row
+    k, the definitions' own arrays stacked. Definitions that are all one
+    object give that set unstacked, for all of them. A stack ends where a
+    definition cannot share it: a changed dimension or polytope constraint
+    matrix."""
+    first = defs[0]
+    if all(d is first for d in defs):
+        return [(len(defs), first)]
+    stacks, start = [], 0
+    for k in range(1, len(defs) + 1):
+        if k == len(defs) or not _stacks_with(defs[start], defs[k]):
+            run = defs[start:k]
+            fields = {f: np.array([getattr(d, f) for d in run]) for f in first._row_fields}
+            stacks.append((len(run), run[0]._with(len(run), **fields)))
+            start = k
+    return stacks
+
+
+def _stacks_with(a, b) -> bool:
+    if a.kind == "polytope":
+        return np.array_equal(a.A, b.A)
+    return a.dim == b.dim
+
+
 def ref_column(kind: str, payloads: list) -> list:
-    """The column's stacks, parsed run by run."""
-    return stack_sets(_ref_defs(kind, payloads))
+    """The column's stacks, parsed run by run; a column has one dimension."""
+    defs = _ref_defs(kind, payloads)
+    for a, b in zip(defs, defs[1:]):
+        if a.dim != b.dim:
+            raise GeometryError(f"set dimension changed from {a.dim} to {b.dim}")
+    return stack_sets(defs)
 
 
 def assert_same_stacks(got: list, want: list) -> None:

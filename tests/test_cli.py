@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,7 +17,8 @@ from rtakit.cli import main
 from rtakit.config import MODELS, ConfigError, config_from_dict
 from rtakit import validate_trace_dict
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -711,6 +714,59 @@ def test_snapshot_missing_file_is_a_validation_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["snapshot", str(missing), "--time", "0.0"]) == 2
     assert f"trace file not found: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "snapshot", "timings"])
+@pytest.mark.parametrize("content, problem", [
+    (b"\xff{}", "not UTF-8 text"),
+    (b"{not json", "not valid JSON"),
+], ids=["not-utf-8", "not-json"])
+def test_a_file_that_cannot_be_read_is_a_validation_error_naming_it(command, content, problem,
+                                                                    tmp_path, capsys):
+    """A config, trace or timings file that is not UTF-8 JSON: exit 2, and
+    the message names the file."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    trace = tmp_path / "trace.json"
+    assert main(["run", "--config", str(CONFIGS / "acc_sim_rta.json"), "--out", str(trace)]) == 0
+    argv = {"run": ["run", "--config", str(bad), "--out", str(tmp_path / "t.json")],
+            "eval": ["eval", str(bad), "--out", str(tmp_path / "r")],
+            "snapshot": ["snapshot", str(bad), "--time", "0.0"],
+            "timings": ["eval", str(trace), "--out", str(tmp_path / "r"), "--timings", str(bad)]}
+    capsys.readouterr()
+    assert main(argv[command]) == 2
+    assert f"{bad}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "t.json").exists()
+
+
+def test_run_eval_and_snapshot_name_files_in_utf8_in_a_fresh_interpreter(tmp_path):
+    """With every text read or write that leaves out its encoding made an
+    error, a config whose agent id is not ASCII runs, evaluates and
+    snapshots, and the id comes back in the trace, timings, report and
+    snapshot."""
+    doc = acc_doc()
+    aid = doc["agents"][0]["id"] = "f\u00f6llower-\u03b1"
+    (tmp_path / "config.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
+
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "rtakit.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, encoding="utf-8",
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    cli("run", "--config", "config.json", "--out", "trace.json")
+    cli("eval", "trace.json", "--out", "report")
+    out = cli("snapshot", "trace.json", "--time", "0.5")
+    trace = json.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
+    timings = json.loads((tmp_path / "trace.timings.json").read_text(encoding="utf-8"))
+    summary = json.loads((tmp_path / "report" / "summary.json").read_text(encoding="utf-8"))
+    assert aid in trace["agents"] and aid in timings["timings"] and aid in summary["agents"]
+    assert f"== agent {aid!r} ==" in (tmp_path / "report" / "summary.txt").read_text(
+        encoding="utf-8")
+    assert f"agent {aid!r}: state" in out
 
 
 def test_run_eval_fuzz_all_models(tmp_path):

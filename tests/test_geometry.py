@@ -30,7 +30,6 @@ from rtakit.geometry import (
     repeat_rows,
     row_dots,
     row_norms,
-    stack_sets,
 )
 from helpers import (
     assert_same_stacks,
@@ -43,6 +42,7 @@ from helpers import (
     ref_entry_time,
     ref_faces_are_clear,
     ref_project,
+    stack_sets,
 )
 
 UNIT_SQUARE = Polytope(

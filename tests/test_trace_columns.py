@@ -202,6 +202,21 @@ def test_executed_trace_loads_as_the_reference(doc, monkeypatch):
     assert columns == list(want.kinds.values())
 
 
+@pytest.mark.parametrize("doc", every_document())
+def test_every_executed_set_column_parses_as_the_reference(doc, monkeypatch):
+    """Every set column an execution writes: the column parse equals the
+    per-run parse, with no payload parsed on its own."""
+    trace = execute(build_scenario(config_from_dict(doc)))
+    parses = []
+    parse = geometry.set_from_payload
+    monkeypatch.setattr(geometry, "set_from_payload",
+                        lambda kind, payload: parses.append(payload) or parse(kind, payload))
+    for sid, payloads in trace.unsafe.items():
+        kind = trace.kinds[sid]
+        assert_same_stacks(parse_column(kind, payloads), ref_column(kind, payloads))
+    assert parses == []
+
+
 def test_long_document_loads_as_the_reference(monkeypatch):
     doc = long_doc()
     no_walk(monkeypatch)
@@ -225,34 +240,48 @@ def _boxes(lower_x=lambda k: 0.5 * k):
     return [[[lower_x(k), -1.0], [0.5 * k + 1.0, 1.0]] for k in STEPS]
 
 
-COLUMNS = {  # kind, payload per sample, whether the one pass takes the column
-    "ball-moves": ("ball", _balls(), True),
-    "ball-int-radius": ("ball", _balls(radius=lambda k: 2), True),
-    "box-moves": ("hyperrectangle", _boxes(), True),
-    "point-still": ("point", [[3.0, 0.25]] * len(STEPS), True),
+COLUMNS = {  # kind, payload per sample
+    "ball-moves": ("ball", _balls()),
+    "ball-int-radius": ("ball", _balls(radius=lambda k: 2)),
+    "box-moves": ("hyperrectangle", _boxes()),
+    "point-still": ("point", [[3.0, 0.25]] * len(STEPS)),
     "polytope-matrix-changes": ("polytope", [[SQUARE, [1.0, 1.0, 1.0, 1.0 + 0.5 * k]]
                                              for k in range(3)]
-                                + [[[[2.0, 0.0], *SQUARE[1:]], [4.0, 1.0, 1.0, 1.0]]] * 3, True),
-    "ball-ragged-centres": ("ball", _balls(center=lambda k: [0.5 * k, 1.0] + [0.0] * (k == 3)),
-                            False),
-    "ball-int-past-float": ("ball", _balls(radius=lambda k: 10 ** 400 if k == 2 else 1.5), False),
-    "ball-negative-radius-last": ("ball", _balls(radius=lambda k: -1.0 if k == 5 else 1.5), False),
-    "box-lower-above-upper": ("hyperrectangle", _boxes(lambda k: 9.0 if k == 2 else 0.5 * k),
-                              False),
-    "ball-numpy-floats": ("ball", _balls(center=lambda k: [np.float64(0.5 * k), 1.0]), False),
+                                + [[[[2.0, 0.0], *SQUARE[1:]], [4.0, 1.0, 1.0, 1.0]]] * 3),
+    "ball-ragged-centres": ("ball", _balls(center=lambda k: [0.5 * k, 1.0] + [0.0] * (k == 3))),
+    "ball-int-past-float": ("ball", _balls(radius=lambda k: 10 ** 400 if k == 2 else 1.5)),
+    "ball-negative-radius-last": ("ball", _balls(radius=lambda k: -1.0 if k == 5 else 1.5)),
+    "box-lower-above-upper": ("hyperrectangle", _boxes(lambda k: 9.0 if k == 2 else 0.5 * k)),
+    "ball-numpy-floats": ("ball", _balls(center=lambda k: [np.float64(0.5 * k), 1.0])),
+    "ball-numpy-tuples": ("ball", [((np.float64(0.5 * k), np.float64(1.0)), np.float64(1.5))
+                                   for k in STEPS]),
     "polytope-rows-change": ("polytope", [[TRIANGLE, [2.0, 0.0, 0.0]]] * 3
-                             + [[SQUARE, [1.0, 1.0, 1.0, 1.0 + 0.5 * k]] for k in range(3)], False),
+                             + [[SQUARE, [1.0, 1.0, 1.0, 1.0 + 0.5 * k]] for k in range(3)]),
+    "polytope-rows-change-back": ("polytope", [[TRIANGLE, [2.0, 0.0, 0.5 * k]] for k in range(2)]
+                                  + [[SQUARE, [1.0, 1.0, 1.0, 1.0 + 0.5 * k]] for k in range(2)]
+                                  + [[TRIANGLE, [2.0, 0.0, 0.0]]] * 2),
+    "polytope-columns-change": ("polytope", [[SQUARE, [1.0, 1.0, 1.0, 1.0]]] * 3
+                                + [[[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0]]] * 3),
     # Rectangular columns that the one pass reads but a constructor rejects.
-    "ball-zero-dimension": ("ball", _balls(center=lambda k: [], radius=lambda k: 1.0 + k), False),
-    "polytope-offset-short": ("polytope", [[SQUARE, [1.0, 1.0, 1.0 + 0.5 * k]] for k in STEPS],
-                              False),
+    "ball-zero-dimension": ("ball", _balls(center=lambda k: [], radius=lambda k: 1.0 + k)),
+    "polytope-offset-short": ("polytope", [[SQUARE, [1.0, 1.0, 1.0 + 0.5 * k]] for k in STEPS]),
+    "point-empty": ("point", [[3.0, 0.25]] * 2 + [[]] + [[3.0, 0.5]] * 3),
 }
+# Finite centres whose sum overflows: parsed, but measuring them overflows.
+PARSE_ONLY = {"ball-sum-overflows": ("ball", _balls(center=lambda k: [1e308, 1e308 - 1e300 * k]))}
 
 
-@pytest.mark.parametrize("kind, payloads, one_pass", COLUMNS.values(), ids=COLUMNS.keys())
-def test_column_parse_equals_the_per_run_parse(kind, payloads, one_pass, monkeypatch):
-    """The same stacks, or the same error; a column the one pass cannot take
-    is parsed run by run, and one it can take with no per-run parse."""
+def _runs(payloads):
+    """The first payload of each run of equal payloads."""
+    return [p for k, p in enumerate(payloads) if k == 0 or p != payloads[k - 1]]
+
+
+@pytest.mark.parametrize("kind, payloads", [*COLUMNS.values(), *PARSE_ONLY.values()],
+                         ids=[*COLUMNS, *PARSE_ONLY])
+def test_column_parse_equals_the_per_run_parse(kind, payloads, monkeypatch):
+    """The same stacks, or the same error. A column that parses makes no
+    `set_from_payload` call; one that fails parses its runs, in order, only
+    up to the first one `set_from_payload` rejects."""
     try:
         want, error = ref_column(kind, payloads), None
     except GeometryError as exc:
@@ -263,11 +292,22 @@ def test_column_parse_equals_the_per_run_parse(kind, payloads, one_pass, monkeyp
                         lambda kind, payload: parses.append(payload) or parse(kind, payload))
     if error is None:
         assert_same_stacks(parse_column(kind, payloads), want)
-    else:
-        with pytest.raises(GeometryError) as got:
-            parse_column(kind, payloads)
-        assert str(got.value) == error
-    assert bool(parses) != one_pass
+        assert parses == []
+        return
+    with pytest.raises(GeometryError) as got:
+        parse_column(kind, payloads)
+    assert str(got.value) == error
+    runs = _runs(payloads)
+    rejected = [k for k, p in enumerate(runs) if _rejects(parse, kind, p)]
+    assert parses == runs[:rejected[0] + 1] if rejected else runs
+
+
+def _rejects(parse, kind, payload) -> bool:
+    try:
+        parse(kind, payload)
+    except GeometryError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("column, message", [
@@ -275,7 +315,7 @@ def test_column_parse_equals_the_per_run_parse(kind, payloads, one_pass, monkeyp
     ("polytope-offset-short", "constraint matrix has 4 rows but offset vector has length 3"),
 ])
 def test_a_column_a_constructor_rejects_raises_its_error_naming_the_row(column, message):
-    kind, payloads, _ = COLUMNS[column]
+    kind, payloads = COLUMNS[column]
     for parse in (lambda: geometry.set_from_payload(kind, payloads[0]),
                   lambda: parse_column(kind, payloads)):
         with pytest.raises(GeometryError) as err:
@@ -296,8 +336,8 @@ def _column_doc(kind, payloads):
                                "state_trace": [[t, p] for t, p in zip(ts, payloads)]}}}
 
 
-@pytest.mark.parametrize("kind, payloads, one_pass", COLUMNS.values(), ids=COLUMNS.keys())
-def test_column_loads_as_the_reference(kind, payloads, one_pass):
+@pytest.mark.parametrize("kind, payloads", COLUMNS.values(), ids=COLUMNS.keys())
+def test_column_loads_as_the_reference(kind, payloads):
     doc = _column_doc(kind, payloads)
     try:
         want = reference_from_dict(doc)
@@ -309,12 +349,13 @@ def test_column_loads_as_the_reference(kind, payloads, one_pass):
         assert_same_columns(ExecutionTrace.from_dict(doc), want)
 
 
-@pytest.mark.parametrize("kind, payloads, one_pass", COLUMNS.values(), ids=COLUMNS.keys())
-def test_column_of_an_in_memory_trace_evaluates_as_the_reference(kind, payloads, one_pass):
+@pytest.mark.parametrize("kind, payloads", COLUMNS.values(), ids=COLUMNS.keys())
+def test_column_of_an_in_memory_trace_evaluates_as_the_reference(kind, payloads):
     """An in-memory trace is not checked by a load: its report equals the
-    per-pair report, or raises the same error. A centre that changes
-    dimension is the exception: the per-pair report stacked the reference
-    points first, and numpy refused the ragged rows without naming the set."""
+    per-pair report, or raises the same error. A set whose dimension
+    changes is the exception: the per-pair report stacked the reference
+    points first, and numpy refused the ragged rows without naming the set,
+    where the column parse names the change."""
     doc = _column_doc(kind, payloads)
     trace = make_trace({"ego": doc["agents"]["ego"]["state_trace"]}, sets={"set": (kind, payloads)})
     try:
@@ -325,7 +366,7 @@ def test_column_of_an_in_memory_trace_evaluates_as_the_reference(kind, payloads,
         if isinstance(exc, GeometryError):
             assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         else:
-            assert str(got.value) == ("unsafe set 'set' has dimension 3, "
-                                      "but the workspace has dimension 2")
+            assert (type(got.value), str(got.value)) == (
+                GeometryError, "set dimension changed from 2 to 3")
     else:
         assert build_report(trace).to_dict() == want.to_dict()
