@@ -740,34 +740,34 @@ def parse_column(kind: str, payloads: list) -> list[tuple[int, SetDef]]:
     the runs' first payloads builds each field of a stack with one array
     and runs the constructors' checks on the arrays, and a column has one
     dimension. A column that fails raises the error of its first payload
-    that `set_from_payload` rejects, else the change of dimension."""
+    that `set_from_payload` rejects, else the change of dimension, else
+    that its payloads, which are then no sequences, do not stack."""
     starts = [0, *compress(range(1, len(payloads)), map(ne, islice(payloads, 1, None), payloads))]
     heads = [payloads[k] for k in starts]
     try:
-        stacks = _column_stacks(kind, heads, [*starts, len(payloads)])
-    except (TypeError, ValueError, OverflowError):  # ragged, nested or not numbers
-        stacks = None
-    if stacks is not None:
-        return stacks
+        return _column_stacks(kind, heads, [*starts, len(payloads)])
+    except (TypeError, ValueError, OverflowError):  # a failed check; ragged, nested or not numbers
+        pass
     dims = [set_from_payload(kind, head).dim for head in heads]  # raises the first error
     changed = [d for d in dims if d != dims[0]]
-    if not changed:  # a payload a constructor unpacks but numpy cannot, such as a generator
+    if not changed:  # payloads a constructor unpacks but that are no sequence, such as generators
         raise GeometryError(f"malformed {kind} column: its payloads do not stack")
     raise GeometryError(f"set dimension changed from {dims[0]} to {changed[0]}")
 
 
-def _column_stacks(kind: str, heads: list, bounds: list[int]) -> list[tuple[int, SetDef]] | None:
+def _column_stacks(kind: str, heads: list, bounds: list[int]) -> list[tuple[int, SetDef]]:
     """`parse_column`'s pass over the first payload of each run, run i
-    covering samples bounds[i] to bounds[i + 1]; None where a check fails."""
+    covering samples bounds[i] to bounds[i + 1]; a ValueError where a check
+    fails."""
     if kind not in SET_KINDS:  # compared, not hashed, as in `set_from_payload`
-        return None
+        raise ValueError(f"unknown set type {kind!r}")
     cls = _SET_CLASSES[kind]
     if len(cls._fields) == 1:
         parts = [heads]
     elif set(map(len, heads)) == {2}:
         parts = list(zip(*heads))
     else:
-        return None
+        raise ValueError("a payload does not list two fields")
     firsts = [0]  # the first run of each stack
     if cls is Polytope:  # a stack's rows share A: a run whose A is not the last one's begins one
         A = parts[0]
@@ -781,7 +781,7 @@ def _column_stacks(kind: str, heads: list, bounds: list[int]) -> list[tuple[int,
             row = name in cls._row_fields
             value = fields[name] = np.array(part[i:j] if row else part[i], dtype=float)
             if value.ndim != depth + row or not value.size or not np.isfinite(value).all():
-                return None
+                raise ValueError(f"{name} is empty, not finite or of the wrong depth")
         first = fields[cls._fields[0][0]]  # its last axis is the dimension
         dim = first.shape[-1] if dim is None else dim
         if (first.shape[-1] != dim
@@ -789,7 +789,7 @@ def _column_stacks(kind: str, heads: list, bounds: list[int]) -> list[tuple[int,
                 or kind == "hyperrectangle" and (first.shape != fields["upper"].shape
                                                  or (first > fields["upper"]).any())
                 or kind == "polytope" and fields["b"].shape[1] != first.shape[0]):
-            return None
+            raise ValueError("the fields are not sets of the column's dimension")
         out, n = object.__new__(cls), bounds[j] - bounds[i]
         if len(heads) == 1:  # one run: the set itself, as `set_from_payload` builds it
             for name, depth in cls._fields:

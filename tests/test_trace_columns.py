@@ -185,8 +185,10 @@ def no_walk(monkeypatch):
 @pytest.mark.parametrize("doc", every_document())
 def test_executed_trace_loads_as_the_reference(doc, monkeypatch):
     """The same columns, by the column passes alone: each set's payloads
-    parsed as one column, with no payload parsed on its own."""
-    wire = json.loads(execute(build_scenario(config_from_dict(doc))).to_json())
+    parsed as one column, with no payload parsed on its own. Each set column
+    of the executed trace parses as the per-run parse."""
+    executed = execute(build_scenario(config_from_dict(doc)))
+    wire = json.loads(executed.to_json())
     want = reference_from_dict(wire)
     no_walk(monkeypatch)
     parses, columns = [], []
@@ -198,23 +200,11 @@ def test_executed_trace_loads_as_the_reference(doc, monkeypatch):
                         lambda kind, payloads: columns.append(kind) or column(kind, payloads))
     got = ExecutionTrace.from_dict(wire)
     assert_same_columns(got, want)
-    assert parses == []
-    assert columns == list(want.kinds.values())
-
-
-@pytest.mark.parametrize("doc", every_document())
-def test_every_executed_set_column_parses_as_the_reference(doc, monkeypatch):
-    """Every set column an execution writes: the column parse equals the
-    per-run parse, with no payload parsed on its own."""
-    trace = execute(build_scenario(config_from_dict(doc)))
-    parses = []
-    parse = geometry.set_from_payload
-    monkeypatch.setattr(geometry, "set_from_payload",
-                        lambda kind, payload: parses.append(payload) or parse(kind, payload))
-    for sid, payloads in trace.unsafe.items():
-        kind = trace.kinds[sid]
+    for sid, payloads in executed.unsafe.items():
+        kind = executed.kinds[sid]
         assert_same_stacks(parse_column(kind, payloads), ref_column(kind, payloads))
     assert parses == []
+    assert columns == list(want.kinds.values())
 
 
 def test_long_document_loads_as_the_reference(monkeypatch):
@@ -299,7 +289,7 @@ def test_column_parse_equals_the_per_run_parse(kind, payloads, monkeypatch):
     assert str(got.value) == error
     runs = _runs(payloads)
     rejected = [k for k, p in enumerate(runs) if _rejects(parse, kind, p)]
-    assert parses == runs[:rejected[0] + 1] if rejected else runs
+    assert parses == (runs[:rejected[0] + 1] if rejected else runs)
 
 
 def _rejects(parse, kind, payload) -> bool:
@@ -325,6 +315,14 @@ def test_a_column_a_constructor_rejects_raises_its_error_naming_the_row(column, 
         ExecutionTrace.from_dict(_column_doc(kind, payloads))
     assert (err.value.path, str(err.value)) == (
         "unsafe.set.state_trace[0]", f"unsafe.set.state_trace[0]: {message}")
+
+
+def test_a_column_of_iterator_payloads_raises_that_they_do_not_stack():
+    """A payload must be a sequence: iterators that a constructor unpacks
+    one by one are no column, though each parses on its own."""
+    payloads = [iter(([0.5 * k, 1.0], 1.5)) for k in range(3)]
+    with pytest.raises(GeometryError, match=r"^malformed ball column: its payloads do not stack$"):
+        parse_column("ball", payloads)
 
 
 def _column_doc(kind, payloads):
